@@ -12,12 +12,15 @@
 // replicas over a simulated interconnect; the shipped bytes, the arrival
 // stall, and the adopted tokens are all accounted in the ClusterSummary.
 //
-// The loop itself is a thin client of the shared experiment core
-// (src/sim/event_loop.h + src/serving/experiment_core.h): one typed event
-// queue interleaves arrivals and scheduled replica faults with replica
-// steps, which is what lets a replica be killed and recovered mid-run
-// (recovery cost lands in FaultStats and in the re-homed conversations'
-// recompute accounting).
+// The implementation is a file-local ClusterSim built on the shared
+// experiment core (src/sim/event_loop.h + src/serving/experiment_core.h):
+// one typed event queue interleaves arrivals, scheduled replica faults,
+// handoff-stream arrivals and the health/autoscale timers with replica
+// steps, and each event kind has one handler method. Two owners keep their
+// state apart from the loop: PeerSpillBroker (the peer-spill stash, its
+// hole rule and PeerSpillStats) and HandoffTracker (disaggregated merge
+// chains, in-flight KV streams and HandoffStats). RunClusterExperiment
+// builds a ClusterSim, runs it and returns its summary.
 
 #ifndef PENSIEVE_SRC_CLUSTER_CLUSTER_DRIVER_H_
 #define PENSIEVE_SRC_CLUSTER_CLUSTER_DRIVER_H_

@@ -89,6 +89,19 @@ struct RequestOutcome {
   double handoff_stream_done = 0.0;
   double decode_admit_time = 0.0;
 
+  // Adds `other`'s work counters (token counts and suspensions) into this
+  // outcome; used to merge the two halves of a handed-off turn.
+  void AddWork(const RequestOutcome& other) {
+    prefill_input_tokens += other.prefill_input_tokens;
+    reused_gpu_tokens += other.reused_gpu_tokens;
+    reused_cpu_tokens += other.reused_cpu_tokens;
+    reused_ssd_tokens += other.reused_ssd_tokens;
+    reused_shared_tokens += other.reused_shared_tokens;
+    recomputed_tokens += other.recomputed_tokens;
+    generated_tokens += other.generated_tokens;
+    suspensions += other.suspensions;
+  }
+
   double NormalizedLatency() const {
     PENSIEVE_CHECK_GT(request.target_output_len, 0);
     return (finish_time - request.arrival_time) /
