@@ -1,37 +1,26 @@
 // Flash-tier serving benchmark: three-tier GPU -> CPU -> SSD KV cache.
 //
-// Two experiments over the same workload generator:
-//
-//  1. Conversation-set sweep. Replays traces of increasing conversation
-//     count with the flash tier off and on. While the working set fits the
-//     CPU tier the two configurations match; once it spills, the flash-off
-//     build recomputes evicted history while the flash build promotes it
-//     back over the simulated SSD link, and tail TTFT (p99 of
-//     first-scheduled minus arrival) separates.
-//
-//  2. Algorithm comparison. The largest trace replayed under each flash
-//     eviction/indexing algorithm (lru, fifo, s3fifo, sieve) with
-//     per-algorithm SSD miss rate, write amplification and GC relocations.
-//     The tier is exclusive (a promote removes the flash copy), so entries
-//     are never re-referenced while resident and the recency families
-//     legitimately converge on conversational traces; the ghost-queue
-//     algorithm (s3fifo) is the one that can diverge. The table makes that
-//     measurable rather than assumed.
+// A KV-quant capacity check, then a conversation-set sweep: traces of
+// increasing conversation count replayed with the flash tier off and on.
+// While the working set fits the CPU tier the two configurations match; once
+// it spills, the flash-off build recomputes evicted history while the flash
+// build promotes it back over the simulated SSD link, and tail TTFT (p99 of
+// first-scheduled minus arrival) separates.
 //
 // Self-checks (always on; --smoke only shrinks the workload):
 //   * --ssd-capacity 0 is bit-identical to the flash-off build: same
 //     completions, same per-request schedule times, same step count;
 //   * the flash tier never drops a request: every configuration completes
 //     exactly the flash-off request count;
-//   * repeated runs are deterministic: same trace + same algorithm twice
-//     gives identical engine stats;
+//   * repeated runs are deterministic: the largest flash-on point replayed
+//     twice gives identical engine stats;
 //   * flash accounting: promoted + evicted <= demoted chunks, write-amp
 //     >= 1, SSD hit rate in [0, 1].
 // Any violation fails the binary, which makes the ctest --smoke entry a
 // real test.
 //
-// Emits machine-readable JSON (default BENCH_flash.json): one entry per
-// (sweep point x flash setting) and one per algorithm.
+// Emits machine-readable JSON (default BENCH_flash.json): the capacity
+// check plus one entry per (sweep point x flash setting).
 
 #include <cstdio>
 #include <fstream>
@@ -100,15 +89,6 @@ std::string StatsFingerprint(const ServingSummary& s) {
       static_cast<long long>(e.ssd_gc_moves),
       static_cast<long long>(e.ssd_gc_runs), e.busy_seconds, s.makespan);
   return buf;
-}
-
-double SsdMissRate(const EngineStats& e) {
-  const double misses = static_cast<double>(e.recomputed_history_tokens);
-  const double hits = static_cast<double>(e.reused_ssd_tokens);
-  if (hits + misses == 0.0) {
-    return 0.0;
-  }
-  return misses / (hits + misses);
 }
 
 int Run(int argc, char** argv) {
@@ -249,7 +229,6 @@ int Run(int argc, char** argv) {
     for (int flash = 0; flash <= 1; ++flash) {
       EngineOverrides overrides = base;
       overrides.ssd_capacity_gb = flash ? ssd_gb : 0.0;
-      overrides.ssd_algo = FlashAlgoKind::kLru;
       const RunResult r =
           RunOnce(cost_model, profile, trace_options, overrides);
       const EngineStats& e = r.summary.engine_stats;
@@ -320,61 +299,21 @@ int Run(int argc, char** argv) {
                        e.SsdWriteAmplification());
           ++failures;
         }
-      }
-    }
-  }
-
-  // ---- 2. Algorithm comparison at the largest sweep point ----------------
-  trace_options.num_conversations = sweep_sizes.back();
-  const struct {
-    FlashAlgoKind kind;
-    const char* name;
-  } kAlgos[] = {{FlashAlgoKind::kLru, "lru"},
-                {FlashAlgoKind::kFifo, "fifo"},
-                {FlashAlgoKind::kS3Fifo, "s3fifo"},
-                {FlashAlgoKind::kSieve, "sieve"}};
-  std::printf("\n==== flash algorithms (%ld conversations, same trace) ====\n",
-              static_cast<long>(sweep_sizes.back()));
-  std::printf("%-8s %9s %10s %10s %10s %10s %10s\n", "algo", "completed",
-              "miss_rate", "write_amp", "gc_moves", "evicted", "promoted");
-  for (const auto& algo : kAlgos) {
-    EngineOverrides overrides = base;
-    overrides.ssd_capacity_gb = ssd_gb;
-    overrides.ssd_algo = algo.kind;
-    const RunResult r = RunOnce(cost_model, profile, trace_options, overrides);
-    const EngineStats& e = r.summary.engine_stats;
-    std::printf("%-8s %9ld %10.4f %10.3f %10ld %10ld %10ld\n", algo.name,
-                static_cast<long>(r.summary.completed_requests),
-                SsdMissRate(e), e.SsdWriteAmplification(),
-                static_cast<long>(e.ssd_gc_moves),
-                static_cast<long>(e.ssd_evicted_chunks),
-                static_cast<long>(e.ssd_promoted_chunks));
-    char entry[384];
-    std::snprintf(entry, sizeof(entry),
-                  "{\"phase\": \"algo\", \"algo\": \"%s\", \"completed\": "
-                  "%ld, \"miss_rate\": %.4f, \"write_amp\": %.4f, "
-                  "\"gc_moves\": %ld, \"gc_runs\": %ld, \"evicted_chunks\": "
-                  "%ld, \"promoted_chunks\": %ld}",
-                  algo.name, static_cast<long>(r.summary.completed_requests),
-                  SsdMissRate(e), e.SsdWriteAmplification(),
-                  static_cast<long>(e.ssd_gc_moves),
-                  static_cast<long>(e.ssd_gc_runs),
-                  static_cast<long>(e.ssd_evicted_chunks),
-                  static_cast<long>(e.ssd_promoted_chunks));
-    json_entries.push_back(entry);
-
-    // Self-check: the same trace through the same algorithm twice is
-    // deterministic (checked once, on the first algorithm).
-    if (&algo == &kAlgos[0]) {
-      const RunResult again =
-          RunOnce(cost_model, profile, trace_options, overrides);
-      if (StatsFingerprint(again.summary) != StatsFingerprint(r.summary)) {
-        std::fprintf(stderr,
-                     "FAIL algo=%s: repeated run diverged\n  1st: %s\n  "
-                     "2nd: %s\n",
-                     algo.name, StatsFingerprint(r.summary).c_str(),
-                     StatsFingerprint(again.summary).c_str());
-        ++failures;
+        // Self-check: the same trace through the flash tier twice is
+        // deterministic (checked once, on the largest sweep point).
+        if (convs == sweep_sizes.back()) {
+          const RunResult again =
+              RunOnce(cost_model, profile, trace_options, overrides);
+          if (StatsFingerprint(again.summary) != StatsFingerprint(r.summary)) {
+            std::fprintf(stderr,
+                         "FAIL convs=%ld: repeated flash-on run diverged\n"
+                         "  1st: %s\n  2nd: %s\n",
+                         static_cast<long>(convs),
+                         StatsFingerprint(r.summary).c_str(),
+                         StatsFingerprint(again.summary).c_str());
+            ++failures;
+          }
+        }
       }
     }
   }

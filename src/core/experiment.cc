@@ -65,7 +65,6 @@ std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_mod
             overrides.ssd_capacity_gb * 1024.0 * 1024.0 * 1024.0 /
             static_cast<double>(model.KvBytesPerTokenPerGpu()));
         options.num_ssd_blocks = ssd_tokens / options.block_size;
-        options.ssd_algo = overrides.ssd_algo;
         options.ssd_segment_blocks = overrides.ssd_segment_blocks;
         options.ssd_fault_profile = overrides.ssd_fault_profile;
       }

@@ -65,7 +65,6 @@ struct EngineOverrides {
   // cache_scale: stress tests shrink the GPU/CPU tiers to force traffic into
   // a fixed-size flash. 0 disables the tier.
   double ssd_capacity_gb = 0.0;
-  FlashAlgoKind ssd_algo = FlashAlgoKind::kLru;
   int64_t ssd_segment_blocks = 64;
   LinkFaultProfile ssd_fault_profile;
   // Int8-quantize KV blocks at the GPU boundary (Pensieve variants only).

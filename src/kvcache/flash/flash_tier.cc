@@ -23,9 +23,7 @@ SegmentLogConfig MakeLogConfig(const FlashTierConfig& config) {
 }  // namespace
 
 FlashTier::FlashTier(const FlashTierConfig& config)
-    : config_(config),
-      log_(MakeLogConfig(config)),
-      algo_(MakeFlashCacheAlgo(config.algo, config.capacity_blocks)) {
+    : config_(config), log_(MakeLogConfig(config)) {
   PENSIEVE_CHECK_GT(config_.capacity_blocks, 0);
   if (config_.numeric) {
     pool_ = std::make_unique<KvPool>(log_.capacity_blocks(), config_.block_size,
@@ -50,22 +48,20 @@ int64_t FlashTier::KeyChunk(uint64_t key) {
   return static_cast<int64_t>(key & kChunkMask);
 }
 
-bool FlashTier::Insert(uint64_t key,
-                       const FlashCacheAlgo::EvictablePredicate& evictable,
+bool FlashTier::Insert(uint64_t key, const EvictablePredicate& evictable,
                        std::vector<uint64_t>* evicted) {
   PENSIEVE_CHECK(!Contains(key)) << "flash insert of resident key";
-  const size_t mark = evicted->size();
-  const bool admitted = algo_->Admit(key, evictable, evicted);
-  // Even a failed admission may have evicted keys before stalling; their log
-  // blocks die either way (the caller drops the chunks).
-  for (size_t i = mark; i < evicted->size(); ++i) {
-    auto it = block_of_.find((*evicted)[i]);
-    PENSIEVE_CHECK(it != block_of_.end());
-    log_.MarkDead(it->second);
-    block_of_.erase(it);
-  }
-  if (!admitted) {
-    return false;
+  // Pinning cannot change while victims are taken, so one oldest-first scan
+  // serves every eviction this admission needs.
+  auto victim = order_.begin();
+  while (resident_keys() >= config_.capacity_blocks) {
+    victim = std::find_if(victim, order_.end(), evictable);
+    if (victim == order_.end()) {
+      return false;
+    }
+    const uint64_t evicted_key = *victim++;
+    evicted->push_back(evicted_key);
+    Erase(evicted_key);
   }
   const auto relocate = [this](uint64_t k, FlashBlockId from, FlashBlockId to) {
     OnRelocate(k, from, to);
@@ -74,34 +70,32 @@ bool FlashTier::Insert(uint64_t key,
   // The algorithm keeps live keys <= logical capacity and the log is
   // over-provisioned past it, so GC can always reclaim space.
   PENSIEVE_CHECK(block.has_value()) << "flash log full despite over-provisioning";
-  block_of_[key] = *block;
+  entries_[key] = Entry{*block, order_.insert(order_.end(), key)};
   return true;
 }
 
-bool FlashTier::Contains(uint64_t key) const { return block_of_.count(key) > 0; }
-
-void FlashTier::Touch(uint64_t key) { algo_->Touch(key); }
+bool FlashTier::Contains(uint64_t key) const { return entries_.count(key) > 0; }
 
 void FlashTier::Erase(uint64_t key) {
-  auto it = block_of_.find(key);
-  if (it == block_of_.end()) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
     return;
   }
-  log_.MarkDead(it->second);
-  block_of_.erase(it);
-  algo_->Erase(key);
+  log_.MarkDead(it->second.block);
+  order_.erase(it->second.position);
+  entries_.erase(it);
 }
 
 FlashBlockId FlashTier::BlockOf(uint64_t key) const {
-  auto it = block_of_.find(key);
-  return it == block_of_.end() ? kInvalidFlashBlock : it->second;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? kInvalidFlashBlock : it->second.block;
 }
 
 void FlashTier::OnRelocate(uint64_t key, FlashBlockId from, FlashBlockId to) {
-  auto it = block_of_.find(key);
-  PENSIEVE_CHECK(it != block_of_.end());
-  PENSIEVE_CHECK_EQ(it->second, from);
-  it->second = to;
+  auto it = entries_.find(key);
+  PENSIEVE_CHECK(it != entries_.end());
+  PENSIEVE_CHECK_EQ(it->second.block, from);
+  it->second.block = to;
   if (pool_ != nullptr && from != to) {
     KvPool::CopyBlock(*pool_, from, *pool_, to);
   }

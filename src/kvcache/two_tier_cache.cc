@@ -41,7 +41,6 @@ TwoTierKvCache::TwoTierKvCache(const KvCacheConfig& config)
     FlashTierConfig flash;
     flash.capacity_blocks = config_.num_ssd_blocks;
     flash.segment_blocks = config_.ssd_segment_blocks;
-    flash.algo = config_.ssd_algo;
     flash.numeric = config_.numeric;
     flash.block_size = config_.block_size;
     flash.num_layers = config_.num_layers;
@@ -385,7 +384,7 @@ Status TwoTierKvCache::DropChunk(ConversationId id, int64_t chunk_index) {
     c.cpu_block = kInvalidBlock;
   }
   if (c.OnSsd()) {
-    // Idempotent: the flash algo may already have evicted the key.
+    // Idempotent: the flash tier may already have evicted the key.
     flash_->Erase(FlashTier::MakeKey(id, chunk_index));
   }
   c.cpu_checksum = 0;
@@ -449,7 +448,7 @@ Status TwoTierKvCache::DemoteToFlash(ConversationId id, int64_t chunk_index) {
   };
   std::vector<uint64_t> evicted;
   const bool admitted = flash_->Insert(key, evictable, &evicted);
-  // Keys the algorithm evicted are gone from the tier either way; their
+  // Keys the tier evicted are gone from it either way; their
   // chunks must be dropped even when the admission itself stalled.
   DropFlashVictims(evicted);
   if (!admitted) {
@@ -927,7 +926,7 @@ void TwoTierKvCache::CheckInvariants() const {
   PENSIEVE_CHECK_EQ(reclaimable, reclaimable_gpu_blocks_);
   if (flash_ != nullptr) {
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->live_blocks());
-    PENSIEVE_CHECK_EQ(ssd_chunks, flash_->algo().size());
+    PENSIEVE_CHECK_EQ(ssd_chunks, flash_->resident_keys());
   } else {
     PENSIEVE_CHECK_EQ(ssd_chunks, 0);
   }

@@ -24,7 +24,7 @@
 // With the flash tier enabled (num_ssd_blocks > 0) a third level sits behind
 // the CPU: DemoteToFlash (kCpu -> kSsd) spills CPU-pressure victims into the
 // log-structured SSD instead of dropping them, PromoteFromFlash
-// (kSsd -> kCpu) stages them back on the restore path, and flash-algo
+// (kSsd -> kCpu) stages them back on the restore path, and flash-tier
 // evictions drop kSsd chunks as context prefixes.
 
 #ifndef PENSIEVE_SRC_KVCACHE_TWO_TIER_CACHE_H_
@@ -54,7 +54,6 @@ struct KvCacheConfig {
   // Flash (SSD) tier behind the CPU tier; 0 disables it, preserving exact
   // two-tier behavior.
   int64_t num_ssd_blocks = 0;
-  FlashAlgoKind ssd_algo = FlashAlgoKind::kLru;
   int64_t ssd_segment_blocks = 64;
   // Cross-conversation shared-prefix dedup: refcounted GPU blocks published
   // in a content-addressed prefix trie, attached by later conversations with
@@ -192,7 +191,7 @@ class TwoTierKvCache {
   // context prefixes of their conversations), copies data in numeric mode
   // and frees the CPU block. Only legal when every earlier chunk is already
   // dropped or on SSD, so a conversation's flash run stays a contiguous
-  // extension of its dropped prefix — which is what makes flash-algo
+  // extension of its dropped prefix — which is what makes flash-tier
   // evictions expressible as prefix drops.
   Status DemoteToFlash(ConversationId id, int64_t chunk_index);
   // kSsd -> kCpu: verifies the flash checksum (DATA_LOSS leaves the chunk
@@ -321,7 +320,7 @@ class TwoTierKvCache {
                               const Chunk& c) const;
   uint32_t ComputeSsdChecksum(ConversationId id, int64_t chunk_index,
                               const Chunk& c) const;
-  // Drops the chunks behind flash-algo evictions, each as a prefix drop of
+  // Drops the chunks behind flash-tier evictions, each as a prefix drop of
   // its conversation (intermediate flash chunks go down with their victim).
   void DropFlashVictims(const std::vector<uint64_t>& evicted);
   // Drops one reference to a GPU block; when the last reference goes, the

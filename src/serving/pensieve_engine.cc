@@ -18,7 +18,6 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
   config.num_cpu_blocks = options.use_cpu_cache ? options.num_cpu_blocks : 0;
   // The flash tier sits behind the CPU tier; without one it has no feeder.
   config.num_ssd_blocks = options.use_cpu_cache ? options.num_ssd_blocks : 0;
-  config.ssd_algo = options.ssd_algo;
   config.ssd_segment_blocks = options.ssd_segment_blocks;
   config.numeric = false;
   config.enable_prefix_sharing = options.enable_prefix_sharing;

@@ -68,7 +68,6 @@ struct PensieveEngineOptions {
   // to the two-tier build. The tier also requires use_cpu_cache (it sits
   // behind the CPU tier).
   int64_t num_ssd_blocks = 0;
-  FlashAlgoKind ssd_algo = FlashAlgoKind::kLru;
   int64_t ssd_segment_blocks = 64;
   // Fault injection on the simulated SSD link (demote/promote transfers).
   LinkFaultProfile ssd_fault_profile;

@@ -1,5 +1,5 @@
 // Tests for the flash (simulated SSD) tier: the append-only segment log and
-// its GC, the pluggable eviction-algorithm registry, the FlashTier facade,
+// its GC, insertion-order retention with pinned victims, the FlashTier facade,
 // the TwoTierKvCache demote/promote mechanisms with checksum-based
 // corruption degradation, the coordinator's CPU-pressure spill path, and
 // engine-level determinism across thread counts with the tier enabled.
@@ -15,7 +15,6 @@
 #include "src/common/thread_pool.h"
 #include "src/core/experiment.h"
 #include "src/eviction/policy.h"
-#include "src/kvcache/flash/cache_algo.h"
 #include "src/kvcache/flash/flash_tier.h"
 #include "src/kvcache/flash/segment_log.h"
 #include "src/kvcache/two_tier_cache.h"
@@ -105,96 +104,56 @@ TEST(SegmentLogTest, GcUnderFullLogPressure) {
   EXPECT_DOUBLE_EQ(log.stats().WriteAmplification(), 11.0 / 9.0);
 }
 
-// --- Algorithm registry ------------------------------------------------------
+// --- Retention ---------------------------------------------------------------
 
-TEST(FlashAlgoRegistryTest, RoundTripsAllFourAlgorithms) {
-  const std::vector<FlashAlgoKind> kinds = AllFlashAlgoKinds();
-  ASSERT_EQ(kinds.size(), 4u);
-  for (FlashAlgoKind kind : kinds) {
-    const std::string name = FlashAlgoKindName(kind);
-    FlashAlgoKind parsed;
-    ASSERT_TRUE(FlashAlgoKindByName(name, &parsed)) << name;
-    EXPECT_EQ(parsed, kind);
-    std::unique_ptr<FlashCacheAlgo> algo = MakeFlashCacheAlgo(kind, 4);
-    ASSERT_NE(algo, nullptr);
-    EXPECT_EQ(algo->name(), name);
-    EXPECT_EQ(algo->capacity(), 4);
-    EXPECT_EQ(algo->size(), 0);
-  }
-  FlashAlgoKind parsed;
-  EXPECT_FALSE(FlashAlgoKindByName("clock", &parsed));
-  EXPECT_FALSE(FlashAlgoKindByName("LRU", &parsed));  // names are lowercase
+FlashTier SmallTier(int64_t capacity_blocks) {
+  FlashTierConfig config;
+  config.capacity_blocks = capacity_blocks;
+  config.segment_blocks = 2;
+  return FlashTier(config);
 }
 
-// Admits `key` with every resident entry evictable, returning the victims.
-std::vector<uint64_t> AdmitAll(FlashCacheAlgo* algo, uint64_t key) {
+// Inserts `key` with every resident entry evictable, returning the victims.
+std::vector<uint64_t> InsertAll(FlashTier* tier, uint64_t key) {
   std::vector<uint64_t> evicted;
-  EXPECT_TRUE(algo->Admit(key, [](uint64_t) { return true; }, &evicted));
+  EXPECT_TRUE(tier->Insert(key, [](uint64_t) { return true; }, &evicted));
   return evicted;
 }
 
-TEST(FlashAlgoBehaviorTest, LruTouchSavesEntryFifoIgnoresIt) {
-  // Same access sequence, divergent victims: a hit on the oldest entry
-  // protects it under LRU but not under FIFO.
-  for (const bool lru : {true, false}) {
-    std::unique_ptr<FlashCacheAlgo> algo = MakeFlashCacheAlgo(
-        lru ? FlashAlgoKind::kLru : FlashAlgoKind::kFifo, 2);
-    AdmitAll(algo.get(), 1);
-    AdmitAll(algo.get(), 2);
-    algo->Touch(1);
-    const std::vector<uint64_t> evicted = AdmitAll(algo.get(), 3);
-    ASSERT_EQ(evicted.size(), 1u) << algo->name();
-    EXPECT_EQ(evicted[0], lru ? 2u : 1u) << algo->name();
-    EXPECT_EQ(algo->Contains(1), lru) << algo->name();
-  }
+TEST(FlashRetentionTest, EvictsInInsertionOrder) {
+  FlashTier tier = SmallTier(2);
+  InsertAll(&tier, 1);
+  InsertAll(&tier, 2);
+  EXPECT_EQ(InsertAll(&tier, 3), (std::vector<uint64_t>{1}));
+  EXPECT_EQ(InsertAll(&tier, 4), (std::vector<uint64_t>{2}));
+  // A key that leaves (promotion) and comes back is young again.
+  tier.Erase(3);
+  InsertAll(&tier, 3);
+  EXPECT_EQ(InsertAll(&tier, 5), (std::vector<uint64_t>{4}));
+  EXPECT_TRUE(tier.Contains(3));
+  EXPECT_EQ(tier.resident_keys(), 2);
 }
 
-TEST(FlashAlgoBehaviorTest, SieveVisitedBitGrantsSecondChance) {
-  std::unique_ptr<FlashCacheAlgo> algo =
-      MakeFlashCacheAlgo(FlashAlgoKind::kSieve, 2);
-  AdmitAll(algo.get(), 1);
-  AdmitAll(algo.get(), 2);
-  algo->Touch(1);  // sets the visited bit, no reordering
-  const std::vector<uint64_t> evicted = AdmitAll(algo.get(), 3);
-  // The hand sweeps from the cold end: clears 1's visited bit, then evicts
-  // the unvisited 2.
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2u);
-  EXPECT_TRUE(algo->Contains(1));
+TEST(FlashRetentionTest, PinnedVictimIsSkipped) {
+  FlashTier tier = SmallTier(2);
+  InsertAll(&tier, 1);
+  InsertAll(&tier, 2);
+  std::vector<uint64_t> evicted;
+  ASSERT_TRUE(tier.Insert(3, [](uint64_t k) { return k != 1; }, &evicted));
+  EXPECT_EQ(evicted, (std::vector<uint64_t>{2}));
+  EXPECT_TRUE(tier.Contains(1));
+  EXPECT_TRUE(tier.Contains(3));
 }
 
-TEST(FlashAlgoBehaviorTest, S3FifoGhostReadmissionEntersMainQueue) {
-  // A key evicted and quickly re-admitted is recognized by the ghost FIFO
-  // and lands in the protected main queue, where later one-hit-wonder
-  // inserts cannot push it out. Under plain FIFO the same key is gone two
-  // inserts after its re-admission.
-  std::unique_ptr<FlashCacheAlgo> s3 =
-      MakeFlashCacheAlgo(FlashAlgoKind::kS3Fifo, 2);
-  std::unique_ptr<FlashCacheAlgo> fifo =
-      MakeFlashCacheAlgo(FlashAlgoKind::kFifo, 2);
-  for (FlashCacheAlgo* algo : {s3.get(), fifo.get()}) {
-    AdmitAll(algo, 1);
-    AdmitAll(algo, 2);
-    EXPECT_EQ(AdmitAll(algo, 3), (std::vector<uint64_t>{1})) << algo->name();
-    AdmitAll(algo, 1);  // re-admission: ghost hit for s3fifo
-    AdmitAll(algo, 4);
-    AdmitAll(algo, 5);
-    EXPECT_LE(algo->size(), 2) << algo->name();
-  }
-  EXPECT_TRUE(s3->Contains(1));
-  EXPECT_FALSE(fifo->Contains(1));
-}
-
-TEST(FlashAlgoBehaviorTest, AdmitFailsWhenEveryVictimIsPinned) {
-  for (FlashAlgoKind kind : AllFlashAlgoKinds()) {
-    std::unique_ptr<FlashCacheAlgo> algo = MakeFlashCacheAlgo(kind, 1);
-    AdmitAll(algo.get(), 1);
-    std::vector<uint64_t> evicted;
-    EXPECT_FALSE(algo->Admit(2, [](uint64_t) { return false; }, &evicted))
-        << algo->name();
-    EXPECT_TRUE(algo->Contains(1)) << algo->name();
-    EXPECT_FALSE(algo->Contains(2)) << algo->name();
-  }
+TEST(FlashRetentionTest, AdmitFailsWhenEveryVictimIsPinned) {
+  FlashTier tier = SmallTier(1);
+  InsertAll(&tier, 1);
+  std::vector<uint64_t> evicted;
+  EXPECT_FALSE(tier.Insert(2, [](uint64_t) { return false; }, &evicted));
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_TRUE(tier.Contains(1));
+  EXPECT_FALSE(tier.Contains(2));
+  EXPECT_EQ(tier.live_blocks(), 1);
 }
 
 // --- FlashTier facade --------------------------------------------------------
@@ -210,7 +169,6 @@ TEST(FlashTierTest, BlockIndexStaysConsistentAcrossGcChurn) {
   FlashTierConfig config;
   config.capacity_blocks = 8;
   config.segment_blocks = 4;
-  config.algo = FlashAlgoKind::kLru;
   FlashTier tier(config);
   const auto evictable = [](uint64_t) { return true; };
 
@@ -237,7 +195,7 @@ TEST(FlashTierTest, BlockIndexStaysConsistentAcrossGcChurn) {
       ASSERT_TRUE(tier.log().IsLive(b));
       ASSERT_EQ(tier.log().KeyAt(b), live);
     }
-    ASSERT_EQ(tier.algo().size(), static_cast<int64_t>(resident.size()));
+    ASSERT_EQ(tier.resident_keys(), static_cast<int64_t>(resident.size()));
     ASSERT_EQ(tier.live_blocks(), static_cast<int64_t>(resident.size()));
   }
   EXPECT_GT(tier.log().stats().gc_runs, 0);
@@ -488,8 +446,8 @@ TEST_F(FlashEngineTest, BitIdenticalAcrossThreadCountsWithFlashEnabled) {
 TEST_F(FlashEngineTest, FlashAccountingStaysBalanced) {
   const ServingSummary s = Run(FlashOverrides());
   const EngineStats& st = s.engine_stats;
-  // Every chunk that left the tier was either promoted back, evicted by the
-  // algorithm, or is still resident; nothing double-counts.
+  // Every chunk that left the tier was either promoted back, evicted by
+  // retention, or is still resident; nothing double-counts.
   EXPECT_GE(st.ssd_demoted_chunks,
             st.ssd_promoted_chunks + st.ssd_evicted_chunks);
   EXPECT_GE(st.SsdWriteAmplification(), 1.0);

@@ -113,9 +113,6 @@ int Run(int argc, char** argv) {
                   "tier; 0 disables the tier (bit-identical to the two-tier "
                   "build). Full pensieve system only; not scaled by "
                   "cache_scale");
-  flags.AddString("ssd-algo", "lru",
-                  "flash-tier eviction/indexing algorithm: lru, fifo, s3fifo, "
-                  "sieve");
   flags.AddInt("ssd-segment-blocks", 64,
                "blocks per append-only flash log segment (GC granularity)");
   flags.AddInt("prefix-templates", 0,
@@ -300,11 +297,6 @@ int Run(int argc, char** argv) {
   overrides.fault_retry = fault_config.retry;
   overrides.fault_seed = fault_config.seed;
   overrides.ssd_capacity_gb = flags.GetDouble("ssd-capacity");
-  if (!FlashAlgoKindByName(flags.GetString("ssd-algo"), &overrides.ssd_algo)) {
-    std::fprintf(stderr, "unknown ssd-algo '%s'\n",
-                 flags.GetString("ssd-algo").c_str());
-    return 2;
-  }
   overrides.ssd_segment_blocks = flags.GetInt("ssd-segment-blocks");
   overrides.ssd_fault_profile = fault_config.ssd;
   QuantMode weight_quant;
