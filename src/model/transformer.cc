@@ -31,43 +31,38 @@ Transformer::Transformer(const ModelConfig& config, uint64_t seed,
   final_norm_gain_ = Tensor::Full({h}, 1.0f);
   final_norm_bias_ = Tensor::Zeros({h});
 
+  // Draws a [rows, cols] projection and keeps only its packed form: Forward
+  // multiplies only against packed panels, so the fp32 draw is dropped once
+  // packed. weight_quant selects the payload type for every projection
+  // including the tied LM head.
+  const auto packed_projection = [&](int64_t rows, int64_t cols, float stddev) {
+    Tensor raw({rows, cols});
+    FillNormal(raw, next_seed(), stddev);
+    return PackedMatrix(raw, weight_quant);
+  };
   const int64_t qkv_out = (config.num_heads + 2 * config.num_kv_heads) * config.head_dim;
   layers_.reserve(static_cast<size_t>(config.num_layers));
   for (int64_t l = 0; l < config.num_layers; ++l) {
     LayerWeights w;
     w.attn_norm_gain = Tensor::Full({h}, 1.0f);
     w.attn_norm_bias = Tensor::Zeros({h});
-    w.wqkv = Tensor({qkv_out, h});
-    FillNormal(w.wqkv, next_seed(), w_std);
+    w.wqkv_packed = packed_projection(qkv_out, h, w_std);
     w.bqkv = Tensor::Zeros({qkv_out});
     if (config.qkv_bias) {
       FillNormal(w.bqkv, next_seed(), 0.01f);
     }
-    w.wo = Tensor({h, config.num_heads * config.head_dim});
-    FillNormal(w.wo, next_seed(), w_std);
+    w.wo_packed = packed_projection(h, config.num_heads * config.head_dim, w_std);
     w.bo = Tensor::Zeros({h});
     w.ffn_norm_gain = Tensor::Full({h}, 1.0f);
     w.ffn_norm_bias = Tensor::Zeros({h});
-    w.w_up = Tensor({config.ffn_hidden, h});
-    FillNormal(w.w_up, next_seed(), w_std);
+    w.w_up_packed = packed_projection(config.ffn_hidden, h, w_std);
     w.b_up = Tensor::Zeros({config.ffn_hidden});
     if (config.gated_ffn) {
-      w.w_gate = Tensor({config.ffn_hidden, h});
-      FillNormal(w.w_gate, next_seed(), w_std);
+      w.w_gate_packed = packed_projection(config.ffn_hidden, h, w_std);
     }
-    w.w_down = Tensor({h, config.ffn_hidden});
-    FillNormal(w.w_down, next_seed(), 1.0f / std::sqrt(static_cast<float>(config.ffn_hidden)));
+    w.w_down_packed = packed_projection(
+        h, config.ffn_hidden, 1.0f / std::sqrt(static_cast<float>(config.ffn_hidden)));
     w.b_down = Tensor::Zeros({h});
-    // Repack the static projections once; Forward multiplies only against
-    // the packed forms. weight_quant selects the payload type for every
-    // projection including the tied LM head.
-    w.wqkv_packed = PackedMatrix(w.wqkv, weight_quant);
-    w.wo_packed = PackedMatrix(w.wo, weight_quant);
-    w.w_up_packed = PackedMatrix(w.w_up, weight_quant);
-    if (config.gated_ffn) {
-      w.w_gate_packed = PackedMatrix(w.w_gate, weight_quant);
-    }
-    w.w_down_packed = PackedMatrix(w.w_down, weight_quant);
     layers_.push_back(std::move(w));
   }
   lm_head_packed_ = PackedMatrix(embedding_, weight_quant);

@@ -86,24 +86,20 @@ class Transformer {
   struct LayerWeights {
     Tensor attn_norm_gain;
     Tensor attn_norm_bias;
-    Tensor wqkv;  // [(num_heads + 2 * num_kv_heads) * head_dim, hidden]
     Tensor bqkv;
-    Tensor wo;  // [hidden, num_heads * head_dim]
     Tensor bo;
     Tensor ffn_norm_gain;
     Tensor ffn_norm_bias;
-    Tensor w_up;    // [ffn_hidden, hidden]
     Tensor b_up;    // [ffn_hidden]
-    Tensor w_gate;  // gated FFN only
-    Tensor w_down;  // [hidden, ffn_hidden]
     Tensor b_down;  // [hidden]
-    // Panel-packed copies of the projection matrices, built once in the
-    // constructor; the forward pass only ever multiplies against these.
-    PackedMatrix wqkv_packed;
-    PackedMatrix wo_packed;
-    PackedMatrix w_up_packed;
+    // The projection matrices, panel-packed once in the constructor (the
+    // fp32 draws are not kept); the forward pass only ever multiplies
+    // against these.
+    PackedMatrix wqkv_packed;    // [(num_heads + 2 * num_kv_heads) * head_dim, hidden]
+    PackedMatrix wo_packed;      // [hidden, num_heads * head_dim]
+    PackedMatrix w_up_packed;    // [ffn_hidden, hidden]
     PackedMatrix w_gate_packed;  // gated FFN only
-    PackedMatrix w_down_packed;
+    PackedMatrix w_down_packed;  // [hidden, ffn_hidden]
   };
 
   void NormalizeInto(const Tensor& x, const Tensor& gain, const Tensor& bias,
