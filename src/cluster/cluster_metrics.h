@@ -112,7 +112,7 @@ struct ClusterSummary {
   ElasticStats elastic;
 };
 
-// Field-wise sum of per-replica engine stats.
+// Field-wise sum of per-replica engine stats; high-water marks take the max.
 EngineStats CombineEngineStats(const std::vector<ServingSummary>& replicas);
 
 // Peak-to-mean ratio of per-replica busy seconds.

@@ -7,6 +7,7 @@
 #ifndef PENSIEVE_SRC_SERVING_ENGINE_H_
 #define PENSIEVE_SRC_SERVING_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +110,8 @@ struct EngineStats {
 
   // Field-wise accumulation, used wherever stats from several engines (or
   // several engine incarnations of one replica, across crashes) are summed.
+  // High-water marks merge with max: each engine owns its own GPU, so a
+  // sum of peaks would describe no single GPU.
   EngineStats& operator+=(const EngineStats& other) {
     steps += other.steps;
     generated_tokens += other.generated_tokens;
@@ -151,13 +154,14 @@ struct EngineStats {
     reused_shared_tokens += other.reused_shared_tokens;
     shared_attached_chunks += other.shared_attached_chunks;
     cow_copies += other.cow_copies;
-    peak_shared_blocks += other.peak_shared_blocks;
+    peak_shared_blocks = std::max(peak_shared_blocks, other.peak_shared_blocks);
     kv_quant_blocks += other.kv_quant_blocks;
     kv_quant_bytes_saved += other.kv_quant_bytes_saved;
     kv_block_acquires += other.kv_block_acquires;
     kv_block_releases += other.kv_block_releases;
     kv_blocks_live += other.kv_blocks_live;
-    gpu_peak_allocated_blocks += other.gpu_peak_allocated_blocks;
+    gpu_peak_allocated_blocks =
+        std::max(gpu_peak_allocated_blocks, other.gpu_peak_allocated_blocks);
     return *this;
   }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/model/model_config.h"
 #include "src/serving/driver.h"
 #include "src/serving/experiment_core.h"
+#include "src/serving/pensieve_engine.h"
 #include "src/sim/cluster_link.h"
 #include "src/sim/hardware.h"
 
@@ -416,6 +418,43 @@ TEST(ClusterDriverTest, FailAndRecoverRoundTrip) {
   // again: its engine ran steps after t=0.6*span.
   ASSERT_EQ(summary.replicas.size(), 2u);
   EXPECT_GT(summary.replicas[0].engine_stats.steps, 0);
+}
+
+TEST(ClusterDriverTest, PeakBlocksAreHighWaterMarksAcrossIncarnations) {
+  // A starved GPU tier fills in both incarnations of the crashed replica.
+  // Its peak is the higher of the two high-water marks, and the cluster
+  // peak the highest over replicas: neither may exceed one engine's GPU.
+  GpuCostModel model = Opt13BModel();
+  EngineOverrides overrides;
+  overrides.cache_scale = 0.25;
+  const auto factory = [&](int32_t) {
+    return MakeEngine(SystemKind::kPensieve, model, overrides);
+  };
+  const auto probe = factory(0);
+  const int64_t gpu_blocks = dynamic_cast<const PensieveEngine&>(*probe)
+                                 .cache()
+                                 .gpu_allocator()
+                                 .capacity();
+  WorkloadTrace trace = SmallTrace(/*conversations=*/40, /*rate=*/2.0,
+                                   /*think=*/2.0, /*seed=*/7);
+  const double span = ArrivalSpan(trace);
+  ClusterOptions options;
+  options.num_replicas = 2;
+  options.router.policy = RouterPolicy::kRoundRobin;
+  options.faults.push_back(ReplicaFault{0.5 * span, 0, /*recover=*/false});
+  options.faults.push_back(ReplicaFault{0.6 * span, 0, /*recover=*/true});
+  const ClusterSummary summary = RunClusterExperiment(factory, trace, options);
+
+  EXPECT_EQ(summary.cluster.completed_requests, trace.TotalRequests());
+  ASSERT_EQ(summary.faults.recoveries, 1);
+  ASSERT_EQ(summary.replicas.size(), 2u);
+  const int64_t peak0 = summary.replicas[0].engine_stats.gpu_peak_allocated_blocks;
+  const int64_t peak1 = summary.replicas[1].engine_stats.gpu_peak_allocated_blocks;
+  EXPECT_GT(peak0, gpu_blocks / 2);
+  EXPECT_LE(peak0, gpu_blocks);
+  EXPECT_LE(peak1, gpu_blocks);
+  EXPECT_EQ(summary.cluster.engine_stats.gpu_peak_allocated_blocks,
+            std::max(peak0, peak1));
 }
 
 TEST(ClusterDriverTest, DeterministicAcrossRunsWithFaults) {
