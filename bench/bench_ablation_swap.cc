@@ -101,6 +101,7 @@ void RunAblations(bool smoke) {
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
   const bool smoke = pensieve::ConsumeSmokeFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N] [--smoke]");
   pensieve::RunAblations(smoke);
   return 0;
 }

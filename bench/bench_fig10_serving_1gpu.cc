@@ -43,6 +43,7 @@ void RunFigure10() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunFigure10();
   return 0;
 }

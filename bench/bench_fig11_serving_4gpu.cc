@@ -37,6 +37,7 @@ void RunFigure11() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunFigure11();
   return 0;
 }

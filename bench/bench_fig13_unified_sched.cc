@@ -40,6 +40,7 @@ void RunFigure13() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunFigure13();
   return 0;
 }

@@ -96,6 +96,7 @@ void ChunkSizeAblation() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::PolicyComparison();
   pensieve::ChunkSizeAblation();
   return 0;

@@ -47,6 +47,7 @@ void RunFigure15() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunFigure15();
   return 0;
 }

@@ -62,6 +62,7 @@ void RunFigure3() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunFigure3();
   return 0;
 }

@@ -111,6 +111,7 @@ void MeasuredCpuTable() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::ModelBasedTable();
   pensieve::MeasuredCpuTable();
   return 0;

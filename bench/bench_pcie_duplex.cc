@@ -80,6 +80,7 @@ void EndToEnd(bool smoke) {
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
   const bool smoke = pensieve::ConsumeSmokeFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N] [--smoke]");
   pensieve::LinkLevel(smoke);
   pensieve::EndToEnd(smoke);
   return 0;

@@ -98,6 +98,19 @@ inline bool ConsumeSmokeFlag(int* argc, char** argv) {
   return smoke;
 }
 
+// For benches whose only flags are --threads and (where supported) --smoke,
+// called once both are consumed: anything left in argv is a typo or an
+// unsupported flag, so the binary names it and exits 2 before doing any
+// work rather than silently running its full sweep.
+inline void RejectLeftoverArgs(int argc, char** argv, const char* usage) {
+  if (argc <= 1) {
+    return;
+  }
+  std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s %s\n", argv[0],
+               argv[1], argv[0], usage);
+  std::exit(2);
+}
+
 inline void RunSystemsSweep(const std::string& title, const GpuCostModel& cost_model,
                             const DatasetProfile& profile,
                             const std::vector<SystemKind>& systems,

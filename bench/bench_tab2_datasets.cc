@@ -54,6 +54,7 @@ void RunTable2() {
 
 int main(int argc, char** argv) {
   pensieve::ConsumeThreadsFlag(&argc, argv);
+  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
   pensieve::RunTable2();
   return 0;
 }
