@@ -92,9 +92,8 @@ class Transformer {
     Tensor ffn_norm_bias;
     Tensor b_up;    // [ffn_hidden]
     Tensor b_down;  // [hidden]
-    // The projection matrices, panel-packed once in the constructor (the
-    // fp32 draws are not kept); the forward pass only ever multiplies
-    // against these.
+    // The projection matrices, panel-packed once in the constructor; the
+    // forward pass only ever multiplies against these.
     PackedMatrix wqkv_packed;    // [(num_heads + 2 * num_kv_heads) * head_dim, hidden]
     PackedMatrix wo_packed;      // [hidden, num_heads * head_dim]
     PackedMatrix w_up_packed;    // [ffn_hidden, hidden]
