@@ -1,7 +1,6 @@
 #include "src/scheduler/cache_coordinator.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -61,9 +60,9 @@ std::optional<CacheCoordinator::Victim> CacheCoordinator::PickVictim(
       if (frontier >= state.num_chunks() || !eligible(state.chunk(frontier))) {
         continue;
       }
-      const double score = Score(id, state, frontier, now);
-      if (!best.has_value() || score < best->score) {
-        best = Victim{id, frontier, score};
+      const Victim candidate{id, frontier, Score(id, state, frontier, now)};
+      if (!best.has_value() || VictimBefore(candidate, *best)) {
+        best = candidate;
       }
       continue;
     }
@@ -71,9 +70,9 @@ std::optional<CacheCoordinator::Victim> CacheCoordinator::PickVictim(
       if (!eligible(state.chunk(i))) {
         continue;
       }
-      const double score = Score(id, state, i, now);
-      if (!best.has_value() || score < best->score) {
-        best = Victim{id, i, score};
+      const Victim candidate{id, i, Score(id, state, i, now)};
+      if (!best.has_value() || VictimBefore(candidate, *best)) {
+        best = candidate;
       }
     }
   }
@@ -139,8 +138,7 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
       }
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Victim& a, const Victim& b) { return a.score < b.score; });
+  std::sort(candidates.begin(), candidates.end(), VictimBefore);
   // Reserve CPU space for the whole deficit in one pass; fall back to
   // per-chunk frees only if that could not be satisfied.
   const int64_t deficit = target_blocks - cache_->AvailableGpuBlocks();
@@ -151,12 +149,19 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
     if (cache_->AvailableGpuBlocks() >= target_blocks) {
       break;
     }
+    // Candidates are fixed at pass start; skip the ones a CPU-pressure drop
+    // during this loop changed (or forgot) before reserving CPU space.
+    const ContextState* state = cache_->Find(victim.conversation);
+    if (state == nullptr ||
+        state->chunk(victim.chunk_index).location != ChunkLocation::kGpu) {
+      continue;
+    }
     if (cache_->cpu_allocator().num_free() == 0 && !EnsureFreeCpuBlocks(1, now)) {
       break;
     }
-    const ContextState* state = cache_->Find(victim.conversation);
+    state = cache_->Find(victim.conversation);
     if (state == nullptr) {
-      continue;  // forgotten by a CPU-pressure drop during this loop
+      continue;
     }
     const int64_t chunk_tokens = state->chunk(victim.chunk_index).num_tokens;
     const Status status = cache_->SwapOut(victim.conversation, victim.chunk_index);
@@ -197,7 +202,7 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
     // chunk past the dropped/SSD prefix, so conversations whose oldest
     // resident data already sits on flash remain eligible.
     std::optional<Victim> best;
-    double runner_up = std::numeric_limits<double>::infinity();
+    std::optional<Victim> runner_up;
     for (const auto& [id, state] : cache_->conversations()) {
       if (state.pinned()) {
         continue;
@@ -207,14 +212,12 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
           state.chunk(frontier).location != ChunkLocation::kCpu) {
         continue;
       }
-      const double score = Score(id, state, frontier, now);
-      if (!best.has_value() || score < best->score) {
-        if (best.has_value()) {
-          runner_up = best->score;
-        }
-        best = Victim{id, frontier, score};
-      } else if (score < runner_up) {
-        runner_up = score;
+      const Victim candidate{id, frontier, Score(id, state, frontier, now)};
+      if (!best.has_value() || VictimBefore(candidate, *best)) {
+        runner_up = best;
+        best = candidate;
+      } else if (!runner_up.has_value() || VictimBefore(candidate, *runner_up)) {
+        runner_up = candidate;
       }
     }
     if (best.has_value()) {
@@ -225,7 +228,10 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
         int64_t chunk = best->chunk_index;
         while (cache_->cpu_allocator().num_free() < n && chunk < state->num_chunks() &&
                state->chunk(chunk).location == ChunkLocation::kCpu &&
-               Score(best->conversation, *state, chunk, now) <= runner_up) {
+               (!runner_up.has_value() ||
+                VictimBefore(Victim{best->conversation, chunk,
+                                    Score(best->conversation, *state, chunk, now)},
+                             *runner_up))) {
           if (options_.use_ssd_cache) {
             const int64_t tokens = state->chunk(chunk).num_tokens;
             if (cache_->DemoteToFlash(best->conversation, chunk).ok()) {
@@ -247,7 +253,7 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
           // DropThroughPrefix also takes down any SSD chunks demoted just
           // above when flash admission stalls mid-conversation.
           if (!cache_->DropThroughPrefix(best->conversation, chunk).ok()) {
-            break;
+            return false;  // would re-pick the same victim forever
           }
           if (offerable) {
             PeerOffer offer;
@@ -307,8 +313,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
         }
       }
     }
-    std::sort(reclaimable.begin(), reclaimable.end(),
-              [](const Victim& a, const Victim& b) { return a.score < b.score; });
+    std::sort(reclaimable.begin(), reclaimable.end(), VictimBefore);
     for (const Victim& v : reclaimable) {
       if (cache_->gpu_allocator().num_free() >= n) {
         break;
@@ -333,8 +338,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
         }
       }
     }
-    std::sort(swappable.begin(), swappable.end(),
-              [](const Victim& a, const Victim& b) { return a.score < b.score; });
+    std::sort(swappable.begin(), swappable.end(), VictimBefore);
     const int64_t swap_deficit = n - cache_->gpu_allocator().num_free();
     (void)EnsureFreeCpuBlocks(
         std::min<int64_t>(swap_deficit, cache_->cpu_allocator().capacity()), now);
@@ -342,13 +346,20 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       if (cache_->gpu_allocator().num_free() >= n) {
         break;
       }
+      // Candidates are fixed at pass start; skip the ones CPU-pressure drops
+      // changed before reserving CPU space for them.
+      const ContextState* state = cache_->Find(v.conversation);
+      if (state == nullptr ||
+          state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
+        continue;
+      }
       if (cache_->cpu_allocator().num_free() == 0 && !EnsureFreeCpuBlocks(1, now)) {
         break;
       }
-      const ContextState* state = cache_->Find(v.conversation);
-      if (state == nullptr || v.chunk_index >= state->num_chunks() ||
+      state = cache_->Find(v.conversation);
+      if (state == nullptr ||
           state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
-        continue;  // state changed under CPU-pressure drops
+        continue;
       }
       const int64_t tokens = state->chunk(v.chunk_index).num_tokens;
       if (!cache_->SwapOut(v.conversation, v.chunk_index).ok()) {
@@ -402,9 +413,9 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
         if (i >= state.num_chunks()) {
           continue;
         }
-        const double score = Score(id, state, i, now);
-        if (!deep.has_value() || score < deep->score) {
-          deep = Victim{id, i, score};
+        const Victim candidate{id, i, Score(id, state, i, now)};
+        if (!deep.has_value() || VictimBefore(candidate, *deep)) {
+          deep = candidate;
         }
       }
       if (deep.has_value()) {

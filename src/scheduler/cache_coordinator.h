@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,12 @@ class CacheCoordinator {
     int64_t chunk_index;
     double score;
   };
+  // The single victim order: ascending score, ties broken by conversation id
+  // and then chunk index, so no choice depends on hash-map iteration order.
+  static bool VictimBefore(const Victim& a, const Victim& b) {
+    return std::tie(a.score, a.conversation, a.chunk_index) <
+           std::tie(b.score, b.conversation, b.chunk_index);
+  }
 
   // Lowest-score chunk among unpinned conversations satisfying `eligible`.
   // For prefix_only victims, only each conversation's first non-dropped

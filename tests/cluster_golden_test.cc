@@ -109,7 +109,7 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   const ClusterSummary s = RunDisaggFlashScenario();
   ASSERT_EQ(s.replicas.size(), 4u);
   EXPECT_EQ(s.cluster.completed_requests, 243);
-  ExpectNearRel(183.20459305146784, s.cluster.makespan);
+  ExpectNearRel(183.14472942866314, s.cluster.makespan);
   ExpectNearRel(1.903712639554626, s.cluster.window_begin);
   ExpectNearRel(19.03712639554626, s.cluster.window_end);
   EXPECT_EQ(s.cluster.window_completions, 30);
@@ -122,29 +122,29 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   ExpectNearRel(0.070254328693425933, s.cluster.mean_ttft);
   ExpectNearRel(0.16117626899640711, s.cluster.p99_ttft);
   ExpectNearRel(0.1098991385720465, s.cluster.p99_itl);
-  EXPECT_EQ(s.cluster.engine_stats.steps, 17609);
+  EXPECT_EQ(s.cluster.engine_stats.steps, 17648);
   EXPECT_EQ(s.cluster.engine_stats.generated_tokens, 51486);
-  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 97275);
-  EXPECT_EQ(s.cluster.engine_stats.reused_gpu_tokens, 231893);
-  EXPECT_EQ(s.cluster.engine_stats.reused_cpu_tokens, 62162);
-  EXPECT_EQ(s.cluster.engine_stats.reused_ssd_tokens, 14152);
-  EXPECT_EQ(s.cluster.engine_stats.recomputed_history_tokens, 77051);
+  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 99529);
+  EXPECT_EQ(s.cluster.engine_stats.reused_gpu_tokens, 229634);
+  EXPECT_EQ(s.cluster.engine_stats.reused_cpu_tokens, 63677);
+  EXPECT_EQ(s.cluster.engine_stats.reused_ssd_tokens, 12941);
+  EXPECT_EQ(s.cluster.engine_stats.recomputed_history_tokens, 79305);
   EXPECT_EQ(s.cluster.engine_stats.dropped_tokens, 0);
-  EXPECT_EQ(s.cluster.engine_stats.migrated_in_tokens, 65264);
-  EXPECT_EQ(s.cluster.engine_stats.ssd_demoted_tokens, 56418);
-  EXPECT_EQ(s.cluster.engine_stats.ssd_promoted_chunks, 445);
-  EXPECT_EQ(s.cluster.engine_stats.ssd_evicted_tokens, 26681);
-  EXPECT_EQ(s.cluster.engine_stats.kv_quant_blocks, 2218);
+  EXPECT_EQ(s.cluster.engine_stats.migrated_in_tokens, 63324);
+  EXPECT_EQ(s.cluster.engine_stats.ssd_demoted_tokens, 53102);
+  EXPECT_EQ(s.cluster.engine_stats.ssd_promoted_chunks, 408);
+  EXPECT_EQ(s.cluster.engine_stats.ssd_evicted_tokens, 24697);
+  EXPECT_EQ(s.cluster.engine_stats.kv_quant_blocks, 2099);
   EXPECT_EQ(s.cluster.engine_stats.dedup_hit_requests, 16);
   EXPECT_EQ(s.cluster.engine_stats.reused_shared_tokens, 3360);
   EXPECT_EQ(s.cluster.engine_stats.peer_spill_out_tokens, 0);
   EXPECT_EQ(s.cluster.engine_stats.peer_spill_in_tokens, 0);
-  ExpectNearRel(348.88743941081378, s.cluster.engine_stats.busy_seconds);
-  ExpectNearRel(14.22699123819943, s.cluster.engine_stats.recompute_seconds);
-  ExpectNearRel(1.8417694108551803, s.load_imbalance);
+  ExpectNearRel(349.60768962327529, s.cluster.engine_stats.busy_seconds);
+  ExpectNearRel(14.640717818165243, s.cluster.engine_stats.recompute_seconds);
+  ExpectNearRel(1.8371414052594344, s.load_imbalance);
   EXPECT_EQ(s.migration.migrations, 0);
   EXPECT_EQ(s.migration.rehomes, 0);
-  EXPECT_EQ(s.migration.migrated_tokens, 65264);
+  EXPECT_EQ(s.migration.migrated_tokens, 63324);
   ExpectNearRel(0, s.migration.migrated_bytes);
   ExpectNearRel(0, s.migration.migration_stall_seconds);
   EXPECT_EQ(s.migration.failed_migrations, 0);
@@ -163,13 +163,13 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   EXPECT_EQ(s.handoff.colocated_requests, 160);
   EXPECT_EQ(s.handoff.streams, 83);
   EXPECT_EQ(s.handoff.stream_chunks, 3180);
-  ExpectNearRel(31080407040, s.handoff.stream_bytes);
-  EXPECT_EQ(s.handoff.streamed_tokens, 72432);
+  ExpectNearRel(31202877440, s.handoff.stream_bytes);
+  EXPECT_EQ(s.handoff.streamed_tokens, 72731);
   EXPECT_EQ(s.handoff.failed_streams, 14);
   EXPECT_EQ(s.handoff.kv_tokens_lost, 6417);
   EXPECT_EQ(s.handoff.local_handoffs, 0);
-  ExpectNearRel(-38.435398580540564, s.handoff.overlap_saved_seconds);
-  ExpectNearRel(345.54603187536105, s.handoff.stream_wait_seconds);
+  ExpectNearRel(-38.486738533751023, s.handoff.overlap_saved_seconds);
+  ExpectNearRel(345.80647991026422, s.handoff.stream_wait_seconds);
   EXPECT_EQ(s.elastic.health.probes_sent, 1456);
   EXPECT_EQ(s.elastic.health.probes_failed, 10);
   EXPECT_EQ(s.elastic.health.quarantines, 1);
@@ -196,13 +196,13 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   EXPECT_EQ(s.elastic.peer_spill.remaining_tokens, 0);
   EXPECT_EQ(s.elastic.peer_spill.stash_peak_tokens, 0);
   EXPECT_EQ(s.replicas[0].completed_requests, 0);
-  ExpectNearRel(15.515738062313392, s.replicas[0].engine_stats.busy_seconds);
+  ExpectNearRel(15.572643183498577, s.replicas[0].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[1].completed_requests, 101);
-  ExpectNearRel(160.64255343460673, s.replicas[1].engine_stats.busy_seconds);
+  ExpectNearRel(160.56969055100203, s.replicas[1].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[2].completed_requests, 27);
   ExpectNearRel(48.998988028617667, s.replicas[2].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[3].completed_requests, 115);
-  ExpectNearRel(123.73015988527598, s.replicas[3].engine_stats.busy_seconds);
+  ExpectNearRel(124.46636786015702, s.replicas[3].engine_stats.busy_seconds);
 }
 
 TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
