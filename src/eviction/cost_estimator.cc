@@ -1,5 +1,6 @@
 #include "src/eviction/cost_estimator.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/common/logging.h"
@@ -14,9 +15,12 @@ ChunkCostEstimator ChunkCostEstimator::ProfileFromCostModel(const GpuCostModel& 
                                                             int64_t max_context) {
   PENSIEVE_CHECK_GT(chunk_size, 0);
   InterpTable table;
+  double prev = 0.0;
   for (int64_t ctx = chunk_size; ctx <= max_context; ctx *= 2) {
-    table.AddPoint(static_cast<double>(ctx),
-                   cost_model.ChunkRecomputeCost(chunk_size, ctx));
+    const double cost = cost_model.ChunkRecomputeCost(chunk_size, ctx);
+    PENSIEVE_CHECK_GE(cost, prev) << "chunk recompute cost dips at context " << ctx;
+    table.AddPoint(static_cast<double>(ctx), cost);
+    prev = cost;
   }
   PENSIEVE_CHECK(!table.empty());
   return ChunkCostEstimator(chunk_size, std::move(table));
@@ -46,7 +50,7 @@ ChunkCostEstimator ChunkCostEstimator::ProfileFromKernels(const ModelConfig& con
   FillNormal(query, /*seed=*/11, 1.0f);
   Tensor out({chunk_size, config.num_heads, config.head_dim});
 
-  InterpTable table;
+  std::vector<std::pair<int64_t, double>> points;
   for (int64_t ctx = chunk_size; ctx <= max_context; ctx *= 2) {
     AttentionSubRequest sub;
     sub.query_start = 0;
@@ -61,7 +65,20 @@ ChunkCostEstimator ChunkCostEstimator::ProfileFromKernels(const ModelConfig& con
     const auto end = std::chrono::steady_clock::now();
     const double seconds =
         std::chrono::duration<double>(end - start).count() / kReps;
-    table.AddPoint(static_cast<double>(ctx), seconds);
+    points.emplace_back(ctx, seconds);
+  }
+  return FromMeasurements(chunk_size, points);
+}
+
+ChunkCostEstimator ChunkCostEstimator::FromMeasurements(
+    int64_t chunk_size, const std::vector<std::pair<int64_t, double>>& points) {
+  PENSIEVE_CHECK_GT(chunk_size, 0);
+  PENSIEVE_CHECK(!points.empty());
+  InterpTable table;
+  double running_max = 0.0;
+  for (const auto& [ctx, seconds] : points) {
+    running_max = std::max(running_max, seconds);
+    table.AddPoint(static_cast<double>(ctx), running_max);
   }
   return ChunkCostEstimator(chunk_size, std::move(table));
 }

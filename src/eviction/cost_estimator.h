@@ -10,6 +10,8 @@
 #define PENSIEVE_SRC_EVICTION_COST_ESTIMATOR_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/common/interp.h"
 #include "src/model/model_config.h"
@@ -30,8 +32,17 @@ class ChunkCostEstimator {
   static ChunkCostEstimator ProfileFromKernels(const ModelConfig& config,
                                                int64_t chunk_size, int64_t max_context);
 
+  // Builds the table from wall-clock measurements (context length, seconds)
+  // in increasing context order. Timing noise can make a longer context
+  // measure faster, so each point is clamped to the running maximum.
+  static ChunkCostEstimator FromMeasurements(
+      int64_t chunk_size, const std::vector<std::pair<int64_t, double>>& points);
+
   // Interpolated recomputation cost of a chunk whose last token has context
-  // length `context_len` (seconds).
+  // length `context_len` (seconds). Non-decreasing in context_len by
+  // construction: both profiles yield non-decreasing knots, and linear
+  // interpolation between them cannot dip. The coordinator's victim index
+  // relies on this (DESIGN.md, "Victim index").
   double Cost(int64_t context_len) const;
 
   int64_t chunk_size() const { return chunk_size_; }

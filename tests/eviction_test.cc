@@ -48,6 +48,26 @@ TEST(CostEstimatorTest, ProfileFromKernelsIsMonotone) {
   EXPECT_GT(est.Cost(256), est.Cost(16));
 }
 
+TEST(CostEstimatorTest, CostNeverDecreasesWithContext) {
+  // The coordinator's victim index assumes Cost(l) is non-decreasing, so
+  // check every context length, including the extrapolated ends.
+  const auto expect_monotone = [](const ChunkCostEstimator& est, int64_t max_ctx) {
+    for (int64_t ctx = 1; ctx < max_ctx; ++ctx) {
+      ASSERT_LE(est.Cost(ctx), est.Cost(ctx + 1)) << "ctx=" << ctx;
+    }
+  };
+  expect_monotone(Estimator(), 20000);
+  expect_monotone(ChunkCostEstimator::ProfileFromKernels(TinyOptConfig(), 16, 256), 400);
+  // A timing dip (the 64-token point measured faster than the 32-token one)
+  // is clamped to the running maximum instead of reaching the table.
+  const ChunkCostEstimator noisy = ChunkCostEstimator::FromMeasurements(
+      32, {{32, 2.0e-6}, {64, 1.5e-6}, {128, 3.0e-6}, {256, 2.5e-6}, {512, 8.0e-6}});
+  expect_monotone(noisy, 1024);
+  EXPECT_DOUBLE_EQ(noisy.Cost(64), 2.0e-6);
+  EXPECT_DOUBLE_EQ(noisy.Cost(256), 3.0e-6);
+  EXPECT_DOUBLE_EQ(noisy.Cost(512), 8.0e-6);
+}
+
 // --- Policies -------------------------------------------------------------------
 
 ChunkCandidate MakeCandidate(int64_t conv, int64_t chunk, int64_t ctx,
