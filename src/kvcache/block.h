@@ -9,6 +9,7 @@
 #ifndef PENSIEVE_SRC_KVCACHE_BLOCK_H_
 #define PENSIEVE_SRC_KVCACHE_BLOCK_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pensieve {
@@ -27,6 +28,7 @@ enum class ChunkLocation : uint8_t {
   kSsd,        // resident only in the flash tier (demoted under CPU pressure)
   kDropped,    // evicted everywhere; recompute from raw tokens when needed
 };
+inline constexpr size_t kNumChunkLocations = 5;
 
 const char* ChunkLocationName(ChunkLocation loc);
 

@@ -1,33 +1,76 @@
 #include "src/kvcache/context_state.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace pensieve {
 
-int64_t ContextState::LeadingDroppedChunks() const {
-  int64_t n = 0;
-  while (n < num_chunks() && chunk(n).Dropped()) {
-    ++n;
+namespace {
+
+bool DroppedOrSsd(const Chunk& c) { return c.Dropped() || c.OnSsd(); }
+
+}  // namespace
+
+void ContextState::SetLocation(int64_t i, ChunkLocation location) {
+  PENSIEVE_CHECK(i >= 0 && i < num_chunks());
+  chunks_[static_cast<size_t>(i)].location = location;
+  int64_t& hint = first_at_hint_[static_cast<size_t>(location)];
+  hint = std::min(hint, i);
+  // A frontier moves back when a chunk inside its prefix is restored, and
+  // forward (over any already-evicted chunks behind it) when the chunk at
+  // the frontier itself is evicted.
+  if (i < leading_dropped_ && location != ChunkLocation::kDropped) {
+    leading_dropped_ = i;
+  } else if (i == leading_dropped_) {
+    while (leading_dropped_ < num_chunks() && chunk(leading_dropped_).Dropped()) {
+      ++leading_dropped_;
+    }
   }
-  return n;
+  if (i < leading_dropped_or_ssd_ && !DroppedOrSsd(chunk(i))) {
+    leading_dropped_or_ssd_ = i;
+  } else if (i == leading_dropped_or_ssd_) {
+    while (leading_dropped_or_ssd_ < num_chunks() &&
+           DroppedOrSsd(chunk(leading_dropped_or_ssd_))) {
+      ++leading_dropped_or_ssd_;
+    }
+  }
 }
 
-int64_t ContextState::LeadingDroppedTokens() const {
-  int64_t n = 0;
-  int64_t tokens = 0;
-  while (n < num_chunks() && chunk(n).Dropped()) {
-    tokens += chunk(n).num_tokens;
-    ++n;
+int64_t ContextState::FirstChunkAt(ChunkLocation location) const {
+  int64_t& hint = first_at_hint_[static_cast<size_t>(location)];
+  while (hint < num_chunks() && chunk(hint).location != location) {
+    ++hint;
   }
-  return tokens;
+  return hint;
 }
 
-int64_t ContextState::LeadingDroppedOrSsdChunks() const {
-  int64_t n = 0;
-  while (n < num_chunks() && (chunk(n).Dropped() || chunk(n).OnSsd())) {
-    ++n;
+int64_t ContextState::NextChunkAt(ChunkLocation location, int64_t after) const {
+  int64_t i = std::max(after + 1, first_at_hint_[static_cast<size_t>(location)]);
+  while (i < num_chunks() && chunk(i).location != location) {
+    ++i;
   }
-  return n;
+  return i;
+}
+
+void ContextState::CheckFrontiers() const {
+  int64_t dropped = 0;
+  while (dropped < num_chunks() && chunk(dropped).Dropped()) {
+    ++dropped;
+  }
+  PENSIEVE_CHECK_EQ(leading_dropped_, dropped);
+  int64_t dropped_or_ssd = 0;
+  while (dropped_or_ssd < num_chunks() && DroppedOrSsd(chunk(dropped_or_ssd))) {
+    ++dropped_or_ssd;
+  }
+  PENSIEVE_CHECK_EQ(leading_dropped_or_ssd_, dropped_or_ssd);
+  for (size_t loc = 0; loc < kNumChunkLocations; ++loc) {
+    for (int64_t i = 0; i < std::min(first_at_hint_[loc], num_chunks()); ++i) {
+      PENSIEVE_CHECK(static_cast<size_t>(chunk(i).location) != loc)
+          << "chunk " << i << " is " << ChunkLocationName(chunk(i).location)
+          << " below its first-chunk hint " << first_at_hint_[loc];
+    }
+  }
 }
 
 int64_t ContextState::TokensOnGpu() const {
@@ -174,6 +217,8 @@ void ContextState::InitializeImported(int64_t kv_len) {
     remaining -= c.num_tokens;
   }
   kv_len_ = kv_len;
+  leading_dropped_ = num_chunks();
+  leading_dropped_or_ssd_ = num_chunks();
 }
 
 }  // namespace pensieve

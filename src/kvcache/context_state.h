@@ -9,6 +9,7 @@
 #ifndef PENSIEVE_SRC_KVCACHE_CONTEXT_STATE_H_
 #define PENSIEVE_SRC_KVCACHE_CONTEXT_STATE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -25,9 +26,14 @@ class ContextState {
 
   int64_t num_chunks() const { return static_cast<int64_t>(chunks_.size()); }
   const Chunk& chunk(int64_t i) const { return chunks_[static_cast<size_t>(i)]; }
+  // Block ids and checksums are edited in place; the location is not:
+  // every residency change goes through SetLocation.
   Chunk& mutable_chunk(int64_t i) { return chunks_[static_cast<size_t>(i)]; }
-  std::vector<Chunk>& chunks() { return chunks_; }
   const std::vector<Chunk>& chunks() const { return chunks_; }
+
+  // The one place a chunk's location changes. Keeps the frontier offsets
+  // below O(1) and the per-location lower-bound hints valid.
+  void SetLocation(int64_t i, ChunkLocation location);
 
   // Total KV tokens represented (including dropped ones).
   int64_t kv_len() const { return kv_len_; }
@@ -40,14 +46,27 @@ class ContextState {
     return ChunkStartToken(i) + chunk(i).num_tokens;
   }
 
-  // Length of the contiguous dropped prefix, in tokens.
-  int64_t LeadingDroppedTokens() const;
-  int64_t LeadingDroppedChunks() const;
+  // Length of the contiguous dropped prefix, in tokens and in chunks.
+  int64_t LeadingDroppedTokens() const {
+    return leading_dropped_ == num_chunks() ? kv_len_ : ChunkStartToken(leading_dropped_);
+  }
+  int64_t LeadingDroppedChunks() const { return leading_dropped_; }
   // The "CPU frontier": length of the contiguous prefix of chunks that are
   // dropped or demoted to the flash tier. The first chunk past it is the
   // oldest chunk still holding a CPU/GPU copy — the next demotion (or drop)
   // candidate. Equal to LeadingDroppedChunks() when no flash tier exists.
-  int64_t LeadingDroppedOrSsdChunks() const;
+  int64_t LeadingDroppedOrSsdChunks() const { return leading_dropped_or_ssd_; }
+
+  // Index of the first chunk in `location`, or num_chunks() if none. Starts
+  // from a lower-bound hint that SetLocation lowers and this call advances,
+  // so repeated queries skip the evicted prefix instead of rewalking it.
+  int64_t FirstChunkAt(ChunkLocation location) const;
+  // Index of the first chunk past `after` in `location`, or num_chunks().
+  int64_t NextChunkAt(ChunkLocation location, int64_t after) const;
+
+  // Recomputes the frontier offsets and hints from the chunks and aborts on
+  // disagreement (a location changed behind SetLocation's back).
+  void CheckFrontiers() const;
 
   // Token counts by residency.
   int64_t TokensOnGpu() const;
@@ -104,6 +123,10 @@ class ContextState {
   int64_t block_size_;
   std::vector<Chunk> chunks_;
   int64_t kv_len_ = 0;
+  int64_t leading_dropped_ = 0;
+  int64_t leading_dropped_or_ssd_ = 0;
+  // Per ChunkLocation: no chunk before this index is in that location.
+  mutable std::array<int64_t, kNumChunkLocations> first_at_hint_{};
   double last_active_ = 0.0;
   int pin_count_ = 0;
 };

@@ -172,7 +172,7 @@ Status TwoTierKvCache::AppendTokenSlots(ConversationId id, int64_t n,
         tail.cpu_block = kInvalidBlock;
         tail.cpu_checksum = 0;
         tail.cpu_corrupt = false;
-        tail.location = ChunkLocation::kGpu;
+        state.SetLocation(state.num_chunks() - 1, ChunkLocation::kGpu);
         --reclaimable_gpu_blocks_;
       } else if (tail.location != ChunkLocation::kGpu) {
         return Status::FailedPrecondition(
@@ -232,11 +232,12 @@ Status TwoTierKvCache::SwapOut(ConversationId id, int64_t chunk_index) {
     ++counters_.quantized_blocks;
     counters_.quant_bytes_saved += quant_saved_per_block_;
   }
-  c.location = ChunkLocation::kGpuAndCpu;
+  state->SetLocation(chunk_index, ChunkLocation::kGpuAndCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   ++reclaimable_gpu_blocks_;
   ++counters_.swapped_out_chunks;
+  LogEvent(EvictOp::kSwapOut, id, chunk_index);
   return Status::Ok();
 }
 
@@ -256,9 +257,10 @@ Status TwoTierKvCache::ReclaimGpu(ConversationId id, int64_t chunk_index) {
   }
   ReleaseGpuBlock(c.gpu_block);
   c.gpu_block = kInvalidBlock;
-  c.location = ChunkLocation::kCpu;
+  state->SetLocation(chunk_index, ChunkLocation::kCpu);
   --reclaimable_gpu_blocks_;
   ++counters_.reclaimed_gpu_blocks;
+  LogEvent(EvictOp::kReclaimGpu, id, chunk_index);
   return Status::Ok();
 }
 
@@ -290,7 +292,7 @@ Status TwoTierKvCache::SwapIn(ConversationId id, int64_t chunk_index) {
       KvPool::CopyBlock(*cpu_pool_, c.cpu_block, *gpu_pool_, c.gpu_block);
     }
   }
-  c.location = ChunkLocation::kGpuAndCpu;
+  state->SetLocation(chunk_index, ChunkLocation::kGpuAndCpu);
   ++reclaimable_gpu_blocks_;
   ++counters_.swapped_in_chunks;
   return Status::Ok();
@@ -348,8 +350,9 @@ Status TwoTierKvCache::DropCpuCopy(ConversationId id, int64_t chunk_index) {
   c.cpu_block = kInvalidBlock;
   c.cpu_checksum = 0;
   c.cpu_corrupt = false;
-  c.location = ChunkLocation::kGpu;
+  state->SetLocation(chunk_index, ChunkLocation::kGpu);
   --reclaimable_gpu_blocks_;
+  LogEvent(EvictOp::kDropCpuCopy, id, chunk_index);
   return Status::Ok();
 }
 
@@ -363,10 +366,8 @@ Status TwoTierKvCache::DropChunk(ConversationId id, int64_t chunk_index) {
   // Drop-from-the-front invariant: all earlier chunks must already be
   // dropped, otherwise recomputation could not treat the dropped region as a
   // context prefix (paper Figure 5).
-  for (int64_t i = 0; i < chunk_index; ++i) {
-    if (!state.chunk(i).Dropped()) {
-      return Status::FailedPrecondition("non-prefix chunk drop attempted");
-    }
+  if (state.LeadingDroppedChunks() < chunk_index) {
+    return Status::FailedPrecondition("non-prefix chunk drop attempted");
   }
   Chunk& c = state.mutable_chunk(chunk_index);
   if (c.Dropped()) {
@@ -391,8 +392,9 @@ Status TwoTierKvCache::DropChunk(ConversationId id, int64_t chunk_index) {
   c.cpu_corrupt = false;
   c.ssd_checksum = 0;
   c.ssd_corrupt = false;
-  c.location = ChunkLocation::kDropped;
+  state.SetLocation(chunk_index, ChunkLocation::kDropped);
   ++counters_.dropped_chunks;
+  LogEvent(EvictOp::kDropChunk, id, chunk_index);
   return Status::Ok();
 }
 
@@ -429,11 +431,8 @@ Status TwoTierKvCache::DemoteToFlash(ConversationId id, int64_t chunk_index) {
   if (c.location != ChunkLocation::kCpu) {
     return Status::FailedPrecondition("DemoteToFlash requires a CPU-only chunk");
   }
-  for (int64_t i = 0; i < chunk_index; ++i) {
-    if (!state->chunk(i).Dropped() && !state->chunk(i).OnSsd()) {
-      return Status::FailedPrecondition(
-          "demotion must extend the dropped/SSD prefix");
-    }
+  if (state->LeadingDroppedOrSsdChunks() < chunk_index) {
+    return Status::FailedPrecondition("demotion must extend the dropped/SSD prefix");
   }
   // Never spill a copy that already fails verification; the caller drops it
   // and the chunk degrades to recomputation.
@@ -462,10 +461,11 @@ Status TwoTierKvCache::DemoteToFlash(ConversationId id, int64_t chunk_index) {
   c.cpu_block = kInvalidBlock;
   c.cpu_checksum = 0;
   c.cpu_corrupt = false;
-  c.location = ChunkLocation::kSsd;
+  state->SetLocation(chunk_index, ChunkLocation::kSsd);
   c.ssd_checksum = ComputeSsdChecksum(id, chunk_index, c);
   c.ssd_corrupt = false;
   ++counters_.demoted_to_flash_chunks;
+  LogEvent(EvictOp::kDemote, id, chunk_index);
   return Status::Ok();
 }
 
@@ -497,7 +497,7 @@ Status TwoTierKvCache::PromoteFromFlash(ConversationId id, int64_t chunk_index) 
                       c.cpu_block);
   }
   flash_->Erase(key);
-  c.location = ChunkLocation::kCpu;
+  state->SetLocation(chunk_index, ChunkLocation::kCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   c.ssd_checksum = 0;
@@ -589,7 +589,7 @@ Status TwoTierKvCache::RestoreDropped(ConversationId id, int64_t chunk_index) {
     return Status::ResourceExhausted("GPU tier full during dropped-chunk restore");
   }
   c.gpu_block = *gpu_block;
-  c.location = ChunkLocation::kGpu;
+  state.SetLocation(chunk_index, ChunkLocation::kGpu);
   ++counters_.restored_chunks;
   return Status::Ok();
 }
@@ -614,7 +614,7 @@ int64_t TwoTierKvCache::ImportCpuResident(ConversationId id, int64_t kv_len,
       break;
     }
     c.cpu_block = *cpu_block;
-    c.location = ChunkLocation::kCpu;
+    state.SetLocation(i, ChunkLocation::kCpu);
     c.cpu_checksum = ComputeCpuChecksum(id, i, c);
     c.cpu_corrupt = false;
     budget -= c.num_tokens;
@@ -638,12 +638,12 @@ int64_t TwoTierKvCache::ImportGpuResident(ConversationId id, int64_t kv_len,
     }
     if (auto gpu_block = gpu_allocator_.Allocate(); gpu_block.has_value()) {
       c.gpu_block = *gpu_block;
-      c.location = ChunkLocation::kGpu;
+      state.SetLocation(i, ChunkLocation::kGpu);
     } else if (auto cpu_block = cpu_allocator_.Allocate(); cpu_block.has_value()) {
       // GPU pool full: bounce this chunk through host memory like an
       // ordinary migration; the swap-in path restores it on first use.
       c.cpu_block = *cpu_block;
-      c.location = ChunkLocation::kCpu;
+      state.SetLocation(i, ChunkLocation::kCpu);
       c.cpu_checksum = ComputeCpuChecksum(id, i, c);
       c.cpu_corrupt = false;
     } else {
@@ -706,7 +706,7 @@ Status TwoTierKvCache::RestoreDroppedToCpu(ConversationId id,
     return Status::ResourceExhausted("CPU tier full during peer-prefix adopt");
   }
   c.cpu_block = *cpu_block;
-  c.location = ChunkLocation::kCpu;
+  state.SetLocation(chunk_index, ChunkLocation::kCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   return Status::Ok();
@@ -770,6 +770,8 @@ int64_t TwoTierKvCache::PublishSharedPrefix(const std::vector<uint64_t>& chain,
     PENSIEVE_CHECK(gpu_allocator_.IsAllocated(b))
         << "publishing unallocated block " << b;
   }
+  shared_prefix_window_ =
+      std::max(shared_prefix_window_, static_cast<int64_t>(blocks.size()));
   return trie_.Publish(chain, blocks);
 }
 
@@ -784,6 +786,8 @@ int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
   ContextState& state = GetOrCreate(id);
   PENSIEVE_CHECK_EQ(state.kv_len(), 0)
       << "shared prefix attach requires a fresh conversation";
+  shared_prefix_window_ =
+      std::max(shared_prefix_window_, static_cast<int64_t>(blocks.size()));
   int64_t remaining = tokens;
   for (BlockId b : blocks) {
     const int64_t take = std::min(remaining, config_.block_size);
@@ -819,8 +823,9 @@ Status TwoTierKvCache::ReattachDroppedShared(ConversationId id, int64_t chunk_in
     return Status::FailedPrecondition("shared block no longer allocated");
   }
   gpu_allocator_.Share(block);
+  shared_prefix_window_ = std::max(shared_prefix_window_, chunk_index + 1);
   c.gpu_block = block;
-  c.location = ChunkLocation::kGpu;
+  state->SetLocation(chunk_index, ChunkLocation::kGpu);
   ++counters_.shared_attached_chunks;
   counters_.shared_attached_tokens += c.num_tokens;
   counters_.peak_shared_blocks =
@@ -858,6 +863,7 @@ void TwoTierKvCache::CheckInvariants() const {
   int64_t ssd_chunks = 0;
   std::unordered_map<BlockId, int64_t> gpu_views;
   for (const auto& [id, state] : conversations_) {
+    state.CheckFrontiers();
     bool seen_non_dropped = false;
     bool seen_past_flash_run = false;
     for (int64_t i = 0; i < state.num_chunks(); ++i) {
@@ -885,6 +891,9 @@ void TwoTierKvCache::CheckInvariants() const {
       }
       if (c.OnGpu()) {
         PENSIEVE_CHECK(gpu_allocator_.IsAllocated(c.gpu_block));
+        PENSIEVE_CHECK(!SharedGpuBlock(c.gpu_block) || i < shared_prefix_window_)
+            << "conversation " << id << ": shared chunk " << i
+            << " outside the shared-prefix window " << shared_prefix_window_;
         ++gpu_in_use;
         ++gpu_views[c.gpu_block];
       }

@@ -162,6 +162,12 @@ class TwoTierKvCache {
   // True when more than one view holds the block (detaching one reader
   // frees no physical memory, and a later restore is a re-attach).
   bool SharedGpuBlock(BlockId block) const;
+  // Chunk indices a shared view can occupy: [0, window). A published block
+  // holds one block of a content-hash chain that starts at token 0, so every
+  // view of it sits at the same chunk index, below the longest chain ever
+  // published or attached. Zero while sharing is off. The coordinator's
+  // victim index scores this window chunk by chunk (DESIGN.md).
+  int64_t shared_prefix_window() const { return shared_prefix_window_; }
   const PrefixTrie& prefix_trie() const { return trie_; }
 
   // --- Swap / drop mechanisms --------------------------------------------
@@ -272,6 +278,19 @@ class TwoTierKvCache {
   // [first_chunk, num_chunks); every such chunk must be GPU-resident.
   std::vector<BlockId> GpuBlockTable(ConversationId id, int64_t first_chunk = 0) const;
 
+  // --- Mechanism log ------------------------------------------------------
+  // When a log is set, every successful eviction-side mechanism call
+  // appends one event, so tests can compare the exact (conversation, chunk)
+  // sequence two coordinators act on.
+  enum class EvictOp : uint8_t { kSwapOut, kReclaimGpu, kDropCpuCopy, kDropChunk, kDemote };
+  struct EvictEvent {
+    EvictOp op;
+    ConversationId conversation;
+    int64_t chunk_index;
+    bool operator==(const EvictEvent&) const = default;
+  };
+  void set_event_log(std::vector<EvictEvent>* log) { event_log_ = log; }
+
   // --- Introspection / stats ---------------------------------------------
   struct Counters {
     int64_t swapped_out_chunks = 0;
@@ -327,6 +346,11 @@ class TwoTierKvCache {
   // block returns to the free list and any trie entry anchored on it (plus
   // descendants) is invalidated — trie references are weak.
   void ReleaseGpuBlock(BlockId block);
+  void LogEvent(EvictOp op, ConversationId id, int64_t chunk_index) {
+    if (event_log_ != nullptr) {
+      event_log_->push_back(EvictEvent{op, id, chunk_index});
+    }
+  }
 
   KvCacheConfig config_;
   // Bytes one quantized tier crossing saves (0 when kv_quant is off).
@@ -339,6 +363,8 @@ class TwoTierKvCache {
   std::unordered_map<ConversationId, ContextState> conversations_;
   PrefixTrie trie_;
   int64_t reclaimable_gpu_blocks_ = 0;
+  int64_t shared_prefix_window_ = 0;
+  std::vector<EvictEvent>* event_log_ = nullptr;
   // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
   // on release or at destruction).
   std::vector<BlockId> foreign_cpu_blocks_;

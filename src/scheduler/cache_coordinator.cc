@@ -19,13 +19,9 @@ CacheCoordinator::CacheCoordinator(TwoTierKvCache* cache, const EvictionPolicy* 
 
 void CacheCoordinator::MaybeForget(ConversationId id) {
   const ContextState* state = cache_->Find(id);
-  if (state == nullptr || state->pinned()) {
+  if (state == nullptr || state->pinned() ||
+      state->LeadingDroppedChunks() < state->num_chunks()) {
     return;
-  }
-  for (const Chunk& c : state->chunks()) {
-    if (!c.Dropped()) {
-      return;
-    }
   }
   if (may_forget_ != nullptr && !may_forget_(id)) {
     return;
@@ -45,38 +41,140 @@ double CacheCoordinator::Score(ConversationId id, const ContextState& state,
   return policy_->Score(candidate, now);
 }
 
-std::optional<CacheCoordinator::Victim> CacheCoordinator::PickVictim(
-    double now, const std::function<bool(const Chunk&)>& eligible,
-    bool prefix_only) const {
-  std::optional<Victim> best;
+CacheCoordinator::VictimHeap CacheCoordinator::SeedLocation(ChunkLocation location,
+                                                            double now) const {
+  const int64_t window = cache_->shared_prefix_window();
+  std::vector<Victim> seed;
   for (const auto& [id, state] : cache_->conversations()) {
     if (state.pinned()) {
       continue;
     }
-    if (prefix_only) {
-      // Only the frontier (first non-dropped) chunk is a legal DropChunk
-      // target.
-      const int64_t frontier = state.LeadingDroppedChunks();
-      if (frontier >= state.num_chunks() || !eligible(state.chunk(frontier))) {
-        continue;
+    const int64_t n = state.num_chunks();
+    for (int64_t i = state.LeadingDroppedChunks(); i < std::min(window, n); ++i) {
+      if (state.chunk(i).location == location) {
+        seed.push_back(Victim{id, i, Score(id, state, i, now)});
       }
-      const Victim candidate{id, frontier, Score(id, state, frontier, now)};
-      if (!best.has_value() || VictimBefore(candidate, *best)) {
-        best = candidate;
-      }
-      continue;
     }
-    for (int64_t i = 0; i < state.num_chunks(); ++i) {
-      if (!eligible(state.chunk(i))) {
-        continue;
-      }
-      const Victim candidate{id, i, Score(id, state, i, now)};
-      if (!best.has_value() || VictimBefore(candidate, *best)) {
-        best = candidate;
-      }
+    int64_t cursor = state.FirstChunkAt(location);
+    if (cursor < window) {
+      cursor = state.NextChunkAt(location, window - 1);
+    }
+    if (cursor < n) {
+      seed.push_back(Victim{id, cursor, Score(id, state, cursor, now)});
     }
   }
-  return best;
+  return VictimHeap(VictimAfter{}, std::move(seed));
+}
+
+CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, double now,
+                                                       VictimHeap* heap) const {
+  const Victim top = heap->top();
+  heap->pop();
+  const ContextState* state = cache_->Find(top.conversation);
+  if (state == nullptr || top.chunk_index < cache_->shared_prefix_window()) {
+    return top;  // forgotten, or a window entry (the cursor is elsewhere)
+  }
+  int64_t next = state->NextChunkAt(location, top.chunk_index);
+  while (next < state->num_chunks() &&
+         copies_dropped_in_pass_.count({top.conversation, next}) > 0) {
+    next = state->NextChunkAt(location, next);
+  }
+  if (next < state->num_chunks()) {
+    heap->push(Victim{top.conversation, next, Score(top.conversation, *state, next, now)});
+  }
+  return top;
+}
+
+std::optional<int64_t> CacheCoordinator::FrontierChunk(Frontier kind,
+                                                       const ContextState& state) const {
+  const int64_t n = state.num_chunks();
+  switch (kind) {
+    case Frontier::kGpuDrop: {
+      const int64_t i = state.LeadingDroppedChunks();
+      if (i < n && state.chunk(i).OnGpu()) {
+        return i;
+      }
+      break;
+    }
+    case Frontier::kCpuEvict: {
+      const int64_t i = state.LeadingDroppedOrSsdChunks();
+      if (i < n && state.chunk(i).location == ChunkLocation::kCpu) {
+        return i;
+      }
+      break;
+    }
+    case Frontier::kFirstGpu: {
+      const int64_t i = std::min(state.FirstChunkAt(ChunkLocation::kGpu),
+                                 state.FirstChunkAt(ChunkLocation::kGpuAndCpu));
+      if (i < n) {
+        return i;
+      }
+      break;
+    }
+  }
+  return std::nullopt;
+}
+
+CacheCoordinator::VictimHeap CacheCoordinator::SeedFrontier(Frontier kind,
+                                                            double now) const {
+  std::vector<Victim> seed;
+  for (const auto& [id, state] : cache_->conversations()) {
+    if (state.pinned()) {
+      continue;
+    }
+    if (const std::optional<int64_t> chunk = FrontierChunk(kind, state)) {
+      seed.push_back(Victim{id, *chunk, Score(id, state, *chunk, now)});
+    }
+  }
+  return VictimHeap(VictimAfter{}, std::move(seed));
+}
+
+void CacheCoordinator::PushFrontier(Frontier kind, ConversationId id, double now,
+                                    VictimHeap* heap) const {
+  const ContextState* state = cache_->Find(id);
+  if (state == nullptr || state->pinned()) {
+    return;
+  }
+  if (const std::optional<int64_t> chunk = FrontierChunk(kind, *state)) {
+    heap->push(Victim{id, *chunk, Score(id, *state, *chunk, now)});
+  }
+}
+
+std::optional<CacheCoordinator::Victim> CacheCoordinator::PopFrontier(
+    Frontier kind, double now, VictimHeap* heap) const {
+  while (!heap->empty()) {
+    const Victim top = heap->top();
+    heap->pop();
+    const ContextState* state = cache_->Find(top.conversation);
+    if (state == nullptr || state->pinned() ||
+        FrontierChunk(kind, *state) != top.chunk_index) {
+      continue;
+    }
+    const double score = Score(top.conversation, *state, top.chunk_index, now);
+    if (score != top.score) {
+      PENSIEVE_CHECK_GT(score, top.score) << "a victim's score fell during a pass";
+      heap->push(Victim{top.conversation, top.chunk_index, score});
+      continue;
+    }
+    return top;
+  }
+  return std::nullopt;
+}
+
+std::optional<int64_t> CacheCoordinator::DropFrontierVictim(const Victim& victim) {
+  const ContextState* state = cache_->Find(victim.conversation);
+  int64_t tokens = 0;
+  if (options_.conversation_granularity) {
+    tokens = state->TokensOnGpu() + state->TokensCpuOnly();
+    DropWholeConversation(victim.conversation);
+  } else {
+    tokens = state->chunk(victim.chunk_index).num_tokens;
+    if (!cache_->DropChunk(victim.conversation, victim.chunk_index).ok()) {
+      return std::nullopt;
+    }
+  }
+  MaybeForget(victim.conversation);
+  return tokens;
 }
 
 CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
@@ -100,24 +198,18 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
   if (!options_.use_cpu_cache) {
     // GPU-cache-only variant: evicted chunks are simply dropped, frontier
     // first (only frontier chunks are legal drop targets).
+    VictimHeap frontier = SeedFrontier(Frontier::kGpuDrop, now);
     while (cache_->AvailableGpuBlocks() < target_blocks) {
-      auto drop = PickVictim(
-          now, [](const Chunk& c) { return c.OnGpu(); }, /*prefix_only=*/true);
+      const std::optional<Victim> drop = PopFrontier(Frontier::kGpuDrop, now, &frontier);
       if (!drop.has_value()) {
         break;
       }
-      const ContextState* state = cache_->Find(drop->conversation);
-      if (options_.conversation_granularity) {
-        outcome.dropped_tokens += state->TokensOnGpu() + state->TokensCpuOnly();
-        DropWholeConversation(drop->conversation);
-      } else {
-        const int64_t tokens = state->chunk(drop->chunk_index).num_tokens;
-        if (!cache_->DropChunk(drop->conversation, drop->chunk_index).ok()) {
-          break;  // would re-pick the same victim forever
-        }
-        outcome.dropped_tokens += tokens;
+      const std::optional<int64_t> dropped = DropFrontierVictim(*drop);
+      if (!dropped.has_value()) {
+        break;  // would re-pick the same victim forever
       }
-      MaybeForget(drop->conversation);
+      outcome.dropped_tokens += *dropped;
+      PushFrontier(Frontier::kGpuDrop, drop->conversation, now, &frontier);
     }
     if (cache_->AvailableGpuBlocks() < target_blocks) {
       aot_last_failed_available_ = cache_->AvailableGpuBlocks();
@@ -125,32 +217,22 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
     }
     return outcome;
   }
-  // Collect every GPU-only chunk of unpinned conversations once, sort by
-  // ascending retention score, and swap out until the target is met.
-  std::vector<Victim> candidates;
-  for (const auto& [id, state] : cache_->conversations()) {
-    if (state.pinned()) {
-      continue;
-    }
-    for (int64_t i = 0; i < state.num_chunks(); ++i) {
-      if (state.chunk(i).location == ChunkLocation::kGpu) {
-        candidates.push_back(Victim{id, i, Score(id, state, i, now)});
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(), VictimBefore);
+  // Swap out GPU-only chunks of unpinned conversations in ascending
+  // retention order until the target is met. The candidates are the kGpu
+  // chunks at pass start.
+  in_swap_pass_ = true;
+  copies_dropped_in_pass_.clear();
+  VictimHeap candidates = SeedLocation(ChunkLocation::kGpu, now);
   // Reserve CPU space for the whole deficit in one pass; fall back to
   // per-chunk frees only if that could not be satisfied.
   const int64_t deficit = target_blocks - cache_->AvailableGpuBlocks();
   (void)EnsureFreeCpuBlocks(std::min<int64_t>(deficit,
                                               cache_->cpu_allocator().capacity()),
                             now);
-  for (const Victim& victim : candidates) {
-    if (cache_->AvailableGpuBlocks() >= target_blocks) {
-      break;
-    }
-    // Candidates are fixed at pass start; skip the ones a CPU-pressure drop
-    // during this loop changed (or forgot) before reserving CPU space.
+  while (!candidates.empty() && cache_->AvailableGpuBlocks() < target_blocks) {
+    const Victim victim = PopLocation(ChunkLocation::kGpu, now, &candidates);
+    // Skip candidates a CPU-pressure drop during this loop changed (or
+    // forgot) before reserving CPU space for them.
     const ContextState* state = cache_->Find(victim.conversation);
     if (state == nullptr ||
         state->chunk(victim.chunk_index).location != ChunkLocation::kGpu) {
@@ -164,13 +246,14 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
       continue;
     }
     const int64_t chunk_tokens = state->chunk(victim.chunk_index).num_tokens;
-    const Status status = cache_->SwapOut(victim.conversation, victim.chunk_index);
-    if (!status.ok()) {
+    if (!cache_->SwapOut(victim.conversation, victim.chunk_index).ok()) {
       continue;
     }
     outcome.swapped_out_tokens += chunk_tokens;
     outcome.swapped.emplace_back(victim.conversation, victim.chunk_index);
   }
+  in_swap_pass_ = false;
+  copies_dropped_in_pass_.clear();
   if (cache_->AvailableGpuBlocks() < target_blocks) {
     aot_last_failed_available_ = cache_->AvailableGpuBlocks();
     aot_failed_at_ = now;
@@ -181,105 +264,86 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
 void CacheCoordinator::DropWholeConversation(ConversationId id) {
   ContextState* state = cache_->Find(id);
   PENSIEVE_CHECK(state != nullptr);
-  for (int64_t i = 0; i < state->num_chunks(); ++i) {
-    if (!state->chunk(i).Dropped()) {
-      if (!cache_->DropChunk(id, i).ok()) {
-        break;  // later chunks would violate the drop-prefix invariant anyway
-      }
+  for (int64_t i = state->LeadingDroppedChunks(); i < state->num_chunks(); ++i) {
+    if (!state->chunk(i).Dropped() && !cache_->DropChunk(id, i).ok()) {
+      break;  // later chunks would violate the drop-prefix invariant anyway
     }
   }
 }
 
-bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
-  while (cache_->cpu_allocator().num_free() < n) {
-    // Prefer evicting frontier chunks that live only on the CPU: that frees
-    // a CPU block and loses the least valuable data per the policy. With the
-    // flash tier enabled they are demoted to SSD instead of dropped. One
-    // scan finds the best victim and the runner-up score; we then keep
-    // evicting the victim conversation's successive frontier chunks for as
-    // long as they still beat the runner-up — exactly the strict per-chunk
-    // policy order, without rescanning per block. The frontier is the first
-    // chunk past the dropped/SSD prefix, so conversations whose oldest
-    // resident data already sits on flash remain eligible.
-    std::optional<Victim> best;
-    std::optional<Victim> runner_up;
-    for (const auto& [id, state] : cache_->conversations()) {
-      if (state.pinned()) {
-        continue;
-      }
-      const int64_t frontier = state.LeadingDroppedOrSsdChunks();
-      if (frontier >= state.num_chunks() ||
-          state.chunk(frontier).location != ChunkLocation::kCpu) {
-        continue;
-      }
-      const Victim candidate{id, frontier, Score(id, state, frontier, now)};
-      if (!best.has_value() || VictimBefore(candidate, *best)) {
-        runner_up = best;
-        best = candidate;
-      } else if (!runner_up.has_value() || VictimBefore(candidate, *runner_up)) {
-        runner_up = candidate;
-      }
+bool CacheCoordinator::EvictCpuFrontierChunk(const Victim& victim) {
+  const ContextState* state = cache_->Find(victim.conversation);
+  const Chunk& chunk = state->chunk(victim.chunk_index);
+  if (options_.use_ssd_cache) {
+    const int64_t tokens = chunk.num_tokens;
+    if (cache_->DemoteToFlash(victim.conversation, victim.chunk_index).ok()) {
+      pending_spill_.demoted_tokens += tokens;
+      pending_spill_.demoted.emplace_back(victim.conversation, victim.chunk_index);
+      return true;
     }
-    if (best.has_value()) {
+    ++pending_spill_.failed_demotes;
+    // Flash full of pinned chunks, or the CPU copy failed its checksum:
+    // fall through to dropping.
+  }
+  // Cross-replica spill: the chunk is a clean CPU frontier copy and is about
+  // to be dropped either way; offering it to a peer is pure upside (a failed
+  // transfer degrades to exactly this drop).
+  const bool offerable = options_.peer_spill && !chunk.cpu_corrupt;
+  const int64_t offer_tokens = chunk.num_tokens;
+  // DropThroughPrefix also takes down any SSD chunks of this conversation
+  // when flash admission stalls mid-conversation.
+  if (!cache_->DropThroughPrefix(victim.conversation, victim.chunk_index).ok()) {
+    return false;
+  }
+  if (offerable) {
+    PeerOffer offer;
+    offer.conversation = victim.conversation;
+    offer.chunk_index = victim.chunk_index;
+    offer.first_token = victim.chunk_index * cache_->block_size();
+    offer.num_tokens = offer_tokens;
+    pending_peer_offers_.push_back(offer);
+  }
+  return true;
+}
+
+bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
+  if (cache_->cpu_allocator().num_free() >= n) {
+    return true;
+  }
+  // Prefer evicting frontier chunks that live only on the CPU: that frees a
+  // CPU block and loses the least valuable data per the policy. With the
+  // flash tier enabled they are demoted to SSD instead of dropped. The
+  // frontier is the first chunk past the dropped/SSD prefix, so
+  // conversations whose oldest resident data already sits on flash remain
+  // eligible.
+  VictimHeap frontier = SeedFrontier(Frontier::kCpuEvict, now);
+  // Fallback, seeded on first use: discard clean CPU copies (the chunks stay
+  // on the GPU). Nothing it does creates a CPU-only frontier again.
+  std::optional<VictimHeap> copies;
+  while (cache_->cpu_allocator().num_free() < n) {
+    if (const std::optional<Victim> best = PopFrontier(Frontier::kCpuEvict, now, &frontier)) {
       if (options_.conversation_granularity) {
         DropWholeConversation(best->conversation);
-      } else {
-        ContextState* state = cache_->Find(best->conversation);
-        int64_t chunk = best->chunk_index;
-        while (cache_->cpu_allocator().num_free() < n && chunk < state->num_chunks() &&
-               state->chunk(chunk).location == ChunkLocation::kCpu &&
-               (!runner_up.has_value() ||
-                VictimBefore(Victim{best->conversation, chunk,
-                                    Score(best->conversation, *state, chunk, now)},
-                             *runner_up))) {
-          if (options_.use_ssd_cache) {
-            const int64_t tokens = state->chunk(chunk).num_tokens;
-            if (cache_->DemoteToFlash(best->conversation, chunk).ok()) {
-              pending_spill_.demoted_tokens += tokens;
-              pending_spill_.demoted.emplace_back(best->conversation, chunk);
-              ++chunk;
-              continue;
-            }
-            ++pending_spill_.failed_demotes;
-            // Flash full of pinned chunks, or the CPU copy failed its
-            // checksum: fall through to dropping.
-          }
-          // Cross-replica spill: the chunk is a clean CPU frontier copy and
-          // is about to be dropped either way; offering it to a peer is pure
-          // upside (a failed transfer degrades to exactly this drop).
-          const bool offerable =
-              options_.peer_spill && !state->chunk(chunk).cpu_corrupt;
-          const int64_t offer_tokens = state->chunk(chunk).num_tokens;
-          // DropThroughPrefix also takes down any SSD chunks demoted just
-          // above when flash admission stalls mid-conversation.
-          if (!cache_->DropThroughPrefix(best->conversation, chunk).ok()) {
-            return false;  // would re-pick the same victim forever
-          }
-          if (offerable) {
-            PeerOffer offer;
-            offer.conversation = best->conversation;
-            offer.chunk_index = chunk;
-            offer.first_token = chunk * cache_->block_size();
-            offer.num_tokens = offer_tokens;
-            pending_peer_offers_.push_back(offer);
-          }
-          ++chunk;
-        }
+      } else if (!EvictCpuFrontierChunk(*best)) {
+        return false;  // would re-pick the same victim forever
       }
       MaybeForget(best->conversation);
+      PushFrontier(Frontier::kCpuEvict, best->conversation, now, &frontier);
       continue;
     }
-    // Otherwise discard a clean CPU copy (the chunk stays on the GPU).
-    auto dual = PickVictim(
-        now, [](const Chunk& c) { return c.location == ChunkLocation::kGpuAndCpu; },
-        /*prefix_only=*/false);
-    if (dual.has_value()) {
-      if (!cache_->DropCpuCopy(dual->conversation, dual->chunk_index).ok()) {
-        return false;
-      }
-      continue;
+    if (!copies.has_value()) {
+      copies = SeedLocation(ChunkLocation::kGpuAndCpu, now);
     }
-    return false;
+    if (copies->empty()) {
+      return false;
+    }
+    const Victim dual = PopLocation(ChunkLocation::kGpuAndCpu, now, &*copies);
+    if (!cache_->DropCpuCopy(dual.conversation, dual.chunk_index).ok()) {
+      return false;
+    }
+    if (in_swap_pass_) {
+      copies_dropped_in_pass_.insert({dual.conversation, dual.chunk_index});
+    }
   }
   return true;
 }
@@ -299,25 +363,11 @@ std::vector<CacheCoordinator::PeerOffer> CacheCoordinator::TakePeerOffers() {
 CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
                                                                     double now) {
   FreeOutcome outcome;
-  // 1. Instant reclamation of clean copies: one scan, sorted, reclaim as
-  // many as needed.
+  // 1. Instant reclamation of clean copies, lowest retention first.
   if (cache_->gpu_allocator().num_free() < n) {
-    std::vector<Victim> reclaimable;
-    for (const auto& [id, state] : cache_->conversations()) {
-      if (state.pinned()) {
-        continue;
-      }
-      for (int64_t i = 0; i < state.num_chunks(); ++i) {
-        if (state.chunk(i).location == ChunkLocation::kGpuAndCpu) {
-          reclaimable.push_back(Victim{id, i, Score(id, state, i, now)});
-        }
-      }
-    }
-    std::sort(reclaimable.begin(), reclaimable.end(), VictimBefore);
-    for (const Victim& v : reclaimable) {
-      if (cache_->gpu_allocator().num_free() >= n) {
-        break;
-      }
+    VictimHeap reclaimable = SeedLocation(ChunkLocation::kGpuAndCpu, now);
+    while (!reclaimable.empty() && cache_->gpu_allocator().num_free() < n) {
+      const Victim v = PopLocation(ChunkLocation::kGpuAndCpu, now, &reclaimable);
       if (!cache_->ReclaimGpu(v.conversation, v.chunk_index).ok()) {
         continue;  // e.g. the CPU copy was corrupted by a faulted transfer
       }
@@ -325,29 +375,19 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
     }
   }
   // 2. Forced swap-out (ahead-of-time swapping fell behind): pays a
-  // synchronous PCIe stall, charged by the engine.
+  // synchronous PCIe stall, charged by the engine. The candidates are the
+  // kGpu chunks at this point.
   if (options_.use_cpu_cache && cache_->gpu_allocator().num_free() < n) {
-    std::vector<Victim> swappable;
-    for (const auto& [id, state] : cache_->conversations()) {
-      if (state.pinned()) {
-        continue;
-      }
-      for (int64_t i = 0; i < state.num_chunks(); ++i) {
-        if (state.chunk(i).location == ChunkLocation::kGpu) {
-          swappable.push_back(Victim{id, i, Score(id, state, i, now)});
-        }
-      }
-    }
-    std::sort(swappable.begin(), swappable.end(), VictimBefore);
+    in_swap_pass_ = true;
+    copies_dropped_in_pass_.clear();
+    VictimHeap swappable = SeedLocation(ChunkLocation::kGpu, now);
     const int64_t swap_deficit = n - cache_->gpu_allocator().num_free();
     (void)EnsureFreeCpuBlocks(
         std::min<int64_t>(swap_deficit, cache_->cpu_allocator().capacity()), now);
-    for (const Victim& v : swappable) {
-      if (cache_->gpu_allocator().num_free() >= n) {
-        break;
-      }
-      // Candidates are fixed at pass start; skip the ones CPU-pressure drops
-      // changed before reserving CPU space for them.
+    while (!swappable.empty() && cache_->gpu_allocator().num_free() < n) {
+      const Victim v = PopLocation(ChunkLocation::kGpu, now, &swappable);
+      // Skip candidates CPU-pressure drops changed before reserving CPU
+      // space for them.
       const ContextState* state = cache_->Find(v.conversation);
       if (state == nullptr ||
           state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
@@ -371,60 +411,48 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       outcome.forced_swap_out_tokens += tokens;
       outcome.forced_swapped.emplace_back(v.conversation, v.chunk_index);
     }
+    in_swap_pass_ = false;
+    copies_dropped_in_pass_.clear();
   }
+  if (cache_->gpu_allocator().num_free() >= n) {
+    outcome.ok = true;
+    return outcome;
+  }
+  // 3. Last resort (and the only path in GPU-cache-only mode): drop the
+  // lowest-retention frontier chunk that still occupies GPU memory.
+  VictimHeap frontier = SeedFrontier(Frontier::kGpuDrop, now);
+  // 3b, seeded on first use (SSD tier only): a conversation whose oldest
+  // resident chunks were demoted to flash holds its GPU blocks behind a
+  // kSsd/kCpu prefix that the frontier-only DropChunk cannot reach — pre-
+  // flash, CPU-pressure drops kept such prefixes kDropped and the
+  // conversation visible. Pick the best conversation by its first
+  // GPU-resident chunk and drop the whole prefix through it.
+  std::optional<VictimHeap> deep;
   while (cache_->gpu_allocator().num_free() < n) {
-    // 3. Last resort (and the only path in GPU-cache-only mode): drop the
-    // lowest-retention frontier chunk that still occupies GPU memory.
-    auto drop = PickVictim(
-        now, [](const Chunk& c) { return c.OnGpu(); },
-        /*prefix_only=*/true);
-    if (drop.has_value()) {
-      const ContextState* state = cache_->Find(drop->conversation);
-      if (options_.conversation_granularity) {
-        outcome.dropped_tokens += state->TokensOnGpu() + state->TokensCpuOnly();
-        DropWholeConversation(drop->conversation);
-      } else {
-        const int64_t tokens = state->chunk(drop->chunk_index).num_tokens;
-        if (!cache_->DropChunk(drop->conversation, drop->chunk_index).ok()) {
-          outcome.ok = false;  // would re-pick the same victim forever
-          return outcome;
-        }
-        outcome.dropped_tokens += tokens;
+    if (const std::optional<Victim> drop = PopFrontier(Frontier::kGpuDrop, now, &frontier)) {
+      const std::optional<int64_t> dropped = DropFrontierVictim(*drop);
+      if (!dropped.has_value()) {
+        outcome.ok = false;  // would re-pick the same victim forever
+        return outcome;
       }
-      MaybeForget(drop->conversation);
+      outcome.dropped_tokens += *dropped;
+      PushFrontier(Frontier::kGpuDrop, drop->conversation, now, &frontier);
+      if (deep.has_value()) {
+        PushFrontier(Frontier::kFirstGpu, drop->conversation, now, &*deep);
+      }
       continue;
     }
-    // 3b. Flash frontier (SSD tier only): a conversation whose oldest
-    // resident chunks were demoted to flash holds its GPU blocks behind a
-    // kSsd/kCpu prefix that the frontier-only DropChunk above cannot reach —
-    // pre-flash, CPU-pressure drops kept such prefixes kDropped and the
-    // conversation visible. Pick the best conversation by its first
-    // GPU-resident chunk and drop the whole prefix through it.
     if (options_.use_ssd_cache) {
-      std::optional<Victim> deep;
-      for (const auto& [id, state] : cache_->conversations()) {
-        if (state.pinned()) {
-          continue;
-        }
-        int64_t i = state.LeadingDroppedChunks();
-        while (i < state.num_chunks() && !state.chunk(i).OnGpu()) {
-          ++i;
-        }
-        if (i >= state.num_chunks()) {
-          continue;
-        }
-        const Victim candidate{id, i, Score(id, state, i, now)};
-        if (!deep.has_value() || VictimBefore(candidate, *deep)) {
-          deep = candidate;
-        }
+      if (!deep.has_value()) {
+        deep = SeedFrontier(Frontier::kFirstGpu, now);
       }
-      if (deep.has_value()) {
+      if (const std::optional<Victim> d = PopFrontier(Frontier::kFirstGpu, now, &*deep)) {
         int64_t dropped = 0;
-        if (cache_->DropThroughPrefix(deep->conversation, deep->chunk_index,
-                                      &dropped)
-                .ok()) {
+        if (cache_->DropThroughPrefix(d->conversation, d->chunk_index, &dropped).ok()) {
           outcome.dropped_tokens += dropped;
-          MaybeForget(deep->conversation);
+          MaybeForget(d->conversation);
+          PushFrontier(Frontier::kGpuDrop, d->conversation, now, &frontier);
+          PushFrontier(Frontier::kFirstGpu, d->conversation, now, &*deep);
           continue;
         }
       }

@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <queue>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -139,16 +141,48 @@ class CacheCoordinator {
     return std::tie(a.score, a.conversation, a.chunk_index) <
            std::tie(b.score, b.conversation, b.chunk_index);
   }
+  struct VictimAfter {
+    bool operator()(const Victim& a, const Victim& b) const { return VictimBefore(b, a); }
+  };
+  // Min-heap in victim order: the victim index (DESIGN.md, "Victim index").
+  using VictimHeap = std::priority_queue<Victim, std::vector<Victim>, VictimAfter>;
 
-  // Lowest-score chunk among unpinned conversations satisfying `eligible`.
-  // For prefix_only victims, only each conversation's first non-dropped
-  // chunk is considered (DropChunk legality).
-  std::optional<Victim> PickVictim(double now,
-                                   const std::function<bool(const Chunk&)>& eligible,
-                                   bool prefix_only) const;
+  // Snapshot passes over every chunk in one location (kGpu or kGpuAndCpu).
+  // Within a conversation, unshared chunks score in index order, so the
+  // heap holds one cursor per conversation plus each chunk of that location
+  // inside the shared-prefix window (where a 0-scoring shared view can sit
+  // behind an unshared chunk).
+  VictimHeap SeedLocation(ChunkLocation location, double now) const;
+  // Pops the next candidate; a popped cursor is replaced by its
+  // conversation's next chunk in `location`, skipping chunks a nested
+  // DropCpuCopy moved there after the pass started.
+  Victim PopLocation(ChunkLocation location, double now, VictimHeap* heap) const;
+
+  // Queries with at most one candidate per conversation.
+  enum class Frontier {
+    kGpuDrop,   // first non-dropped chunk, if it is on the GPU (DropChunk target)
+    kCpuEvict,  // first chunk past the dropped/SSD prefix, if CPU-only
+    kFirstGpu,  // first GPU-resident chunk (step 3b: drop the prefix through it)
+  };
+  std::optional<int64_t> FrontierChunk(Frontier kind, const ContextState& state) const;
+  VictimHeap SeedFrontier(Frontier kind, double now) const;
+  // (Re-)enters a conversation whose candidate this coordinator just changed.
+  void PushFrontier(Frontier kind, ConversationId id, double now, VictimHeap* heap) const;
+  // Pops until an entry is still its conversation's candidate at its
+  // recorded score. Superseded entries are discarded; an entry whose shared
+  // block lost its other readers (the score can only rise) is re-pushed.
+  std::optional<Victim> PopFrontier(Frontier kind, double now, VictimHeap* heap) const;
 
   double Score(ConversationId id, const ContextState& state, int64_t chunk_index,
                double now) const;
+
+  // Drops a kGpuDrop victim: its frontier chunk, or with
+  // conversation_granularity its whole history. Returns the tokens dropped,
+  // or nullopt when DropChunk refused.
+  std::optional<int64_t> DropFrontierVictim(const Victim& victim);
+  // Demotes (with use_ssd_cache) or drops one kCpuEvict victim, recording
+  // spill and peer offers. False when the drop failed.
+  bool EvictCpuFrontierChunk(const Victim& victim);
 
   // Drops every cached chunk of a conversation (classic-LRU granularity).
   void DropWholeConversation(ConversationId id);
@@ -163,6 +197,10 @@ class CacheCoordinator {
   Options options_;
   std::function<bool(ConversationId)> may_forget_;
   SpillOutcome pending_spill_;
+  // While an ahead-of-time or forced swap-out pass runs: chunks the nested
+  // CPU-pressure fallback turned back into kGpu (not candidates of the pass).
+  bool in_swap_pass_ = false;
+  std::set<std::pair<ConversationId, int64_t>> copies_dropped_in_pass_;
   std::vector<PeerOffer> pending_peer_offers_;
   // Retry guard for ahead-of-time eviction: when a pass could not reach the
   // target (e.g. CPU tier full), skip further passes within the same virtual

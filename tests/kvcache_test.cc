@@ -180,9 +180,9 @@ TEST(ContextStateTest, ChunkContextLen) {
 TEST(ContextStateTest, ResidencyCounters) {
   ContextState state(4);
   state.AppendTokens(12, {0, 1, 2}, nullptr);
-  state.mutable_chunk(0).location = ChunkLocation::kDropped;
+  state.SetLocation(0, ChunkLocation::kDropped);
   state.mutable_chunk(0).gpu_block = kInvalidBlock;
-  state.mutable_chunk(1).location = ChunkLocation::kCpu;
+  state.SetLocation(1, ChunkLocation::kCpu);
   state.mutable_chunk(1).cpu_block = 5;
   state.mutable_chunk(1).gpu_block = kInvalidBlock;
   EXPECT_EQ(state.TokensDropped(), 4);
