@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 
 namespace pensieve {
 
@@ -91,9 +92,10 @@ std::vector<SweepPoint> RateSweep(SystemKind kind, const GpuCostModel& cost_mode
                                   const DatasetProfile& profile,
                                   const std::vector<double>& conversation_rates,
                                   const SweepOptions& options) {
-  std::vector<SweepPoint> points;
-  points.reserve(conversation_rates.size());
-  for (double rate : conversation_rates) {
+  const int64_t num_points = static_cast<int64_t>(conversation_rates.size());
+  std::vector<SweepPoint> points(conversation_rates.size());
+  const auto run_point = [&](int64_t i) {
+    const double rate = conversation_rates[static_cast<size_t>(i)];
     TraceOptions trace_options;
     trace_options.num_conversations = options.num_conversations;
     if (options.target_arrival_span > 0.0) {
@@ -106,11 +108,23 @@ std::vector<SweepPoint> RateSweep(SystemKind kind, const GpuCostModel& cost_mode
     trace_options.seed = options.seed;
     WorkloadTrace trace(profile, trace_options);
     std::unique_ptr<Engine> engine = MakeEngine(kind, cost_model, options.overrides);
-    SweepPoint point;
+    SweepPoint& point = points[static_cast<size_t>(i)];
     point.conversation_rate = rate;
     point.summary = RunServingExperiment(engine.get(), trace);
-    points.push_back(std::move(point));
-  }
+  };
+  // Points are independent (each builds its own trace and engine) and land
+  // in their own slot, so the result is the same at every thread count.
+  // Point cost grows with the rate, so worker w takes points w, w + W, ...
+  // instead of one contiguous block.
+  const int64_t workers =
+      std::min<int64_t>(ThreadPool::Global().num_threads(), num_points);
+  ParallelFor(0, workers, [&](int64_t begin, int64_t end) {
+    for (int64_t w = begin; w < end; ++w) {
+      for (int64_t i = w; i < num_points; i += workers) {
+        run_point(i);
+      }
+    }
+  });
   return points;
 }
 

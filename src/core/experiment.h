@@ -97,6 +97,8 @@ struct SweepOptions {
 };
 
 // Runs one experiment per rate; each rate gets a fresh engine and trace.
+// Points run concurrently on the global thread pool; the result (and
+// PrintSweep output) is identical at every thread count.
 std::vector<SweepPoint> RateSweep(SystemKind kind, const GpuCostModel& cost_model,
                                   const DatasetProfile& profile,
                                   const std::vector<double>& conversation_rates,

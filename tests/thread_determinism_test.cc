@@ -10,19 +10,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <iterator>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/core/experiment.h"
 #include "src/kernels/attention.h"
 #include "src/kvcache/kv_pool.h"
+#include "src/model/model_config.h"
 #include "src/model/transformer.h"
+#include "src/sim/hardware.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/packed_matrix.h"
+#include "src/workload/dataset.h"
 
 namespace pensieve {
 namespace {
@@ -337,6 +343,30 @@ TEST_F(ThreadDeterminismTest, TransformerForward) {
     return model.Forward(&pool, batch);
   };
   ExpectIdenticalAcrossThreadCounts(run, "Transformer::Forward");
+}
+
+// RateSweep runs its points on the pool; the printed table must not depend
+// on how many run at once.
+TEST_F(ThreadDeterminismTest, RateSweepPrintsIdenticallyAtAnyThreadCount) {
+  const GpuCostModel model(Opt13BConfig(), A100Spec(1));
+  SweepOptions options;
+  options.num_conversations = 24;
+  options.target_arrival_span = 0.0;
+  options.mean_think_time = 5.0;
+  options.overrides.cache_scale = 0.2;
+  const std::vector<double> rates = {0.5, 1.0, 2.0, 4.0, 8.0};
+  std::vector<std::string> printed;
+  for (int threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const std::vector<SweepPoint> points =
+        RateSweep(SystemKind::kPensieve, model, ShareGptProfile(), rates, options);
+    testing::internal::CaptureStdout();
+    PrintSweep("sweep", points);
+    std::fflush(stdout);
+    printed.push_back(testing::internal::GetCapturedStdout());
+  }
+  EXPECT_EQ(printed[0], printed[1]);
+  EXPECT_NE(printed[0].find("8.000"), std::string::npos);
 }
 
 }  // namespace
