@@ -23,7 +23,7 @@ ChunkCostEstimator ChunkCostEstimator::ProfileFromCostModel(const GpuCostModel& 
     prev = cost;
   }
   PENSIEVE_CHECK(!table.empty());
-  return ChunkCostEstimator(chunk_size, std::move(table));
+  return ChunkCostEstimator(chunk_size, std::move(table), max_context);
 }
 
 ChunkCostEstimator ChunkCostEstimator::ProfileFromKernels(const ModelConfig& config,
@@ -80,10 +80,22 @@ ChunkCostEstimator ChunkCostEstimator::FromMeasurements(
     running_max = std::max(running_max, seconds);
     table.AddPoint(static_cast<double>(ctx), running_max);
   }
-  return ChunkCostEstimator(chunk_size, std::move(table));
+  return ChunkCostEstimator(chunk_size, std::move(table), points.back().first);
+}
+
+ChunkCostEstimator::ChunkCostEstimator(int64_t chunk_size, InterpTable table,
+                                       int64_t max_context)
+    : chunk_size_(chunk_size), table_(std::move(table)) {
+  for (int64_t ctx = 0; ctx <= max_context; ctx += chunk_size_) {
+    whole_chunk_costs_.push_back(table_.Eval(static_cast<double>(ctx)));
+  }
 }
 
 double ChunkCostEstimator::Cost(int64_t context_len) const {
+  if (context_len % chunk_size_ == 0 &&
+      context_len / chunk_size_ < static_cast<int64_t>(whole_chunk_costs_.size())) {
+    return whole_chunk_costs_[static_cast<size_t>(context_len / chunk_size_)];
+  }
   return table_.Eval(static_cast<double>(context_len));
 }
 

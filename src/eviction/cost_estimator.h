@@ -42,17 +42,19 @@ class ChunkCostEstimator {
   // length `context_len` (seconds). Non-decreasing in context_len by
   // construction: both profiles yield non-decreasing knots, and linear
   // interpolation between them cannot dip. The coordinator's victim index
-  // relies on this (DESIGN.md, "Victim index").
+  // relies on this (DESIGN.md §15).
   double Cost(int64_t context_len) const;
 
   int64_t chunk_size() const { return chunk_size_; }
 
  private:
-  ChunkCostEstimator(int64_t chunk_size, InterpTable table)
-      : chunk_size_(chunk_size), table_(std::move(table)) {}
+  ChunkCostEstimator(int64_t chunk_size, InterpTable table, int64_t max_context);
 
   int64_t chunk_size_;
   InterpTable table_;
+  // Cost at each whole-chunk context length up to max_context, evaluated
+  // once: eviction scores full chunks millions of times per run.
+  std::vector<double> whole_chunk_costs_;
 };
 
 // --- Three-way restore decision (flash tier) -------------------------------

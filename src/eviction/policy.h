@@ -35,6 +35,9 @@ class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
   // Lower score = evicted earlier. `now` is the current virtual time.
+  // Within one conversation, unshared chunks must score non-decreasing in
+  // chunk index: the coordinator's victim index merges conversations by
+  // their first eligible chunk (DESIGN.md §15).
   virtual double Score(const ChunkCandidate& candidate, double now) const = 0;
   virtual const char* name() const = 0;
 };

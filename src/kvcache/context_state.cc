@@ -14,6 +14,8 @@ bool DroppedOrSsd(const Chunk& c) { return c.Dropped() || c.OnSsd(); }
 
 void ContextState::SetLocation(int64_t i, ChunkLocation location) {
   PENSIEVE_CHECK(i >= 0 && i < num_chunks());
+  --count_at_[static_cast<size_t>(chunk(i).location)];
+  ++count_at_[static_cast<size_t>(location)];
   chunks_[static_cast<size_t>(i)].location = location;
   int64_t& hint = first_at_hint_[static_cast<size_t>(location)];
   hint = std::min(hint, i);
@@ -37,14 +39,6 @@ void ContextState::SetLocation(int64_t i, ChunkLocation location) {
   }
 }
 
-int64_t ContextState::FirstChunkAt(ChunkLocation location) const {
-  int64_t& hint = first_at_hint_[static_cast<size_t>(location)];
-  while (hint < num_chunks() && chunk(hint).location != location) {
-    ++hint;
-  }
-  return hint;
-}
-
 int64_t ContextState::NextChunkAt(ChunkLocation location, int64_t after) const {
   int64_t i = std::max(after + 1, first_at_hint_[static_cast<size_t>(location)]);
   while (i < num_chunks() && chunk(i).location != location) {
@@ -64,6 +58,11 @@ void ContextState::CheckFrontiers() const {
     ++dropped_or_ssd;
   }
   PENSIEVE_CHECK_EQ(leading_dropped_or_ssd_, dropped_or_ssd);
+  std::array<int64_t, kNumChunkLocations> counts{};
+  for (const Chunk& c : chunks_) {
+    ++counts[static_cast<size_t>(c.location)];
+  }
+  PENSIEVE_CHECK(counts == count_at_) << "per-location chunk counts drifted";
   for (size_t loc = 0; loc < kNumChunkLocations; ++loc) {
     for (int64_t i = 0; i < std::min(first_at_hint_[loc], num_chunks()); ++i) {
       PENSIEVE_CHECK(static_cast<size_t>(chunk(i).location) != loc)
@@ -175,6 +174,7 @@ void ContextState::AppendTokens(int64_t n, const std::vector<BlockId>& new_gpu_b
       c.gpu_block = new_gpu_blocks[next_new_block++];
       c.num_tokens = 0;
       chunks_.push_back(c);
+      ++count_at_[static_cast<size_t>(ChunkLocation::kGpu)];
     }
     Chunk& tail = chunks_.back();
     const int64_t take = std::min(remaining, block_size_ - tail.num_tokens);
@@ -201,6 +201,7 @@ void ContextState::AttachSharedChunk(BlockId block, int64_t tokens) {
   c.gpu_block = block;
   c.num_tokens = tokens;
   chunks_.push_back(c);
+  ++count_at_[static_cast<size_t>(ChunkLocation::kGpu)];
   kv_len_ += tokens;
 }
 
@@ -217,6 +218,7 @@ void ContextState::InitializeImported(int64_t kv_len) {
     remaining -= c.num_tokens;
   }
   kv_len_ = kv_len;
+  count_at_[static_cast<size_t>(ChunkLocation::kDropped)] = num_chunks();
   leading_dropped_ = num_chunks();
   leading_dropped_or_ssd_ = num_chunks();
 }

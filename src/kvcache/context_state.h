@@ -32,8 +32,14 @@ class ContextState {
   const std::vector<Chunk>& chunks() const { return chunks_; }
 
   // The one place a chunk's location changes. Keeps the frontier offsets
-  // below O(1) and the per-location lower-bound hints valid.
+  // and per-location counts below O(1) and the lower-bound hints valid. A
+  // state owned by a TwoTierKvCache changes location only through the cache,
+  // which also tracks which conversations hold each location.
   void SetLocation(int64_t i, ChunkLocation location);
+  // Number of chunks currently in `location`.
+  int64_t ChunksAt(ChunkLocation location) const {
+    return count_at_[static_cast<size_t>(location)];
+  }
 
   // Total KV tokens represented (including dropped ones).
   int64_t kv_len() const { return kv_len_; }
@@ -60,12 +66,18 @@ class ContextState {
   // Index of the first chunk in `location`, or num_chunks() if none. Starts
   // from a lower-bound hint that SetLocation lowers and this call advances,
   // so repeated queries skip the evicted prefix instead of rewalking it.
-  int64_t FirstChunkAt(ChunkLocation location) const;
+  int64_t FirstChunkAt(ChunkLocation location) const {
+    int64_t& hint = first_at_hint_[static_cast<size_t>(location)];
+    while (hint < num_chunks() && chunk(hint).location != location) {
+      ++hint;
+    }
+    return hint;
+  }
   // Index of the first chunk past `after` in `location`, or num_chunks().
   int64_t NextChunkAt(ChunkLocation location, int64_t after) const;
 
-  // Recomputes the frontier offsets and hints from the chunks and aborts on
-  // disagreement (a location changed behind SetLocation's back).
+  // Recomputes the frontier offsets, counts and hints from the chunks and
+  // aborts on disagreement (a location changed behind SetLocation's back).
   void CheckFrontiers() const;
 
   // Token counts by residency.
@@ -120,13 +132,19 @@ class ContextState {
   bool pinned() const { return pin_count_ > 0; }
 
  private:
+  friend class TwoTierKvCache;  // maintains holder_slot_
+
   int64_t block_size_;
   std::vector<Chunk> chunks_;
   int64_t kv_len_ = 0;
   int64_t leading_dropped_ = 0;
   int64_t leading_dropped_or_ssd_ = 0;
+  std::array<int64_t, kNumChunkLocations> count_at_{};
   // Per ChunkLocation: no chunk before this index is in that location.
   mutable std::array<int64_t, kNumChunkLocations> first_at_hint_{};
+  // This conversation's index in TwoTierKvCache's holder list of each
+  // location it holds a chunk in, or -1.
+  std::array<int64_t, kNumChunkLocations> holder_slot_ = {-1, -1, -1, -1, -1};
   double last_active_ = 0.0;
   int pin_count_ = 0;
 };

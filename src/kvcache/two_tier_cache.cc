@@ -143,6 +143,10 @@ void TwoTierKvCache::Release(ConversationId id) {
       flash_->Erase(FlashTier::MakeKey(id, i));
     }
   }
+  state->count_at_.fill(0);
+  for (size_t k = 0; k < kNumHeldLocations; ++k) {
+    SyncHolder(id, *state, static_cast<ChunkLocation>(k));
+  }
   conversations_.erase(id);
 }
 
@@ -172,7 +176,7 @@ Status TwoTierKvCache::AppendTokenSlots(ConversationId id, int64_t n,
         tail.cpu_block = kInvalidBlock;
         tail.cpu_checksum = 0;
         tail.cpu_corrupt = false;
-        state.SetLocation(state.num_chunks() - 1, ChunkLocation::kGpu);
+        SetLocation(id, state, state.num_chunks() - 1, ChunkLocation::kGpu);
         --reclaimable_gpu_blocks_;
       } else if (tail.location != ChunkLocation::kGpu) {
         return Status::FailedPrecondition(
@@ -203,6 +207,7 @@ Status TwoTierKvCache::AppendTokenSlots(ConversationId id, int64_t n,
     blocks.push_back(*b);
   }
   state.AppendTokens(n, blocks, slots);
+  SyncHolder(id, state, ChunkLocation::kGpu);
   return Status::Ok();
 }
 
@@ -232,7 +237,7 @@ Status TwoTierKvCache::SwapOut(ConversationId id, int64_t chunk_index) {
     ++counters_.quantized_blocks;
     counters_.quant_bytes_saved += quant_saved_per_block_;
   }
-  state->SetLocation(chunk_index, ChunkLocation::kGpuAndCpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kGpuAndCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   ++reclaimable_gpu_blocks_;
@@ -257,7 +262,7 @@ Status TwoTierKvCache::ReclaimGpu(ConversationId id, int64_t chunk_index) {
   }
   ReleaseGpuBlock(c.gpu_block);
   c.gpu_block = kInvalidBlock;
-  state->SetLocation(chunk_index, ChunkLocation::kCpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kCpu);
   --reclaimable_gpu_blocks_;
   ++counters_.reclaimed_gpu_blocks;
   LogEvent(EvictOp::kReclaimGpu, id, chunk_index);
@@ -292,7 +297,7 @@ Status TwoTierKvCache::SwapIn(ConversationId id, int64_t chunk_index) {
       KvPool::CopyBlock(*cpu_pool_, c.cpu_block, *gpu_pool_, c.gpu_block);
     }
   }
-  state->SetLocation(chunk_index, ChunkLocation::kGpuAndCpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kGpuAndCpu);
   ++reclaimable_gpu_blocks_;
   ++counters_.swapped_in_chunks;
   return Status::Ok();
@@ -350,7 +355,7 @@ Status TwoTierKvCache::DropCpuCopy(ConversationId id, int64_t chunk_index) {
   c.cpu_block = kInvalidBlock;
   c.cpu_checksum = 0;
   c.cpu_corrupt = false;
-  state->SetLocation(chunk_index, ChunkLocation::kGpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kGpu);
   --reclaimable_gpu_blocks_;
   LogEvent(EvictOp::kDropCpuCopy, id, chunk_index);
   return Status::Ok();
@@ -392,7 +397,7 @@ Status TwoTierKvCache::DropChunk(ConversationId id, int64_t chunk_index) {
   c.cpu_corrupt = false;
   c.ssd_checksum = 0;
   c.ssd_corrupt = false;
-  state.SetLocation(chunk_index, ChunkLocation::kDropped);
+  SetLocation(id, state, chunk_index, ChunkLocation::kDropped);
   ++counters_.dropped_chunks;
   LogEvent(EvictOp::kDropChunk, id, chunk_index);
   return Status::Ok();
@@ -461,7 +466,7 @@ Status TwoTierKvCache::DemoteToFlash(ConversationId id, int64_t chunk_index) {
   c.cpu_block = kInvalidBlock;
   c.cpu_checksum = 0;
   c.cpu_corrupt = false;
-  state->SetLocation(chunk_index, ChunkLocation::kSsd);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kSsd);
   c.ssd_checksum = ComputeSsdChecksum(id, chunk_index, c);
   c.ssd_corrupt = false;
   ++counters_.demoted_to_flash_chunks;
@@ -497,7 +502,7 @@ Status TwoTierKvCache::PromoteFromFlash(ConversationId id, int64_t chunk_index) 
                       c.cpu_block);
   }
   flash_->Erase(key);
-  state->SetLocation(chunk_index, ChunkLocation::kCpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   c.ssd_checksum = 0;
@@ -589,7 +594,7 @@ Status TwoTierKvCache::RestoreDropped(ConversationId id, int64_t chunk_index) {
     return Status::ResourceExhausted("GPU tier full during dropped-chunk restore");
   }
   c.gpu_block = *gpu_block;
-  state.SetLocation(chunk_index, ChunkLocation::kGpu);
+  SetLocation(id, state, chunk_index, ChunkLocation::kGpu);
   ++counters_.restored_chunks;
   return Status::Ok();
 }
@@ -614,7 +619,7 @@ int64_t TwoTierKvCache::ImportCpuResident(ConversationId id, int64_t kv_len,
       break;
     }
     c.cpu_block = *cpu_block;
-    state.SetLocation(i, ChunkLocation::kCpu);
+    SetLocation(id, state, i, ChunkLocation::kCpu);
     c.cpu_checksum = ComputeCpuChecksum(id, i, c);
     c.cpu_corrupt = false;
     budget -= c.num_tokens;
@@ -638,12 +643,12 @@ int64_t TwoTierKvCache::ImportGpuResident(ConversationId id, int64_t kv_len,
     }
     if (auto gpu_block = gpu_allocator_.Allocate(); gpu_block.has_value()) {
       c.gpu_block = *gpu_block;
-      state.SetLocation(i, ChunkLocation::kGpu);
+      SetLocation(id, state, i, ChunkLocation::kGpu);
     } else if (auto cpu_block = cpu_allocator_.Allocate(); cpu_block.has_value()) {
       // GPU pool full: bounce this chunk through host memory like an
       // ordinary migration; the swap-in path restores it on first use.
       c.cpu_block = *cpu_block;
-      state.SetLocation(i, ChunkLocation::kCpu);
+      SetLocation(id, state, i, ChunkLocation::kCpu);
       c.cpu_checksum = ComputeCpuChecksum(id, i, c);
       c.cpu_corrupt = false;
     } else {
@@ -706,7 +711,7 @@ Status TwoTierKvCache::RestoreDroppedToCpu(ConversationId id,
     return Status::ResourceExhausted("CPU tier full during peer-prefix adopt");
   }
   c.cpu_block = *cpu_block;
-  state.SetLocation(chunk_index, ChunkLocation::kCpu);
+  SetLocation(id, state, chunk_index, ChunkLocation::kCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
   return Status::Ok();
@@ -725,6 +730,34 @@ std::vector<BlockId> TwoTierKvCache::GpuBlockTable(ConversationId id,
     table.push_back(c.gpu_block);
   }
   return table;
+}
+
+void TwoTierKvCache::SetLocation(ConversationId id, ContextState& state, int64_t i,
+                                 ChunkLocation location) {
+  const ChunkLocation old = state.chunk(i).location;
+  state.SetLocation(i, location);
+  SyncHolder(id, state, old);
+  SyncHolder(id, state, location);
+}
+
+void TwoTierKvCache::SyncHolder(ConversationId id, ContextState& state,
+                                ChunkLocation location) {
+  const size_t k = static_cast<size_t>(location);
+  if (k >= kNumHeldLocations) {
+    return;
+  }
+  std::vector<Holder>& list = holders_[k];
+  int64_t& slot = state.holder_slot_[k];
+  const bool holds = state.ChunksAt(location) > 0;
+  if (holds && slot < 0) {
+    slot = static_cast<int64_t>(list.size());
+    list.push_back(Holder{id, &state});
+  } else if (!holds && slot >= 0) {
+    list[static_cast<size_t>(slot)] = list.back();
+    list[static_cast<size_t>(slot)].state->holder_slot_[k] = slot;
+    list.pop_back();
+    slot = -1;
+  }
 }
 
 void TwoTierKvCache::ReleaseGpuBlock(BlockId block) {
@@ -796,6 +829,7 @@ int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
     remaining -= take;
     ++counters_.shared_attached_chunks;
   }
+  SyncHolder(id, state, ChunkLocation::kGpu);
   counters_.shared_attached_tokens += tokens;
   counters_.peak_shared_blocks =
       std::max(counters_.peak_shared_blocks, gpu_allocator_.num_shared());
@@ -825,7 +859,7 @@ Status TwoTierKvCache::ReattachDroppedShared(ConversationId id, int64_t chunk_in
   gpu_allocator_.Share(block);
   shared_prefix_window_ = std::max(shared_prefix_window_, chunk_index + 1);
   c.gpu_block = block;
-  state->SetLocation(chunk_index, ChunkLocation::kGpu);
+  SetLocation(id, *state, chunk_index, ChunkLocation::kGpu);
   ++counters_.shared_attached_chunks;
   counters_.shared_attached_tokens += c.num_tokens;
   counters_.peak_shared_blocks =
@@ -862,8 +896,18 @@ void TwoTierKvCache::CheckInvariants() const {
   int64_t reclaimable = 0;
   int64_t ssd_chunks = 0;
   std::unordered_map<BlockId, int64_t> gpu_views;
+  int64_t holders = 0;
   for (const auto& [id, state] : conversations_) {
     state.CheckFrontiers();
+    for (size_t k = 0; k < kNumHeldLocations; ++k) {
+      const int64_t slot = state.holder_slot_[k];
+      PENSIEVE_CHECK_EQ(slot >= 0, state.ChunksAt(static_cast<ChunkLocation>(k)) > 0)
+          << "conversation " << id << ": holder list out of date";
+      if (slot >= 0) {
+        PENSIEVE_CHECK(holders_[k][static_cast<size_t>(slot)].state == &state);
+        ++holders;
+      }
+    }
     bool seen_non_dropped = false;
     bool seen_past_flash_run = false;
     for (int64_t i = 0; i < state.num_chunks(); ++i) {
@@ -933,6 +977,8 @@ void TwoTierKvCache::CheckInvariants() const {
         << "prefix trie references freed block " << b;
   }
   PENSIEVE_CHECK_EQ(reclaimable, reclaimable_gpu_blocks_);
+  PENSIEVE_CHECK_EQ(holders, static_cast<int64_t>(holders_[0].size() + holders_[1].size() +
+                                                  holders_[2].size()));
   if (flash_ != nullptr) {
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->live_blocks());
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->resident_keys());

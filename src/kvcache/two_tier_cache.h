@@ -30,6 +30,7 @@
 #ifndef PENSIEVE_SRC_KVCACHE_TWO_TIER_CACHE_H_
 #define PENSIEVE_SRC_KVCACHE_TWO_TIER_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -116,6 +117,18 @@ class TwoTierKvCache {
     return conversations_;
   }
 
+  // The conversations holding at least one chunk in `location` (kGpu,
+  // kGpuAndCpu or kCpu), in no particular order. Kept current on every
+  // location change, so an eviction pass visits only conversations that
+  // can offer a candidate (DESIGN.md §15).
+  struct Holder {
+    ConversationId id;
+    ContextState* state;
+  };
+  const std::vector<Holder>& Holders(ChunkLocation location) const {
+    return holders_[static_cast<size_t>(location)];
+  }
+
   // GPU blocks that could be reclaimed instantly because a clean CPU copy
   // exists (kGpuAndCpu chunks).
   int64_t ReclaimableGpuBlocks() const { return reclaimable_gpu_blocks_; }
@@ -166,7 +179,7 @@ class TwoTierKvCache {
   // holds one block of a content-hash chain that starts at token 0, so every
   // view of it sits at the same chunk index, below the longest chain ever
   // published or attached. Zero while sharing is off. The coordinator's
-  // victim index scores this window chunk by chunk (DESIGN.md).
+  // victim index scores this window chunk by chunk (DESIGN.md §15).
   int64_t shared_prefix_window() const { return shared_prefix_window_; }
   const PrefixTrie& prefix_trie() const { return trie_; }
 
@@ -346,6 +359,13 @@ class TwoTierKvCache {
   // block returns to the free list and any trie entry anchored on it (plus
   // descendants) is invalidated — trie references are weak.
   void ReleaseGpuBlock(BlockId block);
+  // Every location change of a cache-owned chunk: ContextState::SetLocation
+  // plus the holder lists.
+  void SetLocation(ConversationId id, ContextState& state, int64_t i,
+                   ChunkLocation location);
+  // Adds or removes the conversation from `location`'s holder list to match
+  // its chunk count there (no-op for untracked locations).
+  void SyncHolder(ConversationId id, ContextState& state, ChunkLocation location);
   void LogEvent(EvictOp op, ConversationId id, int64_t chunk_index) {
     if (event_log_ != nullptr) {
       event_log_->push_back(EvictEvent{op, id, chunk_index});
@@ -364,6 +384,9 @@ class TwoTierKvCache {
   PrefixTrie trie_;
   int64_t reclaimable_gpu_blocks_ = 0;
   int64_t shared_prefix_window_ = 0;
+  // Holder lists for kGpu, kGpuAndCpu and kCpu (indexed by ChunkLocation).
+  static constexpr size_t kNumHeldLocations = 3;
+  std::array<std::vector<Holder>, kNumHeldLocations> holders_;
   std::vector<EvictEvent>* event_log_ = nullptr;
   // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
   // on release or at destruction).

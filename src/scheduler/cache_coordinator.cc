@@ -45,7 +45,9 @@ CacheCoordinator::VictimHeap CacheCoordinator::SeedLocation(ChunkLocation locati
                                                             double now) const {
   const int64_t window = cache_->shared_prefix_window();
   std::vector<Victim> seed;
-  for (const auto& [id, state] : cache_->conversations()) {
+  seed.reserve(cache_->Holders(location).size());
+  for (const auto& [id, holder] : cache_->Holders(location)) {
+    const ContextState& state = *holder;
     if (state.pinned()) {
       continue;
     }
@@ -76,7 +78,8 @@ CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, d
   }
   int64_t next = state->NextChunkAt(location, top.chunk_index);
   while (next < state->num_chunks() &&
-         copies_dropped_in_pass_.count({top.conversation, next}) > 0) {
+         swap_pass_.has_value() &&
+         swap_pass_->copies_dropped.count({top.conversation, next}) > 0) {
     next = state->NextChunkAt(location, next);
   }
   if (next < state->num_chunks()) {
@@ -118,12 +121,32 @@ std::optional<int64_t> CacheCoordinator::FrontierChunk(Frontier kind,
 CacheCoordinator::VictimHeap CacheCoordinator::SeedFrontier(Frontier kind,
                                                             double now) const {
   std::vector<Victim> seed;
-  for (const auto& [id, state] : cache_->conversations()) {
+  seed.reserve(kind == Frontier::kCpuEvict
+                   ? cache_->Holders(ChunkLocation::kCpu).size()
+                   : cache_->Holders(ChunkLocation::kGpu).size() +
+                         cache_->Holders(ChunkLocation::kGpuAndCpu).size());
+  const auto visit = [&](ConversationId id, const ContextState& state) {
     if (state.pinned()) {
-      continue;
+      return;
     }
     if (const std::optional<int64_t> chunk = FrontierChunk(kind, state)) {
       seed.push_back(Victim{id, *chunk, Score(id, state, *chunk, now)});
+    }
+  };
+  // Only conversations holding a chunk the query can return are visited,
+  // each once.
+  if (kind == Frontier::kCpuEvict) {
+    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kCpu)) {
+      visit(id, *state);
+    }
+  } else {
+    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kGpu)) {
+      visit(id, *state);
+    }
+    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kGpuAndCpu)) {
+      if (state->ChunksAt(ChunkLocation::kGpu) == 0) {
+        visit(id, *state);
+      }
     }
   }
   return VictimHeap(VictimAfter{}, std::move(seed));
@@ -220,8 +243,7 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
   // Swap out GPU-only chunks of unpinned conversations in ascending
   // retention order until the target is met. The candidates are the kGpu
   // chunks at pass start.
-  in_swap_pass_ = true;
-  copies_dropped_in_pass_.clear();
+  swap_pass_.emplace();
   VictimHeap candidates = SeedLocation(ChunkLocation::kGpu, now);
   // Reserve CPU space for the whole deficit in one pass; fall back to
   // per-chunk frees only if that could not be satisfied.
@@ -252,8 +274,7 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
     outcome.swapped_out_tokens += chunk_tokens;
     outcome.swapped.emplace_back(victim.conversation, victim.chunk_index);
   }
-  in_swap_pass_ = false;
-  copies_dropped_in_pass_.clear();
+  swap_pass_.reset();
   if (cache_->AvailableGpuBlocks() < target_blocks) {
     aot_last_failed_available_ = cache_->AvailableGpuBlocks();
     aot_failed_at_ = now;
@@ -316,19 +337,28 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
   // frontier is the first chunk past the dropped/SSD prefix, so
   // conversations whose oldest resident data already sits on flash remain
   // eligible.
-  VictimHeap frontier = SeedFrontier(Frontier::kCpuEvict, now);
+  VictimHeap local;
+  VictimHeap* frontier = &local;
+  if (!swap_pass_.has_value()) {
+    local = SeedFrontier(Frontier::kCpuEvict, now);
+  } else {
+    if (!swap_pass_->cpu_frontier.has_value()) {
+      swap_pass_->cpu_frontier = SeedFrontier(Frontier::kCpuEvict, now);
+    }
+    frontier = &*swap_pass_->cpu_frontier;
+  }
   // Fallback, seeded on first use: discard clean CPU copies (the chunks stay
   // on the GPU). Nothing it does creates a CPU-only frontier again.
   std::optional<VictimHeap> copies;
   while (cache_->cpu_allocator().num_free() < n) {
-    if (const std::optional<Victim> best = PopFrontier(Frontier::kCpuEvict, now, &frontier)) {
+    if (const std::optional<Victim> best = PopFrontier(Frontier::kCpuEvict, now, frontier)) {
       if (options_.conversation_granularity) {
         DropWholeConversation(best->conversation);
       } else if (!EvictCpuFrontierChunk(*best)) {
         return false;  // would re-pick the same victim forever
       }
       MaybeForget(best->conversation);
-      PushFrontier(Frontier::kCpuEvict, best->conversation, now, &frontier);
+      PushFrontier(Frontier::kCpuEvict, best->conversation, now, frontier);
       continue;
     }
     if (!copies.has_value()) {
@@ -341,8 +371,8 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
     if (!cache_->DropCpuCopy(dual.conversation, dual.chunk_index).ok()) {
       return false;
     }
-    if (in_swap_pass_) {
-      copies_dropped_in_pass_.insert({dual.conversation, dual.chunk_index});
+    if (swap_pass_.has_value()) {
+      swap_pass_->copies_dropped.insert({dual.conversation, dual.chunk_index});
     }
   }
   return true;
@@ -378,8 +408,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
   // synchronous PCIe stall, charged by the engine. The candidates are the
   // kGpu chunks at this point.
   if (options_.use_cpu_cache && cache_->gpu_allocator().num_free() < n) {
-    in_swap_pass_ = true;
-    copies_dropped_in_pass_.clear();
+    swap_pass_.emplace();
     VictimHeap swappable = SeedLocation(ChunkLocation::kGpu, now);
     const int64_t swap_deficit = n - cache_->gpu_allocator().num_free();
     (void)EnsureFreeCpuBlocks(
@@ -408,11 +437,14 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       if (!cache_->ReclaimGpu(v.conversation, v.chunk_index).ok()) {
         continue;  // chunk stays kGpuAndCpu; no block freed, no stall charged
       }
+      if (swap_pass_->cpu_frontier.has_value()) {
+        // The now CPU-only chunk may be its conversation's CPU frontier.
+        PushFrontier(Frontier::kCpuEvict, v.conversation, now, &*swap_pass_->cpu_frontier);
+      }
       outcome.forced_swap_out_tokens += tokens;
       outcome.forced_swapped.emplace_back(v.conversation, v.chunk_index);
     }
-    in_swap_pass_ = false;
-    copies_dropped_in_pass_.clear();
+    swap_pass_.reset();
   }
   if (cache_->gpu_allocator().num_free() >= n) {
     outcome.ok = true;

@@ -14,7 +14,9 @@
 //    are cheapest to recompute).
 //
 // Pinned conversations (those with a request in the running batch) are never
-// victimized.
+// victimized. Every choice follows one order, ascending (score, conversation
+// id, chunk index), found by merging per-conversation frontiers through a
+// heap instead of rescanning every chunk (DESIGN.md §15).
 
 #ifndef PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
 #define PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
@@ -144,7 +146,7 @@ class CacheCoordinator {
   struct VictimAfter {
     bool operator()(const Victim& a, const Victim& b) const { return VictimBefore(b, a); }
   };
-  // Min-heap in victim order: the victim index (DESIGN.md, "Victim index").
+  // Min-heap in victim order: the victim index (DESIGN.md §15).
   using VictimHeap = std::priority_queue<Victim, std::vector<Victim>, VictimAfter>;
 
   // Snapshot passes over every chunk in one location (kGpu or kGpuAndCpu).
@@ -197,10 +199,17 @@ class CacheCoordinator {
   Options options_;
   std::function<bool(ConversationId)> may_forget_;
   SpillOutcome pending_spill_;
-  // While an ahead-of-time or forced swap-out pass runs: chunks the nested
-  // CPU-pressure fallback turned back into kGpu (not candidates of the pass).
-  bool in_swap_pass_ = false;
-  std::set<std::pair<ConversationId, int64_t>> copies_dropped_in_pass_;
+  // State of the ahead-of-time or forced swap-out pass in progress, shared
+  // with the EnsureFreeCpuBlocks calls nested in it.
+  struct SwapPass {
+    // Chunks the nested CPU-pressure fallback turned back into kGpu: they
+    // were no candidates when the pass started.
+    std::set<std::pair<ConversationId, int64_t>> copies_dropped;
+    // The CPU-frontier heap, seeded by the first nested call and kept up to
+    // date across the rest (virtual time does not move within a pass).
+    std::optional<VictimHeap> cpu_frontier;
+  };
+  std::optional<SwapPass> swap_pass_;
   std::vector<PeerOffer> pending_peer_offers_;
   // Retry guard for ahead-of-time eviction: when a pass could not reach the
   // target (e.g. CPU tier full), skip further passes within the same virtual

@@ -509,7 +509,6 @@ void Mutate(std::mt19937_64* rng, TwoTierKvCache* cache) {
 }
 
 struct Variant {
-  const char* name;
   EvictionPolicyKind policy;
   CacheCoordinator::Options options;
 };
@@ -519,6 +518,8 @@ std::vector<Variant> Variants() {
   for (EvictionPolicyKind kind : {EvictionPolicyKind::kRetentionValue, EvictionPolicyKind::kLru,
                                   EvictionPolicyKind::kCostOnly,
                                   EvictionPolicyKind::kConversationLru}) {
+    // Modes: GPU cache only (drops), CPU tier, CPU + flash demotion, CPU +
+    // peer-spill offers.
     for (int mode = 0; mode < 4; ++mode) {
       CacheCoordinator::Options o;
       o.swap_out_target = 0.6;
@@ -526,7 +527,7 @@ std::vector<Variant> Variants() {
       o.use_ssd_cache = mode == 2;
       o.peer_spill = mode == 3;
       o.conversation_granularity = kind == EvictionPolicyKind::kConversationLru;
-      variants.push_back({"", kind, o});
+      variants.push_back({kind, o});
     }
   }
   return variants;
