@@ -32,9 +32,9 @@ class ContextState {
   const std::vector<Chunk>& chunks() const { return chunks_; }
 
   // The one place a chunk's location changes. Keeps the frontier offsets
-  // and per-location counts below O(1) and the lower-bound hints valid. A
-  // state owned by a TwoTierKvCache changes location only through the cache,
-  // which also tracks which conversations hold each location.
+  // and per-location counts current (O(1) to read) and the lower-bound hints
+  // valid. A state owned by a TwoTierKvCache changes location only through
+  // the cache, which also tracks which conversations hold each location.
   void SetLocation(int64_t i, ChunkLocation location);
   // Number of chunks currently in `location`.
   int64_t ChunksAt(ChunkLocation location) const {

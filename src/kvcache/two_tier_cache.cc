@@ -732,6 +732,13 @@ std::vector<BlockId> TwoTierKvCache::GpuBlockTable(ConversationId id,
   return table;
 }
 
+const std::vector<TwoTierKvCache::Holder>& TwoTierKvCache::Holders(
+    ChunkLocation location) const {
+  PENSIEVE_CHECK_LT(static_cast<size_t>(location), kNumHeldLocations)
+      << "no holder list for " << ChunkLocationName(location);
+  return holders_[static_cast<size_t>(location)];
+}
+
 void TwoTierKvCache::SetLocation(ConversationId id, ContextState& state, int64_t i,
                                  ChunkLocation location) {
   const ChunkLocation old = state.chunk(i).location;

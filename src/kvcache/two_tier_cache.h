@@ -125,9 +125,7 @@ class TwoTierKvCache {
     ConversationId id;
     ContextState* state;
   };
-  const std::vector<Holder>& Holders(ChunkLocation location) const {
-    return holders_[static_cast<size_t>(location)];
-  }
+  const std::vector<Holder>& Holders(ChunkLocation location) const;
 
   // GPU blocks that could be reclaimed instantly because a clean CPU copy
   // exists (kGpuAndCpu chunks).
