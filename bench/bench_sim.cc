@@ -15,8 +15,8 @@
 //
 // Writes a host-headed JSON with one entry per config: conversations,
 // scheduler steps, completed requests, wall seconds and steps/s. --label
-// tags the entries (e.g. "before" / "after" when comparing two builds in
-// one session). --smoke shrinks every config to CI size and runs each twice,
+// tags the entries (e.g. "before" / "after" when comparing two builds run
+// back to back on one host). --smoke shrinks every config to CI size and runs each twice,
 // failing (exit 1) unless the two runs' simulated outcomes are identical.
 // Timing is reported, never gated: run-to-run wall-clock noise on a shared
 // host is about 2x.
