@@ -5,8 +5,8 @@
 
 #include <cstdio>
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/serving/pensieve_engine.h"
 #include "src/sim/hardware.h"
@@ -99,9 +99,11 @@ void RunAblations(bool smoke) {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  const bool smoke = pensieve::ConsumeSmokeFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N] [--smoke]");
+  pensieve::FlagParser flags;
+  flags.AddBool("smoke", false, "CI-sized run with the pipelined-restore self-check");
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_ablation_swap: swapping-design ablations");
+  const bool smoke = flags.GetBool("smoke");
   pensieve::RunAblations(smoke);
   return 0;
 }

@@ -24,56 +24,26 @@ namespace {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-13b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt",
-                  "workload profile: sharegpt or ultrachat");
-  flags.AddDouble("rate", 0.6, "per-replica conversation arrival rate");
-  flags.AddInt("conversations", BenchConversations(300),
-               "per-replica conversation count");
-  flags.AddDouble("think", 20.0, "mean user think time (s)");
-  flags.AddInt("seed", 42, "workload seed");
-  flags.AddInt("threads", 0,
-               "worker threads for kernels/GEMMs; 0 = PENSIEVE_THREADS env "
-               "var, else hardware concurrency");
-  flags.AddBool("help", false, "print usage");
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_cluster_routing: routing-policy comparison\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads")));
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n",
-                 flags.GetString("model").c_str());
-    return 2;
-  }
-  const DatasetProfile profile = flags.GetString("dataset") == "ultrachat"
-                                     ? UltraChatProfile()
-                                     : ShareGptProfile();
-  const GpuCostModel cost_model(model, A100Spec(model.num_gpus));
+  AddWorkloadFlags(&flags, {.rate = 0.6,
+                            .conversations = BenchConversations(300),
+                            .conversations_help = "per-replica conversation count",
+                            .think = 20.0});
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_cluster_routing: routing-policy comparison");
+  const Workload workload = WorkloadFromFlags(flags);
+  const GpuCostModel cost_model(workload.model, A100Spec(workload.model.num_gpus));
 
   const RouterPolicy policies[] = {RouterPolicy::kRoundRobin,
                                    RouterPolicy::kLeastLoaded,
                                    RouterPolicy::kSessionAffinity};
 
-  std::printf("==== cluster routing (%s, %s) ====\n", model.name.c_str(),
-              flags.GetString("dataset").c_str());
+  std::printf("==== cluster routing (%s, %s) ====\n", workload.model.name.c_str(),
+              workload.profile.name.c_str());
   for (const int32_t n : {1, 2, 4}) {
-    TraceOptions trace_options;
-    trace_options.num_conversations = flags.GetInt("conversations") * n;
-    trace_options.conversation_rate = flags.GetDouble("rate") * n;
-    trace_options.mean_think_time = flags.GetDouble("think");
-    trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const WorkloadTrace trace(profile, trace_options);
+    TraceOptions trace_options = workload.trace;
+    trace_options.num_conversations *= n;
+    trace_options.conversation_rate *= n;
+    const WorkloadTrace trace(workload.profile, trace_options);
 
     std::printf("\n-- %d replica(s), %ld conversations at %.2f conv/s --\n", n,
                 static_cast<long>(trace_options.num_conversations),

@@ -21,13 +21,13 @@
 //    inter-token latency.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_serving_common.h"
 #include "src/cluster/cluster_driver.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -135,13 +135,13 @@ void CheckVariant(const VariantResult& v, int64_t expected_completed) {
 }
 
 int Main(int argc, char** argv) {
-  const bool smoke = ConsumeSmokeFlag(&argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
+  FlagParser flags;
+  flags.AddBool("smoke", false, "CI-sized run with the self-checks");
+  flags.AddString("json", "", "output JSON path (empty = no JSON)");
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_disagg: prefill/decode disaggregation sweep");
+  const bool smoke = flags.GetBool("smoke");
+  const std::string json_path = flags.GetString("json");
 
   const GpuCostModel cost_model(Opt13BConfig(), A100Spec(1));
   TraceOptions trace_options;
@@ -229,7 +229,4 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace pensieve
 
-int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  return pensieve::Main(argc, argv);
-}
+int main(int argc, char** argv) { return pensieve::Main(argc, argv); }

@@ -41,13 +41,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_serving_common.h"
 #include "src/cluster/cluster_driver.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -250,16 +250,14 @@ VariantResult RunChaos(const GpuCostModel& cost_model,
 }
 
 int Main(int argc, char** argv) {
-  const bool smoke = ConsumeSmokeFlag(&argc, argv);
-  bool chaos_only = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
-      chaos_only = true;
-    }
-  }
+  FlagParser flags;
+  flags.AddBool("smoke", false, "CI-sized run with the self-checks");
+  flags.AddBool("chaos", false, "run only the seeded chaos soak");
+  flags.AddString("json", "", "output JSON path (empty = no JSON)");
+  ParseFlagsOrExit(&flags, argc, argv, "bench_elastic: elastic replica set benchmark");
+  const bool smoke = flags.GetBool("smoke");
+  const bool chaos_only = flags.GetBool("chaos");
+  const std::string json_path = flags.GetString("json");
 
   const GpuCostModel cost_model(Opt13BConfig(), A100Spec(1));
 
@@ -500,7 +498,4 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace pensieve
 
-int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  return pensieve::Main(argc, argv);
-}
+int main(int argc, char** argv) { return pensieve::Main(argc, argv); }

@@ -29,60 +29,23 @@ namespace {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-13b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt",
-                  "workload profile: sharegpt or ultrachat");
-  flags.AddDouble("rate", 1.2, "conversation arrival rate (conversations/s)");
-  flags.AddInt("conversations", BenchConversations(300),
-               "number of conversations in the trace");
-  flags.AddDouble("think", 20.0, "mean user think time (s)");
-  flags.AddInt("seed", 42, "workload seed");
+  AddWorkloadFlags(&flags, {.rate = 1.2, .conversations = BenchConversations(300),
+                            .think = 20.0});
   flags.AddInt("replicas", 2, "cluster size");
   flags.AddDouble("fail_frac", 0.3,
                   "kill replica 0 at this fraction of the arrival span");
   flags.AddDouble("recover_frac", 0.7,
                   "recover replica 0 at this fraction of the arrival span "
                   "(>= 1 disables recovery)");
-  flags.AddInt("threads", 0,
-               "worker threads for kernels/GEMMs; 0 = PENSIEVE_THREADS env "
-               "var, else hardware concurrency");
-  flags.AddBool("help", false, "print usage");
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_fault_recovery: replica crash recovery cost\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads")));
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n",
-                 flags.GetString("model").c_str());
-    return 2;
-  }
-  const DatasetProfile profile = flags.GetString("dataset") == "ultrachat"
-                                     ? UltraChatProfile()
-                                     : ShareGptProfile();
-  const GpuCostModel cost_model(model, A100Spec(model.num_gpus));
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_fault_recovery: replica crash recovery cost");
+  const Workload workload = WorkloadFromFlags(flags);
   const int32_t num_replicas = static_cast<int32_t>(flags.GetInt("replicas"));
   if (num_replicas < 2) {
-    std::fprintf(stderr, "--replicas must be >= 2 (someone must survive)\n");
-    return 2;
+    ExitWithUsage(flags, "--replicas must be >= 2 (someone must survive)");
   }
-
-  TraceOptions trace_options;
-  trace_options.num_conversations = flags.GetInt("conversations");
-  trace_options.conversation_rate = flags.GetDouble("rate");
-  trace_options.mean_think_time = flags.GetDouble("think");
-  trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const WorkloadTrace trace(profile, trace_options);
+  const GpuCostModel cost_model(workload.model, A100Spec(workload.model.num_gpus));
+  const WorkloadTrace trace(workload.profile, workload.trace);
 
   const double span = ArrivalSpan(trace);
   const double fail_time = flags.GetDouble("fail_frac") * span;
@@ -91,8 +54,7 @@ int Run(int argc, char** argv) {
   const double recover_time = recover_frac * span;
 
   std::printf("==== fault recovery (%s, %s, %d replicas) ====\n",
-              model.name.c_str(), flags.GetString("dataset").c_str(),
-              num_replicas);
+              workload.model.name.c_str(), workload.profile.name.c_str(), num_replicas);
   std::printf("replica 0 dies at t=%.1f s", fail_time);
   if (with_recovery) {
     std::printf(", recovers at t=%.1f s", recover_time);

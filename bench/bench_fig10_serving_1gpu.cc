@@ -10,8 +10,8 @@
 // the cached history); the gap is larger on ShareGPT (more turns per
 // conversation) and larger for Llama 2-13B (GQA stores 4x more KV tokens).
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -42,8 +42,9 @@ void RunFigure10() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig10_serving_1gpu: Figure 10, serving on 1 GPU");
   pensieve::RunFigure10();
   return 0;
 }

@@ -7,8 +7,8 @@
 // Llama 2-70B (GQA group 8) benefits most, including the GPU-cache-only
 // variant.
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -36,8 +36,9 @@ void RunFigure11() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig11_serving_4gpu: Figure 11, serving on 4 GPUs");
   pensieve::RunFigure11();
   return 0;
 }

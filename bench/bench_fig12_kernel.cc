@@ -216,12 +216,18 @@ struct ScalingOptions {
   std::vector<int> threads = {1, 2, 4, 8};
 };
 
-// Consumes the --scaling* flags so google-benchmark never sees them.
-bool ConsumeScalingFlags(int* argc, char** argv, ScalingOptions* opts) {
+// Consumes --threads and the --scaling* flags so google-benchmark never sees
+// them; this binary cannot use ParseFlagsOrExit because google-benchmark
+// parses the rest of argv. --threads sizes the global pool as everywhere.
+bool ConsumeOwnFlags(int* argc, char** argv, ScalingOptions* opts) {
   int write = 1;
   for (int read = 1; read < *argc; ++read) {
     const std::string arg = argv[read];
-    if (arg == "--scaling") {
+    if (arg.rfind("--threads=", 0) == 0) {
+      ThreadPool::SetGlobalThreads(std::atoi(arg.c_str() + 10));
+    } else if (arg == "--threads" && read + 1 < *argc) {
+      ThreadPool::SetGlobalThreads(std::atoi(argv[++read]));
+    } else if (arg == "--scaling") {
       opts->enabled = true;
     } else if (arg.rfind("--scaling_context=", 0) == 0) {
       opts->context = std::atoll(arg.c_str() + 18);
@@ -395,17 +401,22 @@ int RunScalingMode(const ScalingOptions& opts) {
 
 int main(int argc, char** argv) {
   pensieve::ScalingOptions scaling;
-  if (!pensieve::ConsumeScalingFlags(&argc, argv, &scaling)) {
+  if (!pensieve::ConsumeOwnFlags(&argc, argv, &scaling)) {
     std::fprintf(stderr,
                  "bad --scaling flags (need --scaling_context>=16, "
                  "--scaling_iters>=1, --scaling_threads=t1[,t2...])\n");
     return 2;
   }
-  pensieve::ConsumeThreadsFlag(&argc, argv);
+  if (!scaling.enabled) {
+    benchmark::Initialize(&argc, argv);
+  }
+  // Whatever neither parser took is a typo or a stray argument.
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 2;
+  }
   if (scaling.enabled) {
     return pensieve::RunScalingMode(scaling);
   }
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   pensieve::PrintGpuModelTable();

@@ -6,8 +6,8 @@
 // and throughput because prefills no longer run as separate small-batch
 // kernel invocations that stall the decoding requests.
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -39,8 +39,9 @@ void RunFigure13() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig13_unified_sched: Figure 13, unified scheduling");
   pensieve::RunFigure13();
   return 0;
 }

@@ -12,8 +12,8 @@
 //
 // A second section sweeps the eviction chunk size (32 in the paper).
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/serving/pensieve_engine.h"
 #include "src/sim/hardware.h"
@@ -95,8 +95,9 @@ void ChunkSizeAblation() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig14_eviction: Figure 14, eviction policies");
   pensieve::PolicyComparison();
   pensieve::ChunkSizeAblation();
   return 0;

@@ -6,8 +6,8 @@
 // cache before the conversation returns, shrinking (but not eliminating)
 // Pensieve's advantage over vLLM.
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 
@@ -46,8 +46,9 @@ void RunFigure15() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig15_think_time: Figure 15, user think time");
   pensieve::RunFigure15();
   return 0;
 }

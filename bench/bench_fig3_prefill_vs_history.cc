@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/hardware.h"
@@ -61,8 +62,10 @@ void RunFigure3() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig3_prefill_vs_history: Figure 3, prefill time vs "
+                             "history");
   pensieve::RunFigure3();
   return 0;
 }

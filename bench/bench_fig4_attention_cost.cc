@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/eviction/cost_estimator.h"
 #include "src/kernels/attention.h"
 #include "src/model/model_config.h"
@@ -110,8 +111,10 @@ void MeasuredCpuTable() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_fig4_attention_cost: Figure 4, attention cost vs "
+                             "context size");
   pensieve::ModelBasedTable();
   pensieve::MeasuredCpuTable();
   return 0;

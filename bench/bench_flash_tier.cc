@@ -42,10 +42,9 @@ struct RunResult {
   double mean_ttft = 0.0;
 };
 
-RunResult RunOnce(const GpuCostModel& cost_model, const DatasetProfile& profile,
-                  const TraceOptions& trace_options,
+RunResult RunOnce(const GpuCostModel& cost_model, const Workload& workload,
                   const EngineOverrides& overrides) {
-  const WorkloadTrace trace(profile, trace_options);
+  const WorkloadTrace trace(workload.profile, workload.trace);
   auto engine = MakeEngine(SystemKind::kPensieve, cost_model, overrides);
   std::vector<RequestOutcome> outcomes;
   DriverOptions driver;
@@ -93,13 +92,7 @@ std::string StatsFingerprint(const ServingSummary& s) {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-66b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt",
-                  "workload profile: sharegpt or ultrachat");
-  flags.AddDouble("rate", 1.5, "conversation arrival rate (conversations/s)");
-  flags.AddDouble("think", 60.0, "mean user think time (s)");
-  flags.AddInt("seed", 42, "workload seed");
+  AddWorkloadFlags(&flags, {.model = "opt-66b", .rate = 1.5, .think = 60.0});
   flags.AddDouble("cache_scale", 0.3,
                   "GPU+CPU cache scale; must keep the GPU larger than the "
                   "longest conversation");
@@ -114,31 +107,11 @@ int Run(int argc, char** argv) {
                   "stay resident per GB");
   flags.AddString("json", "BENCH_flash.json", "output JSON path");
   flags.AddBool("smoke", false, "CI-sized run: one small sweep point");
-  flags.AddBool("help", false, "print usage");
-  ConsumeThreadsFlag(&argc, argv);
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_flash_tier: three-tier KV cache benchmark\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_flash_tier: three-tier KV cache benchmark");
   const bool smoke = flags.GetBool("smoke");
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n",
-                 flags.GetString("model").c_str());
-    return 2;
-  }
-  const DatasetProfile profile = flags.GetString("dataset") == "ultrachat"
-                                     ? UltraChatProfile()
-                                     : ShareGptProfile();
-  const GpuCostModel cost_model(model, A100Spec(model.num_gpus));
+  Workload workload = WorkloadFromFlags(flags);
+  const GpuCostModel cost_model(workload.model, A100Spec(workload.model.num_gpus));
 
   EngineOverrides base;
   base.cache_scale = flags.GetDouble("cache_scale");
@@ -152,16 +125,9 @@ int Run(int argc, char** argv) {
   const double ssd_gb = flags.GetDouble("ssd-capacity");
   const std::string kv_quant_flag = flags.GetString("kv-quant");
   if (kv_quant_flag != "on" && kv_quant_flag != "off") {
-    std::fprintf(stderr, "--kv-quant must be 'on' or 'off', got '%s'\n",
-                 kv_quant_flag.c_str());
-    return 2;
+    ExitWithUsage(flags, "--kv-quant must be 'on' or 'off', got '" + kv_quant_flag + "'");
   }
   base.kv_quant = kv_quant_flag == "on";
-
-  TraceOptions trace_options;
-  trace_options.conversation_rate = flags.GetDouble("rate");
-  trace_options.mean_think_time = flags.GetDouble("think");
-  trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
 
   const std::vector<int64_t> sweep_sizes =
       smoke ? std::vector<int64_t>{12}
@@ -218,19 +184,18 @@ int Run(int argc, char** argv) {
   // ---- 1. Conversation-set sweep: flash off vs on ------------------------
   std::printf("==== flash-tier sweep (%s, %s, cache x%.2f, cpu x%.2f, ssd "
               "%.0f GiB) ====\n",
-              model.name.c_str(), flags.GetString("dataset").c_str(),
+              workload.model.name.c_str(), workload.profile.name.c_str(),
               base.cache_scale, base.cpu_cache_scale, ssd_gb);
   std::printf("%-7s %-6s %9s %12s %12s %12s %9s %9s %12s\n", "convs", "flash",
               "completed", "p99_ttft_ms", "mean_ttft_ms", "p99 ms/tok",
               "hit_rate", "ssd_hit", "recomputed");
   for (int64_t convs : sweep_sizes) {
-    trace_options.num_conversations = convs;
+    workload.trace.num_conversations = convs;
     RunResult off;
     for (int flash = 0; flash <= 1; ++flash) {
       EngineOverrides overrides = base;
       overrides.ssd_capacity_gb = flash ? ssd_gb : 0.0;
-      const RunResult r =
-          RunOnce(cost_model, profile, trace_options, overrides);
+      const RunResult r = RunOnce(cost_model, workload, overrides);
       const EngineStats& e = r.summary.engine_stats;
       std::printf("%-7ld %-6s %9ld %12.1f %12.1f %12.1f %9.3f %9.3f %12ld\n",
                   static_cast<long>(convs), flash ? "on" : "off",
@@ -261,8 +226,7 @@ int Run(int argc, char** argv) {
         // through the num_ssd_blocks=0 engine must reproduce it exactly.
         EngineOverrides zero = base;
         zero.ssd_capacity_gb = 0.0;
-        const RunResult z =
-            RunOnce(cost_model, profile, trace_options, zero);
+        const RunResult z = RunOnce(cost_model, workload, zero);
         if (StatsFingerprint(z.summary) != StatsFingerprint(r.summary)) {
           std::fprintf(stderr,
                        "FAIL convs=%ld: ssd-capacity=0 diverged from the "
@@ -302,8 +266,7 @@ int Run(int argc, char** argv) {
         // Self-check: the same trace through the flash tier twice is
         // deterministic (checked once, on the largest sweep point).
         if (convs == sweep_sizes.back()) {
-          const RunResult again =
-              RunOnce(cost_model, profile, trace_options, overrides);
+          const RunResult again = RunOnce(cost_model, workload, overrides);
           if (StatsFingerprint(again.summary) != StatsFingerprint(r.summary)) {
             std::fprintf(stderr,
                          "FAIL convs=%ld: repeated flash-on run diverged\n"
@@ -324,7 +287,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 1;
   }
-  out << BenchJsonHeader("flash_tier") << "  \"model\": \"" << model.name
+  out << BenchJsonHeader("flash_tier") << "  \"model\": \"" << workload.model.name
       << "\",\n  \"kv_quant\": " << (base.kv_quant ? "true" : "false")
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"entries\": [\n";

@@ -192,7 +192,6 @@ int Run(int argc, char** argv) {
   flags.AddString("decode_ms", "1,2,4,8", "batch sizes for the decode regime");
   flags.AddString("gemv_threads", "1,2,4,8",
                   "thread counts for the m=1 scaling sweep");
-  flags.AddInt("threads", 0, "pool size for the main sections (0 = default)");
   flags.AddDouble("min_time", 0.2, "min seconds of timing per measurement");
   flags.AddBool("smoke", false, "CI-sized run: tiny m, one model, short sweep");
   flags.AddString("weight-quant", "both",
@@ -200,11 +199,7 @@ int Run(int argc, char** argv) {
   flags.AddDouble("int8_gate", 0.02,
                   "max relative L-inf error of the int8 path vs fp32 before "
                   "the run fails (accuracy self-check)");
-  const Status st = flags.Parse(argc, argv);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n%s", st.message().c_str(), flags.Help().c_str());
-    return 1;
-  }
+  ParseFlagsOrExit(&flags, argc, argv, "bench_gemm: packed GEMM throughput");
 
   int64_t prefill_m = flags.GetInt("prefill_m");
   std::vector<int64_t> decode_ms = ParseIntList(flags.GetString("decode_ms"));
@@ -218,14 +213,12 @@ int Run(int argc, char** argv) {
     models = {"opt-13b"};
     min_time = 0.02;
   }
-  if (flags.GetInt("threads") > 0) {
-    ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads")));
-  }
   const int threads = ThreadPool::Global().num_threads();
   const std::string quant_sweep = flags.GetString("weight-quant");
-  PENSIEVE_CHECK(quant_sweep == "fp32" || quant_sweep == "int8" ||
-                 quant_sweep == "both")
-      << "unknown --weight-quant '" << quant_sweep << "' (fp32, int8, both)";
+  if (quant_sweep != "fp32" && quant_sweep != "int8" && quant_sweep != "both") {
+    ExitWithUsage(flags,
+                  "unknown --weight-quant '" + quant_sweep + "' (fp32, int8, both)");
+  }
   const bool run_fp32 = quant_sweep != "int8";
   const bool run_int8 = quant_sweep != "fp32";
   const double int8_gate = flags.GetDouble("int8_gate");
@@ -347,8 +340,7 @@ int Run(int argc, char** argv) {
                     static_cast<long long>(t), fp32_tps);
       }
     }
-    ThreadPool::SetGlobalThreads(
-        flags.GetInt("threads") > 0 ? static_cast<int>(flags.GetInt("threads")) : 0);
+    ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads")));
   }
 
   if (run_int8) {

@@ -46,15 +46,8 @@ LinkFaultProfile MixedProfile(double rate) {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-13b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt",
-                  "workload profile: sharegpt or ultrachat");
-  flags.AddDouble("rate", 1.2, "conversation arrival rate (conversations/s)");
-  flags.AddInt("conversations", BenchConversations(120),
-               "number of conversations in the trace");
-  flags.AddDouble("think", 20.0, "mean user think time (s)");
-  flags.AddInt("seed", 42, "workload seed");
+  AddWorkloadFlags(&flags, {.rate = 1.2, .conversations = BenchConversations(120),
+                            .think = 20.0});
   flags.AddDouble("cache_scale", 0.15,
                   "KV-cache scale; small values force swap traffic");
   flags.AddDouble("cpu-scale", 0.3,
@@ -67,39 +60,15 @@ int Run(int argc, char** argv) {
   flags.AddInt("fault_seed", 7, "fault-injection RNG seed");
   flags.AddBool("smoke", false,
                 "CI-sized run: 12 conversations, rates {0, 0.05}");
-  flags.AddBool("help", false, "print usage");
-  ConsumeThreadsFlag(&argc, argv);
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_kv_faults: KV-transfer fault-injection sweep\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_kv_faults: KV-transfer fault-injection sweep");
   const bool smoke = flags.GetBool("smoke");
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n",
-                 flags.GetString("model").c_str());
-    return 2;
+  Workload workload = WorkloadFromFlags(flags);
+  if (smoke) {
+    workload.trace.num_conversations = 12;
   }
-  const DatasetProfile profile = flags.GetString("dataset") == "ultrachat"
-                                     ? UltraChatProfile()
-                                     : ShareGptProfile();
-  const GpuCostModel cost_model(model, A100Spec(model.num_gpus));
-
-  TraceOptions trace_options;
-  trace_options.num_conversations =
-      smoke ? 12 : flags.GetInt("conversations");
-  trace_options.conversation_rate = flags.GetDouble("rate");
-  trace_options.mean_think_time = flags.GetDouble("think");
-  trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const WorkloadTrace trace(profile, trace_options);
+  const GpuCostModel cost_model(workload.model, A100Spec(workload.model.num_gpus));
+  const WorkloadTrace trace(workload.profile, workload.trace);
 
   std::vector<double> rates;
   if (smoke) {
@@ -111,7 +80,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "==== KV-transfer faults (%s, %s, cache x%.2f, ssd %.0f GiB, %ld "
       "attempts) ====\n",
-      model.name.c_str(), flags.GetString("dataset").c_str(),
+      workload.model.name.c_str(), workload.profile.name.c_str(),
       flags.GetDouble("cache_scale"), flags.GetDouble("ssd-capacity"),
       static_cast<long>(flags.GetInt("max_attempts")));
   std::printf("%-10s %9s %10s %12s %9s %8s %8s %7s %9s %8s %7s %9s %11s %9s\n",

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
-#include "bench_serving_common.h"
 #include "bench/bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/model/model_config.h"
 #include "src/sim/hardware.h"
 #include "src/sim/pcie_link.h"
@@ -78,9 +78,11 @@ void EndToEnd(bool smoke) {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  const bool smoke = pensieve::ConsumeSmokeFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N] [--smoke]");
+  pensieve::FlagParser flags;
+  flags.AddBool("smoke", false, "CI-sized run with the swap-in priority self-check");
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_pcie_duplex: PCIe duplex ablation");
+  const bool smoke = flags.GetBool("smoke");
   pensieve::LinkLevel(smoke);
   pensieve::EndToEnd(smoke);
   return 0;

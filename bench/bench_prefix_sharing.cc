@@ -50,10 +50,9 @@ struct RunResult {
   double template_mean_ttft = 0.0;
 };
 
-RunResult RunOnce(const GpuCostModel& cost_model, const DatasetProfile& profile,
-                  const TraceOptions& trace_options,
+RunResult RunOnce(const GpuCostModel& cost_model, const Workload& workload,
                   const EngineOverrides& overrides) {
-  const WorkloadTrace trace(profile, trace_options);
+  const WorkloadTrace trace(workload.profile, workload.trace);
   auto engine = MakeEngine(SystemKind::kPensieve, cost_model, overrides);
   std::vector<RequestOutcome> outcomes;
   DriverOptions driver;
@@ -115,15 +114,12 @@ std::string StatsFingerprint(const ServingSummary& s) {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-66b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt",
-                  "workload profile: sharegpt or ultrachat");
-  flags.AddInt("conversations", 0,
-               "conversation count (0 = bench default, 150)");
-  flags.AddDouble("rate", 1.5, "conversation arrival rate (conversations/s)");
-  flags.AddDouble("think", 60.0, "mean user think time (s)");
-  flags.AddInt("seed", 42, "workload seed");
+  AddWorkloadFlags(&flags, {.model = "opt-66b",
+                            .rate = 1.5,
+                            .conversations = 0,
+                            .conversations_help =
+                                "conversation count (0 = bench default, 150)",
+                            .think = 60.0});
   flags.AddDouble("cache_scale", 4.0,
                   "GPU+CPU cache scale (1.0 = paper setup). The default is "
                   "large enough that the trace's retained KV fits the GPU, "
@@ -135,45 +131,20 @@ int Run(int argc, char** argv) {
                "template prefix length prepended to each first turn (tokens)");
   flags.AddString("json", "BENCH_prefix.json", "output JSON path");
   flags.AddBool("smoke", false, "CI-sized run: small trace, short prefixes");
-  flags.AddBool("help", false, "print usage");
-  ConsumeThreadsFlag(&argc, argv);
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_prefix_sharing: shared-prefix dedup benchmark\n\n"
-                "flags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
+  ParseFlagsOrExit(&flags, argc, argv,
+                   "bench_prefix_sharing: shared-prefix dedup benchmark");
   const bool smoke = flags.GetBool("smoke");
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n",
-                 flags.GetString("model").c_str());
-    return 2;
-  }
-  const DatasetProfile profile = flags.GetString("dataset") == "ultrachat"
-                                     ? UltraChatProfile()
-                                     : ShareGptProfile();
+  Workload workload = WorkloadFromFlags(flags);
+  const ModelConfig& model = workload.model;
   const GpuCostModel cost_model(model, A100Spec(model.num_gpus));
 
   EngineOverrides base;
   base.cache_scale = flags.GetDouble("cache_scale");
 
-  TraceOptions trace_options;
-  trace_options.conversation_rate = flags.GetDouble("rate");
-  trace_options.mean_think_time = flags.GetDouble("think");
-  trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  int64_t conversations = flags.GetInt("conversations");
-  if (conversations <= 0) {
-    conversations = smoke ? 20 : BenchConversations(150);
+  if (workload.trace.num_conversations <= 0) {
+    workload.trace.num_conversations = smoke ? 20 : BenchConversations(150);
   }
-  trace_options.num_conversations = conversations;
+  const int64_t conversations = workload.trace.num_conversations;
   const int64_t templates =
       smoke ? std::min<int64_t>(flags.GetInt("templates"), 4)
             : flags.GetInt("templates");
@@ -189,7 +160,7 @@ int Run(int argc, char** argv) {
   std::vector<std::string> json_entries;
   std::printf("==== prefix sharing (%s, %s, %ld conversations, %ld templates "
               "x %ld tokens) ====\n",
-              model.name.c_str(), flags.GetString("dataset").c_str(),
+              model.name.c_str(), workload.profile.name.c_str(),
               static_cast<long>(conversations), static_cast<long>(templates),
               static_cast<long>(prefix_len));
   std::printf("%-5s %-6s %9s %12s %12s %14s %11s %10s %10s %11s\n", "tmpl",
@@ -199,12 +170,12 @@ int Run(int argc, char** argv) {
   RunResult pin;          // templates=0, sharing off: the pre-dedup baseline
   RunResult template_off; // templates=N, sharing off
   for (const int64_t tmpl : {static_cast<int64_t>(0), templates}) {
-    trace_options.num_prefix_templates = tmpl;
-    trace_options.prefix_len = tmpl > 0 ? prefix_len : 0;
+    workload.trace.num_prefix_templates = tmpl;
+    workload.trace.prefix_len = tmpl > 0 ? prefix_len : 0;
     for (int share = 0; share <= 1; ++share) {
       EngineOverrides overrides = base;
       overrides.enable_prefix_sharing = share == 1;
-      const RunResult r = RunOnce(cost_model, profile, trace_options, overrides);
+      const RunResult r = RunOnce(cost_model, workload, overrides);
       const EngineStats& e = r.summary.engine_stats;
       const double peak_gb =
           static_cast<double>(e.gpu_peak_allocated_blocks) * gb_per_block;
@@ -309,8 +280,7 @@ int Run(int argc, char** argv) {
           ++failures;
         }
         // Self-check: deterministic replay.
-        const RunResult again =
-            RunOnce(cost_model, profile, trace_options, overrides);
+        const RunResult again = RunOnce(cost_model, workload, overrides);
         if (StatsFingerprint(again.summary) != StatsFingerprint(r.summary)) {
           std::fprintf(stderr,
                        "FAIL: repeated template run diverged\n  1st: %s\n"

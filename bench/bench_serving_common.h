@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,61 +53,6 @@ inline int64_t BenchConversations(int64_t default_value = 300) {
     return std::strtoll(env, nullptr, 10);
   }
   return default_value;
-}
-
-// Uniform --threads plumbing for every bench binary: consumes
-// `--threads=N` / `--threads N` from argv (so binaries with their own flag
-// handling never see it) and sizes the global pool. N <= 0 or an absent
-// flag keeps the default (PENSIEVE_THREADS env var, else hardware
-// concurrency).
-inline void ConsumeThreadsFlag(int* argc, char** argv) {
-  int threads = 0;
-  int write = 1;
-  for (int read = 1; read < *argc; ++read) {
-    const char* arg = argv[read];
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
-      continue;
-    }
-    if (std::strcmp(arg, "--threads") == 0 && read + 1 < *argc) {
-      threads = std::atoi(argv[read + 1]);
-      ++read;
-      continue;
-    }
-    argv[write++] = argv[read];
-  }
-  *argc = write;
-  ThreadPool::SetGlobalThreads(threads);
-}
-
-// Consumes `--smoke` from argv; returns true when present. Benches use it
-// to shrink to CI size and turn on their self-checks (a violated invariant
-// exits nonzero, which makes the smoke ctest entry a real test).
-inline bool ConsumeSmokeFlag(int* argc, char** argv) {
-  bool smoke = false;
-  int write = 1;
-  for (int read = 1; read < *argc; ++read) {
-    if (std::strcmp(argv[read], "--smoke") == 0) {
-      smoke = true;
-      continue;
-    }
-    argv[write++] = argv[read];
-  }
-  *argc = write;
-  return smoke;
-}
-
-// For benches whose only flags are --threads and (where supported) --smoke,
-// called once both are consumed: anything left in argv is a typo or an
-// unsupported flag, so the binary names it and exits 2 before doing any
-// work rather than silently running its full sweep.
-inline void RejectLeftoverArgs(int argc, char** argv, const char* usage) {
-  if (argc <= 1) {
-    return;
-  }
-  std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s %s\n", argv[0],
-               argv[1], argv[0], usage);
-  std::exit(2);
 }
 
 inline void RunSystemsSweep(const std::string& title, const GpuCostModel& cost_model,

@@ -141,20 +141,7 @@ int Run(int argc, char** argv) {
   flags.AddString("json", "BENCH_sim.json", "output JSON path");
   flags.AddString("label", "current", "tag recorded on every entry");
   flags.AddBool("smoke", false, "CI-sized configs, each run twice and compared");
-  flags.AddBool("help", false, "print usage");
-  ConsumeThreadsFlag(&argc, argv);
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok() || !flags.positional().empty()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s",
-                 status.ok() ? "unexpected positional argument" : status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("bench_sim: simulator wall-clock benchmark\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
+  ParseFlagsOrExit(&flags, argc, argv, "bench_sim: simulator wall-clock benchmark");
   const bool smoke = flags.GetBool("smoke");
   const std::string label = flags.GetString("label");
 

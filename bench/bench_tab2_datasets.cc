@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_serving_common.h"
+#include "src/common/flags.h"
 #include "src/workload/dataset.h"
 
 namespace pensieve {
@@ -53,8 +54,9 @@ void RunTable2() {
 }  // namespace pensieve
 
 int main(int argc, char** argv) {
-  pensieve::ConsumeThreadsFlag(&argc, argv);
-  pensieve::RejectLeftoverArgs(argc, argv, "[--threads=N]");
+  pensieve::FlagParser flags;
+  pensieve::ParseFlagsOrExit(&flags, argc, argv,
+                             "bench_tab2_datasets: Table 2, dataset statistics");
   pensieve::RunTable2();
   return 0;
 }

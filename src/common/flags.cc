@@ -1,9 +1,11 @@
 #include "src/common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 
 namespace pensieve {
 
@@ -165,6 +167,31 @@ std::string FlagParser::Help() const {
     os << "\n      " << flag.help << "\n";
   }
   return os.str();
+}
+
+void ExitWithUsage(const FlagParser& flags, const std::string& why) {
+  std::fprintf(stderr, "%s\n\nflags:\n%s", why.c_str(), flags.Help().c_str());
+  std::exit(2);
+}
+
+void ParseFlagsOrExit(FlagParser* flags, int argc, char** argv,
+                      const std::string& title) {
+  flags->AddInt("threads", 0,
+                "worker threads for the CPU kernels/GEMMs; 0 = PENSIEVE_THREADS "
+                "env var, else hardware concurrency");
+  flags->AddBool("help", false, "print usage");
+  const Status status = flags->Parse(argc, argv);
+  if (!status.ok()) {
+    ExitWithUsage(*flags, status.ToString());
+  }
+  if (!flags->positional().empty()) {
+    ExitWithUsage(*flags, "unexpected argument '" + flags->positional().front() + "'");
+  }
+  if (flags->GetBool("help")) {
+    std::printf("%s\n\nflags:\n%s", title.c_str(), flags->Help().c_str());
+    std::exit(0);
+  }
+  ThreadPool::SetGlobalThreads(static_cast<int>(flags->GetInt("threads")));
 }
 
 }  // namespace pensieve

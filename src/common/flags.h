@@ -1,7 +1,9 @@
-// Minimal command-line flag parsing for the tools/ binaries.
+// Minimal command-line flag parsing for the tools/ and bench/ binaries.
 //
 // Supports `--name=value` and `--name value`; unknown flags are errors so
-// typos surface immediately.
+// typos surface immediately. Binaries parse through ParseFlagsOrExit, so
+// every one of them accepts --threads and --help and rejects bad input the
+// same way.
 
 #ifndef PENSIEVE_SRC_COMMON_FLAGS_H_
 #define PENSIEVE_SRC_COMMON_FLAGS_H_
@@ -27,6 +29,9 @@ class FlagParser {
 
   // Parses argv. Returns an error on unknown flags or malformed values.
   Status Parse(int argc, char** argv);
+
+  // True when `name` is registered.
+  bool Has(const std::string& name) const { return flags_.count(name) > 0; }
 
   const std::string& GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
@@ -56,6 +61,17 @@ class FlagParser {
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
 };
+
+// Prints `why` and the usage text to stderr and exits 2.
+[[noreturn]] void ExitWithUsage(const FlagParser& flags, const std::string& why);
+
+// The argument entry point of every command-line binary: registers
+// --threads and --help, parses argv and sizes the global thread pool. An
+// unknown flag, a malformed value or any positional argument exits 2 through
+// ExitWithUsage before the binary does any work; --help prints `title` and
+// the usage text to stdout and exits 0.
+void ParseFlagsOrExit(FlagParser* flags, int argc, char** argv,
+                      const std::string& title);
 
 }  // namespace pensieve
 

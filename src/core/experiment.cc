@@ -88,6 +88,35 @@ std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_mod
   return nullptr;
 }
 
+void AddWorkloadFlags(FlagParser* flags, const WorkloadDefaults& defaults) {
+  flags->AddString("model", defaults.model,
+                   "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
+  flags->AddString("dataset", "sharegpt", "workload profile: sharegpt or ultrachat");
+  flags->AddDouble("rate", defaults.rate, "conversation arrival rate (conversations/s)");
+  if (defaults.conversations.has_value()) {
+    flags->AddInt("conversations", *defaults.conversations, defaults.conversations_help);
+  }
+  flags->AddDouble("think", defaults.think, "mean user think time (s)");
+  flags->AddInt("seed", 42, "workload seed");
+}
+
+Workload WorkloadFromFlags(const FlagParser& flags) {
+  Workload workload;
+  if (!ModelConfigByName(flags.GetString("model"), &workload.model)) {
+    ExitWithUsage(flags, "unknown model '" + flags.GetString("model") + "'");
+  }
+  if (!DatasetProfileByName(flags.GetString("dataset"), &workload.profile)) {
+    ExitWithUsage(flags, "unknown dataset '" + flags.GetString("dataset") + "'");
+  }
+  if (flags.Has("conversations")) {
+    workload.trace.num_conversations = flags.GetInt("conversations");
+  }
+  workload.trace.conversation_rate = flags.GetDouble("rate");
+  workload.trace.mean_think_time = flags.GetDouble("think");
+  workload.trace.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  return workload;
+}
+
 std::vector<SweepPoint> RateSweep(SystemKind kind, const GpuCostModel& cost_model,
                                   const DatasetProfile& profile,
                                   const std::vector<double>& conversation_rates,

@@ -9,9 +9,11 @@
 #define PENSIEVE_SRC_CORE_EXPERIMENT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/serving/driver.h"
 #include "src/serving/engine.h"
 #include "src/serving/pensieve_engine.h"
@@ -78,6 +80,35 @@ struct EngineOverrides {
 
 std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_model,
                                    const EngineOverrides& overrides = {});
+
+// --- Workload flag group ---------------------------------------------------
+// --model, --dataset, --rate, --conversations, --think and --seed, shared by
+// pensieve_sim and the serving benches. Each binary passes its own defaults;
+// --dataset defaults to sharegpt and --seed to 42 everywhere.
+struct WorkloadDefaults {
+  std::string model = "opt-13b";
+  double rate = 1.0;
+  // Unset: the binary picks its conversation counts itself and has no
+  // --conversations flag.
+  std::optional<int64_t> conversations = std::nullopt;
+  std::string conversations_help = "number of conversations in the trace";
+  double think = 60.0;
+};
+
+void AddWorkloadFlags(FlagParser* flags, const WorkloadDefaults& defaults);
+
+// What the workload flags name. `trace` carries the conversation count
+// (when the group has --conversations), rate, think time and seed; the
+// other TraceOptions fields keep their defaults.
+struct Workload {
+  ModelConfig model;
+  DatasetProfile profile;
+  TraceOptions trace;
+};
+
+// Resolves the parsed workload flags. An unknown model or dataset name exits
+// 2 through ExitWithUsage.
+Workload WorkloadFromFlags(const FlagParser& flags);
 
 struct SweepPoint {
   double conversation_rate = 0.0;

@@ -44,6 +44,17 @@ StatefulLlmServer::StatefulLlmServer(const StatefulServerConfig& config)
       << "StatefulLlmServer executes real numerics; use a tiny model preset";
 }
 
+std::vector<BlockId> StatefulLlmServer::GpuBlockTable(int64_t conversation_id) const {
+  std::vector<BlockId> table;
+  if (auto it = conversation_prefix_.find(conversation_id);
+      it != conversation_prefix_.end()) {
+    table = cache_.GpuBlockTable(shared_prefixes_.at(it->second).cache_key);
+  }
+  const std::vector<BlockId> own = cache_.GpuBlockTable(conversation_id);
+  table.insert(table.end(), own.begin(), own.end());
+  return table;
+}
+
 const std::vector<int32_t>& StatefulLlmServer::History(int64_t conversation_id) const {
   static const std::vector<int32_t> kEmpty;
   auto it = history_.find(conversation_id);
@@ -66,11 +77,9 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   // prefix's pinned blocks in front of their own; all absolute positions
   // shift by the shared length.
   int64_t prefix_len = 0;
-  const SharedPrefix* prefix = nullptr;
   if (auto pit = conversation_prefix_.find(conversation_id);
       pit != conversation_prefix_.end()) {
-    prefix = &shared_prefixes_.at(pit->second);
-    prefix_len = prefix->shared_len;
+    prefix_len = shared_prefixes_.at(pit->second).shared_len;
   }
   const int64_t kv = conv.kv_len();
   // The last token generated by the previous turn is left unprocessed (its
@@ -105,7 +114,9 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
     PENSIEVE_CHECK_OK(cache_.RestoreDropped(conversation_id, i));
   }
 
-  // Batch input = recomputed dropped prefix ++ (pending + prompt) tail.
+  // Batch input = recomputed dropped prefix ++ (pending + prompt) tail. Every
+  // position is absolute in the full context (shared prefix first), and
+  // attention reads one prefix ++ own block table for the whole turn.
   ForwardBatch batch;
   for (int64_t i = 0; i < dropped_chunks; ++i) {
     const Chunk& c = conv.chunk(i);
@@ -121,16 +132,17 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   for (int64_t j = 0; j < tail_len; ++j) {
     const int64_t pos = kv + j;
     batch.tokens.push_back(hist[static_cast<size_t>(pos)]);
-    batch.positions.push_back(pos);
+    batch.positions.push_back(prefix_len + pos);
     batch.kv_slots.push_back({tail_slots[static_cast<size_t>(j)].block,
                               tail_slots[static_cast<size_t>(j)].slot});
   }
-  const std::vector<BlockId> table = cache_.GpuBlockTable(conversation_id);
+  std::vector<BlockId> table = GpuBlockTable(conversation_id);
   if (dropped_tokens > 0) {
-    // Recomputed prefix attends only to itself (paper §4.3.4).
-    batch.subs.push_back({0, dropped_tokens, dropped_tokens, &table});
+    // Recomputed prefix attends only to itself and the shared prefix (paper
+    // §4.3.4).
+    batch.subs.push_back({0, dropped_tokens, prefix_len + dropped_tokens, &table});
   }
-  batch.subs.push_back({dropped_tokens, tail_len, conv.kv_len(), &table});
+  batch.subs.push_back({dropped_tokens, tail_len, prefix_len + conv.kv_len(), &table});
   batch.logit_rows.push_back(dropped_tokens + tail_len - 1);
 
   Tensor logits;
@@ -144,7 +156,6 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   std::vector<int32_t> generated;
   generated.reserve(static_cast<size_t>(max_new_tokens));
   ForwardBatch decode;
-  std::vector<BlockId> decode_table;
   std::vector<ContextState::SlotRef> slot;
   for (int64_t step = 0; step < max_new_tokens; ++step) {
     generated.push_back(next);
@@ -159,22 +170,14 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
     }
     slot.clear();
     PENSIEVE_CHECK_OK(cache_.AppendTokenSlots(conversation_id, 1, &slot));
-    decode_table.clear();
-    if (prefix_len > 0) {
-      const std::vector<BlockId> prefix_table =
-          cache_.GpuBlockTable(prefix->cache_key);
-      decode_table.insert(decode_table.end(), prefix_table.begin(),
-                          prefix_table.end());
+    if (slot[0].slot == 0) {
+      table.push_back(slot[0].block);  // the append opened a new chunk
     }
-    const std::vector<BlockId> own_decode_table =
-        cache_.GpuBlockTable(conversation_id);
-    decode_table.insert(decode_table.end(), own_decode_table.begin(),
-                        own_decode_table.end());
     decode.tokens.assign(1, next);
     decode.positions.assign(1, prefix_len + conv.kv_len() - 1);
     decode.kv_slots.assign(1, ForwardBatch::KvSlot{slot[0].block, slot[0].slot});
     decode.subs.assign(
-        1, AttentionSubRequest{0, 1, prefix_len + conv.kv_len(), &decode_table});
+        1, AttentionSubRequest{0, 1, prefix_len + conv.kv_len(), &table});
     decode.logit_rows.assign(1, 0);
     model_->ForwardInto(cache_.gpu_pool(), decode, &logits);
     next = Transformer::Greedy(logits, 0);

@@ -84,6 +84,9 @@ class StatefulLlmServer {
 
   const TwoTierKvCache& cache() const { return cache_; }
   const Transformer& model() const { return *model_; }
+  // GPU block table a conversation's attention reads: its shared prefix's
+  // blocks (if any), then its own. Every chunk must be GPU-resident.
+  std::vector<BlockId> GpuBlockTable(int64_t conversation_id) const;
   // Raw token history (prompts + responses) of a conversation.
   const std::vector<int32_t>& History(int64_t conversation_id) const;
 

@@ -99,6 +99,7 @@ class TwoTierKvCache {
 
   // Null in simulated mode.
   KvPool* gpu_pool() { return gpu_pool_.get(); }
+  const KvPool* gpu_pool() const { return gpu_pool_.get(); }
   KvPool* cpu_pool() { return cpu_pool_.get(); }
 
   // Flash tier (null when num_ssd_blocks == 0).

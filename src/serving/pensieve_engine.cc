@@ -884,7 +884,7 @@ StepResult PensieveEngine::Step(double now) {
     max_restore_overhang = std::max(max_restore_overhang, r.restore_transfer_s);
   }
 
-  const double compute_s = UnifiedStepTime(cost_model_, items, options_.dense_speedup);
+  const double compute_s = UnifiedStepTime(cost_model_, items, /*dense_speedup=*/1.0);
   const double restore_stall =
       RestoreStall(compute_s, max_restore_overhang, cost_model_.model().num_layers,
                    options_.pipelined_restore);

@@ -49,7 +49,6 @@ struct PensieveEngineOptions {
   bool unified_scheduling = true;  // false => Figure 13 split-phase ablation
   bool pipelined_restore = true;   // false => blocking swap-in ablation
   bool prioritize_swap_in = true;  // false => duplex PCIe ablation (§5)
-  double dense_speedup = 1.0;
   // Cross-conversation shared-prefix dedup: conversations opening with the
   // same template prefix (Request::template_id) attach refcounted views over
   // the blocks the first such conversation prefilled, skipping that prefill

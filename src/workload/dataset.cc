@@ -30,6 +30,17 @@ DatasetProfile UltraChatProfile() {
   return p;
 }
 
+bool DatasetProfileByName(const std::string& name, DatasetProfile* profile) {
+  if (name == "sharegpt") {
+    *profile = ShareGptProfile();
+  } else if (name == "ultrachat") {
+    *profile = UltraChatProfile();
+  } else {
+    return false;
+  }
+  return true;
+}
+
 int64_t ConversationSpec::HistoryLenBeforeTurn(int64_t t) const {
   PENSIEVE_CHECK_LE(t, static_cast<int64_t>(turns.size()));
   int64_t total = 0;

@@ -36,6 +36,8 @@ struct DatasetProfile {
 DatasetProfile ShareGptProfile();
 // UltraChat (Table 2): 3.86 turns, input 51.78, output 257.81.
 DatasetProfile UltraChatProfile();
+// Looks up a profile by its name ("sharegpt" or "ultrachat"); false if none.
+bool DatasetProfileByName(const std::string& name, DatasetProfile* profile);
 
 struct TurnSpec {
   int64_t input_len = 0;

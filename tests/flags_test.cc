@@ -1,8 +1,12 @@
-// Tests for the command-line flag parser.
+// Tests for the command-line flag parser, the ParseFlagsOrExit entry point
+// and the workload flag group.
 
 #include <gtest/gtest.h>
 
 #include "src/common/flags.h"
+#include "src/common/thread_pool.h"
+#include "src/core/experiment.h"
+#include "src/workload/dataset.h"
 
 namespace pensieve {
 namespace {
@@ -118,6 +122,117 @@ TEST(FlagsTest, HelpListsEveryFlag) {
   EXPECT_NE(help.find("--count"), std::string::npos);
   EXPECT_NE(help.find("--rate"), std::string::npos);
   EXPECT_NE(help.find("--verbose"), std::string::npos);
+}
+
+// --- ParseFlagsOrExit ---------------------------------------------------------
+// The error paths exit the process, so they run as death tests. "threadsafe"
+// re-executes the test binary for each one instead of forking a process
+// that may already hold thread-pool workers.
+
+void ParseOrExit(FlagParser* flags, std::vector<std::string> args) {
+  auto argv = Argv(args);
+  ParseFlagsOrExit(flags, static_cast<int>(argv.size()), argv.data(), "prog: a test");
+}
+
+TEST(ParseFlagsOrExitTest, ParsesFlagsAndSizesThePool) {
+  FlagParser flags = MakeParser();
+  ParseOrExit(&flags, {"--count=3", "--threads=3"});
+  EXPECT_EQ(flags.GetInt("count"), 3);
+  EXPECT_EQ(ThreadPool::Global().num_threads(), 3);
+  ParseOrExit(&flags, {});
+  EXPECT_EQ(ThreadPool::Global().num_threads(), ThreadPool::DefaultThreads());
+}
+
+TEST(ParseFlagsOrExitTest, MalformedCommandLinesExitTwo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FlagParser flags = MakeParser();
+  EXPECT_EXIT(ParseOrExit(&flags, {"--bogus"}), ::testing::ExitedWithCode(2),
+              "unknown flag --bogus(.|\n)*flags:(.|\n)*--threads");
+  EXPECT_EXIT(ParseOrExit(&flags, {"--count=twelve"}), ::testing::ExitedWithCode(2),
+              "--count expects an integer");
+  EXPECT_EXIT(ParseOrExit(&flags, {"--count=1", "stray"}),
+              ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
+  EXPECT_EXIT(ParseOrExit(&flags, {"--threads"}), ::testing::ExitedWithCode(2),
+              "--threads is missing a value");
+}
+
+TEST(ParseFlagsOrExitTest, HelpExitsZero) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FlagParser flags = MakeParser();
+  EXPECT_EXIT(ParseOrExit(&flags, {"--help"}), ::testing::ExitedWithCode(0), "");
+  // --help wins over the other flags but not over a parse error.
+  EXPECT_EXIT(ParseOrExit(&flags, {"--help", "--bogus"}), ::testing::ExitedWithCode(2),
+              "unknown flag --bogus");
+}
+
+// --- Workload flag group -----------------------------------------------------
+
+TEST(WorkloadFlagsTest, DatasetProfileByName) {
+  DatasetProfile profile;
+  ASSERT_TRUE(DatasetProfileByName("sharegpt", &profile));
+  EXPECT_EQ(profile.name, "sharegpt");
+  EXPECT_DOUBLE_EQ(profile.mean_turns, ShareGptProfile().mean_turns);
+  ASSERT_TRUE(DatasetProfileByName("ultrachat", &profile));
+  EXPECT_EQ(profile.name, "ultrachat");
+  EXPECT_DOUBLE_EQ(profile.mean_turns, UltraChatProfile().mean_turns);
+  EXPECT_FALSE(DatasetProfileByName("ultrachatt", &profile));
+  EXPECT_FALSE(DatasetProfileByName("ShareGPT", &profile));
+  EXPECT_FALSE(DatasetProfileByName("", &profile));
+}
+
+Workload ParseWorkload(const WorkloadDefaults& defaults, std::vector<std::string> args) {
+  FlagParser flags;
+  AddWorkloadFlags(&flags, defaults);
+  ParseOrExit(&flags, std::move(args));
+  return WorkloadFromFlags(flags);
+}
+
+TEST(WorkloadFlagsTest, DefaultsFillTheTrace) {
+  const Workload w = ParseWorkload(
+      {.model = "opt-66b", .rate = 1.5, .conversations = 77, .think = 20.0}, {});
+  EXPECT_EQ(w.model.name, Opt66BConfig().name);
+  EXPECT_EQ(w.profile.name, "sharegpt");
+  EXPECT_EQ(w.trace.num_conversations, 77);
+  EXPECT_DOUBLE_EQ(w.trace.conversation_rate, 1.5);
+  EXPECT_DOUBLE_EQ(w.trace.mean_think_time, 20.0);
+  EXPECT_EQ(w.trace.seed, 42u);
+  // Fields outside the group keep their TraceOptions defaults.
+  EXPECT_EQ(w.trace.num_prefix_templates, 0);
+  EXPECT_EQ(w.trace.prefix_len, 0);
+}
+
+TEST(WorkloadFlagsTest, FlagsOverrideDefaults) {
+  const Workload w = ParseWorkload(
+      {.conversations = 10},
+      {"--model=llama2-13b", "--dataset=ultrachat", "--rate=0.25", "--conversations=5",
+       "--think=7", "--seed=9"});
+  EXPECT_EQ(w.model.name, Llama2_13BConfig().name);
+  EXPECT_EQ(w.profile.name, "ultrachat");
+  EXPECT_EQ(w.trace.num_conversations, 5);
+  EXPECT_DOUBLE_EQ(w.trace.conversation_rate, 0.25);
+  EXPECT_DOUBLE_EQ(w.trace.mean_think_time, 7.0);
+  EXPECT_EQ(w.trace.seed, 9u);
+}
+
+TEST(WorkloadFlagsTest, ConversationsFlagIsOptional) {
+  FlagParser flags;
+  AddWorkloadFlags(&flags, {});
+  EXPECT_FALSE(flags.Has("conversations"));
+  EXPECT_TRUE(flags.Has("model"));
+  ParseOrExit(&flags, {});
+  EXPECT_EQ(WorkloadFromFlags(flags).trace.num_conversations,
+            TraceOptions().num_conversations);
+}
+
+TEST(WorkloadFlagsTest, UnknownNamesExitTwo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(ParseWorkload({}, {"--model=bogus"}), ::testing::ExitedWithCode(2),
+              "unknown model 'bogus'");
+  EXPECT_EXIT(ParseWorkload({}, {"--dataset=ultrachatt"}), ::testing::ExitedWithCode(2),
+              "unknown dataset 'ultrachatt'");
+  // Without a --conversations flag the group rejects one like any unknown flag.
+  EXPECT_EXIT(ParseWorkload({}, {"--conversations=5"}), ::testing::ExitedWithCode(2),
+              "unknown flag --conversations");
 }
 
 }  // namespace

@@ -3,9 +3,15 @@
 // The central property: Pensieve's stateful serving — with KV reuse, swaps
 // and dropped-prefix recomputation — produces exactly the same tokens as
 // stateless serving that reprocesses the full conversation from scratch at
-// every turn.
+// every turn. Greedy decode on the tiny presets tends to repeat the last
+// prompt token whatever the context holds, so token equality alone cannot
+// catch a wrong position or block table; the tests also require every KV
+// row the server holds to match the reference bit for bit.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 
 #include "src/core/stateful_server.h"
 #include "src/model/model_config.h"
@@ -35,12 +41,64 @@ std::vector<int32_t> MakePrompt(int64_t conv, int64_t start, int64_t len,
   return prompt;
 }
 
-// Serves `turns` via a fresh stateless server per turn: each turn replays
-// the full raw history as the prompt. Returns per-turn outputs.
-std::vector<std::vector<int32_t>> StatelessReference(
-    const ModelConfig& model, const std::vector<std::vector<int32_t>>& prompts,
-    int64_t output_len) {
+// Bit patterns of every K and V row (all layers) of a conversation's
+// attended context, shared prefix first, in position order. Every chunk must
+// be GPU-resident.
+std::vector<uint32_t> ContextKv(const StatefulLlmServer& server,
+                                int64_t conversation_id, int64_t prefix_len = 0) {
+  const KvPool& pool = *server.cache().gpu_pool();
+  const std::vector<BlockId> table = server.GpuBlockTable(conversation_id);
+  const int64_t num_tokens = prefix_len + server.cache().Find(conversation_id)->kv_len();
+  const int64_t row = pool.num_kv_heads() * pool.head_dim();
+  std::vector<uint32_t> bits;
+  for (int64_t layer = 0; layer < pool.num_layers(); ++layer) {
+    for (int kv = 0; kv < 2; ++kv) {
+      for (int64_t pos = 0; pos < num_tokens; ++pos) {
+        const float* data =
+            pool.TokenData(table[static_cast<size_t>(pos / pool.block_size())], layer,
+                           kv, pos % pool.block_size());
+        const size_t old_size = bits.size();
+        bits.resize(old_size + static_cast<size_t>(row));
+        std::memcpy(bits.data() + old_size, data,
+                    static_cast<size_t>(row) * sizeof(float));
+      }
+    }
+  }
+  return bits;
+}
+
+// Bitwise equality of two ContextKv dumps, naming the first differing word.
+::testing::AssertionResult SameKv(const std::vector<uint32_t>& got,
+                                  const std::vector<uint32_t>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "KV size " << got.size() << " != " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want[i]) {
+      float g = 0.0f;
+      float w = 0.0f;
+      std::memcpy(&g, &got[i], sizeof(g));
+      std::memcpy(&w, &want[i], sizeof(w));
+      return ::testing::AssertionFailure()
+             << "KV word " << i << " of " << got.size() << ": " << g << " != " << w;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Outputs of a stateless reference, plus the KV it held after each turn.
+struct Reference {
   std::vector<std::vector<int32_t>> outputs;
+  std::vector<std::vector<uint32_t>> kv;
+};
+
+// Serves `turns` via a fresh stateless server per turn: each turn replays
+// the full raw history as the prompt.
+Reference StatelessReference(const ModelConfig& model,
+                             const std::vector<std::vector<int32_t>>& prompts,
+                             int64_t output_len) {
+  Reference ref;
   std::vector<int32_t> history;
   for (const std::vector<int32_t>& prompt : prompts) {
     StatefulLlmServer fresh(TinyConfig(model, 256, 256));
@@ -48,11 +106,12 @@ std::vector<std::vector<int32_t>> StatelessReference(
     full_prompt.insert(full_prompt.end(), prompt.begin(), prompt.end());
     auto result = fresh.Chat(/*conversation_id=*/0, full_prompt, output_len);
     EXPECT_TRUE(result.ok()) << result.status();
-    outputs.push_back(result.value());
+    ref.outputs.push_back(result.value());
+    ref.kv.push_back(ContextKv(fresh, 0));
     history = full_prompt;
     history.insert(history.end(), result.value().begin(), result.value().end());
   }
-  return outputs;
+  return ref;
 }
 
 class EquivalenceTest : public ::testing::TestWithParam<const char*> {
@@ -72,13 +131,14 @@ TEST_P(EquivalenceTest, StatefulMatchesStatelessAcrossTurns) {
       MakePrompt(1, 200, 9, static_cast<int32_t>(model.vocab_size)),
   };
   const int64_t output_len = 6;
-  const auto expected = StatelessReference(model, prompts, output_len);
+  const Reference ref = StatelessReference(model, prompts, output_len);
 
   StatefulLlmServer server(TinyConfig(model));
   for (size_t turn = 0; turn < prompts.size(); ++turn) {
     auto result = server.Chat(7, prompts[turn], output_len);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result.value(), expected[turn]) << "turn " << turn;
+    EXPECT_EQ(result.value(), ref.outputs[turn]) << "turn " << turn;
+    EXPECT_TRUE(SameKv(ContextKv(server, 7), ref.kv[turn])) << "turn " << turn;
   }
 }
 
@@ -89,19 +149,21 @@ TEST_P(EquivalenceTest, SwapToCpuBetweenTurnsPreservesOutputs) {
       MakePrompt(2, 50, 8, static_cast<int32_t>(model.vocab_size)),
   };
   const int64_t output_len = 5;
-  const auto expected = StatelessReference(model, prompts, output_len);
+  const Reference ref = StatelessReference(model, prompts, output_len);
 
   StatefulLlmServer server(TinyConfig(model));
   auto t0 = server.Chat(3, prompts[0], output_len);
   ASSERT_TRUE(t0.ok());
-  EXPECT_EQ(t0.value(), expected[0]);
+  EXPECT_EQ(t0.value(), ref.outputs[0]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 3), ref.kv[0]));
   // Force the whole conversation to the CPU tier; the next turn must swap
   // it back in and produce identical tokens.
   ASSERT_TRUE(server.SwapOutConversation(3).ok());
   EXPECT_EQ(server.cache().Find(3)->TokensOnGpu(), 0);
   auto t1 = server.Chat(3, prompts[1], output_len);
   ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1.value(), expected[1]);
+  EXPECT_EQ(t1.value(), ref.outputs[1]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 3), ref.kv[1]));
 }
 
 TEST_P(EquivalenceTest, DroppedPrefixRecomputationPreservesOutputs) {
@@ -111,19 +173,21 @@ TEST_P(EquivalenceTest, DroppedPrefixRecomputationPreservesOutputs) {
       MakePrompt(4, 60, 6, static_cast<int32_t>(model.vocab_size)),
   };
   const int64_t output_len = 5;
-  const auto expected = StatelessReference(model, prompts, output_len);
+  const Reference ref = StatelessReference(model, prompts, output_len);
 
   StatefulLlmServer server(TinyConfig(model));
   auto t0 = server.Chat(5, prompts[0], output_len);
   ASSERT_TRUE(t0.ok());
-  EXPECT_EQ(t0.value(), expected[0]);
+  EXPECT_EQ(t0.value(), ref.outputs[0]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 5), ref.kv[0]));
   // Drop the first two chunks: turn 2 must recompute them from raw history
   // via the sub-request split and still match the stateless reference.
   ASSERT_TRUE(server.DropLeadingChunks(5, 2).ok());
   EXPECT_GT(server.cache().Find(5)->LeadingDroppedTokens(), 0);
   auto t1 = server.Chat(5, prompts[1], output_len);
   ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1.value(), expected[1]);
+  EXPECT_EQ(t1.value(), ref.outputs[1]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 5), ref.kv[1]));
 }
 
 TEST_P(EquivalenceTest, MixedSwapAndDropPreservesOutputs) {
@@ -134,23 +198,26 @@ TEST_P(EquivalenceTest, MixedSwapAndDropPreservesOutputs) {
       MakePrompt(6, 140, 7, static_cast<int32_t>(model.vocab_size)),
   };
   const int64_t output_len = 4;
-  const auto expected = StatelessReference(model, prompts, output_len);
+  const Reference ref = StatelessReference(model, prompts, output_len);
 
   StatefulLlmServer server(TinyConfig(model));
   auto t0 = server.Chat(9, prompts[0], output_len);
   ASSERT_TRUE(t0.ok());
-  EXPECT_EQ(t0.value(), expected[0]);
+  EXPECT_EQ(t0.value(), ref.outputs[0]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 9), ref.kv[0]));
   // Drop the first chunk, swap the rest to CPU.
   ASSERT_TRUE(server.DropLeadingChunks(9, 1).ok());
   ASSERT_TRUE(server.SwapOutConversation(9).ok());
   auto t1 = server.Chat(9, prompts[1], output_len);
   ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1.value(), expected[1]);
+  EXPECT_EQ(t1.value(), ref.outputs[1]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 9), ref.kv[1]));
   // And once more with only a swap.
   ASSERT_TRUE(server.SwapOutConversation(9).ok());
   auto t2 = server.Chat(9, prompts[2], output_len);
   ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(t2.value(), expected[2]);
+  EXPECT_EQ(t2.value(), ref.outputs[2]);
+  EXPECT_TRUE(SameKv(ContextKv(server, 9), ref.kv[2]));
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, EquivalenceTest,
@@ -258,6 +325,9 @@ TEST(SharedPrefixTest, PrefixedConversationMatchesMonolithicComputation) {
   auto got = shared.Chat(2, user_prompt, 6);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got.value(), expected.value());
+  // Positions shift by the shared length and attention reads the prefix
+  // blocks, for the re-processed prefix tail as much as for decode.
+  EXPECT_TRUE(SameKv(ContextKv(shared, 2, 16), ContextKv(mono, 1)));
 }
 
 TEST(SharedPrefixTest, ManyConversationsShareOnePrefix) {
@@ -279,6 +349,8 @@ TEST(SharedPrefixTest, ManyConversationsShareOnePrefix) {
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(got.value(), expected.value()) << "conversation " << conv;
+    EXPECT_TRUE(SameKv(ContextKv(shared, conv, 16), ContextKv(mono, 100 + conv)))
+        << "conversation " << conv;
   }
   // The shared prefix occupies its blocks exactly once, not per conversation.
   const int64_t prefix_blocks = blocks_after_prefix;
@@ -295,6 +367,7 @@ TEST(SharedPrefixTest, PrefixSurvivesConversationEvictionAndMultiTurn) {
   ASSERT_TRUE(server.StartConversationWithPrefix(1, *prefix).ok());
   auto t1 = server.Chat(1, MakePrompt(81, 0, 10, 128), 5);
   ASSERT_TRUE(t1.ok());
+  const std::vector<uint32_t> kv1 = ContextKv(server, 1, 16);
   // Evict the conversation (the pinned prefix must stay GPU-resident).
   ASSERT_TRUE(server.SwapOutConversation(1).ok());
   ASSERT_TRUE(server.DropLeadingChunks(1, 1).ok());
@@ -302,17 +375,20 @@ TEST(SharedPrefixTest, PrefixSurvivesConversationEvictionAndMultiTurn) {
   ASSERT_TRUE(t2.ok()) << t2.status();
   server.cache().CheckInvariants();
 
-  // Compare against a fresh prefixed server with the same turn sequence.
-  StatefulLlmServer reference(TinyConfig(model, 256, 256));
-  auto ref_prefix = reference.RegisterSharedPrefix(MakePrompt(80, 0, 16, 128));
-  ASSERT_TRUE(ref_prefix.ok());
-  ASSERT_TRUE(reference.StartConversationWithPrefix(1, *ref_prefix).ok());
-  auto r1 = reference.Chat(1, MakePrompt(81, 0, 10, 128), 5);
-  auto r2 = reference.Chat(1, MakePrompt(82, 0, 6, 128), 5);
+  // Compare against a monolithic server with the same turn sequence; turn 2
+  // recomputes the dropped chunk behind the shared prefix.
+  StatefulLlmServer mono(TinyConfig(model, 256, 256));
+  std::vector<int32_t> first = MakePrompt(80, 0, 16, 128);
+  const std::vector<int32_t> user = MakePrompt(81, 0, 10, 128);
+  first.insert(first.end(), user.begin(), user.end());
+  auto r1 = mono.Chat(1, first, 5);
   ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
   EXPECT_EQ(t1.value(), r1.value());
+  EXPECT_TRUE(SameKv(kv1, ContextKv(mono, 1)));
+  auto r2 = mono.Chat(1, MakePrompt(82, 0, 6, 128), 5);
+  ASSERT_TRUE(r2.ok());
   EXPECT_EQ(t2.value(), r2.value());
+  EXPECT_TRUE(SameKv(ContextKv(server, 1, 16), ContextKv(mono, 1)));
 }
 
 TEST(SharedPrefixTest, LifecycleGuards) {
@@ -358,6 +434,7 @@ TEST(SharedPrefixTest, SubChunkPrefixIsFullyRecomputed) {
   auto expected = mono.Chat(1, full, 4);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(got.value(), expected.value());
+  EXPECT_TRUE(SameKv(ContextKv(shared, 1), ContextKv(mono, 1)));
 }
 
 }  // namespace

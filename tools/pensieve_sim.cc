@@ -16,7 +16,6 @@
 #include <string>
 
 #include "src/common/flags.h"
-#include "src/common/thread_pool.h"
 #include "src/core/pensieve.h"
 #include "src/serving/telemetry.h"
 #include "src/sim/fault_injector.h"
@@ -93,16 +92,11 @@ bool ParseFaultList(const std::string& spec, bool recover,
 
 int Run(int argc, char** argv) {
   FlagParser flags;
-  flags.AddString("model", "opt-13b",
-                  "model preset: opt-13b, opt-66b, llama2-13b, llama2-70b");
-  flags.AddString("dataset", "sharegpt", "workload profile: sharegpt or ultrachat");
+  AddWorkloadFlags(&flags, {.rate = 1.0, .conversations = 600, .think = 60.0});
   flags.AddString("system", "pensieve",
                   "serving system: pensieve, pensieve-gpu, vllm, tensorrt-llm");
   flags.AddString("policy", "retention",
                   "eviction policy: retention, lru, conversation-lru, cost-only");
-  flags.AddDouble("rate", 1.0, "conversation arrival rate (conversations/s)");
-  flags.AddInt("conversations", 600, "number of conversations in the trace");
-  flags.AddDouble("think", 60.0, "mean user think time (s)");
   flags.AddDouble("cache_scale", 1.0,
                   "scales both cache tiers relative to the paper's 40 GB setup");
   flags.AddDouble("cpu-scale", 1.0,
@@ -127,7 +121,6 @@ int Run(int argc, char** argv) {
                 "refcounted views over the first conversation's KV blocks "
                 "instead of prefilling; off = every conversation prefills its "
                 "own copy");
-  flags.AddInt("seed", 42, "workload seed");
   flags.AddInt("replicas", 1,
                "number of serving replicas; > 1 runs the cluster layer");
   flags.AddString("router", "session-affinity",
@@ -218,10 +211,6 @@ int Run(int argc, char** argv) {
                   "instead of synthesizing them");
   flags.AddString("outcomes_csv", "", "write per-request outcomes CSV here");
   flags.AddString("steps_csv", "", "write per-step trace CSV here");
-  flags.AddInt("threads", 0,
-               "worker threads for the CPU kernels/GEMMs (default: "
-               "PENSIEVE_THREADS env var, else hardware concurrency); results "
-               "are bit-identical for every value");
   flags.AddString("weight-quant", "fp32",
                   "weight storage: fp32 (default, bit-identical to prior "
                   "builds) or int8 (per-column symmetric scales; the cost "
@@ -232,34 +221,8 @@ int Run(int argc, char** argv) {
                   "compressed transfers), off keeps fp16 KV everywhere "
                   "(bit-identical to prior builds)");
   AddFaultFlags(&flags);
-  flags.AddBool("help", false, "print usage");
-  Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n\nflags:\n%s", status.ToString().c_str(),
-                 flags.Help().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::printf("pensieve_sim: serving-experiment runner\n\nflags:\n%s",
-                flags.Help().c_str());
-    return 0;
-  }
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads")));
-
-  ModelConfig model;
-  if (!ModelConfigByName(flags.GetString("model"), &model)) {
-    std::fprintf(stderr, "unknown model '%s'\n", flags.GetString("model").c_str());
-    return 2;
-  }
-  DatasetProfile profile;
-  if (flags.GetString("dataset") == "sharegpt") {
-    profile = ShareGptProfile();
-  } else if (flags.GetString("dataset") == "ultrachat") {
-    profile = UltraChatProfile();
-  } else {
-    std::fprintf(stderr, "unknown dataset '%s'\n", flags.GetString("dataset").c_str());
-    return 2;
-  }
+  ParseFlagsOrExit(&flags, argc, argv, "pensieve_sim: serving-experiment runner");
+  const Workload workload = WorkloadFromFlags(flags);
   SystemKind kind;
   const std::string system = flags.GetString("system");
   if (system == "pensieve") {
@@ -312,12 +275,10 @@ int Run(int argc, char** argv) {
   }
   overrides.kv_quant = kv_quant == "on";
 
+  const ModelConfig& model = workload.model;
+  const DatasetProfile& profile = workload.profile;
   const GpuCostModel cost_model(model, A100Spec(model.num_gpus), weight_quant);
-  TraceOptions trace_options;
-  trace_options.num_conversations = flags.GetInt("conversations");
-  trace_options.conversation_rate = flags.GetDouble("rate");
-  trace_options.mean_think_time = flags.GetDouble("think");
-  trace_options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  TraceOptions trace_options = workload.trace;
   trace_options.num_prefix_templates = flags.GetInt("prefix-templates");
   trace_options.prefix_len = flags.GetInt("prefix-len");
   std::optional<WorkloadTrace> trace_storage;
@@ -591,7 +552,7 @@ int Run(int argc, char** argv) {
                   r.engine_stats.busy_seconds, r.engine_stats.CacheHitRate());
     }
     if (!flags.GetString("outcomes_csv").empty()) {
-      status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
+      const Status status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
         return 1;
@@ -599,7 +560,7 @@ int Run(int argc, char** argv) {
       std::printf("wrote %s\n", flags.GetString("outcomes_csv").c_str());
     }
     if (!flags.GetString("steps_csv").empty()) {
-      status = WriteClusterStepTraceCsv(flags.GetString("steps_csv"), steps);
+      const Status status = WriteClusterStepTraceCsv(flags.GetString("steps_csv"), steps);
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
         return 1;
@@ -652,7 +613,7 @@ int Run(int argc, char** argv) {
               st.mean_batch_tokens, st.busy_seconds);
 
   if (!flags.GetString("outcomes_csv").empty()) {
-    status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
+    const Status status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -660,7 +621,8 @@ int Run(int argc, char** argv) {
     std::printf("wrote %s\n", flags.GetString("outcomes_csv").c_str());
   }
   if (!flags.GetString("steps_csv").empty()) {
-    status = WriteStepTraceCsv(flags.GetString("steps_csv"), steps, weight_quant);
+    const Status status =
+        WriteStepTraceCsv(flags.GetString("steps_csv"), steps, weight_quant);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
