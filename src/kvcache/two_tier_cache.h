@@ -178,7 +178,7 @@ class TwoTierKvCache {
   // holds one block of a content-hash chain that starts at token 0, so every
   // view of it sits at the same chunk index, below the longest chain ever
   // published or attached. Zero while sharing is off. The coordinator's
-  // victim index scores this window chunk by chunk (DESIGN.md §15).
+  // victim index scans this window for views (DESIGN.md §15).
   int64_t shared_prefix_window() const { return shared_prefix_window_; }
   const PrefixTrie& prefix_trie() const { return trie_; }
 

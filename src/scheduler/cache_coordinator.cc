@@ -41,9 +41,10 @@ double CacheCoordinator::Score(ConversationId id, const ContextState& state,
   return policy_->Score(candidate, now);
 }
 
-CacheCoordinator::VictimHeap CacheCoordinator::SeedLocation(ChunkLocation location,
-                                                            double now) const {
+CacheCoordinator::LocationPass CacheCoordinator::SeedLocation(ChunkLocation location,
+                                                              double now) const {
   const int64_t window = cache_->shared_prefix_window();
+  LocationPass pass;
   std::vector<Victim> seed;
   seed.reserve(cache_->Holders(location).size());
   for (const auto& [id, holder] : cache_->Holders(location)) {
@@ -52,38 +53,49 @@ CacheCoordinator::VictimHeap CacheCoordinator::SeedLocation(ChunkLocation locati
       continue;
     }
     const int64_t n = state.num_chunks();
-    for (int64_t i = state.LeadingDroppedChunks(); i < std::min(window, n); ++i) {
-      if (state.chunk(i).location == location) {
+    const int64_t end = std::min(window, n);
+    int64_t cursor = n;  // the first unshared chunk in `location`
+    for (int64_t i = state.FirstChunkAt(location); i < end; ++i) {
+      const Chunk& chunk = state.chunk(i);
+      if (chunk.location != location) {
+        continue;
+      }
+      if (cache_->SharedGpuBlock(chunk.gpu_block)) {
+        pass.views.emplace_back(id, i);
         seed.push_back(Victim{id, i, Score(id, state, i, now)});
+      } else if (cursor == n) {
+        cursor = i;
       }
     }
-    int64_t cursor = state.FirstChunkAt(location);
-    if (cursor < window) {
-      cursor = state.NextChunkAt(location, window - 1);
+    if (cursor == n) {
+      cursor = state.NextChunkAt(location, end - 1);  // none unshared inside the window
     }
     if (cursor < n) {
       seed.push_back(Victim{id, cursor, Score(id, state, cursor, now)});
     }
   }
-  return VictimHeap(VictimAfter{}, std::move(seed));
+  std::sort(pass.views.begin(), pass.views.end());
+  pass.heap = VictimHeap(VictimAfter{}, std::move(seed));
+  return pass;
 }
 
 CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, double now,
-                                                       VictimHeap* heap) const {
-  const Victim top = heap->top();
-  heap->pop();
+                                                       LocationPass* pass) const {
+  const Victim top = pass->heap.top();
+  pass->heap.pop();
   const ContextState* state = cache_->Find(top.conversation);
-  if (state == nullptr || top.chunk_index < cache_->shared_prefix_window()) {
-    return top;  // forgotten, or a window entry (the cursor is elsewhere)
+  if (state == nullptr || pass->SeededView(top.conversation, top.chunk_index)) {
+    return top;  // forgotten, or a view (the cursor is elsewhere)
   }
   int64_t next = state->NextChunkAt(location, top.chunk_index);
   while (next < state->num_chunks() &&
-         swap_pass_.has_value() &&
-         swap_pass_->copies_dropped.count({top.conversation, next}) > 0) {
+         (pass->SeededView(top.conversation, next) ||
+          (swap_pass_.has_value() &&
+           swap_pass_->copies_dropped.count({top.conversation, next}) > 0))) {
     next = state->NextChunkAt(location, next);
   }
   if (next < state->num_chunks()) {
-    heap->push(Victim{top.conversation, next, Score(top.conversation, *state, next, now)});
+    pass->heap.push(Victim{top.conversation, next, Score(top.conversation, *state, next, now)});
   }
   return top;
 }
@@ -244,7 +256,7 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
   // retention order until the target is met. The candidates are the kGpu
   // chunks at pass start.
   swap_pass_.emplace();
-  VictimHeap candidates = SeedLocation(ChunkLocation::kGpu, now);
+  LocationPass candidates = SeedLocation(ChunkLocation::kGpu, now);
   // Reserve CPU space for the whole deficit in one pass; fall back to
   // per-chunk frees only if that could not be satisfied.
   const int64_t deficit = target_blocks - cache_->AvailableGpuBlocks();
@@ -349,7 +361,7 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
   }
   // Fallback, seeded on first use: discard clean CPU copies (the chunks stay
   // on the GPU). Nothing it does creates a CPU-only frontier again.
-  std::optional<VictimHeap> copies;
+  std::optional<LocationPass> copies;
   while (cache_->cpu_allocator().num_free() < n) {
     if (const std::optional<Victim> best = PopFrontier(Frontier::kCpuEvict, now, frontier)) {
       if (options_.conversation_granularity) {
@@ -395,7 +407,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
   FreeOutcome outcome;
   // 1. Instant reclamation of clean copies, lowest retention first.
   if (cache_->gpu_allocator().num_free() < n) {
-    VictimHeap reclaimable = SeedLocation(ChunkLocation::kGpuAndCpu, now);
+    LocationPass reclaimable = SeedLocation(ChunkLocation::kGpuAndCpu, now);
     while (!reclaimable.empty() && cache_->gpu_allocator().num_free() < n) {
       const Victim v = PopLocation(ChunkLocation::kGpuAndCpu, now, &reclaimable);
       if (!cache_->ReclaimGpu(v.conversation, v.chunk_index).ok()) {
@@ -409,7 +421,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
   // kGpu chunks at this point.
   if (options_.use_cpu_cache && cache_->gpu_allocator().num_free() < n) {
     swap_pass_.emplace();
-    VictimHeap swappable = SeedLocation(ChunkLocation::kGpu, now);
+    LocationPass swappable = SeedLocation(ChunkLocation::kGpu, now);
     const int64_t swap_deficit = n - cache_->gpu_allocator().num_free();
     (void)EnsureFreeCpuBlocks(
         std::min<int64_t>(swap_deficit, cache_->cpu_allocator().capacity()), now);

@@ -21,6 +21,7 @@
 #ifndef PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
 #define PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -149,16 +150,27 @@ class CacheCoordinator {
   // Min-heap in victim order: the victim index (DESIGN.md §15).
   using VictimHeap = std::priority_queue<Victim, std::vector<Victim>, VictimAfter>;
 
-  // Snapshot passes over every chunk in one location (kGpu or kGpuAndCpu).
-  // Within a conversation, unshared chunks score in index order, so the
-  // heap holds one cursor per conversation plus each chunk of that location
-  // inside the shared-prefix window (where a 0-scoring shared view can sit
-  // behind an unshared chunk).
-  VictimHeap SeedLocation(ChunkLocation location, double now) const;
+  // A snapshot pass over every chunk in one location (kGpu or kGpuAndCpu).
+  // Within a conversation, unshared chunks score in index order, so the heap
+  // holds one cursor per conversation over its unshared chunks plus each
+  // shared view (a view can score below the unshared chunks in front of it).
+  struct LocationPass {
+    VictimHeap heap;
+    // The views seeded at pass start, sorted. They keep their seed-time
+    // entries and the cursor steps over them even after one loses its other
+    // reader mid-pass (a view never gains one).
+    std::vector<std::pair<ConversationId, int64_t>> views;
+
+    bool empty() const { return heap.empty(); }
+    bool SeededView(ConversationId id, int64_t chunk_index) const {
+      return std::binary_search(views.begin(), views.end(), std::pair{id, chunk_index});
+    }
+  };
+  LocationPass SeedLocation(ChunkLocation location, double now) const;
   // Pops the next candidate; a popped cursor is replaced by its
-  // conversation's next chunk in `location`, skipping chunks a nested
-  // DropCpuCopy moved there after the pass started.
-  Victim PopLocation(ChunkLocation location, double now, VictimHeap* heap) const;
+  // conversation's next unshared chunk in `location`, skipping the pass's
+  // views and chunks a nested DropCpuCopy moved there after the pass started.
+  Victim PopLocation(ChunkLocation location, double now, LocationPass* pass) const;
 
   // Queries with at most one candidate per conversation.
   enum class Frontier {

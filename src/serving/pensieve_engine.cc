@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace pensieve {
@@ -34,27 +33,6 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
         static_cast<int64_t>(sizeof(float));
   }
   return config;
-}
-
-// Cumulative FNV-1a chain over a template's raw token stream, one hash per
-// full block. A pure function of (template id, block count): the publisher
-// and every later reader derive identical trie keys without materializing
-// each other's blocks — content identity by construction, since the template
-// token stream itself is the deterministic function TemplatePrefixMix.
-std::vector<uint64_t> TemplateHashChain(int32_t template_id, int64_t num_blocks,
-                                        int64_t block_size) {
-  std::vector<uint64_t> chain;
-  chain.reserve(static_cast<size_t>(num_blocks));
-  uint64_t h = kFnv1a64OffsetBasis;
-  int64_t pos = 0;
-  for (int64_t b = 0; b < num_blocks; ++b) {
-    for (int64_t i = 0; i < block_size; ++i, ++pos) {
-      const uint64_t tok = TemplatePrefixMix(template_id, pos);
-      h = Fnv1a64(&tok, sizeof(tok), h);
-    }
-    chain.push_back(h);
-  }
-  return chain;
 }
 
 CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& options) {
@@ -96,7 +74,8 @@ PensieveEngine::PensieveEngine(const GpuCostModel& cost_model,
                 cost_model.hardware().ssd_write_bandwidth,
                 cost_model.hardware().ssd_access_latency),
       ssd_faults_(options_.fault_seed ^ kSsdSeedSalt, options_.ssd_fault_profile,
-                  options_.fault_retry) {
+                  options_.fault_retry),
+      template_chains_(options_.block_size) {
   PENSIEVE_CHECK_GT(options_.num_gpu_blocks, 0);
 }
 
@@ -237,7 +216,7 @@ PensieveEngine::TemplateAttachOutcome PensieveEngine::AttachTemplatePrefix(
   }
   std::vector<BlockId> blocks;
   const int64_t matched = cache_.LookupSharedPrefix(
-      TemplateHashChain(r->request.template_id, template_blocks, bs), &blocks);
+      template_chains_.Get(r->request.template_id, template_blocks), &blocks);
   if (matched <= 0) {
     return attach;
   }
@@ -351,9 +330,7 @@ void PensieveEngine::PublishTemplatePrefix(const Running& r) {
     return;
   }
   cache_.PublishSharedPrefix(
-      TemplateHashChain(r.request.template_id,
-                        static_cast<int64_t>(blocks.size()), bs),
-      blocks);
+      template_chains_.Get(r.request.template_id, static_cast<int64_t>(blocks.size())), blocks);
 }
 
 void PensieveEngine::SyncShareStats() {

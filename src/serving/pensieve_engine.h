@@ -27,6 +27,7 @@
 #include "src/scheduler/cache_coordinator.h"
 #include "src/scheduler/step_cost.h"
 #include "src/serving/engine.h"
+#include "src/serving/template_chain.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/ssd_link.h"
@@ -289,6 +290,9 @@ class PensieveEngine final : public Engine {
   // sequence (and vice versa).
   SsdLink ssd_link_;
   LinkFaultInjector ssd_faults_;
+  // Trie keys of the prefix templates, memoized per engine: RateSweep runs
+  // engines on pool threads.
+  TemplateChains template_chains_;
   std::deque<Running> waiting_;
   std::vector<Running> running_;
   // Conversations with a queued or running request; their (possibly fully

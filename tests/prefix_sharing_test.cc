@@ -11,6 +11,7 @@
 #include "src/kvcache/two_tier_cache.h"
 #include "src/model/model_config.h"
 #include "src/serving/pensieve_engine.h"
+#include "src/serving/template_chain.h"
 #include "src/sim/hardware.h"
 
 namespace pensieve {
@@ -448,6 +449,40 @@ TEST(TemplatePrefixMixTest, DeterministicAndTemplateSensitive) {
   EXPECT_EQ(TemplatePrefixMix(3, 17), TemplatePrefixMix(3, 17));
   EXPECT_NE(TemplatePrefixMix(3, 17), TemplatePrefixMix(4, 17));
   EXPECT_NE(TemplatePrefixMix(3, 17), TemplatePrefixMix(3, 18));
+}
+
+// The trie key of a template's first num_blocks blocks, hashed from token 0.
+std::vector<uint64_t> DirectTemplateChain(int32_t template_id, int64_t num_blocks,
+                                          int64_t block_size) {
+  std::vector<uint64_t> chain;
+  uint64_t h = kFnv1a64OffsetBasis;
+  for (int64_t pos = 0; pos < num_blocks * block_size; ++pos) {
+    const uint64_t tok = TemplatePrefixMix(template_id, pos);
+    h = Fnv1a64(&tok, sizeof(tok), h);
+    if ((pos + 1) % block_size == 0) {
+      chain.push_back(h);
+    }
+  }
+  return chain;
+}
+
+TEST(TemplateChainsTest, MemoizedPrefixesEqualDirectComputation) {
+  constexpr int64_t kBlockSize = 32;
+  constexpr int64_t kWindow = 16;  // a 512-token template
+  const std::vector<int32_t> templates = {0, 3, 7, 1 << 20};
+  TemplateChains short_first(kBlockSize);
+  TemplateChains long_first(kBlockSize);
+  for (int32_t id : templates) {
+    for (int64_t blocks = 0; blocks <= kWindow; ++blocks) {
+      EXPECT_EQ(short_first.Get(id, blocks), DirectTemplateChain(id, blocks, kBlockSize))
+          << "template " << id << ", " << blocks << " blocks";
+      const int64_t reversed = kWindow - blocks;
+      EXPECT_EQ(long_first.Get(id, reversed), DirectTemplateChain(id, reversed, kBlockSize))
+          << "template " << id << ", " << reversed << " blocks";
+    }
+  }
+  // Chains of different templates differ from the first block on.
+  EXPECT_NE(short_first.Get(0, 1), short_first.Get(3, 1));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential test for the coordinator's victim index: on seeded random
 // cache layouts (every ChunkLocation, pinned conversations, SSD prefixes,
 // corrupt CPU copies, shared template views including an unshared chunk 0
-// in front of a shared chunk 1), every CacheCoordinator entry point must act
-// on exactly the (conversation, chunk) sequence of a brute-force oracle that
-// rescans and sorts every chunk, with the same tie-break.
+// in front of a shared chunk 1, and views that lose their other reader
+// mid-pass), every CacheCoordinator entry point must act on exactly the
+// (conversation, chunk) sequence of a brute-force oracle that rescans and
+// sorts every chunk, with the same tie-break.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,11 @@ struct Coverage {
   int64_t stale_skips_with_cpu_full = 0;
   // Step 3b ran after a step-3 frontier drop in the same call.
   int64_t deep_drops_after_frontier_drop = 0;
+  // Snapshot passes: a candidate that was a shared view at pass start lost
+  // its other reader before the pass reached it, while an unshared candidate
+  // in front of it in the same conversation was still pending (so the
+  // index's cursor had yet to step over the view's index).
+  int64_t views_unshared_mid_pass = 0;
 };
 Coverage coverage;
 
@@ -86,9 +92,12 @@ class BruteForceCoordinator {
     } else {
       in_swap_pass_ = true;
       const std::vector<Victim> candidates = AllAt(ChunkLocation::kGpu, now);
+      ViewWatch watch(cache_, candidates);
       const int64_t deficit = target - cache_->AvailableGpuBlocks();
       (void)EnsureFreeCpuBlocks(std::min(deficit, cache_->cpu_allocator().capacity()), now);
-      for (const Victim& v : candidates) {
+      for (size_t p = 0; p < candidates.size(); ++p) {
+        const Victim& v = candidates[p];
+        watch.Check(p);
         if (cache_->AvailableGpuBlocks() >= target) {
           break;
         }
@@ -158,7 +167,11 @@ class BruteForceCoordinator {
   CacheCoordinator::FreeOutcome EnsureFreeGpuBlocks(int64_t n, double now) {
     CacheCoordinator::FreeOutcome outcome;
     if (cache_->gpu_allocator().num_free() < n) {
-      for (const Victim& v : AllAt(ChunkLocation::kGpuAndCpu, now)) {
+      const std::vector<Victim> reclaimable = AllAt(ChunkLocation::kGpuAndCpu, now);
+      ViewWatch watch(cache_, reclaimable);
+      for (size_t p = 0; p < reclaimable.size(); ++p) {
+        const Victim& v = reclaimable[p];
+        watch.Check(p);
         if (cache_->gpu_allocator().num_free() >= n) {
           break;
         }
@@ -170,9 +183,12 @@ class BruteForceCoordinator {
     if (options_.use_cpu_cache && cache_->gpu_allocator().num_free() < n) {
       in_swap_pass_ = true;
       const std::vector<Victim> swappable = AllAt(ChunkLocation::kGpu, now);
+      ViewWatch watch(cache_, swappable);
       const int64_t deficit = n - cache_->gpu_allocator().num_free();
       (void)EnsureFreeCpuBlocks(std::min(deficit, cache_->cpu_allocator().capacity()), now);
-      for (const Victim& v : swappable) {
+      for (size_t p = 0; p < swappable.size(); ++p) {
+        const Victim& v = swappable[p];
+        watch.Check(p);
         if (cache_->gpu_allocator().num_free() >= n) {
           break;
         }
@@ -250,6 +266,53 @@ class BruteForceCoordinator {
       return std::tie(score, conversation, chunk_index) <
              std::tie(o.score, o.conversation, o.chunk_index);
     }
+  };
+
+  // Coverage only: watches a snapshot pass (candidates in visiting order)
+  // for views_unshared_mid_pass.
+  class ViewWatch {
+   public:
+    ViewWatch(const TwoTierKvCache* cache, const std::vector<Victim>& candidates)
+        : cache_(cache), candidates_(candidates), counted_(candidates.size(), false) {
+      for (const Victim& v : candidates) {
+        was_shared_.push_back(Shared(v).value_or(false));
+      }
+    }
+
+    // Called before the pass visits candidates_[next].
+    void Check(size_t next) {
+      for (size_t q = next; q < candidates_.size(); ++q) {
+        const Victim& view = candidates_[q];
+        if (!was_shared_[q] || counted_[q] || Shared(view).value_or(true)) {
+          continue;
+        }
+        counted_[q] = true;
+        for (size_t r = next; r < candidates_.size(); ++r) {
+          const Victim& v = candidates_[r];
+          if (!was_shared_[r] && v.conversation == view.conversation &&
+              v.chunk_index < view.chunk_index) {
+            ++coverage.views_unshared_mid_pass;
+            break;
+          }
+        }
+      }
+    }
+
+   private:
+    // Whether the candidate's chunk is a shared view; nullopt once it has
+    // left the GPU (or its conversation is forgotten).
+    std::optional<bool> Shared(const Victim& v) const {
+      const ContextState* state = cache_->Find(v.conversation);
+      if (state == nullptr || !state->chunk(v.chunk_index).OnGpu()) {
+        return std::nullopt;
+      }
+      return cache_->SharedGpuBlock(state->chunk(v.chunk_index).gpu_block);
+    }
+
+    const TwoTierKvCache* cache_;
+    const std::vector<Victim>& candidates_;
+    std::vector<bool> was_shared_;
+    std::vector<bool> counted_;
   };
 
   static void Keep(std::optional<Victim>* best, const Victim& v) {
@@ -622,6 +685,7 @@ TEST(VictimIndexTest, MatchesBruteForceOracleOnRandomLayouts) {
   EXPECT_GT(coverage.copies_dropped_in_swap_pass, 0);
   EXPECT_GT(coverage.stale_skips_with_cpu_full, 0);
   EXPECT_GT(coverage.deep_drops_after_frontier_drop, 0);
+  EXPECT_GT(coverage.views_unshared_mid_pass, 0);
 }
 
 // The case the shared-prefix window exists for: with the reader detached
