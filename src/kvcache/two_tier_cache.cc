@@ -49,12 +49,12 @@ TwoTierKvCache::TwoTierKvCache(const KvCacheConfig& config)
     flash_ = std::make_unique<FlashTier>(flash);
   }
   if (config_.kv_quant) {
+    codec_.encode = &KvPool::QuantizeBlock;
+    codec_.quantized_blocks = 1;
     if (config_.kv_raw_block_bytes > 0 && config_.kv_quant_block_bytes > 0) {
-      quant_saved_per_block_ =
-          config_.kv_raw_block_bytes - config_.kv_quant_block_bytes;
+      codec_.saved_bytes = config_.kv_raw_block_bytes - config_.kv_quant_block_bytes;
     } else if (cpu_pool_ != nullptr) {
-      quant_saved_per_block_ =
-          cpu_pool_->BlockBytes() - cpu_pool_->QuantizedBlockBytes();
+      codec_.saved_bytes = cpu_pool_->BlockBytes() - cpu_pool_->QuantizedBlockBytes();
     }
   }
 }
@@ -227,16 +227,10 @@ Status TwoTierKvCache::SwapOut(ConversationId id, int64_t chunk_index) {
   }
   c.cpu_block = *cpu_block;
   if (cpu_pool_ != nullptr) {
-    if (config_.kv_quant) {
-      KvPool::QuantizeBlock(*gpu_pool_, c.gpu_block, *cpu_pool_, c.cpu_block);
-    } else {
-      KvPool::CopyBlock(*gpu_pool_, c.gpu_block, *cpu_pool_, c.cpu_block);
-    }
+    codec_.encode(*gpu_pool_, c.gpu_block, *cpu_pool_, c.cpu_block);
   }
-  if (config_.kv_quant) {
-    ++counters_.quantized_blocks;
-    counters_.quant_bytes_saved += quant_saved_per_block_;
-  }
+  counters_.quantized_blocks += codec_.quantized_blocks;
+  counters_.quant_bytes_saved += codec_.saved_bytes;
   SetLocation(id, *state, chunk_index, ChunkLocation::kGpuAndCpu);
   c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
   c.cpu_corrupt = false;
@@ -289,13 +283,9 @@ Status TwoTierKvCache::SwapIn(ConversationId id, int64_t chunk_index) {
   }
   c.gpu_block = *gpu_block;
   if (gpu_pool_ != nullptr) {
-    if (config_.kv_quant) {
-      // Falls back to a plain copy for an unquantized CPU copy (e.g. one
-      // materialized by a migration import).
-      KvPool::DequantizeBlock(*cpu_pool_, c.cpu_block, *gpu_pool_, c.gpu_block);
-    } else {
-      KvPool::CopyBlock(*cpu_pool_, c.cpu_block, *gpu_pool_, c.gpu_block);
-    }
+    // A plain copy for an unquantized CPU copy (fp32 codec, or one
+    // materialized by a migration import).
+    KvPool::DequantizeBlock(*cpu_pool_, c.cpu_block, *gpu_pool_, c.gpu_block);
   }
   SetLocation(id, *state, chunk_index, ChunkLocation::kGpuAndCpu);
   ++reclaimable_gpu_blocks_;
@@ -475,9 +465,6 @@ Status TwoTierKvCache::DemoteToFlash(ConversationId id, int64_t chunk_index) {
 }
 
 Status TwoTierKvCache::PromoteFromFlash(ConversationId id, int64_t chunk_index) {
-  if (flash_ == nullptr) {
-    return Status::FailedPrecondition("no flash tier configured");
-  }
   ContextState* state = nullptr;
   Status found = FindChunk(id, chunk_index, &state);
   if (!found.ok()) {
@@ -512,9 +499,6 @@ Status TwoTierKvCache::PromoteFromFlash(ConversationId id, int64_t chunk_index) 
 }
 
 Status TwoTierKvCache::MarkSsdCorrupt(ConversationId id, int64_t chunk_index) {
-  if (flash_ == nullptr) {
-    return Status::FailedPrecondition("no flash tier configured");
-  }
   ContextState* state = nullptr;
   Status found = FindChunk(id, chunk_index, &state);
   if (!found.ok()) {
@@ -534,9 +518,6 @@ Status TwoTierKvCache::MarkSsdCorrupt(ConversationId id, int64_t chunk_index) {
 }
 
 Status TwoTierKvCache::VerifySsdChecksum(ConversationId id, int64_t chunk_index) {
-  if (flash_ == nullptr) {
-    return Status::FailedPrecondition("no flash tier configured");
-  }
   ContextState* state = nullptr;
   Status found = FindChunk(id, chunk_index, &state);
   if (!found.ok()) {
@@ -795,17 +776,11 @@ bool TwoTierKvCache::SharedGpuBlock(BlockId block) const {
 
 int64_t TwoTierKvCache::LookupSharedPrefix(const std::vector<uint64_t>& chain,
                                            std::vector<BlockId>* blocks) const {
-  if (!config_.enable_prefix_sharing) {
-    return 0;
-  }
   return trie_.Lookup(chain, blocks);
 }
 
 int64_t TwoTierKvCache::PublishSharedPrefix(const std::vector<uint64_t>& chain,
                                             const std::vector<BlockId>& blocks) {
-  if (!config_.enable_prefix_sharing) {
-    return 0;
-  }
   for (BlockId b : blocks) {
     PENSIEVE_CHECK(gpu_allocator_.IsAllocated(b))
         << "publishing unallocated block " << b;
@@ -818,7 +793,6 @@ int64_t TwoTierKvCache::PublishSharedPrefix(const std::vector<uint64_t>& chain,
 int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
                                            const std::vector<BlockId>& blocks,
                                            int64_t tokens) {
-  PENSIEVE_CHECK(config_.enable_prefix_sharing);
   PENSIEVE_CHECK(!blocks.empty());
   PENSIEVE_CHECK_GT(tokens,
                     (static_cast<int64_t>(blocks.size()) - 1) * config_.block_size);
@@ -845,9 +819,6 @@ int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
 
 Status TwoTierKvCache::ReattachDroppedShared(ConversationId id, int64_t chunk_index,
                                              BlockId block) {
-  if (!config_.enable_prefix_sharing) {
-    return Status::FailedPrecondition("prefix sharing disabled");
-  }
   ContextState* state = nullptr;
   Status found = FindChunk(id, chunk_index, &state);
   if (!found.ok()) {

@@ -56,16 +56,11 @@ struct KvCacheConfig {
   // two-tier behavior.
   int64_t num_ssd_blocks = 0;
   int64_t ssd_segment_blocks = 64;
-  // Cross-conversation shared-prefix dedup: refcounted GPU blocks published
-  // in a content-addressed prefix trie, attached by later conversations with
-  // matching prompts, copy-on-write on divergence. Off by default; when off
-  // every block keeps the exclusive-ownership lifecycle bit-identically.
-  bool enable_prefix_sharing = false;
   // Int8 KV quantization at the tier boundary: GPU copies stay fp32,
   // swap-out quantizes into the CPU tier (per-block amax scale, checksums
   // over the quantized bytes), swap-in dequantizes back, and flash copies
-  // stay quantized end to end. Off by default; when off every copy and
-  // checksum is bit-identical to the unquantized build.
+  // stay quantized end to end. Read once, to pick the cache's KV codec; off
+  // keeps every copy and checksum fp32 (pinned by feature_golden_test).
   bool kv_quant = false;
   // Per-block byte sizes in the serving substrate (e.g. fp16 KV vs int8 +
   // scale), used to account CPU/SSD capacity in *compressed* bytes: when
@@ -90,7 +85,6 @@ class TwoTierKvCache {
   ~TwoTierKvCache();
 
   int64_t block_size() const { return config_.block_size; }
-  bool prefix_sharing_enabled() const { return config_.enable_prefix_sharing; }
 
   BlockAllocator& gpu_allocator() { return gpu_allocator_; }
   const BlockAllocator& gpu_allocator() const { return gpu_allocator_; }
@@ -102,9 +96,9 @@ class TwoTierKvCache {
   const KvPool* gpu_pool() const { return gpu_pool_.get(); }
   KvPool* cpu_pool() { return cpu_pool_.get(); }
 
-  // Flash tier (null when num_ssd_blocks == 0).
+  // Flash tier (null when num_ssd_blocks == 0). The cache is the one owner
+  // of whether the tier exists; the coordinator and engine ask it here.
   bool flash_enabled() const { return flash_ != nullptr; }
-  FlashTier* flash_tier() { return flash_.get(); }
   const FlashTier* flash_tier() const { return flash_.get(); }
 
   ContextState& GetOrCreate(ConversationId id);
@@ -152,7 +146,8 @@ class TwoTierKvCache {
   int64_t AppendBlockDemand(ConversationId id, int64_t n) const;
 
   // --- Shared-prefix dedup -----------------------------------------------
-  // All no-ops / failures unless config.enable_prefix_sharing.
+  // Always live: whether a conversation uses them is the engine's choice
+  // (PensieveEngineOptions::enable_prefix_sharing), made before any call.
   //
   // Longest published run matching the content-hash chain; appends the
   // backing GPU blocks to *blocks. Returns matched block count.
@@ -371,9 +366,18 @@ class TwoTierKvCache {
     }
   }
 
+  // The tier-boundary KV codec, picked once from config.kv_quant: how
+  // SwapOut writes the CPU copy and what one crossing adds to the
+  // quantization counters. SwapIn always dequantizes, which is a plain copy
+  // for a block that was never quantized.
+  struct KvCodec {
+    void (*encode)(const KvPool&, BlockId, KvPool&, BlockId) = &KvPool::CopyBlock;
+    int64_t quantized_blocks = 0;  // per crossing: 1 under int8, 0 under fp32
+    int64_t saved_bytes = 0;       // per crossing
+  };
+
   KvCacheConfig config_;
-  // Bytes one quantized tier crossing saves (0 when kv_quant is off).
-  int64_t quant_saved_per_block_ = 0;
+  KvCodec codec_;
   BlockAllocator gpu_allocator_;
   BlockAllocator cpu_allocator_;
   std::unique_ptr<KvPool> gpu_pool_;

@@ -307,7 +307,7 @@ void CacheCoordinator::DropWholeConversation(ConversationId id) {
 bool CacheCoordinator::EvictCpuFrontierChunk(const Victim& victim) {
   const ContextState* state = cache_->Find(victim.conversation);
   const Chunk& chunk = state->chunk(victim.chunk_index);
-  if (options_.use_ssd_cache) {
+  if (cache_->flash_enabled()) {
     const int64_t tokens = chunk.num_tokens;
     if (cache_->DemoteToFlash(victim.conversation, victim.chunk_index).ok()) {
       pending_spill_.demoted_tokens += tokens;
@@ -486,7 +486,7 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       }
       continue;
     }
-    if (options_.use_ssd_cache) {
+    if (cache_->flash_enabled()) {
       if (!deep.has_value()) {
         deep = SeedFrontier(Frontier::kFirstGpu, now);
       }

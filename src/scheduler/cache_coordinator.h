@@ -42,9 +42,6 @@ class CacheCoordinator {
     // false = the Pensieve (GPU cache) variant: evicted chunks are dropped
     // rather than swapped to the CPU tier.
     bool use_cpu_cache = true;
-    // Spill CPU-pressure victims to the flash tier (DemoteToFlash) instead
-    // of dropping them. Requires the cache to have a flash tier configured.
-    bool use_ssd_cache = false;
     // Ahead-of-time swap-out keeps free+reclaimable above this fraction
     // (paper uses a 25% trigger).
     double swap_out_target = 0.25;
@@ -99,7 +96,7 @@ class CacheCoordinator {
   EvictOutcome AheadOfTimeEvict(double now);
 
   // Frees at least `n` CPU blocks by dropping low-retention chunks — or,
-  // with use_ssd_cache, demoting them to the flash tier instead.
+  // when the cache has a flash tier, demoting them to it instead.
   bool EnsureFreeCpuBlocks(int64_t n, double now);
 
   // Demotions performed since the last call (any coordinator entry point may
@@ -194,8 +191,8 @@ class CacheCoordinator {
   // conversation_granularity its whole history. Returns the tokens dropped,
   // or nullopt when DropChunk refused.
   std::optional<int64_t> DropFrontierVictim(const Victim& victim);
-  // Demotes (with use_ssd_cache) or drops one kCpuEvict victim, recording
-  // spill and peer offers. False when the drop failed.
+  // Demotes (into the cache's flash tier, if any) or drops one kCpuEvict
+  // victim, recording spill and peer offers. False when the drop failed.
   bool EvictCpuFrontierChunk(const Victim& victim);
 
   // Drops every cached chunk of a conversation (classic-LRU granularity).

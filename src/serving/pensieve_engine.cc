@@ -19,7 +19,6 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
   config.num_ssd_blocks = options.use_cpu_cache ? options.num_ssd_blocks : 0;
   config.ssd_segment_blocks = options.ssd_segment_blocks;
   config.numeric = false;
-  config.enable_prefix_sharing = options.enable_prefix_sharing;
   config.kv_quant = options.kv_quant;
   if (options.kv_quant) {
     // CPU/SSD capacity is accounted in compressed bytes: one block of
@@ -38,7 +37,6 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
 CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& options) {
   CacheCoordinator::Options coord;
   coord.use_cpu_cache = options.use_cpu_cache;
-  coord.use_ssd_cache = options.use_cpu_cache && options.num_ssd_blocks > 0;
   coord.swap_out_target = options.swap_out_threshold;
   coord.conversation_granularity =
       options.policy == EvictionPolicyKind::kConversationLru;
@@ -46,6 +44,18 @@ CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& op
   coord.peer_spill = options.peer_spill && options.use_cpu_cache &&
                      !coord.conversation_granularity;
   return coord;
+}
+
+// Bytes one KV token occupies on the wire for off-GPU transfers (swap,
+// spill, promote, migration) and in CPU/SSD storage: the compressed int8
+// size under kv_quant, the fp16 substrate size otherwise. Per-GPU share,
+// matching GpuCostModel::KvBytesPerToken(). The per-block amax scale rides
+// along but is noise at wire granularity (4 bytes per block_size tokens);
+// capacity accounting carries it exactly.
+int64_t KvWireBytesPerToken(const PensieveEngineOptions& options,
+                            const GpuCostModel& cost_model) {
+  return options.kv_quant ? cost_model.model().KvQuantBytesPerTokenPerGpu()
+                          : cost_model.KvBytesPerToken();
 }
 
 // Decorrelates the SSD injector's RNG stream from the PCIe injector's, so
@@ -57,6 +67,7 @@ constexpr uint64_t kSsdSeedSalt = 0x9E3779B97F4A7C15ull;
 PensieveEngine::PensieveEngine(const GpuCostModel& cost_model,
                                PensieveEngineOptions options)
     : cost_model_(cost_model), options_(std::move(options)),
+      kv_wire_bytes_per_token_(KvWireBytesPerToken(options_, cost_model)),
       cache_(MakeCacheConfig(options_, cost_model)),
       cost_estimator_(ChunkCostEstimator::ProfileFromCostModel(
           cost_model, options_.block_size, cost_model.model().max_context)),
@@ -118,9 +129,6 @@ double PensieveEngine::TransferSsdWrite(double now, double bytes, bool* delivere
 }
 
 void PensieveEngine::ChargeFlashSpill(double now) {
-  if (!cache_.flash_enabled()) {
-    return;
-  }
   const CacheCoordinator::SpillOutcome spill = coordinator_.TakeSpill();
   stats_.ssd_failed_demotes += spill.failed_demotes;
   if (spill.demoted_tokens == 0) {
@@ -128,7 +136,7 @@ void PensieveEngine::ChargeFlashSpill(double now) {
   }
   stats_.ssd_demoted_tokens += spill.demoted_tokens;
   const double bytes = static_cast<double>(spill.demoted_tokens) *
-                       static_cast<double>(KvWireBytesPerToken());
+                       static_cast<double>(kv_wire_bytes_per_token_);
   bool delivered = false;
   TransferSsdWrite(now, bytes, &delivered);
   if (!delivered) {
@@ -154,7 +162,7 @@ void PensieveEngine::PlanSsdRecompute(int64_t conversation_id) {
   speeds.pcie_bandwidth = hw.pcie_bandwidth;
   speeds.ssd_read_bandwidth = hw.ssd_read_bandwidth;
   speeds.ssd_access_latency = hw.ssd_access_latency;
-  const int64_t kv_bytes = KvWireBytesPerToken();
+  const int64_t kv_bytes = kv_wire_bytes_per_token_;
   int64_t context = conv->LeadingDroppedTokens();
   for (int64_t i = conv->LeadingDroppedChunks(); i < conv->num_chunks(); ++i) {
     const Chunk& c = conv->chunk(i);
@@ -173,47 +181,45 @@ void PensieveEngine::PlanSsdRecompute(int64_t conversation_id) {
   }
 }
 
-void PensieveEngine::SyncFlashStats() {
-  if (!cache_.flash_enabled()) {
-    return;
-  }
+void PensieveEngine::SyncCacheStats() {
   const TwoTierKvCache::Counters& counters = cache_.counters();
   stats_.ssd_demoted_chunks = counters.demoted_to_flash_chunks;
   stats_.ssd_promoted_chunks = counters.promoted_from_flash_chunks;
   stats_.ssd_evicted_chunks = counters.flash_evicted_chunks;
   stats_.ssd_evicted_tokens = counters.flash_evicted_tokens;
-  const SegmentLog::Stats& log_stats = cache_.flash_tier()->log().stats();
-  stats_.ssd_user_blocks_written = log_stats.user_appends;
-  stats_.ssd_gc_moves = log_stats.gc_moves;
-  stats_.ssd_gc_runs = log_stats.gc_runs;
-}
-
-void PensieveEngine::SyncQuantStats() {
-  const TwoTierKvCache::Counters& counters = cache_.counters();
+  if (const FlashTier* flash = cache_.flash_tier()) {
+    const SegmentLog::Stats& log_stats = flash->log().stats();
+    stats_.ssd_user_blocks_written = log_stats.user_appends;
+    stats_.ssd_gc_moves = log_stats.gc_moves;
+    stats_.ssd_gc_runs = log_stats.gc_runs;
+  }
+  stats_.shared_attached_chunks = counters.shared_attached_chunks;
+  stats_.cow_copies = counters.cow_copies;
+  stats_.peak_shared_blocks = counters.peak_shared_blocks;
+  const BlockAllocator& gpu = cache_.gpu_allocator();
+  stats_.kv_block_acquires = gpu.total_acquires();
+  stats_.kv_block_releases = gpu.total_releases();
+  stats_.kv_blocks_live = gpu.live_refs();
+  stats_.gpu_peak_allocated_blocks = gpu.peak_allocated();
   stats_.kv_quant_blocks = counters.quantized_blocks;
   stats_.kv_quant_bytes_saved = counters.quant_bytes_saved;
 }
 
-int64_t PensieveEngine::KvWireBytesPerToken() const {
-  if (!options_.kv_quant) {
-    return cost_model_.KvBytesPerToken();
+int64_t PensieveEngine::SharedTemplateBlocks(const Request& request) const {
+  if (!options_.enable_prefix_sharing || request.template_id < 0) {
+    return 0;
   }
-  // The per-block amax scale rides along but is noise at wire granularity
-  // (4 bytes per block_size tokens); capacity accounting carries it exactly.
-  return cost_model_.model().KvQuantBytesPerTokenPerGpu();
+  return request.template_prefix_len / options_.block_size;
 }
 
 PensieveEngine::TemplateAttachOutcome PensieveEngine::AttachTemplatePrefix(
     Running* r, ContextState* conv, bool first_admission) {
   TemplateAttachOutcome attach;
-  if (!options_.enable_prefix_sharing || r->request.template_id < 0) {
+  const int64_t template_blocks = SharedTemplateBlocks(r->request);
+  if (template_blocks == 0) {
     return attach;
   }
   const int64_t bs = options_.block_size;
-  const int64_t template_blocks = r->request.template_prefix_len / bs;
-  if (template_blocks == 0) {
-    return attach;  // a sub-block template can never publish, so never matches
-  }
   std::vector<BlockId> blocks;
   const int64_t matched = cache_.LookupSharedPrefix(
       template_chains_.Get(r->request.template_id, template_blocks), &blocks);
@@ -303,14 +309,11 @@ void PensieveEngine::UndoTemplateAttach(Running* r,
 }
 
 void PensieveEngine::PublishTemplatePrefix(const Running& r) {
-  if (!options_.enable_prefix_sharing || r.request.template_id < 0) {
-    return;
-  }
-  const int64_t bs = options_.block_size;
-  const int64_t template_blocks = r.request.template_prefix_len / bs;
+  const int64_t template_blocks = SharedTemplateBlocks(r.request);
   if (template_blocks == 0) {
     return;
   }
+  const int64_t bs = options_.block_size;
   const ContextState* conv = cache_.Find(r.request.conversation_id);
   if (conv == nullptr) {
     return;
@@ -333,25 +336,13 @@ void PensieveEngine::PublishTemplatePrefix(const Running& r) {
       template_chains_.Get(r.request.template_id, static_cast<int64_t>(blocks.size())), blocks);
 }
 
-void PensieveEngine::SyncShareStats() {
-  const TwoTierKvCache::Counters& counters = cache_.counters();
-  stats_.shared_attached_chunks = counters.shared_attached_chunks;
-  stats_.cow_copies = counters.cow_copies;
-  stats_.peak_shared_blocks = counters.peak_shared_blocks;
-  const BlockAllocator& gpu = cache_.gpu_allocator();
-  stats_.kv_block_acquires = gpu.total_acquires();
-  stats_.kv_block_releases = gpu.total_releases();
-  stats_.kv_blocks_live = gpu.live_refs();
-  stats_.gpu_peak_allocated_blocks = gpu.peak_allocated();
-}
-
 void PensieveEngine::ChargeForcedSwapOut(const CacheCoordinator::FreeOutcome& freed,
                                          double now) {
   if (freed.forced_swap_out_tokens == 0) {
     return;
   }
   const double bytes = static_cast<double>(freed.forced_swap_out_tokens) *
-                       static_cast<double>(KvWireBytesPerToken());
+                       static_cast<double>(kv_wire_bytes_per_token_);
   bool delivered = false;
   const double done = TransferDeviceToHost(now, bytes, &delivered);
   pending_forced_stall_ += std::max(0.0, done - now);
@@ -534,7 +525,7 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
     }
     ChargeFlashSpill(now);
     const double bytes = static_cast<double>(ssd_tokens) *
-                         static_cast<double>(KvWireBytesPerToken());
+                         static_cast<double>(kv_wire_bytes_per_token_);
     bool delivered = false;
     const double ssd_done = TransferSsdRead(now, bytes, &delivered);
     if (!delivered) {
@@ -575,7 +566,7 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
   double restore_transfer_s = 0.0;
   if (cpu_tokens > 0) {
     const double bytes = static_cast<double>(cpu_tokens) *
-                         static_cast<double>(KvWireBytesPerToken());
+                         static_cast<double>(kv_wire_bytes_per_token_);
     bool delivered = false;
     const double done = TransferHostToDevice(restore_start, bytes, &delivered);
     if (!delivered) {
@@ -708,7 +699,7 @@ void PensieveEngine::EvictConversationFromGpu(int64_t conversation_id, double no
   }
   if (swapped_tokens > 0) {
     const double bytes = static_cast<double>(swapped_tokens) *
-                         static_cast<double>(KvWireBytesPerToken());
+                         static_cast<double>(kv_wire_bytes_per_token_);
     bool delivered = false;
     TransferDeviceToHost(now, bytes, &delivered);
     if (!delivered) {
@@ -758,7 +749,7 @@ StepResult PensieveEngine::Step(double now) {
   const CacheCoordinator::EvictOutcome aot = coordinator_.AheadOfTimeEvict(now);
   if (aot.swapped_out_tokens > 0) {
     const double bytes = static_cast<double>(aot.swapped_out_tokens) *
-                         static_cast<double>(KvWireBytesPerToken());
+                         static_cast<double>(kv_wire_bytes_per_token_);
     bool delivered = false;
     TransferDeviceToHost(now, bytes, &delivered);
     if (delivered) {
@@ -781,9 +772,7 @@ StepResult PensieveEngine::Step(double now) {
 
   if (running_.empty()) {
     result.idle = true;
-    SyncFlashStats();
-    SyncShareStats();
-    SyncQuantStats();
+    SyncCacheStats();
     return result;
   }
 
@@ -832,9 +821,7 @@ StepResult PensieveEngine::Step(double now) {
     append_pending_range(compute_begin);
     if (running_.empty()) {
       result.idle = true;
-      SyncFlashStats();
-      SyncShareStats();
-      SyncQuantStats();
+      SyncCacheStats();
       return result;
     }
     if (compute_begin < running_.size()) {
@@ -952,9 +939,7 @@ StepResult PensieveEngine::Step(double now) {
     }
   }
   running_ = std::move(keep);
-  SyncFlashStats();
-  SyncShareStats();
-  SyncQuantStats();
+  SyncCacheStats();
   return result;
 }
 
@@ -1002,7 +987,7 @@ MigratedKvState PensieveEngine::ExportConversationState(int64_t conversation_id)
   state.resident_tokens = state.kv_len - conv->LeadingDroppedTokens();
   // Every tensor-parallel worker ships its feature slice of each chunk.
   state.bytes = static_cast<double>(state.resident_tokens) *
-                static_cast<double>(KvWireBytesPerToken()) *
+                static_cast<double>(kv_wire_bytes_per_token_) *
                 static_cast<double>(cost_model_.hardware().num_gpus);
   cache_.Release(conversation_id);
   stats_.migrated_out_tokens += state.resident_tokens;
@@ -1028,9 +1013,7 @@ DrainedWork PensieveEngine::DrainUnfinished() {
   waiting_.clear();
   inflight_.clear();
   pending_forced_stall_ = 0.0;
-  SyncFlashStats();
-  SyncShareStats();
-  SyncQuantStats();
+  SyncCacheStats();
   return drained;
 }
 
@@ -1063,7 +1046,7 @@ std::vector<PeerSpillOffer> PensieveEngine::TakePeerSpillOffers() {
     out.first_token = o.first_token;
     out.num_tokens = o.num_tokens;
     out.bytes = static_cast<double>(o.num_tokens) *
-                static_cast<double>(KvWireBytesPerToken()) *
+                static_cast<double>(kv_wire_bytes_per_token_) *
                 static_cast<double>(cost_model_.hardware().num_gpus);
     stats_.peer_spill_out_tokens += o.num_tokens;
     offers.push_back(out);

@@ -53,9 +53,9 @@ struct PensieveEngineOptions {
   // Cross-conversation shared-prefix dedup: conversations opening with the
   // same template prefix (Request::template_id) attach refcounted views over
   // the blocks the first such conversation prefilled, skipping that prefill
-  // entirely. Safe to leave on: a workload without template metadata never
-  // touches the trie, keeping the engine bit-identical to the dedup-free
-  // build.
+  // entirely. The engine is the one owner of this switch (the cache's
+  // prefix API is always live). Safe to leave on: a workload without
+  // template metadata never touches the trie.
   bool enable_prefix_sharing = true;
   EvictionPolicyKind policy = EvictionPolicyKind::kRetentionValue;
   // KV-transfer fault injection on the PCIe link (off by default: all rates
@@ -64,9 +64,9 @@ struct PensieveEngineOptions {
   LinkRetryPolicy fault_retry;
   uint64_t fault_seed = 0;
   // --- Flash (SSD) tier ----------------------------------------------------
-  // Capacity 0 disables the tier entirely: the engine is then bit-identical
-  // to the two-tier build. The tier also requires use_cpu_cache (it sits
-  // behind the CPU tier).
+  // Capacity 0 builds no tier (the two-tier engine, pinned by
+  // feature_golden_test). The tier also requires use_cpu_cache (it sits
+  // behind the CPU tier); whether it exists is then the cache's to answer.
   int64_t num_ssd_blocks = 0;
   int64_t ssd_segment_blocks = 64;
   // Fault injection on the simulated SSD link (demote/promote transfers).
@@ -75,8 +75,8 @@ struct PensieveEngineOptions {
   // and transferred compressed (per-block amax scale), the CPU and SSD
   // block budgets are accounted in compressed bytes (~2x the
   // conversations per GB), and every off-GPU KV transfer — swap, spill,
-  // promote, migration — is priced at the compressed size. Off by default;
-  // when off the engine is bit-identical to the unquantized build.
+  // promote, migration — is priced at the compressed size. Read only at
+  // construction (cache codec and wire size). Off by default.
   bool kv_quant = false;
   // Cross-replica CPU-tier spill (DESIGN.md §14): record CPU-pressure drops
   // as peer offers instead of discarding them silently. Off by default; the
@@ -172,11 +172,6 @@ class PensieveEngine final : public Engine {
   int64_t AdmitRequests(double now);
   bool TryAdmit(Running* r, double now, int64_t batch_input_tokens);
 
-  // Appends `n` pending tokens for a conversation, evicting or suspending
-  // others as needed. Returns false when even suspension cannot free memory.
-  bool EnsureAppend(int64_t conversation_id, int64_t n, double now,
-                    size_t self_index, size_t processed_limit);
-
   // Takes running_[index] out of the batch, evicts its KV (swap or drop)
   // and re-queues it (§4.3.5).
   void SuspendRequest(size_t index, double now);
@@ -216,21 +211,19 @@ class PensieveEngine final : public Engine {
   // wins and the drop stays a legal prefix.
   void PlanSsdRecompute(int64_t conversation_id);
 
-  // Mirrors the cache's monotone flash counters into stats_ (assignment, not
-  // accumulation — same idiom as the link-fault stats snapshots).
-  void SyncFlashStats();
-
-  // Mirrors the cache's KV-quantization counters into stats_ (assignment
-  // idiom, like SyncFlashStats). No-op fields when kv_quant is off.
-  void SyncQuantStats();
-
-  // Bytes one KV token occupies on the wire for off-GPU transfers (swap,
-  // spill, promote, migration) and in CPU/SSD storage: the compressed int8
-  // size under kv_quant, the fp16 substrate size otherwise. Per-GPU share,
-  // matching cost_model_.KvBytesPerToken().
-  int64_t KvWireBytesPerToken() const;
+  // Mirrors the cache's monotone flash, sharing and quantization counters,
+  // the flash log's stats and the GPU allocator's refcount ledger into
+  // stats_ (assignment, not accumulation — same idiom as the link-fault
+  // stats snapshots). A feature that is off leaves its counters at zero.
+  void SyncCacheStats();
 
   // --- Shared-prefix dedup -------------------------------------------------
+  // Blocks of the request's template prefix the trie can hold: zero when
+  // sharing is off, the request carries no template, or the template is
+  // shorter than one block (it can never publish, so never matches). The
+  // one place the engine reads enable_prefix_sharing after construction.
+  int64_t SharedTemplateBlocks(const Request& request) const;
+
   // What AttachTemplatePrefix changed, so a failed admission can undo it: a
   // request waiting in the queue must not hold shared views, since its
   // conversation is inflight (unevictable) and pinned views could starve
@@ -259,10 +252,6 @@ class PensieveEngine final : public Engine {
   // later conversations can attach them. Idempotent.
   void PublishTemplatePrefix(const Running& r);
 
-  // Mirrors the cache's sharing counters and the GPU allocator's refcount
-  // ledger into stats_ (assignment idiom, like SyncFlashStats).
-  void SyncShareStats();
-
   // Degradation ladder entry: discards corrupt CPU copies that still have a
   // GPU twin, and drops the prefix through the deepest CPU-only chunk whose
   // copy fails checksum verification, so admission rebuilds it through the
@@ -275,6 +264,9 @@ class PensieveEngine final : public Engine {
 
   const GpuCostModel& cost_model_;
   PensieveEngineOptions options_;
+  // Bytes one KV token occupies on the wire for off-GPU transfers (swap,
+  // spill, promote, migration) and in CPU/SSD storage, fixed by kv_quant.
+  const int64_t kv_wire_bytes_per_token_;
   TwoTierKvCache cache_;
   ChunkCostEstimator cost_estimator_;
   std::unique_ptr<EvictionPolicy> policy_;

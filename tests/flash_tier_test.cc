@@ -348,9 +348,7 @@ TEST(CoordinatorSpillTest, CpuPressureDemotesInsteadOfDropping) {
   config.num_ssd_blocks = 8;
   TwoTierKvCache cache(config);
   LruPolicy policy;
-  CacheCoordinator::Options options;
-  options.use_ssd_cache = true;
-  CacheCoordinator coordinator(&cache, &policy, options);
+  CacheCoordinator coordinator(&cache, &policy, CacheCoordinator::Options{});
 
   ASSERT_TRUE(cache.AppendTokenSlots(1, 8, nullptr).ok());
   MoveToCpu(&cache, 1, 0);

@@ -384,9 +384,7 @@ TEST(TwoTierCacheTest, CountersTrackOperations) {
 }
 
 TEST(TwoTierCacheTest, ShutdownLeakAuditBalancedAfterSharedLifecycle) {
-  KvCacheConfig config = SmallConfig();
-  config.enable_prefix_sharing = true;
-  TwoTierKvCache cache(config);
+  TwoTierKvCache cache(SmallConfig());
   // Exercise allocate, share, copy-on-write and release, then prove the
   // ledger balances: no outstanding blocks, acquires == releases, and the
   // destructor's VerifyNoLeaks audit passes.

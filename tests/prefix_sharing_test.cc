@@ -80,7 +80,6 @@ KvCacheConfig SharedConfig(int64_t gpu_blocks = 8, int64_t cpu_blocks = 8) {
   config.block_size = 4;
   config.num_gpu_blocks = gpu_blocks;
   config.num_cpu_blocks = cpu_blocks;
-  config.enable_prefix_sharing = true;
   return config;
 }
 
@@ -282,23 +281,6 @@ TEST(PrefixSharingCacheTest, CorruptedPrivateCopyDegradesOnlyThatReader) {
   cache.Release(1);
   cache.Release(2);
   cache.Release(3);
-}
-
-TEST(PrefixSharingCacheTest, SharingApiInertWhenDisabled) {
-  KvCacheConfig config = SharedConfig();
-  config.enable_prefix_sharing = false;
-  TwoTierKvCache cache(config);
-  ASSERT_TRUE(cache.AppendTokenSlots(1, 8, nullptr).ok());
-  EXPECT_EQ(cache.PublishSharedPrefix({11, 22}, cache.GpuBlockTable(1)), 0);
-  std::vector<BlockId> matched;
-  EXPECT_EQ(cache.LookupSharedPrefix({11, 22}, &matched), 0);
-  EXPECT_EQ(cache.ReattachDroppedShared(1, 0, 0).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cache.prefix_trie().size(), 0);
-  // Append demand degenerates to plain chunk demand (no CoW surcharge).
-  EXPECT_EQ(cache.AppendBlockDemand(1, 1),
-            cache.Find(1)->NumNewChunksForAppend(1));
-  cache.Release(1);
 }
 
 // --- Engine-level template attach / publish ----------------------------------

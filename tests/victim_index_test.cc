@@ -223,7 +223,7 @@ class BruteForceCoordinator {
         dropped_frontier = true;
         continue;
       }
-      if (options_.use_ssd_cache) {
+      if (cache_->flash_enabled()) {
         std::optional<Victim> deep;
         for (const auto& [id, state] : cache_->conversations()) {
           if (state.pinned()) {
@@ -386,7 +386,7 @@ class BruteForceCoordinator {
   bool EvictCpuChunk(const Victim& v) {
     const Chunk& chunk = cache_->Find(v.conversation)->chunk(v.chunk_index);
     const int64_t tokens = chunk.num_tokens;
-    if (options_.use_ssd_cache) {
+    if (cache_->flash_enabled()) {
       if (cache_->DemoteToFlash(v.conversation, v.chunk_index).ok()) {
         spill_.demoted_tokens += tokens;
         spill_.demoted.emplace_back(v.conversation, v.chunk_index);
@@ -439,14 +439,13 @@ class BruteForceCoordinator {
   bool in_swap_pass_ = false;
 };
 
-KvCacheConfig LayoutConfig(int64_t cpu_blocks = 40) {
+KvCacheConfig LayoutConfig(int64_t cpu_blocks = 40, bool flash = true) {
   KvCacheConfig config;
   config.block_size = kBlock;
   config.num_gpu_blocks = 96;
   config.num_cpu_blocks = cpu_blocks;
-  config.num_ssd_blocks = 24;
+  config.num_ssd_blocks = flash ? 24 : 0;
   config.ssd_segment_blocks = 4;
-  config.enable_prefix_sharing = true;
   return config;
 }
 
@@ -574,6 +573,9 @@ void Mutate(std::mt19937_64* rng, TwoTierKvCache* cache) {
 struct Variant {
   EvictionPolicyKind policy;
   CacheCoordinator::Options options;
+  // Whether the cache has a flash tier; the coordinator (and the oracle)
+  // demote into it exactly when it does.
+  bool flash;
 };
 
 std::vector<Variant> Variants() {
@@ -587,10 +589,9 @@ std::vector<Variant> Variants() {
       CacheCoordinator::Options o;
       o.swap_out_target = 0.6;
       o.use_cpu_cache = mode != 0;
-      o.use_ssd_cache = mode == 2;
       o.peer_spill = mode == 3;
       o.conversation_granularity = kind == EvictionPolicyKind::kConversationLru;
-      variants.push_back({kind, o});
+      variants.push_back({kind, o, /*flash=*/mode == 2});
     }
   }
   return variants;
@@ -614,7 +615,7 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
   // Every third seed gets a small CPU tier and no CPU-only chunks, so CPU
   // pressure falls back to discarding clean copies mid-pass.
   const bool copies_only = seed % 3 == 0;
-  TwoTierKvCache cache(LayoutConfig(copies_only ? 8 : 40));
+  TwoTierKvCache cache(LayoutConfig(copies_only ? 8 : 40, variant.flash));
   BuildLayout(seed, copies_only, &cache);
   std::vector<TwoTierKvCache::EvictEvent> log;
   cache.set_event_log(&log);
@@ -692,9 +693,7 @@ TEST(VictimIndexTest, MatchesBruteForceOracleOnRandomLayouts) {
 // from block 0, the publisher's shared chunk 1 scores 0 and must be swapped
 // out before its unshared chunk 0.
 TEST(VictimIndexTest, SharedChunkBehindUnsharedChunkGoesFirst) {
-  KvCacheConfig config = LayoutConfig();
-  config.num_ssd_blocks = 0;
-  TwoTierKvCache cache(config);
+  TwoTierKvCache cache(LayoutConfig(40, /*flash=*/false));
   const ConversationId publisher = 1;
   const ConversationId reader = 2;
   ASSERT_TRUE(cache.AppendTokenSlots(publisher, 4 * kBlock, nullptr).ok());
@@ -745,7 +744,6 @@ TEST(VictimIndexTest, DeepDropSeesConversationAfterFrontierDrop) {
       GpuCostModel(Opt13BConfig(), A100Spec(1)), kBlock, 4096));
   CacheCoordinator::Options options;
   options.use_cpu_cache = false;
-  options.use_ssd_cache = true;
   CacheCoordinator coordinator(&cache, &policy, options);
   std::vector<TwoTierKvCache::EvictEvent> log;
   cache.set_event_log(&log);
