@@ -11,6 +11,8 @@ constexpr int kChunkBits = 20;
 constexpr uint64_t kChunkMask = (uint64_t{1} << kChunkBits) - 1;
 
 SegmentLogConfig MakeLogConfig(const FlashTierConfig& config) {
+  // Checked here, not only by SegmentLog: the segment count divides by it.
+  PENSIEVE_CHECK_GT(config.segment_blocks, 0);
   SegmentLogConfig log;
   log.segment_blocks = config.segment_blocks;
   // Physical capacity = logical capacity rounded up to whole segments, plus

@@ -165,6 +165,15 @@ TEST(FlashTierTest, KeyPackingRoundTrips) {
   EXPECT_EQ(FlashTier::KeyChunk(key), 789);
 }
 
+// A zero segment size is a configuration error, reported as a failed check
+// before the capacity is divided into segments (not as a SIGFPE).
+TEST(FlashTierTest, ZeroSegmentBlocksFailsCheck) {
+  FlashTierConfig config;
+  config.capacity_blocks = 8;
+  config.segment_blocks = 0;
+  EXPECT_DEATH(FlashTier tier(config), "Check failed: config.segment_blocks > 0");
+}
+
 TEST(FlashTierTest, BlockIndexStaysConsistentAcrossGcChurn) {
   FlashTierConfig config;
   config.capacity_blocks = 8;
