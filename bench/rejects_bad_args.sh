@@ -2,12 +2,14 @@
 # Checks that command-line binaries reject malformed command lines before
 # doing any work.
 #
-# Usage: rejects_bad_args.sh BINARY... [--workload BINARY...]
+# Usage: rejects_bad_args.sh BINARY... [--workload BINARY...] [--sim BINARY...]
 #
 # Every binary must exit 2 with nothing on stdout when given an unknown flag
 # or a stray positional argument. Binaries listed after --workload carry the
 # workload flag group and must do the same for an unknown --model or
-# --dataset.
+# --dataset. Binaries listed after --sim are pensieve_sim: they carry the
+# workload group too, and must also reject a flash tier that cannot be built
+# and cache flags the chosen --system would silently ignore.
 
 failures=0
 
@@ -21,9 +23,15 @@ expect_usage_error() {
 }
 
 workload=0
+sim=0
 for bin in "$@"; do
   if [ "$bin" = "--workload" ]; then
     workload=1
+    continue
+  fi
+  if [ "$bin" = "--sim" ]; then
+    workload=1
+    sim=1
     continue
   fi
   expect_usage_error "$bin" --bogus
@@ -31,6 +39,12 @@ for bin in "$@"; do
   if [ "$workload" -eq 1 ]; then
     expect_usage_error "$bin" --model=bogus
     expect_usage_error "$bin" --dataset=bogus
+  fi
+  if [ "$sim" -eq 1 ]; then
+    expect_usage_error "$bin" --ssd-capacity=1 --ssd-segment-blocks=0
+    expect_usage_error "$bin" --ssd-capacity=-1
+    expect_usage_error "$bin" --system=pensieve-gpu --ssd-capacity=16
+    expect_usage_error "$bin" --system=vllm --kv-quant=on
   fi
 done
 

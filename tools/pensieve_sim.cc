@@ -104,11 +104,12 @@ int Run(int argc, char** argv) {
                   "cache_scale); < 1 forces traffic into the flash tier");
   flags.AddDouble("ssd-capacity", 0.0,
                   "flash (SSD) tier capacity in GiB of KV data behind the CPU "
-                  "tier; 0 disables the tier (bit-identical to the two-tier "
-                  "build). Full pensieve system only; not scaled by "
+                  "tier; 0 disables the tier. --system=pensieve only (other "
+                  "systems reject a positive value); not scaled by "
                   "cache_scale");
   flags.AddInt("ssd-segment-blocks", 64,
-               "blocks per append-only flash log segment (GC granularity)");
+               "blocks per append-only flash log segment (GC granularity); "
+               "must be >= 1");
   flags.AddInt("prefix-templates", 0,
                "number of shared prompt templates; conversation i opens with "
                "template (i mod N) prepended to its first prompt (0 = none)");
@@ -218,8 +219,8 @@ int Run(int argc, char** argv) {
   flags.AddString("kv-quant", "off",
                   "int8 KV compression at the GPU boundary: on quantizes "
                   "blocks demoted to the CPU/SSD tiers (~2x capacity, "
-                  "compressed transfers), off keeps fp16 KV everywhere "
-                  "(bit-identical to prior builds)");
+                  "compressed transfers), off keeps fp16 KV everywhere. "
+                  "Pensieve systems only (vllm and tensorrt-llm reject on)");
   AddFaultFlags(&flags);
   ParseFlagsOrExit(&flags, argc, argv, "pensieve_sim: serving-experiment runner");
   const Workload workload = WorkloadFromFlags(flags);
@@ -274,6 +275,28 @@ int Run(int argc, char** argv) {
     return 2;
   }
   overrides.kv_quant = kv_quant == "on";
+  // Flash-tier geometry the tier cannot be built with, and cache flags the
+  // chosen system would silently ignore, are usage errors.
+  if (overrides.ssd_capacity_gb < 0.0 || overrides.ssd_segment_blocks < 1) {
+    std::fprintf(stderr,
+                 "--ssd-capacity must be >= 0 and --ssd-segment-blocks >= 1\n");
+    return 2;
+  }
+  if (overrides.ssd_capacity_gb > 0.0 && kind != SystemKind::kPensieve) {
+    std::fprintf(stderr,
+                 "--ssd-capacity needs --system=pensieve: the flash tier sits "
+                 "behind the CPU tier, which %s does not have\n",
+                 system.c_str());
+    return 2;
+  }
+  if (overrides.kv_quant && kind != SystemKind::kPensieve &&
+      kind != SystemKind::kPensieveGpuOnly) {
+    std::fprintf(stderr,
+                 "--kv-quant=on needs --system=pensieve or pensieve-gpu: %s "
+                 "keeps no KV off the GPU\n",
+                 system.c_str());
+    return 2;
+  }
 
   const ModelConfig& model = workload.model;
   const DatasetProfile& profile = workload.profile;
