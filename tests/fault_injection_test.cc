@@ -240,7 +240,9 @@ EngineOverrides FaultyOverrides(double timeout, double corrupt) {
 
 ServingSummary RunOnce(const EngineOverrides& overrides,
                        const WorkloadTrace& trace) {
-  auto engine = MakeEngine(SystemKind::kPensieve, Opt13BModel(), overrides);
+  // The engine keeps a reference to the cost model, so it must outlive it.
+  const GpuCostModel model = Opt13BModel();
+  auto engine = MakeEngine(SystemKind::kPensieve, model, overrides);
   return RunServingExperiment(engine.get(), trace);
 }
 
