@@ -155,6 +155,9 @@ TEST(PrefixSharingCacheTest, CowOnDivergenceMidBlock) {
   // Subsequent appends are plain appends — one copy per divergence.
   ASSERT_TRUE(cache.AppendTokenSlots(2, 4, nullptr).ok());
   EXPECT_EQ(cache.counters().cow_copies, 1);
+  // A private partial tail owes no copy-on-write block.
+  ASSERT_TRUE(cache.AppendTokenSlots(2, 1, nullptr).ok());
+  EXPECT_EQ(cache.AppendBlockDemand(2, 1), cache.Find(2)->NumNewChunksForAppend(1));
   cache.CheckInvariants();
   cache.Release(1);
   cache.Release(2);
