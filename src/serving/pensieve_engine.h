@@ -264,8 +264,8 @@ class PensieveEngine final : public Engine {
 
   const GpuCostModel& cost_model_;
   PensieveEngineOptions options_;
-  // Bytes one KV token occupies on the wire for off-GPU transfers (swap,
-  // spill, promote, migration) and in CPU/SSD storage, fixed by kv_quant.
+  // Off-GPU wire and CPU/SSD storage bytes per KV token, fixed by kv_quant
+  // at construction (KvWireBytesPerToken in pensieve_engine.cc).
   const int64_t kv_wire_bytes_per_token_;
   TwoTierKvCache cache_;
   ChunkCostEstimator cost_estimator_;
