@@ -101,10 +101,10 @@ int Run(int argc, char** argv) {
                   "which the sweep crosses into flash territory");
   flags.AddDouble("ssd-capacity", 128.0, "flash tier capacity in GiB");
   flags.AddInt("ssd-segment-blocks", 64, "blocks per flash log segment");
-  flags.AddString("kv-quant", "off",
-                  "int8 KV in the CPU/SSD tiers (on/off): the same byte "
-                  "budget holds ~2x the blocks, so ~2x the conversations "
-                  "stay resident per GB");
+  flags.AddBool("kv-quant", false,
+                "int8 KV in the CPU/SSD tiers (on/off): the same byte "
+                "budget holds ~2x the blocks, so ~2x the conversations "
+                "stay resident per GB");
   flags.AddString("json", "BENCH_flash.json", "output JSON path");
   flags.AddBool("smoke", false, "CI-sized run: one small sweep point");
   ParseFlagsOrExit(&flags, argc, argv,
@@ -123,11 +123,7 @@ int Run(int argc, char** argv) {
   }
   base.ssd_segment_blocks = flags.GetInt("ssd-segment-blocks");
   const double ssd_gb = flags.GetDouble("ssd-capacity");
-  const std::string kv_quant_flag = flags.GetString("kv-quant");
-  if (kv_quant_flag != "on" && kv_quant_flag != "off") {
-    ExitWithUsage(flags, "--kv-quant must be 'on' or 'off', got '" + kv_quant_flag + "'");
-  }
-  base.kv_quant = kv_quant_flag == "on";
+  base.kv_quant = flags.GetBool("kv-quant");
 
   const std::vector<int64_t> sweep_sizes =
       smoke ? std::vector<int64_t>{12}

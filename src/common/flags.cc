@@ -71,12 +71,13 @@ Status FlagParser::SetValue(Flag* flag, const std::string& name,
       return Status::Ok();
     }
     case Kind::kBool:
-      if (value == "true" || value == "1") {
+      if (value == "true" || value == "1" || value == "on") {
         flag->bool_value = true;
-      } else if (value == "false" || value == "0") {
+      } else if (value == "false" || value == "0" || value == "off") {
         flag->bool_value = false;
       } else {
-        return Status::InvalidArgument("--" + name + " expects true/false, got '" +
+        return Status::InvalidArgument("--" + name +
+                                       " expects true/false or on/off, got '" +
                                        value + "'");
       }
       return Status::Ok();

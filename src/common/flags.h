@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the tools/ and bench/ binaries.
 //
 // Supports `--name=value` and `--name value`; unknown flags are errors so
-// typos surface immediately. Binaries parse through ParseFlagsOrExit, so
+// typos surface immediately. A bool flag takes true/false, 1/0 or on/off,
+// and `--name` alone means true (so the space form `--name on` leaves a
+// stray positional argument). Binaries parse through ParseFlagsOrExit, so
 // every one of them accepts --threads and --help and rejects bad input the
 // same way.
 

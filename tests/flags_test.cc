@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/flags.h"
 #include "src/common/thread_pool.h"
 #include "src/core/experiment.h"
@@ -67,6 +71,24 @@ TEST(FlagsTest, BareBoolMeansTrue) {
   auto argv = Argv(args);
   ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
   EXPECT_TRUE(flags.GetBool("verbose"));
+}
+
+TEST(FlagsTest, BoolTakesOnAndOff) {
+  for (const auto& [value, want] :
+       {std::pair<std::string, bool>{"on", true}, {"off", false}}) {
+    FlagParser flags = MakeParser();
+    flags.AddBool("switch", !want, "a switch whose default is the other way");
+    std::vector<std::string> args = {"--switch=" + value};
+    auto argv = Argv(args);
+    ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+    EXPECT_EQ(flags.GetBool("switch"), want) << value;
+  }
+  FlagParser flags = MakeParser();
+  std::vector<std::string> args = {"--verbose=maybe"};
+  auto argv = Argv(args);
+  const Status status = flags.Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("on/off"), std::string::npos) << status.ToString();
 }
 
 TEST(FlagsTest, PositionalArgumentsCollected) {
