@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -26,7 +27,6 @@ class ReplicaSet {
              const HealthMonitor* health)
       : health_(health) {
     PENSIEVE_CHECK(make_engine != nullptr);
-    PENSIEVE_CHECK_GT(n, 0);
     slots_.reserve(static_cast<size_t>(n));
     for (int32_t i = 0; i < n; ++i) {
       slots_.emplace_back(i, make_engine(i));
@@ -401,8 +401,6 @@ std::unique_ptr<Router> MakeClusterRouter(const ClusterOptions& options) {
   if (!options.disagg.enabled) {
     return MakeRouter(options.router);
   }
-  PENSIEVE_CHECK_GE(options.num_replicas, 2)
-      << "disaggregation needs at least one prefill and one decode replica";
   DisaggRouterConfig config;
   config.prefill_replicas = options.disagg.prefill_replicas;
   config.min_handoff_tokens = options.disagg.min_handoff_tokens;
@@ -445,10 +443,6 @@ class ClusterSim {
         handoff_(&faults_),
         views_(static_cast<size_t>(options.num_replicas)) {
     if (elastic_.autoscale.enabled) {
-      PENSIEVE_CHECK(!options.disagg.enabled)
-          << "autoscaling is incompatible with disaggregated prefill (the "
-             "prefill/decode pools are statically partitioned)";
-      PENSIEVE_CHECK_LE(elastic_.autoscale.max_replicas, options.num_replicas);
       for (int32_t i = elastic_.autoscale.min_replicas;
            i < options.num_replicas; ++i) {
         replicas_[i].Dormant();
@@ -462,9 +456,6 @@ class ClusterSim {
     // fail < recover on time ties); replica steps rank after all of them so
     // routers always see fresh state.
     for (const ReplicaFault& fault : options.faults) {
-      PENSIEVE_CHECK_GE(fault.replica_id, 0);
-      PENSIEVE_CHECK_LT(fault.replica_id, options.num_replicas);
-      PENSIEVE_CHECK_GE(fault.time, 0.0);
       Schedule(fault.time,
                fault.recover ? SimEventKind::kReplicaRecover
                              : SimEventKind::kReplicaFail,
@@ -1143,8 +1134,7 @@ class ClusterSim {
     summary.elastic.autoscale = autoscale_;
     summary.elastic.peer_spill = spill_.Finish();
     if (options_.disagg.enabled) {
-      summary.prefill_replicas =
-          std::min(options_.disagg.prefill_replicas, options_.num_replicas - 1);
+      summary.prefill_replicas = options_.disagg.prefill_replicas;
     }
     return summary;
   }
@@ -1174,9 +1164,53 @@ class ClusterSim {
 
 }  // namespace
 
+Status ClusterOptions::Validate() const {
+  if (num_replicas < 1) {
+    return Status::InvalidArgument("num_replicas must be >= 1");
+  }
+  for (const Status& status :
+       {elastic.health.Validate(), elastic.autoscale.Validate()}) {
+    if (!status.ok()) {
+      return status;
+    }
+  }
+  for (const ReplicaFault& fault : faults) {
+    if (fault.replica_id < 0 || fault.replica_id >= num_replicas ||
+        fault.time < 0.0) {
+      return Status::InvalidArgument(
+          "faults entry of replica " + std::to_string(fault.replica_id) +
+          " needs replica_id in [0, num_replicas) and time >= 0");
+    }
+  }
+  for (const SickWindow& window : elastic.health.sick) {
+    if (window.replica_id >= num_replicas) {
+      return Status::InvalidArgument(
+          "health.sick window of replica " + std::to_string(window.replica_id) +
+          " needs replica_id < num_replicas");
+    }
+  }
+  const bool autoscale = elastic.autoscale.enabled;
+  return CheckRules({
+      {disagg.enabled && num_replicas < 2,
+       "disagg needs num_replicas >= 2 (one prefill + one decode)"},
+      {disagg.enabled && (disagg.prefill_replicas < 1 ||
+                          disagg.prefill_replicas >= num_replicas),
+       "disagg.prefill_replicas must be in [1, num_replicas - 1] so a decode "
+       "replica remains"},
+      {autoscale && disagg.enabled,
+       "autoscale excludes disagg (the prefill/decode pools are statically "
+       "partitioned)"},
+      {autoscale && elastic.autoscale.max_replicas > num_replicas,
+       "autoscale.max_replicas must be <= num_replicas (the slot count)"},
+      {elastic.peer_spill.enabled && num_replicas < 2,
+       "peer_spill needs num_replicas >= 2"},
+  });
+}
+
 ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
                                     const WorkloadTrace& trace,
                                     const ClusterOptions& options) {
+  PENSIEVE_CHECK_OK(options.Validate());
   return ClusterSim(make_engine, trace, options).Run();
 }
 

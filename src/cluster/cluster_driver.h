@@ -59,8 +59,9 @@ struct ReplicaFault {
 // bit-identical to the colocated cluster.
 struct DisaggOptions {
   bool enabled = false;
-  // Replicas [0, prefill_replicas) serve prefill; clamped so at least one
-  // decode replica remains.
+  // Replicas [0, prefill_replicas) serve prefill, the rest decode.
+  // ClusterOptions::Validate requires 1 <= prefill_replicas <=
+  // num_replicas - 1, so both pools are non-empty.
   int32_t prefill_replicas = 1;
   // Minimum pending prefill tokens (new prompt + history the decode home no
   // longer caches) for a turn to be worth the handoff.
@@ -98,6 +99,11 @@ struct ClusterOptions {
   std::vector<ClusterStepTraceEntry>* step_trace = nullptr;
   // When non-null, receives every request outcome (for CSV export).
   std::vector<RequestOutcome>* outcomes = nullptr;
+
+  // The one home of the cluster's option rules, the health and autoscale
+  // ones included; a switched-off feature's fields are not checked.
+  // RunClusterExperiment dies on options that fail it.
+  Status Validate() const;
 };
 
 // Builds the engine for one replica. Each replica must get its own engine
@@ -106,6 +112,7 @@ struct ClusterOptions {
 using ReplicaEngineFactory =
     std::function<std::unique_ptr<Engine>(int32_t replica_id)>;
 
+// Runs the trace across the replicas. `options` must pass Validate().
 ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
                                     const WorkloadTrace& trace,
                                     const ClusterOptions& options = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "src/common/logging.h"
 
@@ -20,20 +21,31 @@ const char* ReplicaHealthName(ReplicaHealth health) {
   return "?";
 }
 
+Status HealthOptions::Validate() const {
+  for (const SickWindow& w : sick) {
+    if (w.replica_id < 0 || w.begin < 0.0 || w.end <= w.begin) {
+      return Status::InvalidArgument(
+          "health.sick window of replica " + std::to_string(w.replica_id) +
+          " needs replica_id >= 0 and 0 <= begin < end");
+    }
+  }
+  if (!enabled) {
+    return Status::Ok();
+  }
+  return CheckRules({
+      {probe_interval <= 0.0, "health.probe_interval must be > 0"},
+      {probe_timeout <= 0.0, "health.probe_timeout must be > 0"},
+      {suspect_after < 1, "health.suspect_after must be >= 1"},
+      {quarantine_after < suspect_after,
+       "health.quarantine_after must be >= health.suspect_after"},
+      {healthy_after < 1, "health.healthy_after must be >= 1"},
+  });
+}
+
 HealthMonitor::HealthMonitor(int32_t num_replicas,
                              const HealthOptions& options)
     : options_(options), slots_(static_cast<size_t>(num_replicas)) {
-  if (options_.enabled) {
-    PENSIEVE_CHECK_GT(options_.probe_interval, 0.0);
-    PENSIEVE_CHECK_GE(options_.suspect_after, 1);
-    PENSIEVE_CHECK_GE(options_.quarantine_after, options_.suspect_after);
-    PENSIEVE_CHECK_GE(options_.healthy_after, 1);
-  }
-  for (const SickWindow& w : options_.sick) {
-    PENSIEVE_CHECK_GE(w.replica_id, 0);
-    PENSIEVE_CHECK_LT(w.replica_id, num_replicas);
-    PENSIEVE_CHECK_LE(w.begin, w.end);
-  }
+  PENSIEVE_CHECK_OK(options_.Validate());
 }
 
 bool HealthMonitor::InSickWindow(int32_t replica, double now) const {
@@ -94,16 +106,25 @@ ReplicaHealth HealthMonitor::health(int32_t replica) const {
   return slots_[static_cast<size_t>(replica)].health;
 }
 
-Autoscaler::Autoscaler(const AutoscaleOptions& options) : options_(options) {
-  if (options_.enabled) {
-    PENSIEVE_CHECK_GE(options_.min_replicas, 1);
-    PENSIEVE_CHECK_GE(options_.max_replicas, options_.min_replicas);
-    PENSIEVE_CHECK_GT(options_.check_interval, 0.0);
-    PENSIEVE_CHECK_GE(options_.cooldown, 0.0);
-    PENSIEVE_CHECK_GT(options_.up_queue_tokens, options_.down_queue_tokens)
-        << "autoscale thresholds need a hysteresis band";
-    PENSIEVE_CHECK_GE(options_.latency_window, 1);
+Status AutoscaleOptions::Validate() const {
+  if (!enabled) {
+    return Status::Ok();
   }
+  return CheckRules({
+      {min_replicas < 1, "autoscale.min_replicas must be >= 1"},
+      {max_replicas < min_replicas,
+       "autoscale.max_replicas must be >= autoscale.min_replicas"},
+      {check_interval <= 0.0, "autoscale.check_interval must be > 0"},
+      {cooldown < 0.0, "autoscale.cooldown must be >= 0"},
+      {up_queue_tokens <= down_queue_tokens,
+       "autoscale.up_queue_tokens must exceed autoscale.down_queue_tokens "
+       "(the gap is the hysteresis band)"},
+      {latency_window < 1, "autoscale.latency_window must be >= 1"},
+  });
+}
+
+Autoscaler::Autoscaler(const AutoscaleOptions& options) : options_(options) {
+  PENSIEVE_CHECK_OK(options_.Validate());
 }
 
 void Autoscaler::RecordFinish(double normalized_latency) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/sim/fault_injector.h"
 
 namespace pensieve {
@@ -79,6 +80,10 @@ struct HealthOptions {
   // the data-plane fault stream.
   uint64_t probe_seed = 0x9E3779B97F4A7C15ull;
   std::vector<SickWindow> sick;
+
+  // Sick windows are checked even with probing off; ClusterOptions::Validate
+  // bounds their ids by the replica count.
+  Status Validate() const;
 };
 
 // Accounting identity: probes_sent == probes_ok + probes_failed.
@@ -159,6 +164,9 @@ struct AutoscaleOptions {
   double up_p99_latency = 0.0;
   // Ring-buffer size of the recent-latency window feeding the p99 estimate.
   int32_t latency_window = 128;
+
+  // ClusterOptions::Validate bounds max_replicas by the slot count.
+  Status Validate() const;
 };
 
 struct ScaleEvent {

@@ -264,8 +264,7 @@ class DisaggRouter final : public Router {
                         const std::vector<ReplicaView>& replicas) override {
     const int32_t n = static_cast<int32_t>(replicas.size());
     PENSIEVE_CHECK_GE(n, 2) << "disaggregation needs >= 2 replicas";
-    // Always leave at least one decode replica.
-    const int32_t prefill_n = std::min(config_.prefill_replicas, n - 1);
+    const int32_t prefill_n = config_.prefill_replicas;
 
     RoutingDecision decision;
     if (request.handoff_continuation) {

@@ -42,4 +42,13 @@ std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }
 
+Status CheckRules(std::initializer_list<OptionRule> rules) {
+  for (const OptionRule& rule : rules) {
+    if (rule.broken) {
+      return Status::InvalidArgument(rule.message);
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace pensieve

@@ -9,6 +9,7 @@
 #define PENSIEVE_SRC_COMMON_STATUS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -80,6 +81,18 @@ class Status {
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
+
+// One option rule: `broken` holds when a value breaks it, and `message`
+// names the field and what it must be. Messages are literals so that a
+// passing check allocates nothing.
+struct OptionRule {
+  bool broken = false;
+  const char* message = "";
+};
+
+// InvalidArgument with the message of the first broken rule, else Ok. The
+// options structs list their rules through it in their Validate().
+Status CheckRules(std::initializer_list<OptionRule> rules);
 
 // Minimal StatusOr: either a Status (non-OK) or a value.
 template <typename T>

@@ -30,8 +30,23 @@ int64_t CpuKvCacheTokens(const ModelConfig& model, const HardwareSpec& hw) {
   return hw.cpu_kv_cache_bytes / model.KvBytesPerTokenPerGpu();
 }
 
+Status EngineOverrides::Validate(SystemKind kind) const {
+  return CheckRules({
+      {ssd_capacity_gb < 0.0, "ssd_capacity_gb must be >= 0"},
+      {ssd_segment_blocks < 1, "ssd_segment_blocks must be >= 1"},
+      {ssd_capacity_gb > 0.0 && kind != SystemKind::kPensieve,
+       "ssd_capacity_gb > 0 needs system pensieve: the flash tier sits behind "
+       "the CPU tier, which the other systems do not have"},
+      {kv_quant && kind != SystemKind::kPensieve &&
+           kind != SystemKind::kPensieveGpuOnly,
+       "kv_quant needs a Pensieve system: vllm and tensorrt-llm keep no KV "
+       "off the GPU"},
+  });
+}
+
 std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_model,
                                    const EngineOverrides& overrides) {
+  PENSIEVE_CHECK_OK(overrides.Validate(kind));
   const ModelConfig& model = cost_model.model();
   const HardwareSpec& hw = cost_model.hardware();
   const int64_t gpu_tokens = static_cast<int64_t>(
@@ -61,7 +76,7 @@ std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_mod
       options.fault_seed = overrides.fault_seed;
       options.kv_quant = overrides.kv_quant;
       options.peer_spill = overrides.peer_spill;
-      if (kind == SystemKind::kPensieve && overrides.ssd_capacity_gb > 0.0) {
+      if (overrides.ssd_capacity_gb > 0.0) {
         const int64_t ssd_tokens = static_cast<int64_t>(
             overrides.ssd_capacity_gb * 1024.0 * 1024.0 * 1024.0 /
             static_cast<double>(model.KvBytesPerTokenPerGpu()));

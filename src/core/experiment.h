@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/status.h"
 #include "src/serving/driver.h"
 #include "src/serving/engine.h"
 #include "src/serving/pensieve_engine.h"
@@ -76,8 +77,13 @@ struct EngineOverrides {
   // Cross-replica CPU-tier spill (cluster runs only, DESIGN.md §14): record
   // CPU-pressure drops as peer offers for the cluster driver to place.
   bool peer_spill = false;
+
+  // The one home of the engine option rules: flash geometry, a flash tier
+  // only on kPensieve, int8 KV only on the Pensieve variants.
+  Status Validate(SystemKind kind) const;
 };
 
+// Builds one engine. `overrides` must pass Validate(kind).
 std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_model,
                                    const EngineOverrides& overrides = {});
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster_driver.h"
@@ -487,6 +489,178 @@ TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   EXPECT_EQ(a.elastic.autoscale.scale_ups, b.elastic.autoscale.scale_ups);
   EXPECT_EQ(a.elastic.peer_spill.spilled_tokens,
             b.elastic.peer_spill.spilled_tokens);
+}
+
+// --- Option validation ------------------------------------------------------
+
+// Each case breaks one rule of a valid three-replica configuration; the
+// violation must come back as InvalidArgument naming the field.
+struct ClusterRuleCase {
+  const char* field;
+  std::function<void(ClusterOptions*)> mutate;
+};
+
+TEST(OptionValidationTest, DefaultsPass) {
+  EXPECT_TRUE(ClusterOptions{}.Validate().ok());
+  EXPECT_TRUE(HealthOptions{}.Validate().ok());
+  EXPECT_TRUE(AutoscaleOptions{}.Validate().ok());
+  for (SystemKind kind : {SystemKind::kPensieve, SystemKind::kPensieveGpuOnly,
+                          SystemKind::kVllm, SystemKind::kTensorRtLlm}) {
+    EXPECT_TRUE(EngineOverrides{}.Validate(kind).ok()) << SystemKindName(kind);
+  }
+}
+
+TEST(OptionValidationTest, EachClusterRuleNamesItsField) {
+  const auto probe = [](ClusterOptions* o) { o->elastic.health.enabled = true; };
+  const auto scale = [](ClusterOptions* o) {
+    o->elastic.autoscale.enabled = true;
+    o->elastic.autoscale.max_replicas = 3;
+  };
+  const auto split = [](ClusterOptions* o) { o->disagg.enabled = true; };
+  const std::vector<ClusterRuleCase> cases = {
+      {"num_replicas", [](ClusterOptions* o) { o->num_replicas = 0; }},
+      {"faults entry",
+       [](ClusterOptions* o) { o->faults.push_back({10.0, 3, false}); }},
+      {"faults entry",
+       [](ClusterOptions* o) { o->faults.push_back({10.0, -1, false}); }},
+      {"faults entry",
+       [](ClusterOptions* o) { o->faults.push_back({-1.0, 0, true}); }},
+      {"health.sick window",
+       [](ClusterOptions* o) { o->elastic.health.sick.push_back({3, 1.0, 2.0}); }},
+      {"health.sick window",
+       [](ClusterOptions* o) { o->elastic.health.sick.push_back({-1, 1.0, 2.0}); }},
+      {"health.sick window",
+       [](ClusterOptions* o) { o->elastic.health.sick.push_back({1, 2.0, 2.0}); }},
+      {"health.sick window",
+       [](ClusterOptions* o) { o->elastic.health.sick.push_back({1, -1.0, 2.0}); }},
+      {"health.probe_interval",
+       [&](ClusterOptions* o) { probe(o); o->elastic.health.probe_interval = 0.0; }},
+      {"health.probe_timeout",
+       [&](ClusterOptions* o) { probe(o); o->elastic.health.probe_timeout = 0.0; }},
+      {"health.suspect_after",
+       [&](ClusterOptions* o) { probe(o); o->elastic.health.suspect_after = 0; }},
+      {"health.quarantine_after",
+       [&](ClusterOptions* o) { probe(o); o->elastic.health.quarantine_after = 1; }},
+      {"health.healthy_after",
+       [&](ClusterOptions* o) { probe(o); o->elastic.health.healthy_after = 0; }},
+      {"autoscale.min_replicas",
+       [&](ClusterOptions* o) { scale(o); o->elastic.autoscale.min_replicas = 0; }},
+      {"autoscale.max_replicas",
+       [&](ClusterOptions* o) { scale(o); o->elastic.autoscale.min_replicas = 4; }},
+      {"autoscale.max_replicas",
+       [&](ClusterOptions* o) { scale(o); o->elastic.autoscale.max_replicas = 4; }},
+      {"autoscale.check_interval", [&](ClusterOptions* o) {
+         scale(o);
+         o->elastic.autoscale.check_interval = 0.0;
+       }},
+      {"autoscale.cooldown",
+       [&](ClusterOptions* o) { scale(o); o->elastic.autoscale.cooldown = -1.0; }},
+      {"autoscale.up_queue_tokens", [&](ClusterOptions* o) {
+         scale(o);
+         o->elastic.autoscale.down_queue_tokens = 4096;
+       }},
+      {"autoscale.latency_window", [&](ClusterOptions* o) {
+         scale(o);
+         o->elastic.autoscale.latency_window = 0;
+       }},
+      {"autoscale excludes disagg",
+       [&](ClusterOptions* o) { scale(o); split(o); }},
+      {"disagg needs num_replicas",
+       [&](ClusterOptions* o) { split(o); o->num_replicas = 1; }},
+      {"disagg.prefill_replicas", [&](ClusterOptions* o) {
+         split(o);
+         o->disagg.prefill_replicas = 0;
+       }},
+      {"disagg.prefill_replicas", [&](ClusterOptions* o) {
+         split(o);
+         o->disagg.prefill_replicas = 3;
+       }},
+      {"peer_spill", [](ClusterOptions* o) {
+         o->num_replicas = 1;
+         o->elastic.peer_spill.enabled = true;
+       }},
+  };
+  for (const ClusterRuleCase& c : cases) {
+    ClusterOptions options;
+    options.num_replicas = 3;
+    ASSERT_TRUE(options.Validate().ok());
+    c.mutate(&options);
+    const Status status = options.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << c.field << ": " << status.ToString();
+  }
+}
+
+// The fields of a switched-off feature stay unchecked.
+TEST(OptionValidationTest, SwitchedOffFeaturesAreNotChecked) {
+  ClusterOptions options;
+  options.num_replicas = 1;
+  options.elastic.health.probe_interval = 0.0;
+  options.elastic.health.probe_timeout = -1.0;
+  options.elastic.autoscale.min_replicas = 0;
+  options.elastic.autoscale.max_replicas = 9;
+  options.disagg.prefill_replicas = 9;
+  EXPECT_TRUE(options.Validate().ok()) << options.Validate().ToString();
+}
+
+TEST(OptionValidationTest, EachEngineRuleNamesItsField) {
+  struct EngineRuleCase {
+    const char* field;
+    SystemKind kind;
+    std::function<void(EngineOverrides*)> mutate;
+  };
+  const std::vector<EngineRuleCase> cases = {
+      {"ssd_capacity_gb", SystemKind::kPensieve,
+       [](EngineOverrides* o) { o->ssd_capacity_gb = -1.0; }},
+      {"ssd_segment_blocks", SystemKind::kPensieve,
+       [](EngineOverrides* o) { o->ssd_segment_blocks = 0; }},
+      {"ssd_capacity_gb", SystemKind::kPensieveGpuOnly,
+       [](EngineOverrides* o) { o->ssd_capacity_gb = 1.0; }},
+      {"ssd_capacity_gb", SystemKind::kVllm,
+       [](EngineOverrides* o) { o->ssd_capacity_gb = 1.0; }},
+      {"kv_quant", SystemKind::kVllm, [](EngineOverrides* o) { o->kv_quant = true; }},
+      {"kv_quant", SystemKind::kTensorRtLlm,
+       [](EngineOverrides* o) { o->kv_quant = true; }},
+  };
+  for (const EngineRuleCase& c : cases) {
+    EngineOverrides overrides;
+    c.mutate(&overrides);
+    const Status status = overrides.Validate(c.kind);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << c.field << ": " << status.ToString();
+  }
+  EngineOverrides flash;
+  flash.ssd_capacity_gb = 1.0;
+  flash.kv_quant = true;
+  EXPECT_TRUE(flash.Validate(SystemKind::kPensieve).ok());
+  EngineOverrides gpu_only_int8;
+  gpu_only_int8.kv_quant = true;
+  EXPECT_TRUE(gpu_only_int8.Validate(SystemKind::kPensieveGpuOnly).ok());
+}
+
+// The run itself refuses a prefill pool that leaves no decode replica
+// (it used to clamp the pool silently).
+TEST(OptionValidationDeathTest, ClusterRunRejectsAPrefillPoolWithoutDecode) {
+  const GpuCostModel model = Opt13BModel();
+  const WorkloadTrace trace = SmallTrace(/*conversations=*/4);
+  ClusterOptions options;
+  options.num_replicas = 2;
+  options.disagg.enabled = true;
+  options.disagg.prefill_replicas = 2;
+  EXPECT_DEATH(RunClusterExperiment(PensieveFactory(model), trace, options),
+               "disagg.prefill_replicas");
+}
+
+// A flash tier on an engine with no CPU tier is refused, not silently
+// left out.
+TEST(OptionValidationDeathTest, MakeEngineRejectsFlashWithoutACpuTier) {
+  const GpuCostModel model = Opt13BModel();
+  EngineOverrides overrides;
+  overrides.ssd_capacity_gb = 1.0;
+  EXPECT_DEATH(MakeEngine(SystemKind::kPensieveGpuOnly, model, overrides),
+               "ssd_capacity_gb");
 }
 
 // --- Trace warping ----------------------------------------------------------
