@@ -8,8 +8,9 @@
 # or a stray positional argument. Binaries listed after --workload carry the
 # workload flag group and must do the same for an unknown --model or
 # --dataset. Binaries listed after --sim are pensieve_sim: they carry the
-# workload group too, and must also reject a flash tier that cannot be built
-# and cache flags the chosen --system would silently ignore.
+# workload group too, and must also reject a flash tier that cannot be built,
+# cache flags the chosen --system would silently ignore, a malformed on/off
+# switch, and cluster options that break a ClusterOptions::Validate rule.
 
 failures=0
 
@@ -45,6 +46,16 @@ for bin in "$@"; do
     expect_usage_error "$bin" --ssd-capacity=-1
     expect_usage_error "$bin" --system=pensieve-gpu --ssd-capacity=16
     expect_usage_error "$bin" --system=vllm --kv-quant=on
+    expect_usage_error "$bin" --disagg=on
+    expect_usage_error "$bin" --replicas=3 --disagg=on --prefill-replicas=3
+    expect_usage_error "$bin" --replicas=3 --disagg=on --autoscale=on
+    expect_usage_error "$bin" --peer-spill=on
+    expect_usage_error "$bin" --replicas=2 --fail-replica=5@10
+    expect_usage_error "$bin" --replicas=2 --sick-replica=4@1:2
+    expect_usage_error "$bin" --replicas=2 --health-probe=on --probe-timeout-ms=0
+    expect_usage_error "$bin" --replicas=2 --autoscale=on --scale-up-tokens=10 --scale-down-tokens=20
+    expect_usage_error "$bin" --disagg=maybe
+    expect_usage_error "$bin" --replicas=0
   fi
 done
 

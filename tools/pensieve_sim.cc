@@ -25,7 +25,8 @@ namespace pensieve {
 namespace {
 
 // Parses a sick-window list of the form "ID@T1:T2[,ID@T1:T2...]" (replica
-// id, window begin/end in virtual seconds) into SickWindow entries.
+// id, window begin/end in virtual seconds) into SickWindow entries. The list
+// parsers check syntax only; ClusterOptions::Validate checks the values.
 bool ParseSickList(const std::string& spec, std::vector<SickWindow>* out) {
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -46,10 +47,6 @@ bool ParseSickList(const std::string& spec, std::vector<SickWindow>* out) {
       window.begin = std::stod(item.substr(at + 1, colon - at - 1));
       window.end = std::stod(item.substr(colon + 1));
     } catch (...) {
-      return false;
-    }
-    if (window.replica_id < 0 || window.begin < 0.0 ||
-        window.end <= window.begin) {
       return false;
     }
     out->push_back(window);
@@ -79,9 +76,6 @@ bool ParseFaultList(const std::string& spec, bool recover,
       fault.replica_id = static_cast<int32_t>(std::stol(item.substr(0, at)));
       fault.time = std::stod(item.substr(at + 1));
     } catch (...) {
-      return false;
-    }
-    if (fault.replica_id < 0 || fault.time < 0.0) {
       return false;
     }
     out->push_back(fault);
@@ -133,25 +127,25 @@ int Run(int argc, char** argv) {
   flags.AddDouble("overload_factor", 2.0,
                   "affinity failover: overloaded when outstanding tokens also "
                   "exceed this multiple of the cluster mean");
-  flags.AddString("disagg", "off",
-                  "prefill/decode disaggregation (DESIGN.md §13): on splits "
-                  "the cluster into prefill- and decode-role replicas and "
-                  "streams each prefill's KV layer-by-layer over the NIC into "
-                  "the decode replica; off (default) is bit-identical to the "
-                  "colocated cluster");
+  flags.AddBool("disagg", false,
+                "prefill/decode disaggregation (DESIGN.md §13): on splits "
+                "the cluster into prefill- and decode-role replicas and "
+                "streams each prefill's KV layer-by-layer over the NIC into "
+                "the decode replica; off (default) is bit-identical to the "
+                "colocated cluster");
   flags.AddInt("prefill-replicas", 1,
-               "replicas [0, N) serve prefill when --disagg=on (clamped to "
-               "leave at least one decode replica)");
+               "replicas [0, N) serve prefill when --disagg=on; must leave "
+               "at least one decode replica (1 <= N <= --replicas - 1)");
   flags.AddInt("disagg-min-prefill", 64,
                "minimum pending prefill tokens (prompt + uncached history) "
                "for a turn to be handed to the prefill pool");
-  flags.AddString("health-probe", "off",
-                  "active health probing (DESIGN.md §14): on runs a seeded "
-                  "probe loop over every active replica and quarantines "
-                  "replicas that fail consecutive probes — routers stop "
-                  "dispatching to them and their conversations drain to "
-                  "healthy peers; off is bit-identical to the unprobed "
-                  "cluster");
+  flags.AddBool("health-probe", false,
+                "active health probing (DESIGN.md §14): on runs a seeded "
+                "probe loop over every active replica and quarantines "
+                "replicas that fail consecutive probes — routers stop "
+                "dispatching to them and their conversations drain to "
+                "healthy peers; off is bit-identical to the unprobed "
+                "cluster");
   flags.AddDouble("probe-interval", 1.0,
                   "virtual seconds between health-probe rounds");
   flags.AddDouble("probe-timeout-ms", 50.0,
@@ -169,12 +163,12 @@ int Run(int argc, char** argv) {
                   "force probes of replica ID to fail during [T1, T2): "
                   "ID@T1:T2[,ID@T1:T2...]; models a degraded replica that "
                   "probing can catch before it hard-fails");
-  flags.AddString("autoscale", "off",
-                  "queue/latency-driven autoscaling (DESIGN.md §14): on "
-                  "starts --min-replicas active out of --replicas slots and "
-                  "grows/shrinks the active set mid-run; retiring replicas "
-                  "drain before destruction. off is bit-identical to the "
-                  "fixed-size cluster");
+  flags.AddBool("autoscale", false,
+                "queue/latency-driven autoscaling (DESIGN.md §14): on "
+                "starts --min-replicas active out of --replicas slots and "
+                "grows/shrinks the active set mid-run; retiring replicas "
+                "drain before destruction. off is bit-identical to the "
+                "fixed-size cluster");
   flags.AddInt("min-replicas", 1,
                "autoscaling floor: active replicas never drop below this");
   flags.AddInt("max-replicas", 0,
@@ -194,11 +188,11 @@ int Run(int argc, char** argv) {
                   "also grow when the p99 normalized latency (ms/token) of "
                   "recently finished requests exceeds this (0 = queue-depth "
                   "signal only)");
-  flags.AddString("peer-spill", "off",
-                  "cross-replica CPU-tier spill (DESIGN.md §14): on offers "
-                  "an overloaded replica's CPU-tier evictions to a peer with "
-                  "idle CPU budget over the NIC instead of dropping them; "
-                  "off is bit-identical to the unshared tiers");
+  flags.AddBool("peer-spill", false,
+                "cross-replica CPU-tier spill (DESIGN.md §14): on offers "
+                "an overloaded replica's CPU-tier evictions to a peer with "
+                "idle CPU budget over the NIC instead of dropping them; "
+                "off is bit-identical to the unshared tiers");
   flags.AddString("fail-replica", "",
                   "kill replica ID at virtual time T: ID@T[,ID@T...]; its KV "
                   "is lost and its requests re-route to surviving replicas");
@@ -216,15 +210,16 @@ int Run(int argc, char** argv) {
                   "weight storage: fp32 (default, bit-identical to prior "
                   "builds) or int8 (per-column symmetric scales; the cost "
                   "model's per-step weight-read floor streams 1 B/param)");
-  flags.AddString("kv-quant", "off",
-                  "int8 KV compression at the GPU boundary: on quantizes "
-                  "blocks demoted to the CPU/SSD tiers (~2x capacity, "
-                  "compressed transfers), off keeps fp16 KV everywhere. "
-                  "Pensieve systems only (vllm and tensorrt-llm reject on)");
+  flags.AddBool("kv-quant", false,
+                "int8 KV compression at the GPU boundary: on quantizes "
+                "blocks demoted to the CPU/SSD tiers (~2x capacity, "
+                "compressed transfers), off keeps fp16 KV everywhere. "
+                "Pensieve systems only (vllm and tensorrt-llm reject on)");
   AddFaultFlags(&flags);
   ParseFlagsOrExit(&flags, argc, argv, "pensieve_sim: serving-experiment runner");
   const Workload workload = WorkloadFromFlags(flags);
-  SystemKind kind;
+  const ModelConfig& model = workload.model;
+  SystemKind kind = SystemKind::kPensieve;
   const std::string system = flags.GetString("system");
   if (system == "pensieve") {
     kind = SystemKind::kPensieve;
@@ -235,8 +230,7 @@ int Run(int argc, char** argv) {
   } else if (system == "tensorrt-llm") {
     kind = SystemKind::kTensorRtLlm;
   } else {
-    std::fprintf(stderr, "unknown system '%s'\n", system.c_str());
-    return 2;
+    ExitWithUsage(flags, "unknown system '" + system + "'");
   }
   EngineOverrides overrides;
   overrides.cache_scale = flags.GetDouble("cache_scale");
@@ -253,8 +247,7 @@ int Run(int argc, char** argv) {
   } else if (policy == "cost-only") {
     overrides.policy = EvictionPolicyKind::kCostOnly;
   } else {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy.c_str());
-    return 2;
+    ExitWithUsage(flags, "unknown policy '" + policy + "'");
   }
   const FaultConfig fault_config = FaultConfigFromFlags(flags);
   overrides.pcie_fault_profile = fault_config.pcie;
@@ -263,43 +256,77 @@ int Run(int argc, char** argv) {
   overrides.ssd_capacity_gb = flags.GetDouble("ssd-capacity");
   overrides.ssd_segment_blocks = flags.GetInt("ssd-segment-blocks");
   overrides.ssd_fault_profile = fault_config.ssd;
-  QuantMode weight_quant;
+  overrides.kv_quant = flags.GetBool("kv-quant");
+  overrides.peer_spill = flags.GetBool("peer-spill");
+  QuantMode weight_quant = QuantMode::kFp32;
   if (!QuantModeByName(flags.GetString("weight-quant"), &weight_quant)) {
-    std::fprintf(stderr, "unknown weight-quant '%s' (fp32 or int8)\n",
-                 flags.GetString("weight-quant").c_str());
-    return 2;
-  }
-  const std::string kv_quant = flags.GetString("kv-quant");
-  if (kv_quant != "on" && kv_quant != "off") {
-    std::fprintf(stderr, "unknown kv-quant '%s' (on or off)\n", kv_quant.c_str());
-    return 2;
-  }
-  overrides.kv_quant = kv_quant == "on";
-  // Flash-tier geometry the tier cannot be built with, and cache flags the
-  // chosen system would silently ignore, are usage errors.
-  if (overrides.ssd_capacity_gb < 0.0 || overrides.ssd_segment_blocks < 1) {
-    std::fprintf(stderr,
-                 "--ssd-capacity must be >= 0 and --ssd-segment-blocks >= 1\n");
-    return 2;
-  }
-  if (overrides.ssd_capacity_gb > 0.0 && kind != SystemKind::kPensieve) {
-    std::fprintf(stderr,
-                 "--ssd-capacity needs --system=pensieve: the flash tier sits "
-                 "behind the CPU tier, which %s does not have\n",
-                 system.c_str());
-    return 2;
-  }
-  if (overrides.kv_quant && kind != SystemKind::kPensieve &&
-      kind != SystemKind::kPensieveGpuOnly) {
-    std::fprintf(stderr,
-                 "--kv-quant=on needs --system=pensieve or pensieve-gpu: %s "
-                 "keeps no KV off the GPU\n",
-                 system.c_str());
-    return 2;
+    ExitWithUsage(flags, "unknown weight-quant '" +
+                             flags.GetString("weight-quant") + "' (fp32 or int8)");
   }
 
-  const ModelConfig& model = workload.model;
-  const DatasetProfile& profile = workload.profile;
+  const int64_t replicas = flags.GetInt("replicas");
+  ClusterOptions cluster_options;
+  cluster_options.num_replicas = static_cast<int32_t>(replicas);
+  if (!RouterPolicyByName(flags.GetString("router"),
+                          &cluster_options.router.policy)) {
+    ExitWithUsage(flags, "unknown router '" + flags.GetString("router") + "'");
+  }
+  cluster_options.router.min_overload_tokens = flags.GetInt("overload_tokens");
+  cluster_options.router.overload_factor = flags.GetDouble("overload_factor");
+  if (!ParseFaultList(flags.GetString("fail-replica"), /*recover=*/false,
+                      &cluster_options.faults) ||
+      !ParseFaultList(flags.GetString("recover-replica"), /*recover=*/true,
+                      &cluster_options.faults)) {
+    ExitWithUsage(flags, "malformed fault spec (expected ID@T[,ID@T...]): "
+                         "--fail-replica='" + flags.GetString("fail-replica") +
+                         "' --recover-replica='" +
+                         flags.GetString("recover-replica") + "'");
+  }
+  cluster_options.nic_fault_profile = fault_config.nic;
+  cluster_options.fault_retry = fault_config.retry;
+  cluster_options.fault_seed = fault_config.seed;
+  DisaggOptions& disagg = cluster_options.disagg;
+  disagg.enabled = flags.GetBool("disagg");
+  disagg.prefill_replicas =
+      static_cast<int32_t>(flags.GetInt("prefill-replicas"));
+  disagg.min_handoff_tokens = flags.GetInt("disagg-min-prefill");
+  disagg.stream_layers = model.num_layers;
+  HealthOptions& health = cluster_options.elastic.health;
+  health.enabled = flags.GetBool("health-probe");
+  health.probe_interval = flags.GetDouble("probe-interval");
+  health.probe_timeout = flags.GetDouble("probe-timeout-ms") / 1e3;
+  health.quarantine_after =
+      static_cast<int32_t>(flags.GetInt("probe-quarantine-after"));
+  health.suspect_after = std::max<int32_t>(1, health.quarantine_after / 2);
+  health.healthy_after =
+      static_cast<int32_t>(flags.GetInt("probe-healthy-after"));
+  health.probe_faults.timeout_rate = flags.GetDouble("probe-loss");
+  if (!ParseSickList(flags.GetString("sick-replica"), &health.sick)) {
+    ExitWithUsage(flags,
+                  "malformed sick spec (expected ID@T1:T2[,ID@T1:T2...]): "
+                  "--sick-replica='" + flags.GetString("sick-replica") + "'");
+  }
+  AutoscaleOptions& autoscale = cluster_options.elastic.autoscale;
+  autoscale.enabled = flags.GetBool("autoscale");
+  autoscale.min_replicas = static_cast<int32_t>(flags.GetInt("min-replicas"));
+  autoscale.max_replicas = static_cast<int32_t>(
+      flags.GetInt("max-replicas") == 0 ? replicas
+                                        : flags.GetInt("max-replicas"));
+  autoscale.check_interval = flags.GetDouble("scale-interval");
+  autoscale.cooldown = flags.GetDouble("scale-cooldown");
+  autoscale.up_queue_tokens = flags.GetInt("scale-up-tokens");
+  autoscale.down_queue_tokens = flags.GetInt("scale-down-tokens");
+  autoscale.up_p99_latency = flags.GetDouble("scale-up-p99-ms") / 1e3;
+  cluster_options.elastic.peer_spill.enabled = flags.GetBool("peer-spill");
+  // The library owns every legality rule; an option it rejects is a usage
+  // error here, reported before any work.
+  for (const Status& status :
+       {overrides.Validate(kind), cluster_options.Validate()}) {
+    if (!status.ok()) {
+      ExitWithUsage(flags, status.ToString());
+    }
+  }
+
   const GpuCostModel cost_model(model, A100Spec(model.num_gpus), weight_quant);
   TraceOptions trace_options = workload.trace;
   trace_options.num_prefix_templates = flags.GetInt("prefix-templates");
@@ -311,190 +338,17 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    trace_storage.emplace(std::move(loaded).value(), profile, trace_options);
+    trace_storage.emplace(std::move(loaded).value(), workload.profile,
+                          trace_options);
   } else {
-    trace_storage.emplace(profile, trace_options);
+    trace_storage.emplace(workload.profile, trace_options);
   }
   const WorkloadTrace& trace = *trace_storage;
 
-  const int64_t replicas = flags.GetInt("replicas");
-  RouterPolicy router_policy;
-  if (!RouterPolicyByName(flags.GetString("router"), &router_policy)) {
-    std::fprintf(stderr, "unknown router '%s'\n",
-                 flags.GetString("router").c_str());
-    return 2;
-  }
-  std::vector<ReplicaFault> fault_events;
-  if (!ParseFaultList(flags.GetString("fail-replica"), /*recover=*/false,
-                      &fault_events) ||
-      !ParseFaultList(flags.GetString("recover-replica"), /*recover=*/true,
-                      &fault_events)) {
-    std::fprintf(stderr,
-                 "malformed fault spec (expected ID@T[,ID@T...]): "
-                 "--fail-replica='%s' --recover-replica='%s'\n",
-                 flags.GetString("fail-replica").c_str(),
-                 flags.GetString("recover-replica").c_str());
-    return 2;
-  }
-  for (const ReplicaFault& fault : fault_events) {
-    if (fault.replica_id >= replicas) {
-      std::fprintf(stderr, "fault names replica %d but only %ld configured\n",
-                   fault.replica_id, static_cast<long>(replicas));
-      return 2;
-    }
-  }
-  const std::string disagg = flags.GetString("disagg");
-  if (disagg != "on" && disagg != "off") {
-    std::fprintf(stderr, "unknown disagg '%s' (on or off)\n", disagg.c_str());
-    return 2;
-  }
-  if (disagg == "on" && replicas < 2) {
-    std::fprintf(stderr,
-                 "--disagg=on needs --replicas>=2 (one prefill + one decode)\n");
-    return 2;
-  }
-  const int64_t prefill_replicas = flags.GetInt("prefill-replicas");
-  if (disagg == "on" &&
-      (prefill_replicas < 1 || prefill_replicas >= replicas)) {
-    std::fprintf(stderr,
-                 "--prefill-replicas=%ld out of range: --disagg=on needs "
-                 "1 <= prefill-replicas <= replicas-1 (= %ld) so at least "
-                 "one decode replica remains\n",
-                 static_cast<long>(prefill_replicas),
-                 static_cast<long>(replicas - 1));
-    return 2;
-  }
-
-  ElasticOptions elastic;
-  const std::string health_probe = flags.GetString("health-probe");
-  if (health_probe != "on" && health_probe != "off") {
-    std::fprintf(stderr, "unknown health-probe '%s' (on or off)\n",
-                 health_probe.c_str());
-    return 2;
-  }
-  elastic.health.enabled = health_probe == "on";
-  elastic.health.probe_interval = flags.GetDouble("probe-interval");
-  elastic.health.probe_timeout = flags.GetDouble("probe-timeout-ms") / 1e3;
-  elastic.health.quarantine_after =
-      static_cast<int32_t>(flags.GetInt("probe-quarantine-after"));
-  elastic.health.suspect_after =
-      std::max<int32_t>(1, elastic.health.quarantine_after / 2);
-  elastic.health.healthy_after =
-      static_cast<int32_t>(flags.GetInt("probe-healthy-after"));
-  elastic.health.probe_faults.timeout_rate = flags.GetDouble("probe-loss");
-  if (!ParseSickList(flags.GetString("sick-replica"), &elastic.health.sick)) {
-    std::fprintf(stderr,
-                 "malformed sick spec (expected ID@T1:T2[,ID@T1:T2...]): "
-                 "--sick-replica='%s'\n",
-                 flags.GetString("sick-replica").c_str());
-    return 2;
-  }
-  for (const SickWindow& window : elastic.health.sick) {
-    if (window.replica_id >= replicas) {
-      std::fprintf(stderr,
-                   "sick window names replica %d but only %ld configured\n",
-                   window.replica_id, static_cast<long>(replicas));
-      return 2;
-    }
-  }
-  if (elastic.health.enabled &&
-      (elastic.health.probe_interval <= 0.0 ||
-       elastic.health.probe_timeout <= 0.0 ||
-       elastic.health.quarantine_after < 1 ||
-       elastic.health.healthy_after < 1)) {
-    std::fprintf(stderr,
-                 "--health-probe=on needs positive --probe-interval, "
-                 "--probe-timeout-ms, --probe-quarantine-after and "
-                 "--probe-healthy-after\n");
-    return 2;
-  }
-  const std::string autoscale = flags.GetString("autoscale");
-  if (autoscale != "on" && autoscale != "off") {
-    std::fprintf(stderr, "unknown autoscale '%s' (on or off)\n",
-                 autoscale.c_str());
-    return 2;
-  }
-  elastic.autoscale.enabled = autoscale == "on";
-  elastic.autoscale.min_replicas =
-      static_cast<int32_t>(flags.GetInt("min-replicas"));
-  elastic.autoscale.max_replicas =
-      flags.GetInt("max-replicas") == 0
-          ? static_cast<int32_t>(replicas)
-          : static_cast<int32_t>(flags.GetInt("max-replicas"));
-  elastic.autoscale.check_interval = flags.GetDouble("scale-interval");
-  elastic.autoscale.cooldown = flags.GetDouble("scale-cooldown");
-  elastic.autoscale.up_queue_tokens = flags.GetInt("scale-up-tokens");
-  elastic.autoscale.down_queue_tokens = flags.GetInt("scale-down-tokens");
-  elastic.autoscale.up_p99_latency = flags.GetDouble("scale-up-p99-ms") / 1e3;
-  if (elastic.autoscale.enabled) {
-    if (elastic.autoscale.min_replicas < 1 ||
-        elastic.autoscale.min_replicas > elastic.autoscale.max_replicas ||
-        elastic.autoscale.max_replicas > replicas) {
-      std::fprintf(stderr,
-                   "--autoscale=on needs 1 <= min-replicas <= max-replicas "
-                   "<= replicas (got min=%d max=%d replicas=%ld)\n",
-                   elastic.autoscale.min_replicas,
-                   elastic.autoscale.max_replicas,
-                   static_cast<long>(replicas));
-      return 2;
-    }
-    if (elastic.autoscale.up_queue_tokens <=
-        elastic.autoscale.down_queue_tokens) {
-      std::fprintf(stderr,
-                   "--scale-up-tokens (%ld) must exceed --scale-down-tokens "
-                   "(%ld): the gap is the hysteresis band\n",
-                   static_cast<long>(elastic.autoscale.up_queue_tokens),
-                   static_cast<long>(elastic.autoscale.down_queue_tokens));
-      return 2;
-    }
-    if (elastic.autoscale.check_interval <= 0.0 ||
-        elastic.autoscale.cooldown < 0.0) {
-      std::fprintf(stderr,
-                   "--autoscale=on needs positive --scale-interval and "
-                   "non-negative --scale-cooldown\n");
-      return 2;
-    }
-    if (disagg == "on") {
-      std::fprintf(stderr,
-                   "--autoscale=on is incompatible with --disagg=on (the "
-                   "prefill/decode role split assumes a fixed replica set)\n");
-      return 2;
-    }
-  }
-  const std::string peer_spill = flags.GetString("peer-spill");
-  if (peer_spill != "on" && peer_spill != "off") {
-    std::fprintf(stderr, "unknown peer-spill '%s' (on or off)\n",
-                 peer_spill.c_str());
-    return 2;
-  }
-  elastic.peer_spill.enabled = peer_spill == "on";
-  if (elastic.peer_spill.enabled && replicas < 2) {
-    std::fprintf(stderr, "--peer-spill=on needs --replicas>=2\n");
-    return 2;
-  }
-  overrides.peer_spill = elastic.peer_spill.enabled;
-
   // Fault injection, disaggregation, and the elastic features all run
   // through the cluster layer even with one replica.
-  if (replicas > 1 || !fault_events.empty() || elastic.Enabled()) {
-    ClusterOptions cluster_options;
-    cluster_options.num_replicas = static_cast<int32_t>(replicas);
-    cluster_options.router.policy = router_policy;
-    cluster_options.router.min_overload_tokens = flags.GetInt("overload_tokens");
-    cluster_options.router.overload_factor = flags.GetDouble("overload_factor");
-    cluster_options.faults = std::move(fault_events);
-    cluster_options.nic_fault_profile = fault_config.nic;
-    cluster_options.fault_retry = fault_config.retry;
-    cluster_options.fault_seed = fault_config.seed;
-    cluster_options.elastic = elastic;
-    if (disagg == "on") {
-      cluster_options.disagg.enabled = true;
-      cluster_options.disagg.prefill_replicas =
-          static_cast<int32_t>(prefill_replicas);
-      cluster_options.disagg.min_handoff_tokens =
-          flags.GetInt("disagg-min-prefill");
-      cluster_options.disagg.stream_layers = model.num_layers;
-    }
+  if (replicas > 1 || !cluster_options.faults.empty() ||
+      cluster_options.elastic.Enabled()) {
     std::vector<RequestOutcome> outcomes;
     std::vector<ClusterStepTraceEntry> steps;
     cluster_options.outcomes = &outcomes;
