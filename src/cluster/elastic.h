@@ -223,6 +223,10 @@ class Autoscaler {
   double last_scale_time_ = -1e300;
 };
 
+// Turns on the cluster side of peer spill (the broker that places offers
+// and fetches them back). The engines need their own switch too: only an
+// engine built with EngineOverrides::peer_spill records its CPU-pressure
+// drops as offers, so with that switch off there is nothing to spill.
 struct PeerSpillOptions {
   bool enabled = false;
 };

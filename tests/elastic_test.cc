@@ -476,11 +476,20 @@ TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   options.elastic.autoscale.min_replicas = 2;
   options.elastic.autoscale.max_replicas = 3;
   options.elastic.peer_spill.enabled = true;
+  // The engines need their own peer-spill switch, and replica 0's starved
+  // CPU tier gives them something to offer, so the spill comparison below
+  // is not 0 == 0.
+  const ReplicaEngineFactory factory = [&model](int32_t replica_id) {
+    EngineOverrides overrides;
+    overrides.cache_scale = 0.15;
+    overrides.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
+    overrides.peer_spill = true;
+    return MakeEngine(SystemKind::kPensieve, model, overrides);
+  };
 
-  const ClusterSummary a =
-      RunClusterExperiment(PensieveFactory(model), trace, options);
-  const ClusterSummary b =
-      RunClusterExperiment(PensieveFactory(model), trace, options);
+  const ClusterSummary a = RunClusterExperiment(factory, trace, options);
+  const ClusterSummary b = RunClusterExperiment(factory, trace, options);
+  ASSERT_GT(a.elastic.peer_spill.spilled_tokens, 0);
   EXPECT_EQ(a.cluster.completed_requests, b.cluster.completed_requests);
   EXPECT_DOUBLE_EQ(a.cluster.makespan, b.cluster.makespan);
   EXPECT_EQ(a.elastic.health.probes_sent, b.elastic.health.probes_sent);
