@@ -9,18 +9,6 @@
 
 namespace pensieve {
 
-const char* ReplicaHealthName(ReplicaHealth health) {
-  switch (health) {
-    case ReplicaHealth::kHealthy:
-      return "healthy";
-    case ReplicaHealth::kSuspect:
-      return "suspect";
-    case ReplicaHealth::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 Status HealthOptions::Validate() const {
   for (const SickWindow& w : sick) {
     if (w.replica_id < 0 || w.begin < 0.0 || w.end <= w.begin) {

@@ -44,8 +44,6 @@ enum class ReplicaHealth : int32_t {
   kQuarantined = 2,  // out of the dispatch set, draining
 };
 
-const char* ReplicaHealthName(ReplicaHealth health);
-
 // Deterministic "sick replica" window: every probe of `replica_id` scheduled
 // in [begin, end) fails, independent of the probe link's fault draw. This is
 // how experiments model a replica that is degraded (and about to hard-fail)

@@ -35,9 +35,9 @@ StatefulLlmServer::StatefulLlmServer(const StatefulServerConfig& config)
                                                             config.weight_seed,
                                                             config.weight_quant)),
       cache_(MakeNumericCacheConfig(config)),
-      cost_estimator_(ChunkCostEstimator::ProfileFromKernels(
-          config.model, config.block_size,
-          std::max<int64_t>(config.block_size * 4, 128))),
+      cost_estimator_(ChunkCostEstimator::ProfileFromCostModel(
+          GpuCostModel(config.model, HardwareSpec{}, config.weight_quant),
+          config.block_size, config.model.max_context)),
       policy_(MakeEvictionPolicy(config.policy, cost_estimator_)),
       coordinator_(&cache_, policy_.get(), MakeCoordOptions()) {
   PENSIEVE_CHECK_LE(config.model.hidden_size, 512)

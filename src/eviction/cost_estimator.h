@@ -3,8 +3,9 @@
 // The retention value of a chunk is V = Cost(s, l) / T. Cost is profiled
 // offline at power-of-two context sizes and interpolated elsewhere, exactly
 // as the paper does. Two profiling sources are provided: the analytical GPU
-// cost model (simulated serving) and wall-clock measurement of the real CPU
-// kernels (numeric mode / tests).
+// cost model, which prices eviction for both the simulated engines and the
+// numeric StatefulLlmServer, and wall-clock measurement of the real CPU
+// kernels, which only the benchmark's profiling-time metric and tests call.
 
 #ifndef PENSIEVE_SRC_EVICTION_COST_ESTIMATOR_H_
 #define PENSIEVE_SRC_EVICTION_COST_ESTIMATOR_H_

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
@@ -22,49 +23,68 @@ Transformer::Transformer(const ModelConfig& config, uint64_t seed,
   uint64_t s = seed;
   auto next_seed = [&s]() { return ++s; };
 
+  // Every random weight is one draw from its own seeded stream. Seeds are
+  // handed out here, serially and in a fixed order (embedding, learned
+  // positions, then per layer wqkv, bqkv, wo, up, gate, down); the draws
+  // then run concurrently, so each weight is the same at any thread count.
+  // A projection is drawn straight into its packed panels: Forward only
+  // multiplies against panels, so no fp32 copy of it is ever kept.
+  // weight_quant selects the payload type for every projection including
+  // the tied LM head.
+  std::vector<std::function<void()>> draws;
+  const auto draw_tensor = [&](Tensor* t, float stddev) {
+    draws.push_back([t, seed = next_seed(), stddev] { FillNormal(*t, seed, stddev); });
+  };
+  // Weights are allocated here, on this thread and in the same order every
+  // build; allocated from pool threads they would land in per-thread malloc
+  // arenas, which raises peak RSS when a process builds models repeatedly.
+  const auto draw_packed = [&](PackedMatrix* m, int64_t rows, int64_t cols, float stddev) {
+    *m = PackedMatrix(rows, cols, weight_quant);
+    draws.push_back([m, cols, stddev, seed = next_seed()] {
+      NormalStream stream(seed, stddev);
+      m->PackRows([&](float* out, int64_t num_rows) { stream.Fill(out, num_rows * cols); });
+    });
+  };
+
   embedding_ = Tensor({config.vocab_size, h});
-  FillNormal(embedding_, next_seed(), 1.0f);
+  draw_tensor(&embedding_, 1.0f);
   if (config.pos_embedding == PositionEmbedding::kLearned) {
     pos_embedding_ = Tensor({config.max_context, h});
-    FillNormal(pos_embedding_, next_seed(), 0.1f);
+    draw_tensor(&pos_embedding_, 0.1f);
   }
   final_norm_gain_ = Tensor::Full({h}, 1.0f);
   final_norm_bias_ = Tensor::Zeros({h});
 
-  // Draws a [rows, cols] projection and keeps only its packed form: Forward
-  // multiplies only against packed panels, so the fp32 draw is dropped once
-  // packed. weight_quant selects the payload type for every projection
-  // including the tied LM head.
-  const auto packed_projection = [&](int64_t rows, int64_t cols, float stddev) {
-    Tensor raw({rows, cols});
-    FillNormal(raw, next_seed(), stddev);
-    return PackedMatrix(raw, weight_quant);
-  };
   const int64_t qkv_out = (config.num_heads + 2 * config.num_kv_heads) * config.head_dim;
-  layers_.reserve(static_cast<size_t>(config.num_layers));
-  for (int64_t l = 0; l < config.num_layers; ++l) {
-    LayerWeights w;
+  layers_.resize(static_cast<size_t>(config.num_layers));
+  for (LayerWeights& w : layers_) {
     w.attn_norm_gain = Tensor::Full({h}, 1.0f);
     w.attn_norm_bias = Tensor::Zeros({h});
-    w.wqkv_packed = packed_projection(qkv_out, h, w_std);
+    draw_packed(&w.wqkv_packed, qkv_out, h, w_std);
     w.bqkv = Tensor::Zeros({qkv_out});
     if (config.qkv_bias) {
-      FillNormal(w.bqkv, next_seed(), 0.01f);
+      draw_tensor(&w.bqkv, 0.01f);
     }
-    w.wo_packed = packed_projection(h, config.num_heads * config.head_dim, w_std);
+    draw_packed(&w.wo_packed, h, config.num_heads * config.head_dim, w_std);
     w.bo = Tensor::Zeros({h});
     w.ffn_norm_gain = Tensor::Full({h}, 1.0f);
     w.ffn_norm_bias = Tensor::Zeros({h});
-    w.w_up_packed = packed_projection(config.ffn_hidden, h, w_std);
+    draw_packed(&w.w_up_packed, config.ffn_hidden, h, w_std);
     w.b_up = Tensor::Zeros({config.ffn_hidden});
     if (config.gated_ffn) {
-      w.w_gate_packed = packed_projection(config.ffn_hidden, h, w_std);
+      draw_packed(&w.w_gate_packed, config.ffn_hidden, h, w_std);
     }
-    w.w_down_packed = packed_projection(
-        h, config.ffn_hidden, 1.0f / std::sqrt(static_cast<float>(config.ffn_hidden)));
+    draw_packed(&w.w_down_packed, h, config.ffn_hidden,
+                1.0f / std::sqrt(static_cast<float>(config.ffn_hidden)));
     w.b_down = Tensor::Zeros({h});
-    layers_.push_back(std::move(w));
   }
+
+  // One task per weight; the packing inside a task runs inline.
+  ParallelFor(0, static_cast<int64_t>(draws.size()), [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      draws[static_cast<size_t>(i)]();
+    }
+  });
   lm_head_packed_ = PackedMatrix(embedding_, weight_quant);
 }
 

@@ -4,24 +4,6 @@
 
 namespace pensieve {
 
-const char* SimEventKindName(SimEventKind kind) {
-  switch (kind) {
-    case SimEventKind::kArrival:
-      return "arrival";
-    case SimEventKind::kReplicaFail:
-      return "fail";
-    case SimEventKind::kReplicaRecover:
-      return "recover";
-    case SimEventKind::kHandoffArrival:
-      return "handoff";
-    case SimEventKind::kHealthProbe:
-      return "probe";
-    case SimEventKind::kAutoscale:
-      return "autoscale";
-  }
-  return "?";
-}
-
 double EventQueue::NextTime() const {
   return heap_.empty() ? std::numeric_limits<double>::infinity()
                        : heap_.top().time;

@@ -43,8 +43,6 @@ enum class SimEventKind : int32_t {
 // Number of distinct SimEventKind values (for per-kind bookkeeping).
 inline constexpr int32_t kNumSimEventKinds = 6;
 
-const char* SimEventKindName(SimEventKind kind);
-
 struct SimEvent {
   double time = 0.0;
   SimEventKind kind = SimEventKind::kArrival;

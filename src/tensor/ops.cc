@@ -1,7 +1,6 @@
 #include "src/tensor/ops.h"
 
 #include <cmath>
-#include <random>
 
 #include "src/common/thread_pool.h"
 
@@ -335,13 +334,14 @@ void ApplyRotaryInPlace(Tensor& x, const std::vector<int64_t>& positions, float 
       GrainForItemCost(num_heads * head_dim));
 }
 
-void FillNormal(Tensor& x, uint64_t seed, float stddev) {
-  std::mt19937_64 engine(seed);
-  std::normal_distribution<float> dist(0.0f, stddev);
-  float* xp = x.data();
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    xp[i] = dist(engine);
+void NormalStream::Fill(float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = dist_(engine_);
   }
+}
+
+void FillNormal(Tensor& x, uint64_t seed, float stddev) {
+  NormalStream(seed, stddev).Fill(x.data(), x.numel());
 }
 
 }  // namespace pensieve

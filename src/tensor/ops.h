@@ -9,6 +9,7 @@
 #define PENSIEVE_SRC_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <random>
 
 #include "src/tensor/tensor.h"
 
@@ -57,7 +58,24 @@ void MulInPlace(Tensor& x, const Tensor& y);
 // (x[2i], x[2i+1]) are rotated by theta_i = pos * base^(-2i/head_dim).
 void ApplyRotaryInPlace(Tensor& x, const std::vector<int64_t>& positions, float base);
 
-// Fills a tensor with samples from N(0, stddev) using the given engine seed.
+// The seeded N(0, stddev) stream behind FillNormal. One seed yields one
+// fixed sequence of values however it is consumed, so drawing n values in
+// pieces gives exactly the floats one FillNormal of n values writes. The
+// model draws each projection this way, straight into its packed panels.
+class NormalStream {
+ public:
+  NormalStream(uint64_t seed, float stddev) : engine_(seed), dist_(0.0f, stddev) {}
+
+  // Writes the next n values of the stream to out[0, n).
+  void Fill(float* out, int64_t n);
+
+ private:
+  std::mt19937_64 engine_;
+  std::normal_distribution<float> dist_;
+};
+
+// Fills a tensor, in row-major order, with the first numel() values of
+// NormalStream(seed, stddev).
 void FillNormal(Tensor& x, uint64_t seed, float stddev);
 
 }  // namespace pensieve

@@ -33,70 +33,83 @@ bool QuantModeByName(const std::string& name, QuantMode* mode) {
   return false;
 }
 
-PackedMatrix::PackedMatrix(const Tensor& w, QuantMode mode) : quant_mode_(mode) {
+PackedMatrix::PackedMatrix(const Tensor& w, QuantMode mode)
+    : PackedMatrix(w.dim(0), w.dim(1), mode) {
   PENSIEVE_CHECK_EQ(w.rank(), 2u);
-  out_dim_ = w.dim(0);
-  in_dim_ = w.dim(1);
-  num_panels_ = (out_dim_ + kGemmNR - 1) / kGemmNR;
   const float* wp = w.data();
-  const int64_t k = in_dim_;
-  if (mode == QuantMode::kInt8) {
-    qdata_.assign(static_cast<size_t>(num_panels_ * k * kGemmNR), 0);
-    scales_.assign(static_cast<size_t>(num_panels_ * kGemmNR), 0.0f);
-    int8_t* qp = qdata_.data();
-    float* sp = scales_.data();
-    ParallelFor(
-        0, num_panels_,
-        [&](int64_t p_begin, int64_t p_end) {
-          for (int64_t p = p_begin; p < p_end; ++p) {
-            const int64_t ncols = std::min(kGemmNR, out_dim_ - p * kGemmNR);
-            int8_t* panel = qp + p * k * kGemmNR;
-            float* pscale = sp + p * kGemmNR;
-            for (int64_t j = 0; j < ncols; ++j) {
-              const float* wrow = wp + (p * kGemmNR + j) * k;
-              float amax = 0.0f;
-              for (int64_t kk = 0; kk < k; ++kk) {
-                amax = std::max(amax, std::fabs(wrow[kk]));
-              }
-              // All-zero (or empty) column: scale 0, all codes 0, and the
-              // dequantized column is exactly zero.
-              const float scale = amax / 127.0f;
-              pscale[j] = scale;
-              if (scale == 0.0f) {
-                continue;
-              }
-              for (int64_t kk = 0; kk < k; ++kk) {
-                // lround = round-half-away-from-zero, independent of the FP
-                // environment, so packing is deterministic. |wrow| <= amax
-                // bounds the quotient by 127; the clamp only guards rounding
-                // at the +-amax endpoints.
-                const long q = std::lround(wrow[kk] / scale);
-                panel[kk * kGemmNR + j] = static_cast<int8_t>(
-                    std::max<long>(-127, std::min<long>(127, q)));
-              }
-            }
-          }
-        },
-        GrainForItemCost(2 * k * kGemmNR));
-    return;
-  }
-  data_.assign(static_cast<size_t>(num_panels_ * in_dim_ * kGemmNR), 0.0f);
-  float* dp = data_.data();
+  const int64_t panel_values = in_dim_ * kGemmNR;
   ParallelFor(
       0, num_panels_,
       [&](int64_t p_begin, int64_t p_end) {
         for (int64_t p = p_begin; p < p_end; ++p) {
-          const int64_t ncols = std::min(kGemmNR, out_dim_ - p * kGemmNR);
-          float* panel = dp + p * k * kGemmNR;
-          for (int64_t j = 0; j < ncols; ++j) {
-            const float* wrow = wp + (p * kGemmNR + j) * k;
-            for (int64_t kk = 0; kk < k; ++kk) {
-              panel[kk * kGemmNR + j] = wrow[kk];
-            }
-          }
+          PackPanel(p, wp + p * panel_values);
         }
       },
-      GrainForItemCost(k * kGemmNR));
+      GrainForItemCost((mode == QuantMode::kInt8 ? 2 : 1) * panel_values));
+}
+
+PackedMatrix::PackedMatrix(int64_t out_dim, int64_t in_dim, QuantMode mode)
+    : out_dim_(out_dim),
+      in_dim_(in_dim),
+      num_panels_((out_dim + kGemmNR - 1) / kGemmNR),
+      quant_mode_(mode) {
+  PENSIEVE_CHECK_GE(out_dim, 0);
+  PENSIEVE_CHECK_GE(in_dim, 0);
+  const size_t payload = static_cast<size_t>(num_panels_ * in_dim_ * kGemmNR);
+  if (mode == QuantMode::kInt8) {
+    qdata_.assign(payload, 0);
+    scales_.assign(static_cast<size_t>(num_panels_ * kGemmNR), 0.0f);
+  } else {
+    data_.assign(payload, 0.0f);
+  }
+}
+
+void PackedMatrix::PackRows(const RowSource& next_rows) {
+  std::vector<float> rows(static_cast<size_t>(kGemmNR * in_dim_));
+  for (int64_t p = 0; p < num_panels_; ++p) {
+    next_rows(rows.data(), std::min(kGemmNR, out_dim_ - p * kGemmNR));
+    PackPanel(p, rows.data());
+  }
+}
+
+void PackedMatrix::PackPanel(int64_t p, const float* rows) {
+  const int64_t k = in_dim_;
+  const int64_t ncols = std::min(kGemmNR, out_dim_ - p * kGemmNR);
+  if (quant_mode_ == QuantMode::kInt8) {
+    int8_t* panel = qdata_.data() + p * k * kGemmNR;
+    float* pscale = scales_.data() + p * kGemmNR;
+    for (int64_t j = 0; j < ncols; ++j) {
+      const float* wrow = rows + j * k;
+      float amax = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        amax = std::max(amax, std::fabs(wrow[kk]));
+      }
+      // All-zero (or empty) column: scale 0, all codes 0, and the
+      // dequantized column is exactly zero.
+      const float scale = amax / 127.0f;
+      pscale[j] = scale;
+      if (scale == 0.0f) {
+        continue;
+      }
+      for (int64_t kk = 0; kk < k; ++kk) {
+        // lround = round-half-away-from-zero, independent of the FP
+        // environment, so packing is deterministic. |wrow| <= amax bounds
+        // the quotient by 127; the clamp only guards rounding at the
+        // +-amax endpoints.
+        const long q = std::lround(wrow[kk] / scale);
+        panel[kk * kGemmNR + j] =
+            static_cast<int8_t>(std::max<long>(-127, std::min<long>(127, q)));
+      }
+    }
+    return;
+  }
+  float* panel = data_.data() + p * k * kGemmNR;
+  for (int64_t j = 0; j < ncols; ++j) {
+    const float* wrow = rows + j * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      panel[kk * kGemmNR + j] = wrow[kk];
+    }
+  }
 }
 
 int64_t PackedMatrix::PackedBytes() const {

@@ -46,6 +46,7 @@
 #define PENSIEVE_SRC_TENSOR_PACKED_MATRIX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,21 @@ class PackedMatrix {
   // the fp32 weights are not retained.
   explicit PackedMatrix(const Tensor& w, QuantMode mode = QuantMode::kFp32);
 
+  // Zeroed storage for an [out_dim, in_dim] matrix, for PackRows to fill.
+  PackedMatrix(int64_t out_dim, int64_t in_dim, QuantMode mode = QuantMode::kFp32);
+
+  // Writes the next `num_rows` rows of W, row-major (num_rows * in_dim
+  // floats), to `rows`.
+  using RowSource = std::function<void(float* rows, int64_t num_rows)>;
+
+  // Packs W from `next_rows`, which is asked for one panel's rows (kGemmNR,
+  // fewer for a partial last panel) per call, in row order, so no fp32 copy
+  // of the whole matrix ever exists. Serial: the source is a sequential
+  // stream. Bit-identical to packing the same rows from a tensor; both
+  // share one per-panel routine. Storage comes from the constructor, so a
+  // caller can allocate on one thread and pack on another.
+  void PackRows(const RowSource& next_rows);
+
   int64_t out_dim() const { return out_dim_; }
   int64_t in_dim() const { return in_dim_; }
   int64_t num_panels() const { return num_panels_; }
@@ -117,6 +133,11 @@ class PackedMatrix {
   int64_t PackedBytes() const;
 
  private:
+  // Packs (and in int8 mode quantizes) panel p from its rows of W: the
+  // min(kGemmNR, out_dim_ - p * kGemmNR) rows starting at p * kGemmNR,
+  // contiguous and row-major.
+  void PackPanel(int64_t p, const float* rows);
+
   int64_t out_dim_ = 0;
   int64_t in_dim_ = 0;
   int64_t num_panels_ = 0;

@@ -4,10 +4,13 @@
 // the kKC cache block, n below one panel, and ragged remainder tiles on both
 // axes. Also pins the batch-invariance property the determinism contract
 // implies: the same input row produces byte-identical output whether it is
-// multiplied alone or inside a larger batch.
+// multiplied alone or inside a larger batch. Also pins that a matrix packed
+// panel by panel from a row stream equals, bitwise, the same rows packed
+// from a tensor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -109,6 +112,61 @@ TEST(PackedGemmTest, ZeroSizedDims) {
   MatMulPackedInto(ak0, PackedMatrix(wk0), &c);
   for (int64_t i = 0; i < c.numel(); ++i) {
     EXPECT_EQ(c[i], 0.0f);
+  }
+}
+
+// The model draws each projection straight into its panels; tests and
+// benches pack a FillNormal'd tensor. Both must give the same bytes,
+// including a partial last panel and an all-zero row (int8 scale 0).
+TEST(PackedGemmTest, StreamedDrawPacksLikeTensorDraw) {
+  constexpr int64_t kOut = 21;      // 2 full panels + 5 rows
+  constexpr int64_t kIn = 37;
+  constexpr int64_t kZeroRow = 18;  // inside the partial panel
+  constexpr uint64_t kSeed = 77;
+  constexpr float kStddev = 0.5f;
+  for (QuantMode mode : {QuantMode::kFp32, QuantMode::kInt8}) {
+    SCOPED_TRACE(QuantModeName(mode));
+    Tensor w({kOut, kIn});
+    FillNormal(w, kSeed, kStddev);
+    std::fill_n(w.data() + kZeroRow * kIn, kIn, 0.0f);
+    const PackedMatrix from_tensor(w, mode);
+
+    NormalStream stream(kSeed, kStddev);
+    int64_t next_row = 0;
+    PackedMatrix streamed(kOut, kIn, mode);
+    streamed.PackRows([&](float* rows, int64_t num_rows) {
+      EXPECT_EQ(num_rows, std::min(kGemmNR, kOut - next_row));
+      stream.Fill(rows, num_rows * kIn);
+      if (kZeroRow >= next_row && kZeroRow < next_row + num_rows) {
+        std::fill_n(rows + (kZeroRow - next_row) * kIn, kIn, 0.0f);
+      }
+      next_row += num_rows;
+    });
+    EXPECT_EQ(next_row, kOut);
+
+    ASSERT_EQ(streamed.num_panels(), 3);
+    ASSERT_EQ(streamed.num_panels(), from_tensor.num_panels());
+    ASSERT_EQ(streamed.PackedBytes(), from_tensor.PackedBytes());
+    const size_t panel_values = static_cast<size_t>(kIn * kGemmNR);
+    for (int64_t p = 0; p < streamed.num_panels(); ++p) {
+      if (mode == QuantMode::kFp32) {
+        EXPECT_EQ(std::memcmp(streamed.panel(p), from_tensor.panel(p),
+                              panel_values * sizeof(float)),
+                  0)
+            << "panel " << p;
+      } else {
+        EXPECT_EQ(std::memcmp(streamed.qpanel(p), from_tensor.qpanel(p), panel_values), 0)
+            << "panel " << p;
+        EXPECT_EQ(std::memcmp(streamed.scales(p), from_tensor.scales(p),
+                              static_cast<size_t>(kGemmNR) * sizeof(float)),
+                  0)
+            << "scales of panel " << p;
+      }
+    }
+    if (mode == QuantMode::kInt8) {
+      EXPECT_EQ(streamed.scales(kZeroRow / kGemmNR)[kZeroRow % kGemmNR], 0.0f);
+      EXPECT_GT(streamed.scales(0)[0], 0.0f);
+    }
   }
 }
 

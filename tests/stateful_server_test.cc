@@ -10,11 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
+#include "src/common/rng.h"
 #include "src/core/stateful_server.h"
+#include "src/kernels/attention.h"
 #include "src/model/model_config.h"
+#include "src/tensor/ops.h"
 #include "src/workload/dataset.h"
 
 namespace pensieve {
@@ -298,6 +304,88 @@ TEST(StatefulServerTest, DeterministicAcrossServerInstances) {
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra.value(), rb.value());
+}
+
+
+// What one run of a seeded chat script produced, turn by turn.
+struct ScriptRun {
+  std::vector<std::vector<int32_t>> outputs;
+  std::vector<std::vector<uint32_t>> kv;  // the conversation's KV after its turn
+  int64_t swapped_in_tokens = 0;          // CPU-only history restored by a turn
+  int64_t recomputed_tokens = 0;          // dropped history recomputed by a turn
+};
+
+// Builds a server under GPU and CPU pressure and runs a seeded script of
+// turns over six conversations, so turns both swap in and recompute.
+ScriptRun RunSeededScript(const ModelConfig& model) {
+  StatefulLlmServer server(TinyConfig(model, /*gpu_blocks=*/16, /*cpu_blocks=*/12));
+  const int32_t vocab = static_cast<int32_t>(model.vocab_size);
+  Rng rng(2024);
+  ScriptRun run;
+  for (int64_t turn = 0; turn < 30; ++turn) {
+    const int64_t conv = rng.UniformInt(0, 5);
+    const int64_t len = rng.UniformInt(3, 20);
+    if (const ContextState* c = server.cache().Find(conv)) {
+      run.swapped_in_tokens += c->TokensCpuOnly();
+      run.recomputed_tokens += c->TokensDropped();
+    }
+    auto result = server.Chat(conv, MakePrompt(conv, turn * 100, len, vocab), 4);
+    EXPECT_TRUE(result.ok()) << "turn " << turn << ": " << result.status();
+    if (!result.ok()) {
+      break;
+    }
+    run.outputs.push_back(result.value());
+    run.kv.push_back(ContextKv(server, conv));
+  }
+  return run;
+}
+
+// Eviction is priced from the analytical cost model, not from timed
+// kernels, so a run does not depend on how fast the host happens to be.
+// The second run builds its server and serves the script while another
+// thread keeps the compute pool busy with attention kernels.
+TEST(StatefulServerTest, ScriptRepeatsExactlyWhilePoolIsBusy) {
+  const ModelConfig model = TinyLlamaConfig();
+  const ScriptRun quiet = RunSeededScript(model);
+  ASSERT_GT(quiet.swapped_in_tokens, 0);
+  ASSERT_GT(quiet.recomputed_tokens, 0);
+
+  std::atomic<bool> stop{false};
+  std::thread busy([&] {
+    constexpr int64_t kBlockSize = 8;
+    constexpr int64_t kBlocks = 32;
+    KvPool pool(kBlocks, kBlockSize, /*num_layers=*/1, model.num_kv_heads, model.head_dim);
+    Tensor kv({model.num_kv_heads, model.head_dim});
+    FillNormal(kv, 5, 1.0f);
+    std::vector<BlockId> table;
+    for (BlockId b = 0; b < kBlocks; ++b) {
+      table.push_back(b);
+      for (int64_t slot = 0; slot < kBlockSize; ++slot) {
+        pool.WriteToken(b, 0, slot, kv.data(), kv.data());
+      }
+    }
+    Tensor query({kBlockSize, model.num_heads, model.head_dim});
+    FillNormal(query, 6, 1.0f);
+    Tensor out({kBlockSize, model.num_heads, model.head_dim});
+    const AttentionSubRequest sub{0, kBlockSize, kBlocks * kBlockSize, &table};
+    while (!stop.load()) {
+      MultiTokenPagedAttention(pool, 0, query, {sub}, 0.25f, &out);
+      // The pool runs one caller at a time; pause so the server's calls
+      // interleave with this thread's instead of starving behind them.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const ScriptRun loaded = RunSeededScript(model);
+  stop.store(true);
+  busy.join();
+
+  EXPECT_EQ(loaded.outputs, quiet.outputs);
+  ASSERT_EQ(loaded.kv.size(), quiet.kv.size());
+  for (size_t i = 0; i < quiet.kv.size(); ++i) {
+    EXPECT_TRUE(SameKv(loaded.kv[i], quiet.kv[i])) << "turn " << i;
+  }
+  EXPECT_EQ(loaded.swapped_in_tokens, quiet.swapped_in_tokens);
+  EXPECT_EQ(loaded.recomputed_tokens, quiet.recomputed_tokens);
 }
 
 

@@ -254,8 +254,8 @@ TEST_F(ThreadDeterminismTest, PackedGemm) {
 }
 
 // A workspace-backed ForwardInto (the allocation-free serving path) must be
-// as thread-stable as the allocating wrapper, including when the same model
-// instance's arena is reused across runs.
+// as thread-stable as the allocating wrapper, including on a second pass
+// that reuses the model's arena.
 TEST_F(ThreadDeterminismTest, WorkspaceForwardInto) {
   ModelConfig config;
   config.name = "tiny";
@@ -271,10 +271,11 @@ TEST_F(ThreadDeterminismTest, WorkspaceForwardInto) {
   config.pos_embedding = PositionEmbedding::kRotary;
   config.gated_ffn = true;
   config.qkv_bias = false;
-  const Transformer model(config, /*seed=*/321);
   Tensor logits;
   ExpectIdenticalAcrossThreadCounts(
       [&] {
+        // Built per run: the weights are drawn concurrently, one task each.
+        const Transformer model(config, /*seed=*/321);
         KvPool pool(8, /*block_size=*/4, config.num_layers, config.num_kv_heads,
                     config.head_dim);
         const std::vector<BlockId> table = {0, 1};
@@ -286,7 +287,9 @@ TEST_F(ThreadDeterminismTest, WorkspaceForwardInto) {
         }
         batch.subs.push_back({0, 5, 5, &table});
         batch.logit_rows = {4};
-        model.ForwardInto(&pool, batch, &logits);
+        for (int pass = 0; pass < 2; ++pass) {
+          model.ForwardInto(&pool, batch, &logits);
+        }
         return logits;
       },
       "Transformer::ForwardInto");
@@ -310,9 +313,9 @@ TEST_F(ThreadDeterminismTest, TransformerForward) {
   config.pos_embedding = PositionEmbedding::kRotary;
   config.gated_ffn = true;
   config.qkv_bias = false;
-  const Transformer model(config, /*seed=*/123);
-
   auto run = [&] {
+    // Built per run: the weights are drawn concurrently, one task each.
+    const Transformer model(config, /*seed=*/123);
     KvPool pool(8, /*block_size=*/4, config.num_layers, config.num_kv_heads,
                 config.head_dim);
     ForwardBatch batch;
