@@ -188,7 +188,6 @@ VariantResult RunSpill(const std::string& name, const GpuCostModel& cost_model,
   options.num_replicas = 3;
   options.router.policy = RouterPolicy::kSessionAffinity;
   options.fault_seed = 7;
-  options.elastic.peer_spill.enabled = spill;
   VariantResult result;
   result.name = name;
   options.outcomes = &result.outcomes;
@@ -234,7 +233,6 @@ VariantResult RunChaos(const GpuCostModel& cost_model,
   options.elastic.autoscale.cooldown = 5.0;
   options.elastic.autoscale.up_queue_tokens = 1024;
   options.elastic.autoscale.down_queue_tokens = 128;
-  options.elastic.peer_spill.enabled = true;
   EngineOverrides overrides;
   overrides.cache_scale = 0.15;
   overrides.cpu_cache_scale = 0.25;

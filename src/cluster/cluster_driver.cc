@@ -605,9 +605,7 @@ class ClusterSim {
   }
 
   void DeliverRouted(int32_t target, Replica::Delivery delivery, double now) {
-    if (elastic_.peer_spill.enabled) {
-      spill_.FetchBack(&delivery, target, now);
-    }
+    spill_.FetchBack(&delivery, target, now);
     replicas_[target].Deliver(std::move(delivery));
   }
 
@@ -796,7 +794,8 @@ class ClusterSim {
         return true;
       }
     }
-    if (elastic_.autoscale.enabled && !orphans_.empty()) {
+    if (!orphans_.empty()) {
+      // Only the autoscaler leaves a slot inactive.
       for (int32_t i = 0; i < replicas_.size(); ++i) {
         if (!replicas_.active(i)) {
           return true;  // a scale-up could still rescue the orphans
@@ -953,12 +952,11 @@ class ClusterSim {
         Finished(outcome);
       }
     }
-    if (elastic_.peer_spill.enabled && stepped.alive()) {
-      // CPU-pressure drops this step recorded as peer offers: place each on
-      // a peer with idle CPU budget (or let it stay the plain drop it was).
-      for (const PeerSpillOffer& o : stepped.engine().TakePeerSpillOffers()) {
-        spill_.Offer(id, o, stepped.now());
-      }
+    // CPU-pressure drops this step recorded as peer offers (only engines
+    // built with peer spill record any): place each on a peer with idle CPU
+    // budget, or let it stay the plain drop it was.
+    for (const PeerSpillOffer& o : stepped.engine().TakePeerSpillOffers()) {
+      spill_.Offer(id, o, stepped.now());
     }
     ++total_steps_;
   }
@@ -1202,8 +1200,6 @@ Status ClusterOptions::Validate() const {
        "partitioned)"},
       {autoscale && elastic.autoscale.max_replicas > num_replicas,
        "autoscale.max_replicas must be <= num_replicas (the slot count)"},
-      {elastic.peer_spill.enabled && num_replicas < 2,
-       "peer_spill needs num_replicas >= 2"},
   });
 }
 

@@ -1,12 +1,13 @@
-// Multi-replica virtual-time serving experiment driver.
+// Multi-replica virtual-time serving experiment driver: the simulator's one
+// event loop.
 //
 // Replays a WorkloadTrace across N independent replicas behind a router.
 // Every turn passes through the router; returning conversations are cheap
 // only where their KV still lives, so policy choice shows up directly in the
 // cluster cache-hit rate. Replicas advance on their own virtual clocks; the
-// driver interleaves them in global event order, which makes a 1-replica
-// cluster reproduce the single-engine driver bit for bit regardless of
-// routing policy.
+// driver interleaves them in global event order. A single-engine experiment
+// (RunServingExperiment, src/serving/driver.h) is this loop with one
+// replica.
 //
 // Session-affinity failover may migrate a conversation's KV between
 // replicas over a simulated interconnect; the shipped bytes, the arrival
@@ -87,10 +88,12 @@ struct ClusterOptions {
   LinkRetryPolicy fault_retry;
   uint64_t fault_seed = 0;
   // Elastic-cluster features (DESIGN.md §14): active health probing with
-  // quarantine, queue/latency-driven autoscaling, and cross-replica CPU-tier
-  // spill. All off by default, leaving the run bit-identical to the
-  // inelastic driver. With autoscaling, num_replicas is the slot count
-  // (= max_replicas); only autoscale.min_replicas slots start active.
+  // quarantine and queue/latency-driven autoscaling. Both off by default,
+  // leaving the run bit-identical to the inelastic driver. With autoscaling,
+  // num_replicas is the slot count (= max_replicas); only
+  // autoscale.min_replicas slots start active. Cross-replica CPU-tier spill
+  // has no cluster switch: it runs whenever the engines were built with
+  // EngineOverrides::peer_spill, since only those offer anything to spill.
   ElasticOptions elastic;
   // Safety valve on total scheduler iterations across all replicas
   // (0 = unlimited).
@@ -108,9 +111,11 @@ struct ClusterOptions {
 
 // Builds the engine for one replica. Each replica must get its own engine
 // (own cache, own simulated hardware); sharing an Engine* across replicas is
-// not supported.
+// not supported. A factory returning std::unique_ptr<Engine> converts to
+// this type; RunServingExperiment passes a handle that does not own the
+// caller's engine.
 using ReplicaEngineFactory =
-    std::function<std::unique_ptr<Engine>(int32_t replica_id)>;
+    std::function<std::shared_ptr<Engine>(int32_t replica_id)>;
 
 // Runs the trace across the replicas. `options` must pass Validate().
 ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,

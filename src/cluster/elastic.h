@@ -19,7 +19,9 @@
 //    a peer with idle CPU budget over the NIC instead of falling straight to
 //    recompute; the accounting here tracks every spilled token until it is
 //    fetched back, degraded by a transfer fault, invalidated, or left
-//    stranded at run end.
+//    stranded at run end. Its one switch is EngineOverrides::peer_spill:
+//    only engines built with it offer their drops, and the cluster driver
+//    places whatever is offered.
 //
 // The idiom follows the source-list + failure-tracking + sync-to-healthy
 // structure of classic replicated-source clients: probe everything, count
@@ -221,14 +223,6 @@ class Autoscaler {
   double last_scale_time_ = -1e300;
 };
 
-// Turns on the cluster side of peer spill (the broker that places offers
-// and fetches them back). The engines need their own switch too: only an
-// engine built with EngineOverrides::peer_spill records its CPU-pressure
-// drops as offers, so with that switch off there is nothing to spill.
-struct PeerSpillOptions {
-  bool enabled = false;
-};
-
 // Every spilled token is tracked until exactly one of: fetched back,
 // degraded by a transfer fault, invalidated (hole rule, peer loss, retiring
 // peer), or left remaining at run end:
@@ -253,11 +247,8 @@ struct PeerSpillStats {
 struct ElasticOptions {
   HealthOptions health;
   AutoscaleOptions autoscale;
-  PeerSpillOptions peer_spill;
 
-  bool Enabled() const {
-    return health.enabled || autoscale.enabled || peer_spill.enabled;
-  }
+  bool Enabled() const { return health.enabled || autoscale.enabled; }
 };
 
 struct ElasticStats {

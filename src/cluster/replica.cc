@@ -23,7 +23,7 @@ int64_t DeliveryLoadTokens(const Replica::Delivery& d) {
 
 }  // namespace
 
-Replica::Replica(int32_t id, std::unique_ptr<Engine> engine)
+Replica::Replica(int32_t id, std::shared_ptr<Engine> engine)
     : id_(id), engine_(std::move(engine)) {
   PENSIEVE_CHECK(engine_ != nullptr);
   engine_name_ = engine_->name();
@@ -147,7 +147,7 @@ int64_t Replica::Retire(double now) {
   return released;
 }
 
-void Replica::Recover(std::unique_ptr<Engine> engine, double now) {
+void Replica::Recover(std::shared_ptr<Engine> engine, double now) {
   PENSIEVE_CHECK(!alive()) << "replica " << id_ << " recovered while alive";
   PENSIEVE_CHECK(engine != nullptr);
   engine_ = std::move(engine);

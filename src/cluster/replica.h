@@ -1,6 +1,6 @@
 // One stateful serving replica inside a cluster.
 //
-// A replica owns an engine plus its own virtual clock; the cluster driver
+// A replica holds an engine plus its own virtual clock; the cluster driver
 // interleaves replicas in global time order, so each replica advances
 // independently exactly as the single-engine driver would have advanced it.
 // Routed requests arrive as Deliveries: a delivery carries the request, an
@@ -69,7 +69,9 @@ class Replica {
     int64_t dropped_state_tokens = 0;
   };
 
-  Replica(int32_t id, std::unique_ptr<Engine> engine);
+  // `engine` is usually owned by the replica alone; a handle that owns
+  // nothing (RunServingExperiment's caller-owned engine) works the same.
+  Replica(int32_t id, std::shared_ptr<Engine> engine);
 
   int32_t id() const { return id_; }
   bool alive() const { return engine_ != nullptr; }
@@ -88,7 +90,7 @@ class Replica {
   FailureDrain Fail(double now);
 
   // Rejoins with a fresh (empty) engine at virtual time `now`.
-  void Recover(std::unique_ptr<Engine> engine, double now);
+  void Recover(std::shared_ptr<Engine> engine, double now);
 
   // Drains every pending request off a replica that stays alive: undelivered
   // deliveries keep their migrated payloads (the driver re-forwards them),
@@ -150,7 +152,7 @@ class Replica {
   };
 
   int32_t id_;
-  std::unique_ptr<Engine> engine_;  // null while the replica is down
+  std::shared_ptr<Engine> engine_;  // null while the replica is down
   std::string engine_name_;
   // Stats of engine incarnations destroyed by failures (the work they did
   // before crashing still happened on the simulated hardware).

@@ -6,12 +6,12 @@
 //
 //  * StatefulLlmServer  — the embeddable stateful serving API (real
 //    numerics over the CPU substrate).
-//  * PensieveEngine / StatelessEngine + RunServingExperiment — the
-//    simulated-hardware serving engines and experiment driver used to
-//    reproduce the paper's evaluation.
-//  * RunClusterExperiment — the multi-replica serving layer: a router
+//  * PensieveEngine / StatelessEngine — the simulated-hardware serving
+//    engines used to reproduce the paper's evaluation.
+//  * RunClusterExperiment — the simulator's one event loop: a router
 //    (round-robin / least-loaded / session-affinity) in front of N engines
 //    with KV migration over a simulated inter-replica link.
+//    RunServingExperiment runs it with one replica on a caller's engine.
 //  * Workload generation, eviction policies, cost models and the paged
 //    two-tier KV cache they are built on.
 

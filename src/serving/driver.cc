@@ -1,78 +1,32 @@
 #include "src/serving/driver.h"
 
-#include <algorithm>
+#include <memory>
+#include <utility>
 
+#include "src/cluster/cluster_driver.h"
 #include "src/common/logging.h"
-#include "src/serving/experiment_core.h"
-#include "src/sim/event_loop.h"
-#include "src/sim/virtual_clock.h"
 
 namespace pensieve {
 
 ServingSummary RunServingExperiment(Engine* engine, const WorkloadTrace& trace,
                                     const DriverOptions& options) {
   PENSIEVE_CHECK(engine != nullptr);
-  VirtualClock clock;
-  MetricsCollector metrics;
-  EventQueue events;
-  ArrivalProcess arrivals(trace, &events);
-
-  int64_t steps = 0;
-  double last_finish_time = 0.0;
-
-  auto deliver_due = [&]() {
-    while (!events.Empty() && events.Top().time <= clock.now()) {
-      engine->Enqueue(arrivals.BuildRequest(events.Pop()), clock.now());
-    }
-  };
-
-  while (true) {
-    deliver_due();
-    if (!engine->HasWork()) {
-      if (events.Empty()) {
-        break;
-      }
-      clock.AdvanceTo(events.NextTime());
-      continue;
-    }
-    const double step_start = clock.now();
-    StepResult result = engine->Step(clock.now());
-    if (result.idle) {
-      if (events.Empty()) {
-        PENSIEVE_LOG_WARNING << "engine " << engine->name()
-                             << " idle with pending work and no future arrivals; "
-                                "aborting experiment";
-        break;
-      }
-      clock.AdvanceTo(events.NextTime());
-      continue;
-    }
-    clock.Advance(result.duration);
-    if (options.step_trace != nullptr) {
-      options.step_trace->push_back(StepTraceEntry{
-          step_start, result.duration, result.batch_requests, result.batch_tokens,
-          static_cast<int64_t>(result.finished.size())});
-    }
-    for (const RequestOutcome& outcome : result.finished) {
-      metrics.Record(outcome);
-      if (options.outcomes != nullptr) {
-        options.outcomes->push_back(outcome);
-      }
-      last_finish_time = std::max(last_finish_time, outcome.finish_time);
-      // Schedule the conversation's next turn after the user's think time.
-      arrivals.OnRequestFinished(outcome);
-    }
-    ++steps;
-    if (options.max_steps > 0 && steps >= options.max_steps) {
-      PENSIEVE_LOG_WARNING << "experiment hit max_steps=" << options.max_steps;
-      break;
-    }
+  // The caller keeps its engine (and inspects it afterwards); the replica
+  // gets a handle that does not own it.
+  const std::shared_ptr<Engine> borrowed(engine, [](Engine*) {});
+  std::vector<ClusterStepTraceEntry> steps;
+  ClusterOptions cluster;
+  cluster.max_steps = options.max_steps;
+  cluster.outcomes = options.outcomes;
+  if (options.step_trace != nullptr) {
+    cluster.step_trace = &steps;
   }
-
-  const SteadyStateWindow window =
-      ComputeSteadyStateWindow(ArrivalSpan(trace), last_finish_time);
-  return metrics.Summarize(engine->name(), last_finish_time, engine->stats(),
-                           window.begin, window.end);
+  ClusterSummary summary = RunClusterExperiment(
+      [&](int32_t) { return borrowed; }, trace, cluster);
+  for (const ClusterStepTraceEntry& entry : steps) {
+    options.step_trace->push_back(entry.step);
+  }
+  return std::move(summary.replicas[0]);
 }
 
 }  // namespace pensieve

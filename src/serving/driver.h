@@ -1,9 +1,11 @@
-// Virtual-time serving experiment driver.
+// Virtual-time serving experiment on one engine.
 //
 // Replays a WorkloadTrace against an engine: new conversations arrive by the
 // pre-sampled Poisson process; a conversation's next turn arrives only after
 // the engine finishes the previous turn plus the sampled user think time
-// (causal dependency, paper §6.1).
+// (causal dependency, paper §6.1). The run is a one-replica
+// RunClusterExperiment (src/cluster/cluster_driver.h) on the caller's engine,
+// so single-engine and cluster numbers come from the same event loop.
 
 #ifndef PENSIEVE_SRC_SERVING_DRIVER_H_
 #define PENSIEVE_SRC_SERVING_DRIVER_H_
@@ -26,6 +28,8 @@ struct DriverOptions {
   std::vector<RequestOutcome>* outcomes = nullptr;
 };
 
+// Runs the trace on `engine`, which stays the caller's: it is neither
+// destroyed nor replaced, so its state can be inspected after the run.
 ServingSummary RunServingExperiment(Engine* engine, const WorkloadTrace& trace,
                                     const DriverOptions& options = {});
 

@@ -86,7 +86,6 @@ ClusterSummary RunElasticSpillScenario() {
   options.elastic.autoscale.cooldown = 4.0;
   options.elastic.autoscale.down_queue_tokens = 1024;
   options.elastic.autoscale.up_queue_tokens = 2048;
-  options.elastic.peer_spill.enabled = true;
   options.elastic.health.enabled = true;
   options.elastic.health.probe_interval = 0.5;
   options.elastic.health.sick.push_back({1, 3.0, 8.0});

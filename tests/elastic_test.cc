@@ -442,7 +442,6 @@ TEST(ElasticClusterTest, PeerSpillAccountingIdentityAndFetchback) {
   ClusterOptions options;
   options.num_replicas = 3;
   options.router.policy = RouterPolicy::kSessionAffinity;
-  options.elastic.peer_spill.enabled = true;
   // Replica 0's CPU tier is starved; its peers have idle budget.
   const ClusterSummary s = RunClusterExperiment(
       [&](int32_t replica_id) {
@@ -475,10 +474,9 @@ TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   options.elastic.autoscale.enabled = true;
   options.elastic.autoscale.min_replicas = 2;
   options.elastic.autoscale.max_replicas = 3;
-  options.elastic.peer_spill.enabled = true;
-  // The engines need their own peer-spill switch, and replica 0's starved
-  // CPU tier gives them something to offer, so the spill comparison below
-  // is not 0 == 0.
+  // Peer spill is switched on in the engines, and replica 0's starved CPU
+  // tier gives them something to offer, so the spill comparison below is
+  // not 0 == 0.
   const ReplicaEngineFactory factory = [&model](int32_t replica_id) {
     EngineOverrides overrides;
     overrides.cache_scale = 0.15;
@@ -583,10 +581,6 @@ TEST(OptionValidationTest, EachClusterRuleNamesItsField) {
       {"disagg.prefill_replicas", [&](ClusterOptions* o) {
          split(o);
          o->disagg.prefill_replicas = 3;
-       }},
-      {"peer_spill", [](ClusterOptions* o) {
-         o->num_replicas = 1;
-         o->elastic.peer_spill.enabled = true;
        }},
   };
   for (const ClusterRuleCase& c : cases) {

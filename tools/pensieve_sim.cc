@@ -84,6 +84,111 @@ bool ParseFaultList(const std::string& spec, bool recover,
   return true;
 }
 
+// The completion, throughput and latency lines both summary blocks print.
+void PrintRequestLines(const ServingSummary& s) {
+  std::printf("requests:          %ld completed, makespan %.1f s\n",
+              static_cast<long>(s.completed_requests), s.makespan);
+  std::printf("throughput:        %.3f req/s (%.1f tok/s) over steady window "
+              "[%.1f, %.1f] s\n",
+              s.throughput_rps, s.token_throughput, s.window_begin, s.window_end);
+  std::printf("norm latency:      mean %.1f / p50 %.1f / p90 %.1f / p99 %.1f "
+              "ms per token\n",
+              s.mean_normalized_latency * 1e3, s.p50_normalized_latency * 1e3,
+              s.p90_normalized_latency * 1e3, s.p99_normalized_latency * 1e3);
+}
+
+// The cache-feature lines both summary blocks print; each is empty when its
+// feature saw no traffic.
+void PrintCacheFeatureLines(const EngineStats& stats) {
+  std::printf("%s", FormatKvFaultSummary(stats).c_str());
+  std::printf("%s", FormatSsdTierSummary(stats).c_str());
+  std::printf("%s", FormatPrefixSharingSummary(stats).c_str());
+  std::printf("%s", FormatKvQuantSummary(stats).c_str());
+}
+
+// The single-engine summary block.
+void PrintEngineSummary(const ServingSummary& s, const ModelConfig& model,
+                        const std::vector<StepTraceEntry>& steps) {
+  std::printf("system:            %s\n", s.engine_name.c_str());
+  std::printf("model:             %s on %d GPU(s)\n", model.name.c_str(),
+              model.num_gpus);
+  PrintRequestLines(s);
+  std::printf("cache:             hit %.3f (cpu-tier hit %.3f), %ld tokens "
+              "recomputed, %.2f s recompute\n",
+              s.engine_stats.CacheHitRate(), s.engine_stats.CpuCacheHitRate(),
+              static_cast<long>(s.engine_stats.recomputed_history_tokens),
+              s.engine_stats.recompute_seconds);
+  std::printf("swapping:          %ld AOT tokens out, %ld forced, %ld dropped, "
+              "%.2f s restore stall\n",
+              static_cast<long>(s.engine_stats.aot_swap_out_tokens),
+              static_cast<long>(s.engine_stats.forced_swap_out_tokens),
+              static_cast<long>(s.engine_stats.dropped_tokens),
+              s.engine_stats.restore_stall_seconds);
+  PrintCacheFeatureLines(s.engine_stats);
+  const StepTraceSummary st = SummarizeStepTrace(steps);
+  std::printf("scheduler:         %ld steps, mean batch %.1f requests / %.1f "
+              "tokens, %.1f s busy\n",
+              static_cast<long>(st.steps), st.mean_batch_requests,
+              st.mean_batch_tokens, st.busy_seconds);
+}
+
+// The cluster summary block: the merged run, then one line per replica.
+void PrintClusterSummary(const ClusterSummary& cs, const ModelConfig& model,
+                         const std::string& system) {
+  const ServingSummary& s = cs.cluster;
+  std::printf("cluster:           %d x %s behind %s router\n", cs.num_replicas,
+              system.c_str(), cs.router_name.c_str());
+  std::printf("model:             %s on %d GPU(s) per replica\n",
+              model.name.c_str(), model.num_gpus);
+  PrintRequestLines(s);
+  std::printf("cache:             hit %.3f (cpu-tier hit %.3f), %ld tokens "
+              "recomputed\n",
+              s.engine_stats.CacheHitRate(), s.engine_stats.CpuCacheHitRate(),
+              static_cast<long>(s.engine_stats.recomputed_history_tokens));
+  std::printf("balance:           load imbalance %.2f (peak/mean busy)\n",
+              cs.load_imbalance);
+  std::printf("migration:         %ld transfers (%ld rehomes, %ld queued at "
+              "home), %.1f MB, %ld tokens adopted, %.3f s stall\n",
+              static_cast<long>(cs.migration.migrations),
+              static_cast<long>(cs.migration.rehomes),
+              static_cast<long>(cs.migration.overload_queued),
+              cs.migration.migrated_bytes / 1e6,
+              static_cast<long>(cs.migration.migrated_tokens),
+              cs.migration.migration_stall_seconds);
+  if (cs.faults.failures > 0 || cs.faults.recoveries > 0) {
+    std::printf("faults:            %ld failure(s), %ld recovery(ies); %ld "
+                "requests re-routed (%ld orphaned), %ld KV tokens lost, %ld "
+                "generated tokens lost\n",
+                static_cast<long>(cs.faults.failures),
+                static_cast<long>(cs.faults.recoveries),
+                static_cast<long>(cs.faults.rerouted_requests),
+                static_cast<long>(cs.faults.orphaned_requests),
+                static_cast<long>(cs.faults.lost_kv_tokens),
+                static_cast<long>(cs.faults.lost_generated_tokens));
+  }
+  if (cs.nic_link_faults.InjectedFaults() > 0 ||
+      cs.migration.failed_migrations > 0) {
+    std::printf("nic-faults:        %s\n",
+                FormatLinkFaultLine(cs.nic_link_faults).c_str());
+    std::printf("nic-degrade:       %ld failed migrations, %ld KV tokens "
+                "recomputed at destination\n",
+                static_cast<long>(cs.migration.failed_migrations),
+                static_cast<long>(cs.migration.kv_tokens_lost_in_transit));
+  }
+  // Empty unless the run actually handed off, so colocated output is
+  // bit-identical to pre-disaggregation builds.
+  std::printf("%s", FormatHandoffSummary(cs.handoff).c_str());
+  // Likewise empty when no probing, scaling, or spill happened.
+  std::printf("%s", FormatElasticSummary(cs.elastic).c_str());
+  PrintCacheFeatureLines(s.engine_stats);
+  for (size_t i = 0; i < cs.replicas.size(); ++i) {
+    const ServingSummary& r = cs.replicas[i];
+    std::printf("  replica %-2zu       %ld requests, %.1f s busy, hit %.3f\n",
+                i, static_cast<long>(r.completed_requests),
+                r.engine_stats.busy_seconds, r.engine_stats.CacheHitRate());
+  }
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags;
   AddWorkloadFlags(&flags, {.rate = 1.0, .conversations = 600, .think = 60.0});
@@ -317,7 +422,6 @@ int Run(int argc, char** argv) {
   autoscale.up_queue_tokens = flags.GetInt("scale-up-tokens");
   autoscale.down_queue_tokens = flags.GetInt("scale-down-tokens");
   autoscale.up_p99_latency = flags.GetDouble("scale-up-p99-ms") / 1e3;
-  cluster_options.elastic.peer_spill.enabled = flags.GetBool("peer-spill");
   // The library owns every legality rule; an option it rejects is a usage
   // error here, reported before any work.
   for (const Status& status :
@@ -325,6 +429,10 @@ int Run(int argc, char** argv) {
     if (!status.ok()) {
       ExitWithUsage(flags, status.ToString());
     }
+  }
+  // One replica has no peer: its spill offers would all be declined.
+  if (overrides.peer_spill && replicas < 2) {
+    ExitWithUsage(flags, "--peer-spill=on needs --replicas >= 2");
   }
 
   const GpuCostModel cost_model(model, A100Spec(model.num_gpus), weight_quant);
@@ -345,149 +453,37 @@ int Run(int argc, char** argv) {
   }
   const WorkloadTrace& trace = *trace_storage;
 
-  // Fault injection, disaggregation, and the elastic features all run
-  // through the cluster layer even with one replica.
-  if (replicas > 1 || !cluster_options.faults.empty() ||
-      cluster_options.elastic.Enabled()) {
-    std::vector<RequestOutcome> outcomes;
-    std::vector<ClusterStepTraceEntry> steps;
-    cluster_options.outcomes = &outcomes;
-    cluster_options.step_trace = &steps;
-    const ClusterSummary cs = RunClusterExperiment(
-        [&](int32_t replica_id) {
-          // Each replica (and each recovery incarnation) draws from its own
-          // deterministic fault stream.
-          EngineOverrides replica_overrides = overrides;
+  // Replica faults and the elastic features print the cluster summary even
+  // with one replica; a plain one-replica run prints the engine summary.
+  const bool single_engine = replicas == 1 && cluster_options.faults.empty() &&
+                             !cluster_options.elastic.Enabled();
+  std::vector<RequestOutcome> outcomes;
+  std::vector<ClusterStepTraceEntry> steps;
+  cluster_options.outcomes = &outcomes;
+  cluster_options.step_trace = &steps;
+  const ClusterSummary cs = RunClusterExperiment(
+      [&](int32_t replica_id) {
+        // Each replica (and each recovery incarnation) draws from its own
+        // deterministic fault stream; a single engine draws from the seed
+        // itself.
+        EngineOverrides replica_overrides = overrides;
+        if (!single_engine) {
           replica_overrides.fault_seed =
               fault_config.seed +
               0x9E3779B9ull * static_cast<uint64_t>(replica_id + 1);
-          return MakeEngine(kind, cost_model, replica_overrides);
-        },
-        trace, cluster_options);
-    const ServingSummary& s = cs.cluster;
-    std::printf("cluster:           %ld x %s behind %s router\n",
-                static_cast<long>(replicas), system.c_str(), cs.router_name.c_str());
-    std::printf("model:             %s on %d GPU(s) per replica\n",
-                model.name.c_str(), model.num_gpus);
-    std::printf("requests:          %ld completed, makespan %.1f s\n",
-                static_cast<long>(s.completed_requests), s.makespan);
-    std::printf("throughput:        %.3f req/s (%.1f tok/s) over steady window "
-                "[%.1f, %.1f] s\n",
-                s.throughput_rps, s.token_throughput, s.window_begin,
-                s.window_end);
-    std::printf("norm latency:      mean %.1f / p50 %.1f / p90 %.1f / p99 %.1f "
-                "ms per token\n",
-                s.mean_normalized_latency * 1e3, s.p50_normalized_latency * 1e3,
-                s.p90_normalized_latency * 1e3, s.p99_normalized_latency * 1e3);
-    std::printf("cache:             hit %.3f (cpu-tier hit %.3f), %ld tokens "
-                "recomputed\n",
-                s.engine_stats.CacheHitRate(), s.engine_stats.CpuCacheHitRate(),
-                static_cast<long>(s.engine_stats.recomputed_history_tokens));
-    std::printf("balance:           load imbalance %.2f (peak/mean busy)\n",
-                cs.load_imbalance);
-    std::printf("migration:         %ld transfers (%ld rehomes, %ld queued at "
-                "home), %.1f MB, %ld tokens adopted, %.3f s stall\n",
-                static_cast<long>(cs.migration.migrations),
-                static_cast<long>(cs.migration.rehomes),
-                static_cast<long>(cs.migration.overload_queued),
-                cs.migration.migrated_bytes / 1e6,
-                static_cast<long>(cs.migration.migrated_tokens),
-                cs.migration.migration_stall_seconds);
-    if (cs.faults.failures > 0 || cs.faults.recoveries > 0) {
-      std::printf("faults:            %ld failure(s), %ld recovery(ies); %ld "
-                  "requests re-routed (%ld orphaned), %ld KV tokens lost, %ld "
-                  "generated tokens lost\n",
-                  static_cast<long>(cs.faults.failures),
-                  static_cast<long>(cs.faults.recoveries),
-                  static_cast<long>(cs.faults.rerouted_requests),
-                  static_cast<long>(cs.faults.orphaned_requests),
-                  static_cast<long>(cs.faults.lost_kv_tokens),
-                  static_cast<long>(cs.faults.lost_generated_tokens));
+        }
+        return MakeEngine(kind, cost_model, replica_overrides);
+      },
+      trace, cluster_options);
+  std::vector<StepTraceEntry> engine_steps;
+  if (single_engine) {
+    for (const ClusterStepTraceEntry& entry : steps) {
+      engine_steps.push_back(entry.step);
     }
-    if (cs.nic_link_faults.InjectedFaults() > 0 ||
-        cs.migration.failed_migrations > 0) {
-      std::printf("nic-faults:        %s\n",
-                  FormatLinkFaultLine(cs.nic_link_faults).c_str());
-      std::printf("nic-degrade:       %ld failed migrations, %ld KV tokens "
-                  "recomputed at destination\n",
-                  static_cast<long>(cs.migration.failed_migrations),
-                  static_cast<long>(cs.migration.kv_tokens_lost_in_transit));
-    }
-    // Empty unless the run actually handed off, so colocated output is
-    // bit-identical to pre-disaggregation builds.
-    std::printf("%s", FormatHandoffSummary(cs.handoff).c_str());
-    // Likewise empty when no probing, scaling, or spill happened.
-    std::printf("%s", FormatElasticSummary(cs.elastic).c_str());
-    std::printf("%s", FormatKvFaultSummary(s.engine_stats).c_str());
-    std::printf("%s", FormatSsdTierSummary(s.engine_stats).c_str());
-    std::printf("%s", FormatPrefixSharingSummary(s.engine_stats).c_str());
-    std::printf("%s", FormatKvQuantSummary(s.engine_stats).c_str());
-    for (size_t i = 0; i < cs.replicas.size(); ++i) {
-      const ServingSummary& r = cs.replicas[i];
-      std::printf("  replica %-2zu       %ld requests, %.1f s busy, hit %.3f\n",
-                  i, static_cast<long>(r.completed_requests),
-                  r.engine_stats.busy_seconds, r.engine_stats.CacheHitRate());
-    }
-    if (!flags.GetString("outcomes_csv").empty()) {
-      const Status status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", flags.GetString("outcomes_csv").c_str());
-    }
-    if (!flags.GetString("steps_csv").empty()) {
-      const Status status = WriteClusterStepTraceCsv(flags.GetString("steps_csv"), steps);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", flags.GetString("steps_csv").c_str());
-    }
-    return 0;
+    PrintEngineSummary(cs.replicas[0], model, engine_steps);
+  } else {
+    PrintClusterSummary(cs, model, system);
   }
-
-  auto engine = MakeEngine(kind, cost_model, overrides);
-  std::vector<RequestOutcome> outcomes;
-  std::vector<StepTraceEntry> steps;
-  DriverOptions driver_options;
-  driver_options.outcomes = &outcomes;
-  driver_options.step_trace = &steps;
-  const ServingSummary s =
-      RunServingExperiment(engine.get(), trace, driver_options);
-
-  std::printf("system:            %s\n", s.engine_name.c_str());
-  std::printf("model:             %s on %d GPU(s)\n", model.name.c_str(),
-              model.num_gpus);
-  std::printf("requests:          %ld completed, makespan %.1f s\n",
-              static_cast<long>(s.completed_requests), s.makespan);
-  std::printf("throughput:        %.3f req/s (%.1f tok/s) over steady window "
-              "[%.1f, %.1f] s\n",
-              s.throughput_rps, s.token_throughput, s.window_begin, s.window_end);
-  std::printf("norm latency:      mean %.1f / p50 %.1f / p90 %.1f / p99 %.1f "
-              "ms per token\n",
-              s.mean_normalized_latency * 1e3, s.p50_normalized_latency * 1e3,
-              s.p90_normalized_latency * 1e3, s.p99_normalized_latency * 1e3);
-  std::printf("cache:             hit %.3f (cpu-tier hit %.3f), %ld tokens "
-              "recomputed, %.2f s recompute\n",
-              s.engine_stats.CacheHitRate(), s.engine_stats.CpuCacheHitRate(),
-              static_cast<long>(s.engine_stats.recomputed_history_tokens),
-              s.engine_stats.recompute_seconds);
-  std::printf("swapping:          %ld AOT tokens out, %ld forced, %ld dropped, "
-              "%.2f s restore stall\n",
-              static_cast<long>(s.engine_stats.aot_swap_out_tokens),
-              static_cast<long>(s.engine_stats.forced_swap_out_tokens),
-              static_cast<long>(s.engine_stats.dropped_tokens),
-              s.engine_stats.restore_stall_seconds);
-  std::printf("%s", FormatKvFaultSummary(s.engine_stats).c_str());
-  std::printf("%s", FormatSsdTierSummary(s.engine_stats).c_str());
-  std::printf("%s", FormatPrefixSharingSummary(s.engine_stats).c_str());
-  std::printf("%s", FormatKvQuantSummary(s.engine_stats).c_str());
-  const StepTraceSummary st = SummarizeStepTrace(steps);
-  std::printf("scheduler:         %ld steps, mean batch %.1f requests / %.1f "
-              "tokens, %.1f s busy\n",
-              static_cast<long>(st.steps), st.mean_batch_requests,
-              st.mean_batch_tokens, st.busy_seconds);
 
   if (!flags.GetString("outcomes_csv").empty()) {
     const Status status = WriteOutcomesCsv(flags.GetString("outcomes_csv"), outcomes);
@@ -498,13 +494,15 @@ int Run(int argc, char** argv) {
     std::printf("wrote %s\n", flags.GetString("outcomes_csv").c_str());
   }
   if (!flags.GetString("steps_csv").empty()) {
+    const std::string path = flags.GetString("steps_csv");
     const Status status =
-        WriteStepTraceCsv(flags.GetString("steps_csv"), steps, weight_quant);
+        single_engine ? WriteStepTraceCsv(path, engine_steps, weight_quant)
+                      : WriteClusterStepTraceCsv(path, steps);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s\n", flags.GetString("steps_csv").c_str());
+    std::printf("wrote %s\n", path.c_str());
   }
   return 0;
 }
