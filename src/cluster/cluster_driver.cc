@@ -137,16 +137,21 @@ class PeerSpillBroker {
   // on a peer, pull it back over the NIC (or adopt it in place when the
   // request landed on the stash-holding peer) so it rejoins the dropped
   // prefix before admission. A delivery carrying migrated KV invalidates the
-  // segment instead: the import's frontier won't line up with it.
+  // segment instead: the import's frontier won't line up with it. So does a
+  // target that would refuse the segment, before anything is shipped.
   void FetchBack(Replica::Delivery* delivery, int32_t target, double now) {
-    auto it = stash_.find(delivery->request.conversation_id);
+    const int64_t conv = delivery->request.conversation_id;
+    auto it = stash_.find(conv);
     if (it == stash_.end()) {
       return;
     }
     const Segment seg = Take(it);
     Replica& holder = (*replicas_)[seg.peer];
+    Engine& dst = (*replicas_)[target].engine();
     // A dead holder is a stale entry (invalidation raced its crash).
-    if (!delivery->migrated.Empty() || !holder.alive()) {
+    if (!delivery->migrated.Empty() || !holder.alive() ||
+        !dst.AcceptsPeerPrefix(conv, seg.first_token, seg.last_token,
+                               delivery->request.history_len)) {
       Invalidate(seg);
       return;
     }
@@ -163,10 +168,9 @@ class PeerSpillBroker {
       delivery->time = std::max(delivery->time, out.done);
       stats_.fetched_bytes += seg.bytes;
     }
-    const int64_t adopted =
-        (*replicas_)[target].engine().AcceptPeerPrefix(
-            delivery->request.conversation_id, seg.first_token,
-            seg.last_token, delivery->request.history_len, now);
+    const int64_t adopted = dst.AcceptPeerPrefix(
+        conv, seg.first_token, seg.last_token, delivery->request.history_len,
+        now);
     ++stats_.fetchbacks;
     stats_.fetched_tokens += adopted;
     stats_.invalidated_tokens += seg.len() - adopted;

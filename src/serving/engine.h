@@ -353,12 +353,22 @@ class Engine {
   virtual int64_t ReserveForeignCpuTokens(int64_t tokens) { return 0; }
   virtual void ReleaseForeignCpuTokens(int64_t tokens) {}
 
+  // Whether AcceptPeerPrefix would take the stash segment
+  // [first_token, last_token) at all: the placement rules, without the CPU
+  // room check. The cluster driver asks before it ships a segment back, so
+  // a segment that would be refused never crosses the NIC.
+  virtual bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token,
+                                 int64_t last_token,
+                                 int64_t kv_len_hint) const {
+    return false;
+  }
+
   // Re-adopts a fetched-back stash segment [first_token, last_token) into
   // the conversation's dropped prefix ahead of its next request.
   // `kv_len_hint` is the conversation's history length per the incoming
   // request, used when this engine has no bookkeeping for it. Returns the
-  // tokens actually adopted (0 when the segment no longer lines up with the
-  // local dropped frontier).
+  // tokens actually adopted: 0 when AcceptsPeerPrefix refuses the segment,
+  // fewer than offered when the CPU tier runs out of room.
   virtual int64_t AcceptPeerPrefix(int64_t conversation_id,
                                    int64_t first_token, int64_t last_token,
                                    int64_t kv_len_hint, double now) {

@@ -1075,46 +1075,51 @@ void PensieveEngine::ReleaseForeignCpuTokens(int64_t tokens) {
   cache_.ReleaseForeignCpuBlocks(blocks);
 }
 
-int64_t PensieveEngine::AcceptPeerPrefix(int64_t conversation_id,
-                                         int64_t first_token,
-                                         int64_t last_token,
-                                         int64_t kv_len_hint, double now) {
+bool PensieveEngine::AcceptsPeerPrefix(int64_t conversation_id,
+                                       int64_t first_token, int64_t last_token,
+                                       int64_t kv_len_hint) const {
   if (last_token <= first_token) {
-    return 0;
+    return false;
   }
-  ContextState* conv = cache_.Find(conversation_id);
+  const ContextState* conv = cache_.Find(conversation_id);
   if (conv == nullptr) {
     // No local bookkeeping: the segment is adoptable only as the trailing
     // end of the conversation's full history (everything after it would
     // otherwise be silently forgotten).
-    if (kv_len_hint <= 0 || last_token != kv_len_hint) {
-      return 0;
-    }
-    const int64_t adopted = cache_.ImportCpuResident(
-        conversation_id, kv_len_hint, last_token - first_token);
-    if (adopted > 0) {
-      cache_.Find(conversation_id)->set_last_active(now);
-      stats_.peer_spill_in_tokens += adopted;
-    }
-    return adopted;
+    return kv_len_hint > 0 && last_token == kv_len_hint;
   }
-  if (inflight_.find(conversation_id) != inflight_.end()) {
-    // A racing request is already recomputing locally; never clobber it.
+  // A racing request is already recomputing locally; never clobber it. The
+  // stash must also still line up with the dropped frontier (the local copy
+  // may have been dropped deeper or restored past it; adopting would leave
+  // a hole in the prefix), and hold at least the frontier's last chunk.
+  const int64_t dropped_chunks = conv->LeadingDroppedChunks();
+  return inflight_.find(conversation_id) == inflight_.end() &&
+         conv->LeadingDroppedTokens() == last_token &&
+         conv->ChunkStartToken(dropped_chunks - 1) >= first_token;
+}
+
+int64_t PensieveEngine::AcceptPeerPrefix(int64_t conversation_id,
+                                         int64_t first_token,
+                                         int64_t last_token,
+                                         int64_t kv_len_hint, double now) {
+  if (!AcceptsPeerPrefix(conversation_id, first_token, last_token,
+                         kv_len_hint)) {
     return 0;
   }
-  if (conv->LeadingDroppedTokens() != last_token) {
-    // The stash no longer lines up with the dropped frontier (the local
-    // copy was dropped deeper or restored past it); adopting would leave a
-    // hole in the prefix.
-    return 0;
-  }
+  ContextState* conv = cache_.Find(conversation_id);
   int64_t adopted = 0;
-  for (int64_t chunk = conv->LeadingDroppedChunks() - 1;
-       chunk >= 0 && conv->ChunkStartToken(chunk) >= first_token; --chunk) {
-    if (!cache_.RestoreDroppedToCpu(conversation_id, chunk).ok()) {
-      break;  // CPU tier full (or flash run below): keep what landed
+  if (conv == nullptr) {
+    adopted = cache_.ImportCpuResident(conversation_id, kv_len_hint,
+                                       last_token - first_token);
+    conv = cache_.Find(conversation_id);
+  } else {
+    for (int64_t chunk = conv->LeadingDroppedChunks() - 1;
+         chunk >= 0 && conv->ChunkStartToken(chunk) >= first_token; --chunk) {
+      if (!cache_.RestoreDroppedToCpu(conversation_id, chunk).ok()) {
+        break;  // CPU tier full (or flash run below): keep what landed
+      }
+      adopted += conv->chunk(chunk).num_tokens;
     }
-    adopted += conv->chunk(chunk).num_tokens;
   }
   if (adopted > 0) {
     conv->set_last_active(now);

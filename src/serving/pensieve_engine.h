@@ -118,6 +118,8 @@ class PensieveEngine final : public Engine {
   int64_t IdleCpuCacheTokens() const override;
   int64_t ReserveForeignCpuTokens(int64_t tokens) override;
   void ReleaseForeignCpuTokens(int64_t tokens) override;
+  bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token,
+                         int64_t last_token, int64_t kv_len_hint) const override;
   int64_t AcceptPeerPrefix(int64_t conversation_id, int64_t first_token,
                            int64_t last_token, int64_t kv_len_hint,
                            double now) override;

@@ -208,7 +208,7 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   const ClusterSummary s = RunElasticSpillScenario();
   ASSERT_EQ(s.replicas.size(), 3u);
   EXPECT_EQ(s.cluster.completed_requests, 329);
-  ExpectNearRel(510.06430345954902, s.cluster.makespan);
+  ExpectNearRel(501.926634290153, s.cluster.makespan);
   ExpectNearRel(1.1430196885061252, s.cluster.window_begin);
   ExpectNearRel(11.430196885061251, s.cluster.window_end);
   EXPECT_EQ(s.cluster.window_completions, 57);
@@ -221,13 +221,13 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   ExpectNearRel(0.19152742037791631, s.cluster.mean_ttft);
   ExpectNearRel(2.3258960614162305, s.cluster.p99_ttft);
   ExpectNearRel(0.022193754277381586, s.cluster.p99_itl);
-  EXPECT_EQ(s.cluster.engine_stats.steps, 29016);
+  EXPECT_EQ(s.cluster.engine_stats.steps, 28498);
   EXPECT_EQ(s.cluster.engine_stats.generated_tokens, 66686);
-  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 268569);
-  EXPECT_EQ(s.cluster.engine_stats.reused_gpu_tokens, 62400);
-  EXPECT_EQ(s.cluster.engine_stats.reused_cpu_tokens, 32695);
+  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 268868);
+  EXPECT_EQ(s.cluster.engine_stats.reused_gpu_tokens, 60816);
+  EXPECT_EQ(s.cluster.engine_stats.reused_cpu_tokens, 31996);
   EXPECT_EQ(s.cluster.engine_stats.reused_ssd_tokens, 0);
-  EXPECT_EQ(s.cluster.engine_stats.recomputed_history_tokens, 251304);
+  EXPECT_EQ(s.cluster.engine_stats.recomputed_history_tokens, 253587);
   EXPECT_EQ(s.cluster.engine_stats.dropped_tokens, 0);
   EXPECT_EQ(s.cluster.engine_stats.migrated_in_tokens, 870);
   EXPECT_EQ(s.cluster.engine_stats.ssd_demoted_tokens, 0);
@@ -236,11 +236,11 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.cluster.engine_stats.kv_quant_blocks, 0);
   EXPECT_EQ(s.cluster.engine_stats.dedup_hit_requests, 0);
   EXPECT_EQ(s.cluster.engine_stats.reused_shared_tokens, 0);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_out_tokens, 300669);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_in_tokens, 1632);
-  ExpectNearRel(571.73161714418995, s.cluster.engine_stats.busy_seconds);
-  ExpectNearRel(48.453715310131052, s.cluster.engine_stats.recompute_seconds);
-  ExpectNearRel(2.6297632161575084, s.load_imbalance);
+  EXPECT_EQ(s.cluster.engine_stats.peer_spill_out_tokens, 300695);
+  EXPECT_EQ(s.cluster.engine_stats.peer_spill_in_tokens, 3648);
+  ExpectNearRel(569.76148735079312, s.cluster.engine_stats.busy_seconds);
+  ExpectNearRel(48.313730064045593, s.cluster.engine_stats.recompute_seconds);
+  ExpectNearRel(2.628483005868373, s.load_imbalance);
   EXPECT_EQ(s.migration.migrations, 3);
   EXPECT_EQ(s.migration.rehomes, 0);
   EXPECT_EQ(s.migration.migrated_tokens, 870);
@@ -254,9 +254,9 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.faults.orphaned_requests, 0);
   EXPECT_EQ(s.faults.lost_kv_tokens, 316);
   EXPECT_EQ(s.faults.lost_generated_tokens, 116);
-  EXPECT_EQ(s.nic_link_faults.transfers, 9643);
-  EXPECT_EQ(s.nic_link_faults.faulted_transfers, 2983);
-  EXPECT_EQ(s.nic_link_faults.retries, 4187);
+  EXPECT_EQ(s.nic_link_faults.transfers, 9507);
+  EXPECT_EQ(s.nic_link_faults.faulted_transfers, 2937);
+  EXPECT_EQ(s.nic_link_faults.retries, 4124);
   EXPECT_EQ(s.nic_link_faults.exhausted_transfers, 88);
   EXPECT_EQ(s.handoff.handoff_requests, 0);
   EXPECT_EQ(s.handoff.colocated_requests, 0);
@@ -269,33 +269,33 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.handoff.local_handoffs, 0);
   ExpectNearRel(0, s.handoff.overlap_saved_seconds);
   ExpectNearRel(0, s.handoff.stream_wait_seconds);
-  EXPECT_EQ(s.elastic.health.probes_sent, 2880);
+  EXPECT_EQ(s.elastic.health.probes_sent, 2886);
   EXPECT_EQ(s.elastic.health.probes_failed, 10);
   EXPECT_EQ(s.elastic.health.quarantines, 1);
   EXPECT_EQ(s.elastic.health.reinstatements, 1);
   EXPECT_EQ(s.elastic.health.drained_requests, 8);
   EXPECT_EQ(s.elastic.health.drained_kv_tokens, 870);
   EXPECT_EQ(s.elastic.health.voided_streams, 0);
-  EXPECT_EQ(s.elastic.autoscale.scale_ups, 2);
-  EXPECT_EQ(s.elastic.autoscale.scale_downs, 2);
+  EXPECT_EQ(s.elastic.autoscale.scale_ups, 3);
+  EXPECT_EQ(s.elastic.autoscale.scale_downs, 3);
   EXPECT_EQ(s.elastic.autoscale.drained_requests, 0);
   EXPECT_EQ(s.elastic.autoscale.drained_kv_tokens, 0);
   EXPECT_EQ(s.elastic.autoscale.released_kv_tokens, 17310);
   EXPECT_EQ(s.elastic.autoscale.peak_active_replicas, 3);
   EXPECT_EQ(s.elastic.autoscale.min_active_replicas, 2);
-  EXPECT_EQ(s.elastic.peer_spill.offers, 9488);
+  EXPECT_EQ(s.elastic.peer_spill.offers, 9490);
   EXPECT_EQ(s.elastic.peer_spill.declined_offers, 0);
-  EXPECT_EQ(s.elastic.peer_spill.spills, 9401);
-  EXPECT_EQ(s.elastic.peer_spill.spilled_tokens, 297885);
-  EXPECT_EQ(s.elastic.peer_spill.fetchbacks, 151);
-  EXPECT_EQ(s.elastic.peer_spill.fetched_tokens, 1632);
+  EXPECT_EQ(s.elastic.peer_spill.spills, 9402);
+  EXPECT_EQ(s.elastic.peer_spill.spilled_tokens, 297905);
+  EXPECT_EQ(s.elastic.peer_spill.fetchbacks, 14);
+  EXPECT_EQ(s.elastic.peer_spill.fetched_tokens, 3648);
   EXPECT_EQ(s.elastic.peer_spill.failed_transfers, 88);
-  EXPECT_EQ(s.elastic.peer_spill.degraded_tokens, 2909);
-  EXPECT_EQ(s.elastic.peer_spill.invalidated_tokens, 270478);
-  EXPECT_EQ(s.elastic.peer_spill.remaining_tokens, 22866);
-  EXPECT_EQ(s.elastic.peer_spill.stash_peak_tokens, 43180);
+  EXPECT_EQ(s.elastic.peer_spill.degraded_tokens, 0);
+  EXPECT_EQ(s.elastic.peer_spill.invalidated_tokens, 272605);
+  EXPECT_EQ(s.elastic.peer_spill.remaining_tokens, 21652);
+  EXPECT_EQ(s.elastic.peer_spill.stash_peak_tokens, 41249);
   EXPECT_EQ(s.replicas[0].completed_requests, 250);
-  ExpectNearRel(501.17292542667946, s.replicas[0].engine_stats.busy_seconds);
+  ExpectNearRel(499.20279563328262, s.replicas[0].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[1].completed_requests, 5);
   ExpectNearRel(5.1232901491145304, s.replicas[1].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[2].completed_requests, 74);

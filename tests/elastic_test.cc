@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_driver.h"
@@ -15,6 +16,7 @@
 #include "src/cluster/router.h"
 #include "src/core/experiment.h"
 #include "src/model/model_config.h"
+#include "src/serving/engine.h"
 #include "src/sim/hardware.h"
 #include "src/workload/trace.h"
 
@@ -459,6 +461,122 @@ TEST(ElasticClusterTest, PeerSpillAccountingIdentityAndFetchback) {
   EXPECT_GT(p.spilled_tokens, 0);
   EXPECT_GT(p.fetched_tokens, 0);
   EXPECT_EQ(p.failed_transfers, 0);  // no NIC faults armed
+}
+
+// What RefusingPeerEngine saw, summed over every engine of a run (the
+// engines die with the run).
+struct RefusalCounts {
+  int64_t refusals = 0;
+  int64_t accept_calls = 0;
+  // Requests that reached an engine neither at their own arrival time nor
+  // at the end of one of its steps: a delivery held back for a transfer.
+  int64_t delayed_enqueues = 0;
+};
+
+// Forwards every call to a Pensieve engine, but refuses every fetched-back
+// stash segment.
+class RefusingPeerEngine : public Engine {
+ public:
+  RefusingPeerEngine(std::unique_ptr<Engine> inner, RefusalCounts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  void Enqueue(const Request& request, double now) override {
+    counts_->delayed_enqueues +=
+        now != request.arrival_time && now != step_end_ ? 1 : 0;
+    inner_->Enqueue(request, now);
+  }
+  bool HasWork() const override { return inner_->HasWork(); }
+  StepResult Step(double now) override {
+    StepResult result = inner_->Step(now);
+    step_end_ = now + result.duration;
+    return result;
+  }
+  const EngineStats& stats() const override { return inner_->stats(); }
+  EngineLoad Load() const override { return inner_->Load(); }
+  bool SupportsStateMigration() const override {
+    return inner_->SupportsStateMigration();
+  }
+  int64_t CachedConversationTokens(int64_t conversation_id) const override {
+    return inner_->CachedConversationTokens(conversation_id);
+  }
+  MigratedKvState ExportConversationState(int64_t conversation_id) override {
+    return inner_->ExportConversationState(conversation_id);
+  }
+  int64_t ImportConversationState(int64_t conversation_id,
+                                  const MigratedKvState& state,
+                                  double now) override {
+    return inner_->ImportConversationState(conversation_id, state, now);
+  }
+  DrainedWork DrainUnfinished() override { return inner_->DrainUnfinished(); }
+  DrainedWork DrainForRehome() override { return inner_->DrainForRehome(); }
+  std::vector<PeerSpillOffer> TakePeerSpillOffers() override {
+    return inner_->TakePeerSpillOffers();
+  }
+  int64_t IdleCpuCacheTokens() const override {
+    return inner_->IdleCpuCacheTokens();
+  }
+  int64_t ReserveForeignCpuTokens(int64_t tokens) override {
+    return inner_->ReserveForeignCpuTokens(tokens);
+  }
+  void ReleaseForeignCpuTokens(int64_t tokens) override {
+    inner_->ReleaseForeignCpuTokens(tokens);
+  }
+  bool AcceptsPeerPrefix(int64_t, int64_t, int64_t, int64_t) const override {
+    ++counts_->refusals;
+    return false;
+  }
+  int64_t AcceptPeerPrefix(int64_t conversation_id, int64_t first_token,
+                           int64_t last_token, int64_t kv_len_hint,
+                           double now) override {
+    ++counts_->accept_calls;
+    return inner_->AcceptPeerPrefix(conversation_id, first_token, last_token,
+                                    kv_len_hint, now);
+  }
+  int64_t TotalCachedTokens() const override {
+    return inner_->TotalCachedTokens();
+  }
+
+ private:
+  std::unique_ptr<Engine> inner_;
+  RefusalCounts* counts_;
+  double step_end_ = -1.0;
+};
+
+// A segment the target refuses is invalidated where it lies: nothing crosses
+// the NIC for it, and its request is not held back for a transfer.
+TEST(ElasticClusterTest, RefusedFetchBackShipsNothingAndDelaysNothing) {
+  const GpuCostModel model = Opt13BModel();
+  const WorkloadTrace trace =
+      SmallTrace(/*conversations=*/40, /*rate=*/4.0, /*think=*/2.0, /*seed=*/21);
+
+  ClusterOptions options;
+  options.num_replicas = 3;
+  options.router.policy = RouterPolicy::kSessionAffinity;
+  RefusalCounts counts;
+  const ClusterSummary s = RunClusterExperiment(
+      [&](int32_t replica_id) {
+        EngineOverrides overrides;
+        overrides.cache_scale = 0.15;
+        overrides.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
+        overrides.peer_spill = true;
+        return std::make_unique<RefusingPeerEngine>(
+            MakeEngine(SystemKind::kPensieve, model, overrides), &counts);
+      },
+      trace, options);
+
+  ExpectNoDropAndIdentities(s, trace.TotalRequests());
+  const PeerSpillStats& p = s.elastic.peer_spill;
+  ASSERT_GT(counts.refusals, 0);  // segments were there to fetch back
+  EXPECT_EQ(counts.accept_calls, 0);
+  EXPECT_EQ(counts.delayed_enqueues, 0);
+  EXPECT_EQ(s.migration.migrations, 0);
+  EXPECT_EQ(p.fetchbacks, 0);
+  EXPECT_EQ(p.fetched_tokens, 0);
+  EXPECT_EQ(p.fetched_bytes, 0.0);
+  EXPECT_GT(p.invalidated_tokens, 0);
+  // The NIC carried the spills and nothing else.
+  EXPECT_EQ(s.nic_link_faults.transfers, p.spills + p.failed_transfers);
 }
 
 TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
