@@ -497,11 +497,10 @@ const ComputeRangeFn kComputeRangeInt8 = PickComputeRangeInt8();
 // instead of rows; a single-token step otherwise runs on one thread.
 constexpr int64_t kGemvMaxRows = 8;
 
-}  // namespace
-
-const char* GemmIsaName() { return GemmDispatchHasAvx2() ? "avx2" : "sse"; }
-
-void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c) {
+// The GEMM driver over the given range kernels: m <= kGemvMaxRows
+// partitions over output panels, larger m over row-blocks.
+void MatMulPackedWith(ComputeRangeFn fp32, ComputeRangeFn int8, const Tensor& a,
+                      const PackedMatrix& w, Tensor* c) {
   PENSIEVE_CHECK_EQ(a.rank(), 2u);
   const int64_t m = a.dim(0);
   const int64_t k = a.dim(1);
@@ -519,8 +518,7 @@ void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c) {
     std::memset(cp, 0, static_cast<size_t>(m * n) * sizeof(float));
     return;
   }
-  const ComputeRangeFn compute =
-      w.quant_mode() == QuantMode::kInt8 ? kComputeRangeInt8 : kComputeRange;
+  const ComputeRangeFn compute = w.quant_mode() == QuantMode::kInt8 ? int8 : fp32;
   const int64_t num_row_blocks = (m + kGemmMR - 1) / kGemmMR;
   if (m <= kGemvMaxRows) {
     ParallelFor(
@@ -538,6 +536,23 @@ void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c) {
       },
       GrainForItemCost(kGemmMR * k * n));
 }
+
+}  // namespace
+
+const char* GemmIsaName() { return GemmDispatchHasAvx2() ? "avx2" : "sse"; }
+
+void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c) {
+  MatMulPackedWith(kComputeRange, kComputeRangeInt8, a, w, c);
+}
+
+namespace internal {
+
+void MatMulPackedPortableInto(const Tensor& a, const PackedMatrix& w,
+                              Tensor* c) {
+  MatMulPackedWith(ComputeRange, ComputeRangeInt8, a, w, c);
+}
+
+}  // namespace internal
 
 Tensor MatMulPacked(const Tensor& a, const PackedMatrix& w) {
   Tensor c({a.dim(0), w.out_dim()});

@@ -158,6 +158,16 @@ void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c);
 // Allocating wrapper around MatMulPackedInto.
 Tensor MatMulPacked(const Tensor& a, const PackedMatrix& w);
 
+namespace internal {
+
+// MatMulPackedInto on the portable range kernels, whatever the dispatcher
+// picked for this host. Test-only: it lets an avx2 host check the path every
+// host without avx2 runs.
+void MatMulPackedPortableInto(const Tensor& a, const PackedMatrix& w,
+                              Tensor* c);
+
+}  // namespace internal
+
 }  // namespace pensieve
 
 #endif  // PENSIEVE_SRC_TENSOR_PACKED_MATRIX_H_

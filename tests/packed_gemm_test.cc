@@ -170,6 +170,52 @@ TEST(PackedGemmTest, StreamedDrawPacksLikeTensorDraw) {
   }
 }
 
+// The weights an int8 PackedMatrix encodes (scale * q), as a [n, k] tensor.
+Tensor DequantizedWeights(const PackedMatrix& q) {
+  const int64_t n = q.out_dim();
+  const int64_t k = q.in_dim();
+  Tensor w({n, k});
+  for (int64_t j = 0; j < n; ++j) {
+    const float scale = q.scales(j / kGemmNR)[j % kGemmNR];
+    const int8_t* panel = q.qpanel(j / kGemmNR);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      w.data()[j * k + kk] =
+          scale * static_cast<float>(panel[kk * kGemmNR + j % kGemmNR]);
+    }
+  }
+  return w;
+}
+
+// The portable range kernels serve every host without avx2; an avx2 host
+// never dispatches to them, so they are driven here directly: both
+// partitionings (m <= 8 over panels, m > 8 over row-blocks), every row
+// remainder, k across the kKC block and a partial last panel, fp32 and int8.
+TEST(PackedGemmTest, PortableKernelsMatchReference) {
+  const int64_t ms[] = {1, 2, 3, 4, 5, 8, 17};
+  const int64_t ks[] = {37, 515};
+  const int64_t ns[] = {5, 21};
+  for (QuantMode mode : {QuantMode::kFp32, QuantMode::kInt8}) {
+    for (int64_t m : ms) {
+      for (int64_t k : ks) {
+        for (int64_t n : ns) {
+          SCOPED_TRACE(testing::Message() << QuantModeName(mode) << " m=" << m
+                                          << " k=" << k << " n=" << n);
+          Tensor a({m, k});
+          Tensor w({n, k});
+          FillNormal(a, static_cast<uint64_t>(m * 7919 + k * 17 + n), 1.0f);
+          FillNormal(w, static_cast<uint64_t>(m * 31 + k * 3 + n + 9), 1.0f);
+          const PackedMatrix packed(w, mode);
+          const Tensor expected = MatMulTransposedB(
+              a, mode == QuantMode::kInt8 ? DequantizedWeights(packed) : w);
+          Tensor got({m, n});
+          internal::MatMulPackedPortableInto(a, packed, &got);
+          EXPECT_LE(MaxAbsDiff(expected, got), TolForK(k));
+        }
+      }
+    }
+  }
+}
+
 TEST(PackedGemmTest, MatMulHandlesZeroActivations) {
   // The branch-free MatMul inner loop must still be exact when A is riddled
   // with zeros (the removed `if (av == 0) continue` fast-path).
