@@ -1,0 +1,88 @@
+#!/bin/sh
+# Line and function coverage of src/*.cc under the Tier-1 tests.
+#
+# Usage: tools/coverage.sh [BUILD_DIR]
+#
+# Configures the repository with --coverage -O1 in BUILD_DIR (default:
+# build-coverage at the repository root), builds it, runs the whole ctest
+# suite there, and reads the counters back with the toolchain's gcov. For
+# every src/ .cc file with a line no test ran, it prints the never-run line
+# numbers and functions; the last line is the total. A failing test does not
+# stop the report: it covers whatever ran. Needs gcc, gcov and python3.
+
+set -e
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=${1:-$root/build-coverage}
+jobs=$(nproc 2>/dev/null || echo 2)
+
+cmake -B "$build" -S "$root" -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="--coverage -O1" \
+  -DCMAKE_EXE_LINKER_FLAGS="--coverage" > /dev/null
+cmake --build "$build" -j "$jobs" > /dev/null
+find "$build" -name '*.gcda' -delete
+if ! ctest --test-dir "$build" -j "$jobs" --timeout 900 > "$build/coverage_ctest.log" 2>&1; then
+  echo "coverage: some tests failed (see $build/coverage_ctest.log);" \
+    "the report covers what ran" >&2
+fi
+
+python3 - "$root" "$build" <<'EOF'
+import json
+import os
+import subprocess
+import sys
+
+root, build = sys.argv[1], sys.argv[2]
+src = os.path.join(root, "src") + os.sep
+
+
+def ranges(numbers):
+    """Formats sorted line numbers as '3-5, 9'."""
+    out, start, prev = [], None, None
+    for n in numbers + [None]:
+        if start is not None and n == prev + 1:
+            prev = n
+            continue
+        if start is not None:
+            out.append(str(start) if start == prev else f"{start}-{prev}")
+        start = prev = n
+    return ", ".join(out)
+
+
+files = {}
+for dirpath, _, names in os.walk(os.path.join(build, "src")):
+    for name in sorted(names):
+        if not name.endswith(".gcda"):
+            continue
+        report = subprocess.run(
+            ["gcov", "-j", "-t", "-o", dirpath, os.path.join(dirpath, name)],
+            cwd=dirpath, capture_output=True, text=True, check=True).stdout
+        for entry in json.loads(report)["files"]:
+            path = os.path.normpath(os.path.join(dirpath, entry["file"]))
+            if not (path.startswith(src) and path.endswith(".cc")):
+                continue
+            lines, funcs = files.setdefault(path, ({}, {}))
+            for line in entry["lines"]:
+                n = line["line_number"]
+                lines[n] = max(lines.get(n, 0), line["count"])
+            for fn in entry["functions"]:
+                key = (fn["start_line"], fn["demangled_name"])
+                funcs[key] = max(funcs.get(key, 0), fn["execution_count"])
+
+total = never = 0
+for path in sorted(files):
+    lines, funcs = files[path]
+    missed = sorted(n for n, count in lines.items() if count == 0)
+    total += len(lines)
+    never += len(missed)
+    if not missed:
+        continue
+    print(f"{os.path.relpath(path, root)}: {len(missed)} of {len(lines)} "
+          f"lines never run")
+    print(f"  lines: {ranges(missed)}")
+    for (start, name), count in sorted(funcs.items()):
+        if count == 0:
+            print(f"  function (line {start}): {name}")
+share = 100.0 * (total - never) / total if total else 0.0
+print(f"total: {never} of {total} executable lines in src/*.cc never run "
+      f"({share:.1f}% run)")
+EOF
