@@ -1,13 +1,10 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstring>
 
 namespace pensieve {
 
 namespace {
-
-std::atomic<LogSeverity> g_min_severity{LogSeverity::kWarning};
 
 const char* SeverityTag(LogSeverity severity) {
   switch (severity) {
@@ -32,19 +29,13 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogSeverity GetMinLogSeverity() { return g_min_severity.load(std::memory_order_relaxed); }
-
-void SetMinLogSeverity(LogSeverity severity) {
-  g_min_severity.store(severity, std::memory_order_relaxed);
-}
-
 LogMessage::LogMessage(LogSeverity severity, const char* file, int line)
     : severity_(severity) {
   stream_ << "[" << SeverityTag(severity) << " " << Basename(file) << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (severity_ >= GetMinLogSeverity() || severity_ == LogSeverity::kFatal) {
+  if (severity_ >= kMinLogSeverity) {
     stream_ << "\n";
     std::cerr << stream_.str();
     std::cerr.flush();

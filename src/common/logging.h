@@ -16,9 +16,8 @@ namespace pensieve {
 
 enum class LogSeverity { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-// Global minimum severity; messages below it are discarded.
-LogSeverity GetMinLogSeverity();
-void SetMinLogSeverity(LogSeverity severity);
+// Messages below this severity are discarded.
+constexpr LogSeverity kMinLogSeverity = LogSeverity::kWarning;
 
 // RAII sink: accumulates a message and emits it (to stderr) on destruction.
 // kFatal aborts the process after emitting.

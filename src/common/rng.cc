@@ -51,11 +51,6 @@ int64_t Rng::GeometricAtLeastOne(double p) {
   return dist(engine_) + 1;
 }
 
-double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 bool Rng::Bernoulli(double p) {
   std::bernoulli_distribution dist(p);
   return dist(engine_);

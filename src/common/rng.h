@@ -34,9 +34,6 @@ class Rng {
   // Geometric number of trials >= 1 with success probability p.
   int64_t GeometricAtLeastOne(double p);
 
-  // Standard normal times stddev plus mean.
-  double Normal(double mean, double stddev);
-
   // True with probability p.
   bool Bernoulli(double p);
 

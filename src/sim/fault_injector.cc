@@ -7,22 +7,6 @@
 
 namespace pensieve {
 
-const char* LinkFaultKindName(LinkFaultKind kind) {
-  switch (kind) {
-    case LinkFaultKind::kNone:
-      return "none";
-    case LinkFaultKind::kTimeout:
-      return "timeout";
-    case LinkFaultKind::kStall:
-      return "stall";
-    case LinkFaultKind::kPartial:
-      return "partial";
-    case LinkFaultKind::kCorruption:
-      return "corruption";
-  }
-  return "?";
-}
-
 LinkFaultInjector::LinkFaultInjector(uint64_t seed, LinkFaultProfile profile,
                                      LinkRetryPolicy retry)
     : profile_(profile), retry_(retry), rng_(seed) {

@@ -49,8 +49,6 @@ enum class LinkFaultKind : uint8_t {
   kCorruption,
 };
 
-const char* LinkFaultKindName(LinkFaultKind kind);
-
 // Per-attempt fault probabilities and shape parameters for one link.
 struct LinkFaultProfile {
   double timeout_rate = 0.0;
