@@ -494,9 +494,9 @@ class ClusterSim {
 
  private:
   // Processes the next queued event or replica step; false once the run is
-  // over. Queued events outrank replica steps on ties: the single driver
-  // delivers everything due before stepping, and routers should see the
-  // freshest queue state.
+  // over. Queued events outrank replica steps on ties: everything due is
+  // delivered before a replica steps, and routers see the freshest queue
+  // state.
   bool Advance() {
     double t_replica = kNever;
     int32_t next_replica = -1;
@@ -1104,7 +1104,6 @@ class ClusterSim {
     for (const Replica& r : replicas_.all()) {
       global_last_finish = std::max(global_last_finish, r.last_finish_time());
     }
-    // Same steady-state window as the single driver, by construction.
     const SteadyStateWindow window =
         ComputeSteadyStateWindow(ArrivalSpan(trace_), global_last_finish);
 

@@ -158,8 +158,7 @@ void Replica::Recover(std::shared_ptr<Engine> engine, double now) {
 
 void Replica::Deliver(Delivery delivery) {
   // delivery.time may lie in this replica's past (it stepped beyond the
-  // arrival while busy); DeliverDue then enqueues at the local clock, exactly
-  // as the single-engine driver enqueues overdue arrivals at now().
+  // arrival while busy); DeliverDue then enqueues it at the local clock.
   PENSIEVE_CHECK(alive()) << "delivery routed to dead replica " << id_;
   delivery.seq = next_delivery_seq_++;
   pending_request_tokens_ += DeliveryLoadTokens(delivery);
@@ -218,9 +217,8 @@ Replica::StepOutcome Replica::StepOnce(
   StepResult result = engine_->Step(step_start);
   if (result.idle) {
     // Work is queued but not runnable (e.g. waiting on admission that a
-    // future arrival unblocks). Mirror the single driver: skip ahead to the
-    // next delivery, or mark the replica stalled so the cluster driver can
-    // detect a wedged run.
+    // future arrival unblocks): skip ahead to the next delivery, or mark the
+    // replica stalled so the cluster driver can detect a wedged run.
     if (!pending_.empty()) {
       clock_.AdvanceTo(std::max(clock_.now(), pending_.top().time));
     } else {

@@ -2,7 +2,7 @@
 //
 // A replica holds an engine plus its own virtual clock; the cluster driver
 // interleaves replicas in global time order, so each replica advances
-// independently exactly as the single-engine driver would have advanced it.
+// independently, exactly as a one-replica run advances its engine.
 // Routed requests arrive as Deliveries: a delivery carries the request, an
 // optional migrated KV payload (imported just before the request is
 // enqueued), and the stall the request paid waiting for that payload to

@@ -1,8 +1,8 @@
-// Shared experiment core for the serving drivers.
+// Experiment core of the serving driver.
 //
-// The single-engine driver (src/serving/driver.cc) and the cluster driver
-// (src/cluster/cluster_driver.cc) are thin clients of three pieces that live
-// here exactly once:
+// The cluster driver (src/cluster/cluster_driver.cc), which also runs every
+// single-engine experiment as one replica, is a thin client of three pieces
+// that live here:
 //
 //  * ArrivalProcess — seeds every conversation's first turn into an
 //    EventQueue, builds the Request for a popped arrival event, and chains

@@ -1,8 +1,8 @@
-// Typed discrete-event queue shared by the serving experiment drivers.
+// Typed discrete-event queue of the serving experiment driver.
 //
-// Both the single-engine driver and the cluster driver advance virtual time
-// by repeatedly asking "what happens next?" — a workload arrival, a replica
-// fault, or a replica scheduler step. The first two are explicit events held
+// The cluster driver (which also runs every single-engine experiment, as one
+// replica) advances virtual time by repeatedly asking "what happens next?" —
+// a workload arrival, a replica fault, or a replica scheduler step. The first two are explicit events held
 // in this queue; replica steps are implicit (each replica reports its own
 // next-event time) and always rank *after* queued events on time ties, so
 // routers and engines observe the freshest queue state before computing.

@@ -182,8 +182,8 @@ TEST(RouterTest, SessionAffinityQueuesAtHomeWhenMigrationDisabled) {
 }
 
 // A 1-replica cluster must reproduce the single-engine experiment exactly,
-// whatever the routing policy: every policy maps all requests to replica 0
-// and the cluster event loop collapses to the single driver's.
+// whatever the routing policy: every policy maps all requests to replica 0,
+// and RunServingExperiment is itself a 1-replica run.
 TEST(ClusterDriverTest, OneReplicaMatchesSingleEngineBitForBit) {
   GpuCostModel model = Opt13BModel();
   WorkloadTrace trace = SmallTrace();

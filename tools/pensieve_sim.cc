@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -24,41 +25,12 @@
 namespace pensieve {
 namespace {
 
-// Parses a sick-window list of the form "ID@T1:T2[,ID@T1:T2...]" (replica
-// id, window begin/end in virtual seconds) into SickWindow entries. The list
+// Splits a replica list "ID@REST[,ID@REST...]" and hands each replica id
+// and its REST to `add`, which returns false on a malformed REST. The list
 // parsers check syntax only; ClusterOptions::Validate checks the values.
-bool ParseSickList(const std::string& spec, std::vector<SickWindow>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t at = item.find('@');
-    const size_t colon = item.find(':', at == std::string::npos ? 0 : at + 1);
-    if (at == std::string::npos || at == 0 || colon == std::string::npos ||
-        colon <= at + 1 || colon + 1 >= item.size()) {
-      return false;
-    }
-    SickWindow window;
-    try {
-      window.replica_id = static_cast<int32_t>(std::stol(item.substr(0, at)));
-      window.begin = std::stod(item.substr(at + 1, colon - at - 1));
-      window.end = std::stod(item.substr(colon + 1));
-    } catch (...) {
-      return false;
-    }
-    out->push_back(window);
-    pos = comma + 1;
-  }
-  return true;
-}
-
-// Parses a fault list of the form "ID@T[,ID@T...]" (replica id, virtual
-// time in seconds) into ReplicaFault events.
-bool ParseFaultList(const std::string& spec, bool recover,
-                    std::vector<ReplicaFault>* out) {
+bool ParseReplicaList(
+    const std::string& spec,
+    const std::function<bool(int32_t id, const std::string& rest)>& add) {
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
@@ -70,18 +42,39 @@ bool ParseFaultList(const std::string& spec, bool recover,
     if (at == std::string::npos || at == 0 || at + 1 >= item.size()) {
       return false;
     }
-    ReplicaFault fault;
-    fault.recover = recover;
     try {
-      fault.replica_id = static_cast<int32_t>(std::stol(item.substr(0, at)));
-      fault.time = std::stod(item.substr(at + 1));
+      if (!add(static_cast<int32_t>(std::stol(item.substr(0, at))),
+               item.substr(at + 1))) {
+        return false;
+      }
     } catch (...) {
       return false;
     }
-    out->push_back(fault);
     pos = comma + 1;
   }
   return true;
+}
+
+// "ID@T1:T2[,...]": probes of replica ID fail in [T1, T2) virtual seconds.
+bool ParseSickList(const std::string& spec, std::vector<SickWindow>* out) {
+  return ParseReplicaList(spec, [&](int32_t id, const std::string& rest) {
+    const size_t colon = rest.find(':');
+    if (colon == std::string::npos || colon == 0 || colon + 1 >= rest.size()) {
+      return false;
+    }
+    out->push_back(SickWindow{id, std::stod(rest.substr(0, colon)),
+                              std::stod(rest.substr(colon + 1))});
+    return true;
+  });
+}
+
+// "ID@T[,...]": replica ID fails (or recovers) at virtual time T seconds.
+bool ParseFaultList(const std::string& spec, bool recover,
+                    std::vector<ReplicaFault>* out) {
+  return ParseReplicaList(spec, [&](int32_t id, const std::string& rest) {
+    out->push_back(ReplicaFault{std::stod(rest), id, recover});
+    return true;
+  });
 }
 
 // The completion, throughput and latency lines both summary blocks print.
