@@ -1,8 +1,8 @@
 // Shared system prompt (paper footnote 3): a chatbot deployment prepends
-// the same system prompt to every conversation. Pensieve computes its KV
-// state once, pins it in the cache, and every conversation's paged block
-// table simply points at the shared blocks — zero extra memory or compute
-// per user.
+// the same system prompt to every conversation. The first user's turn
+// computes the prompt's KV and publishes its whole blocks; every later user
+// attaches them as refcounted views at the head of its own context, so the
+// prompt costs no extra memory or compute per user.
 //
 //   ./build/examples/shared_system_prompt
 
@@ -29,13 +29,13 @@ int main() {
     std::printf("error: %s\n", prefix.status().ToString().c_str());
     return 1;
   }
-  const int64_t blocks_for_prefix = server.cache().gpu_allocator().num_allocated();
-  std::printf("registered system prompt: %zu tokens, %ld shared, %ld GPU blocks\n",
-              system_prompt.size(),
-              static_cast<long>(server.SharedPrefixLen(*prefix)),
-              static_cast<long>(blocks_for_prefix));
+  const int64_t prefix_blocks = server.SharedPrefixLen(*prefix) / config.block_size;
+  std::printf("registered system prompt: %zu tokens, %ld shareable (%ld blocks)\n",
+              system_prompt.size(), static_cast<long>(server.SharedPrefixLen(*prefix)),
+              static_cast<long>(prefix_blocks));
 
-  // Three users chat concurrently; each attends to the one pinned copy.
+  // Three users chat in turn: user 1 computes the prompt, users 2 and 3
+  // attach the blocks it published.
   for (int64_t user = 1; user <= 3; ++user) {
     (void)server.StartConversationWithPrefix(user, *prefix);
     std::vector<int32_t> prompt;
@@ -51,14 +51,14 @@ int main() {
     for (int32_t t : reply.value()) {
       std::printf(" %d", t);
     }
-    std::printf("  (own KV tokens: %ld)\n",
+    std::printf("  (KV tokens incl. system prompt: %ld)\n",
                 static_cast<long>(server.cache().Find(user)->kv_len()));
   }
 
   const int64_t total_blocks = server.cache().gpu_allocator().num_allocated();
-  std::printf("\nGPU blocks: %ld total; without sharing each user would add %ld "
-              "more for the prompt\n",
-              static_cast<long>(total_blocks), static_cast<long>(blocks_for_prefix));
+  std::printf("\nGPU blocks: %ld total; without sharing users 2 and 3 would add %ld "
+              "more each for the prompt\n",
+              static_cast<long>(total_blocks), static_cast<long>(prefix_blocks));
 
   for (int64_t user = 1; user <= 3; ++user) {
     server.EndConversation(user);

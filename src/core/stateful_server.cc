@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace pensieve {
@@ -44,17 +45,6 @@ StatefulLlmServer::StatefulLlmServer(const StatefulServerConfig& config)
       << "StatefulLlmServer executes real numerics; use a tiny model preset";
 }
 
-std::vector<BlockId> StatefulLlmServer::GpuBlockTable(int64_t conversation_id) const {
-  std::vector<BlockId> table;
-  if (auto it = conversation_prefix_.find(conversation_id);
-      it != conversation_prefix_.end()) {
-    table = cache_.GpuBlockTable(shared_prefixes_.at(it->second).cache_key);
-  }
-  const std::vector<BlockId> own = cache_.GpuBlockTable(conversation_id);
-  table.insert(table.end(), own.begin(), own.end());
-  return table;
-}
-
 const std::vector<int32_t>& StatefulLlmServer::History(int64_t conversation_id) const {
   static const std::vector<int32_t> kEmpty;
   auto it = history_.find(conversation_id);
@@ -73,14 +63,6 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   double now = Tick();
   ContextState& conv = cache_.GetOrCreate(conversation_id);
   std::vector<int32_t>& hist = history_[conversation_id];
-  // Conversations started from a shared system prompt attend to the
-  // prefix's pinned blocks in front of their own; all absolute positions
-  // shift by the shared length.
-  int64_t prefix_len = 0;
-  if (auto pit = conversation_prefix_.find(conversation_id);
-      pit != conversation_prefix_.end()) {
-    prefix_len = shared_prefixes_.at(pit->second).shared_len;
-  }
   const int64_t kv = conv.kv_len();
   // The last token generated by the previous turn is left unprocessed (its
   // KV is computed together with this turn's prompt, exactly as the serving
@@ -114,16 +96,16 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
     PENSIEVE_CHECK_OK(cache_.RestoreDropped(conversation_id, i));
   }
 
-  // Batch input = recomputed dropped prefix ++ (pending + prompt) tail. Every
-  // position is absolute in the full context (shared prefix first), and
-  // attention reads one prefix ++ own block table for the whole turn.
+  // Batch input = recomputed dropped prefix ++ (pending + prompt) tail, at
+  // absolute context positions; attention reads one block table for the
+  // whole turn.
   ForwardBatch batch;
   for (int64_t i = 0; i < dropped_chunks; ++i) {
     const Chunk& c = conv.chunk(i);
     for (int64_t s = 0; s < c.num_tokens; ++s) {
       const int64_t pos = conv.ChunkStartToken(i) + s;
       batch.tokens.push_back(hist[static_cast<size_t>(pos)]);
-      batch.positions.push_back(prefix_len + pos);
+      batch.positions.push_back(pos);
       batch.kv_slots.push_back({c.gpu_block, s});
     }
   }
@@ -132,22 +114,27 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   for (int64_t j = 0; j < tail_len; ++j) {
     const int64_t pos = kv + j;
     batch.tokens.push_back(hist[static_cast<size_t>(pos)]);
-    batch.positions.push_back(prefix_len + pos);
+    batch.positions.push_back(pos);
     batch.kv_slots.push_back({tail_slots[static_cast<size_t>(j)].block,
                               tail_slots[static_cast<size_t>(j)].slot});
   }
-  std::vector<BlockId> table = GpuBlockTable(conversation_id);
+  std::vector<BlockId> table = cache_.GpuBlockTable(conversation_id);
   if (dropped_tokens > 0) {
-    // Recomputed prefix attends only to itself and the shared prefix (paper
-    // §4.3.4).
-    batch.subs.push_back({0, dropped_tokens, prefix_len + dropped_tokens, &table});
+    // Recomputed prefix attends only to itself (paper §4.3.4).
+    batch.subs.push_back({0, dropped_tokens, dropped_tokens, &table});
   }
-  batch.subs.push_back({dropped_tokens, tail_len, prefix_len + conv.kv_len(), &table});
+  batch.subs.push_back({dropped_tokens, tail_len, conv.kv_len(), &table});
   batch.logit_rows.push_back(dropped_tokens + tail_len - 1);
 
   Tensor logits;
   model_->ForwardInto(cache_.gpu_pool(), batch, &logits);
   int32_t next = Transformer::Greedy(logits, 0);
+  // The first turn computed whatever part of the shared prefix it did not
+  // attach; publish it for the conversations that start after it.
+  if (auto it = unpublished_chain_.find(conversation_id); it != unpublished_chain_.end()) {
+    cache_.PublishLeadingChunks(conversation_id, it->second);
+    unpublished_chain_.erase(it);
+  }
 
   // --- Greedy decode loop -------------------------------------------------
   // The batch record, block table and logits buffer are hoisted out of the
@@ -174,10 +161,10 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
       table.push_back(slot[0].block);  // the append opened a new chunk
     }
     decode.tokens.assign(1, next);
-    decode.positions.assign(1, prefix_len + conv.kv_len() - 1);
+    decode.positions.assign(1, conv.kv_len() - 1);
     decode.kv_slots.assign(1, ForwardBatch::KvSlot{slot[0].block, slot[0].slot});
     decode.subs.assign(
-        1, AttentionSubRequest{0, 1, prefix_len + conv.kv_len(), &table});
+        1, AttentionSubRequest{0, 1, conv.kv_len(), &table});
     decode.logit_rows.assign(1, 0);
     model_->ForwardInto(cache_.gpu_pool(), decode, &logits);
     next = Transformer::Greedy(logits, 0);
@@ -191,11 +178,7 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
 void StatefulLlmServer::EndConversation(int64_t conversation_id) {
   cache_.Release(conversation_id);
   history_.erase(conversation_id);
-  if (auto it = conversation_prefix_.find(conversation_id);
-      it != conversation_prefix_.end()) {
-    --shared_prefixes_.at(it->second).attached_conversations;
-    conversation_prefix_.erase(it);
-  }
+  unpublished_chain_.erase(conversation_id);
 }
 
 StatusOr<int64_t> StatefulLlmServer::RegisterSharedPrefix(
@@ -203,65 +186,30 @@ StatusOr<int64_t> StatefulLlmServer::RegisterSharedPrefix(
   if (tokens.empty()) {
     return Status::InvalidArgument("empty shared prefix");
   }
-  const int64_t shared_len =
-      (static_cast<int64_t>(tokens.size()) / config_.block_size) *
-      config_.block_size;
-  const int64_t id = next_prefix_id_++;
-  const int64_t key = PrefixCacheKey(id);
-  ContextState& state = cache_.GetOrCreate(key);
-  state.Pin();  // permanently resident (explicitly designated reusable)
-  if (shared_len > 0) {
-    const double now = Tick();
-    const int64_t needed = shared_len / config_.block_size;
-    if (!coordinator_.EnsureFreeGpuBlocks(needed, now).ok) {
-      state.Unpin();
-      cache_.Release(key);
-      return Status::ResourceExhausted("GPU cache cannot hold the shared prefix");
-    }
-    std::vector<ContextState::SlotRef> slots;
-    PENSIEVE_CHECK_OK(cache_.AppendTokenSlots(key, shared_len, &slots));
-    const std::vector<BlockId> table = cache_.GpuBlockTable(key);
-    ForwardBatch batch;
-    for (int64_t i = 0; i < shared_len; ++i) {
-      batch.tokens.push_back(tokens[static_cast<size_t>(i)]);
-      batch.positions.push_back(i);
-      batch.kv_slots.push_back({slots[static_cast<size_t>(i)].block,
-                                slots[static_cast<size_t>(i)].slot});
-    }
-    batch.subs.push_back({0, shared_len, shared_len, &table});
-    batch.logit_rows.push_back(shared_len - 1);
-    model_->Forward(cache_.gpu_pool(), batch);  // logits discarded
-  }
+  // Cumulative FNV-1a over the raw tokens, one hash per whole block: the
+  // trie key of the block that holds those tokens' KV at positions from 0.
   SharedPrefix prefix;
-  prefix.cache_key = key;
   prefix.tokens = tokens;
-  prefix.shared_len = shared_len;
+  uint64_t h = kFnv1a64OffsetBasis;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    h = Fnv1a64(&tokens[i], sizeof(tokens[i]), h);
+    if ((static_cast<int64_t>(i) + 1) % config_.block_size == 0) {
+      prefix.chain.push_back(h);
+    }
+  }
+  const int64_t id = next_prefix_id_++;
   shared_prefixes_.emplace(id, std::move(prefix));
   return id;
 }
 
 Status StatefulLlmServer::UnregisterSharedPrefix(int64_t prefix_id) {
-  auto it = shared_prefixes_.find(prefix_id);
-  if (it == shared_prefixes_.end()) {
-    return Status::NotFound("unknown shared prefix");
-  }
-  if (it->second.attached_conversations > 0) {
-    return Status::FailedPrecondition("shared prefix still in use");
-  }
-  ContextState* state = cache_.Find(it->second.cache_key);
-  if (state != nullptr) {
-    state->Unpin();
-  }
-  cache_.Release(it->second.cache_key);
-  shared_prefixes_.erase(it);
-  return Status::Ok();
+  return shared_prefixes_.erase(prefix_id) > 0
+             ? Status::Ok()
+             : Status::NotFound("unknown shared prefix");
 }
 
 Status StatefulLlmServer::StartConversationWithPrefix(int64_t conversation_id,
                                                       int64_t prefix_id) {
-  if (conversation_id < 0) {
-    return Status::InvalidArgument("conversation ids must be non-negative");
-  }
   auto it = shared_prefixes_.find(prefix_id);
   if (it == shared_prefixes_.end()) {
     return Status::NotFound("unknown shared prefix");
@@ -271,19 +219,24 @@ Status StatefulLlmServer::StartConversationWithPrefix(int64_t conversation_id,
     return Status::FailedPrecondition(
         "conversation already has state; prefixes attach before the first turn");
   }
-  conversation_prefix_[conversation_id] = prefix_id;
-  ++it->second.attached_conversations;
-  // Raw tokens beyond the shared whole-chunk boundary become the pending
-  // head of this conversation's own context, re-processed with its first
-  // prompt so block tables stay chunk-aligned.
-  history_[conversation_id].assign(it->second.tokens.begin() + it->second.shared_len,
-                                   it->second.tokens.end());
+  const SharedPrefix& prefix = it->second;
+  history_[conversation_id] = prefix.tokens;
+  std::vector<BlockId> blocks;
+  const int64_t matched = cache_.LookupSharedPrefix(prefix.chain, &blocks);
+  if (matched > 0) {
+    cache_.AttachSharedPrefix(conversation_id, blocks, matched * config_.block_size);
+  }
+  if (matched < static_cast<int64_t>(prefix.chain.size())) {
+    unpublished_chain_[conversation_id] = prefix.chain;
+  }
   return Status::Ok();
 }
 
 int64_t StatefulLlmServer::SharedPrefixLen(int64_t prefix_id) const {
   auto it = shared_prefixes_.find(prefix_id);
-  return it == shared_prefixes_.end() ? 0 : it->second.shared_len;
+  return it == shared_prefixes_.end()
+             ? 0
+             : static_cast<int64_t>(it->second.chain.size()) * config_.block_size;
 }
 
 Status StatefulLlmServer::SwapOutConversation(int64_t conversation_id) {

@@ -57,22 +57,25 @@ class StatefulLlmServer {
 
   // --- Shared system prompts (paper footnote 3) --------------------------
   // A chatbot deployment usually prepends one system prompt to every
-  // conversation. Its KV state can be computed once, pinned in the cache,
-  // and shared read-only by all conversations: Pensieve's paged attention
-  // simply prepends the shared blocks to each conversation's block table.
+  // conversation, and its KV is shared the way the serving engine shares
+  // template prefixes (DESIGN.md §11): the prompt is the head of each
+  // conversation's own history, and its whole blocks are refcounted views of
+  // blocks published in the cache's prefix trie. The first conversation to
+  // use a prefix computes it with its first turn and publishes it; later
+  // ones attach the published blocks instead of computing them. A view is
+  // evicted, swapped or dropped like any other chunk of its conversation.
   //
-  // Registers a shared prefix and computes its KV once. Only whole chunks
-  // are shared; a trailing partial chunk's tokens are re-processed as part
-  // of each conversation's first prompt (keeping block tables aligned).
-  // Returns a prefix id.
+  // Registers a prefix: stores its tokens and their per-block content-hash
+  // chain. Computes nothing. Returns a prefix id.
   StatusOr<int64_t> RegisterSharedPrefix(const std::vector<int32_t>& tokens);
-  // Releases a shared prefix (conversations started from it must be ended
-  // first; enforced by a pin count).
+  // Forgets a prefix id. Conversations started from it keep their views.
   Status UnregisterSharedPrefix(int64_t prefix_id);
-  // Starts a conversation whose context begins with the shared prefix. Must
-  // be called before the conversation's first Chat.
+  // Starts a conversation whose history begins with the prefix, attaching
+  // whatever whole blocks of it are published. Must be called before the
+  // conversation's first Chat, which computes the rest of the prefix.
   Status StartConversationWithPrefix(int64_t conversation_id, int64_t prefix_id);
-  // Tokens of the prefix that are served from the shared cache.
+  // Tokens of the prefix that can be shared: its whole blocks (a trailing
+  // partial block is computed by every conversation).
   int64_t SharedPrefixLen(int64_t prefix_id) const;
 
   // --- Cache-pressure knobs (tests / demos) ------------------------------
@@ -84,9 +87,6 @@ class StatefulLlmServer {
 
   const TwoTierKvCache& cache() const { return cache_; }
   const Transformer& model() const { return *model_; }
-  // GPU block table a conversation's attention reads: its shared prefix's
-  // blocks (if any), then its own. Every chunk must be GPU-resident.
-  std::vector<BlockId> GpuBlockTable(int64_t conversation_id) const;
   // Raw token history (prompts + responses) of a conversation.
   const std::vector<int32_t>& History(int64_t conversation_id) const;
 
@@ -95,14 +95,9 @@ class StatefulLlmServer {
   double Tick() { return logical_time_ += 1.0; }
 
   struct SharedPrefix {
-    int64_t cache_key = 0;           // reserved conversation key in the cache
-    std::vector<int32_t> tokens;     // full prefix (raw)
-    int64_t shared_len = 0;          // whole-chunk portion served from cache
-    int32_t attached_conversations = 0;
+    std::vector<int32_t> tokens;
+    std::vector<uint64_t> chain;  // one content hash per whole block
   };
-  // Cache key reserved for a prefix (disjoint from user conversation ids,
-  // which must be non-negative).
-  static int64_t PrefixCacheKey(int64_t prefix_id) { return -(prefix_id + 1); }
 
   StatefulServerConfig config_;
   std::unique_ptr<Transformer> model_;
@@ -114,8 +109,9 @@ class StatefulLlmServer {
   // to recompute dropped context.
   std::unordered_map<int64_t, std::vector<int32_t>> history_;
   std::unordered_map<int64_t, SharedPrefix> shared_prefixes_;
-  // conversation id -> prefix id, for conversations started from a prefix.
-  std::unordered_map<int64_t, int64_t> conversation_prefix_;
+  // Conversations whose prefix was not fully published when they started:
+  // the chain their first turn publishes once its prefill has run.
+  std::unordered_map<int64_t, std::vector<uint64_t>> unpublished_chain_;
   int64_t next_prefix_id_ = 0;
   double logical_time_ = 0.0;
 };

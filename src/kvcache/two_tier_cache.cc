@@ -790,6 +790,24 @@ int64_t TwoTierKvCache::PublishSharedPrefix(const std::vector<uint64_t>& chain,
   return trie_.Publish(chain, blocks);
 }
 
+int64_t TwoTierKvCache::PublishLeadingChunks(ConversationId id,
+                                             const std::vector<uint64_t>& chain) {
+  const ContextState* state = Find(id);
+  if (state == nullptr) {
+    return 0;
+  }
+  std::vector<BlockId> blocks;
+  const int64_t limit = std::min(static_cast<int64_t>(chain.size()), state->num_chunks());
+  for (int64_t i = 0; i < limit; ++i) {
+    const Chunk& c = state->chunk(i);
+    if (!c.OnGpu() || c.num_tokens < config_.block_size) {
+      break;
+    }
+    blocks.push_back(c.gpu_block);
+  }
+  return PublishSharedPrefix(chain, blocks);
+}
+
 int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
                                            const std::vector<BlockId>& blocks,
                                            int64_t tokens) {

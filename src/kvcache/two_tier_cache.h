@@ -157,6 +157,11 @@ class TwoTierKvCache {
   // chain (weak references; first publisher wins). Returns new trie nodes.
   int64_t PublishSharedPrefix(const std::vector<uint64_t>& chain,
                               const std::vector<BlockId>& blocks);
+  // Publishes the conversation's leading run of full, GPU-resident chunks,
+  // at most chain.size() of them, under the chain. A chunk evicted or still
+  // partial ends the run early. Returns new trie nodes (0 for an unknown
+  // conversation).
+  int64_t PublishLeadingChunks(ConversationId id, const std::vector<uint64_t>& chain);
   // Attaches `tokens` tokens of shared prefix to a *fresh* conversation as
   // views over `blocks` (refcounts bumped, no prefill needed). The final
   // view may be partial; a later append into it goes through copy-on-write.

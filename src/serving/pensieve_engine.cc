@@ -313,27 +313,8 @@ void PensieveEngine::PublishTemplatePrefix(const Running& r) {
   if (template_blocks == 0) {
     return;
   }
-  const int64_t bs = options_.block_size;
-  const ContextState* conv = cache_.Find(r.request.conversation_id);
-  if (conv == nullptr) {
-    return;
-  }
-  // Leading run of full, GPU-resident chunks within the template span. A
-  // chunk evicted between prefill and this publish simply shortens the run.
-  std::vector<BlockId> blocks;
-  const int64_t limit = std::min(template_blocks, conv->num_chunks());
-  for (int64_t i = 0; i < limit; ++i) {
-    const Chunk& c = conv->chunk(i);
-    if (!c.OnGpu() || c.num_tokens < bs) {
-      break;
-    }
-    blocks.push_back(c.gpu_block);
-  }
-  if (blocks.empty()) {
-    return;
-  }
-  cache_.PublishSharedPrefix(
-      template_chains_.Get(r.request.template_id, static_cast<int64_t>(blocks.size())), blocks);
+  cache_.PublishLeadingChunks(r.request.conversation_id,
+                              template_chains_.Get(r.request.template_id, template_blocks));
 }
 
 void PensieveEngine::ChargeForcedSwapOut(const CacheCoordinator::FreeOutcome& freed,

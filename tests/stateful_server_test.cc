@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "src/common/rng.h"
@@ -48,13 +49,12 @@ std::vector<int32_t> MakePrompt(int64_t conv, int64_t start, int64_t len,
 }
 
 // Bit patterns of every K and V row (all layers) of a conversation's
-// attended context, shared prefix first, in position order. Every chunk must
-// be GPU-resident.
+// attended context, in position order. Every chunk must be GPU-resident.
 std::vector<uint32_t> ContextKv(const StatefulLlmServer& server,
-                                int64_t conversation_id, int64_t prefix_len = 0) {
+                                int64_t conversation_id) {
   const KvPool& pool = *server.cache().gpu_pool();
-  const std::vector<BlockId> table = server.GpuBlockTable(conversation_id);
-  const int64_t num_tokens = prefix_len + server.cache().Find(conversation_id)->kv_len();
+  const std::vector<BlockId> table = server.cache().GpuBlockTable(conversation_id);
+  const int64_t num_tokens = server.cache().Find(conversation_id)->kv_len();
   const int64_t row = pool.num_kv_heads() * pool.head_dim();
   std::vector<uint32_t> bits;
   for (int64_t layer = 0; layer < pool.num_layers(); ++layer) {
@@ -390,59 +390,84 @@ TEST(StatefulServerTest, ScriptRepeatsExactlyWhilePoolIsBusy) {
 
 
 // --- Shared system prompts (paper footnote 3) --------------------------------
+//
+// A shared prefix is the head of each conversation's own history; its whole
+// blocks are refcounted views of the blocks the first conversation computed
+// and published. Every case compares the KV a reader attends to, row for
+// row, with a monolithic server that computes [prefix ++ prompt] itself.
+
+// Serves one [prefix ++ user] first turn monolithically on `mono`.
+std::vector<int32_t> MonolithicTurn(StatefulLlmServer* mono, int64_t conversation_id,
+                                    const std::vector<int32_t>& prefix,
+                                    const std::vector<int32_t>& user,
+                                    int64_t output_len) {
+  std::vector<int32_t> full = prefix;
+  full.insert(full.end(), user.begin(), user.end());
+  auto result = mono->Chat(conversation_id, full, output_len);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? result.value() : std::vector<int32_t>{};
+}
 
 TEST(SharedPrefixTest, PrefixedConversationMatchesMonolithicComputation) {
   // Serving [system prompt ++ user prompt] via a shared prefix must produce
-  // exactly the tokens of serving the concatenation monolithically.
+  // exactly the tokens of serving the concatenation monolithically, both for
+  // the first conversation (which computes the prefix) and for one that
+  // attaches the published blocks.
   const ModelConfig model = TinyOptConfig();
   std::vector<int32_t> system_prompt = MakePrompt(50, 0, 19, 128);  // 2 chunks + 3
   std::vector<int32_t> user_prompt = MakePrompt(51, 0, 7, 128);
 
   StatefulLlmServer mono(TinyConfig(model));
-  std::vector<int32_t> full = system_prompt;
-  full.insert(full.end(), user_prompt.begin(), user_prompt.end());
-  auto expected = mono.Chat(1, full, 6);
-  ASSERT_TRUE(expected.ok());
+  const std::vector<int32_t> expected = MonolithicTurn(&mono, 1, system_prompt, user_prompt, 6);
 
   StatefulLlmServer shared(TinyConfig(model));
   auto prefix = shared.RegisterSharedPrefix(system_prompt);
   ASSERT_TRUE(prefix.ok()) << prefix.status();
-  // block_size = 8: 19 tokens -> 16 shared, 3 re-processed per conversation.
+  // block_size = 8: 19 tokens -> 16 shared, 3 computed per conversation.
   EXPECT_EQ(shared.SharedPrefixLen(*prefix), 16);
-  ASSERT_TRUE(shared.StartConversationWithPrefix(2, *prefix).ok());
-  auto got = shared.Chat(2, user_prompt, 6);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got.value(), expected.value());
-  // Positions shift by the shared length and attention reads the prefix
-  // blocks, for the re-processed prefix tail as much as for decode.
-  EXPECT_TRUE(SameKv(ContextKv(shared, 2, 16), ContextKv(mono, 1)));
+  EXPECT_EQ(shared.cache().gpu_allocator().num_allocated(), 0);  // nothing computed yet
+  for (int64_t conv : {2, 3}) {
+    ASSERT_TRUE(shared.StartConversationWithPrefix(conv, *prefix).ok());
+    // The first conversation finds nothing published; the second attaches
+    // the two whole blocks the first one computed.
+    const ContextState* state = shared.cache().Find(conv);
+    EXPECT_EQ(state == nullptr ? 0 : state->kv_len(), conv == 2 ? 0 : 16);
+    auto got = shared.Chat(conv, user_prompt, 6);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got.value(), expected) << "conversation " << conv;
+    EXPECT_TRUE(SameKv(ContextKv(shared, conv), ContextKv(mono, 1))) << "conversation " << conv;
+  }
+  EXPECT_EQ(shared.cache().Find(3)->chunk(0).gpu_block, shared.cache().Find(2)->chunk(0).gpu_block);
 }
 
 TEST(SharedPrefixTest, ManyConversationsShareOnePrefix) {
-  const ModelConfig model = TinyLlamaConfig();  // RoPE positions must shift too
+  const ModelConfig model = TinyLlamaConfig();  // RoPE reads every position
   std::vector<int32_t> system_prompt = MakePrompt(60, 0, 16, 128);
   StatefulLlmServer shared(TinyConfig(model));
   auto prefix = shared.RegisterSharedPrefix(system_prompt);
   ASSERT_TRUE(prefix.ok());
-  const int64_t blocks_after_prefix = shared.cache().gpu_allocator().num_allocated();
 
   StatefulLlmServer mono(TinyConfig(model));
+  int64_t chunks = 0;
   for (int64_t conv = 1; conv <= 3; ++conv) {
     std::vector<int32_t> user = MakePrompt(70 + conv, 0, 5 + conv, 128);
     ASSERT_TRUE(shared.StartConversationWithPrefix(conv, *prefix).ok());
     auto got = shared.Chat(conv, user, 4);
-    std::vector<int32_t> full = system_prompt;
-    full.insert(full.end(), user.begin(), user.end());
-    auto expected = mono.Chat(100 + conv, full, 4);
+    const std::vector<int32_t> expected = MonolithicTurn(&mono, 100 + conv, system_prompt, user, 4);
     ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(got.value(), expected.value()) << "conversation " << conv;
-    EXPECT_TRUE(SameKv(ContextKv(shared, conv, 16), ContextKv(mono, 100 + conv)))
+    EXPECT_EQ(got.value(), expected) << "conversation " << conv;
+    EXPECT_TRUE(SameKv(ContextKv(shared, conv), ContextKv(mono, 100 + conv)))
         << "conversation " << conv;
+    chunks += shared.cache().Find(conv)->num_chunks();
   }
-  // The shared prefix occupies its blocks exactly once, not per conversation.
-  const int64_t prefix_blocks = blocks_after_prefix;
-  EXPECT_EQ(prefix_blocks, 2);  // 16 tokens / block_size 8
+  // The prefix's 2 blocks (16 tokens / block_size 8) are allocated once and
+  // viewed by all three readers.
+  const ContextState& publisher = *shared.cache().Find(1);
+  for (int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(shared.cache().gpu_allocator().refcount(publisher.chunk(i).gpu_block), 3);
+  }
+  EXPECT_EQ(shared.cache().gpu_allocator().num_allocated(), chunks - 2 * 2);
+  shared.cache().CheckInvariants();
 }
 
 TEST(SharedPrefixTest, PrefixSurvivesConversationEvictionAndMultiTurn) {
@@ -455,28 +480,25 @@ TEST(SharedPrefixTest, PrefixSurvivesConversationEvictionAndMultiTurn) {
   ASSERT_TRUE(server.StartConversationWithPrefix(1, *prefix).ok());
   auto t1 = server.Chat(1, MakePrompt(81, 0, 10, 128), 5);
   ASSERT_TRUE(t1.ok());
-  const std::vector<uint32_t> kv1 = ContextKv(server, 1, 16);
-  // Evict the conversation (the pinned prefix must stay GPU-resident).
+  const std::vector<uint32_t> kv1 = ContextKv(server, 1);
+  // Evict the conversation, prefix blocks included, and drop its first
+  // chunk (a prefix block), which turn 2 recomputes from the raw history.
   ASSERT_TRUE(server.SwapOutConversation(1).ok());
   ASSERT_TRUE(server.DropLeadingChunks(1, 1).ok());
   auto t2 = server.Chat(1, MakePrompt(82, 0, 6, 128), 5);
   ASSERT_TRUE(t2.ok()) << t2.status();
   server.cache().CheckInvariants();
 
-  // Compare against a monolithic server with the same turn sequence; turn 2
-  // recomputes the dropped chunk behind the shared prefix.
+  // Compare against a monolithic server with the same turn sequence.
   StatefulLlmServer mono(TinyConfig(model, 256, 256));
-  std::vector<int32_t> first = MakePrompt(80, 0, 16, 128);
-  const std::vector<int32_t> user = MakePrompt(81, 0, 10, 128);
-  first.insert(first.end(), user.begin(), user.end());
-  auto r1 = mono.Chat(1, first, 5);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(t1.value(), r1.value());
+  const std::vector<int32_t> r1 =
+      MonolithicTurn(&mono, 1, MakePrompt(80, 0, 16, 128), MakePrompt(81, 0, 10, 128), 5);
+  EXPECT_EQ(t1.value(), r1);
   EXPECT_TRUE(SameKv(kv1, ContextKv(mono, 1)));
   auto r2 = mono.Chat(1, MakePrompt(82, 0, 6, 128), 5);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(t2.value(), r2.value());
-  EXPECT_TRUE(SameKv(ContextKv(server, 1, 16), ContextKv(mono, 1)));
+  EXPECT_TRUE(SameKv(ContextKv(server, 1), ContextKv(mono, 1)));
 }
 
 TEST(SharedPrefixTest, LifecycleGuards) {
@@ -484,7 +506,8 @@ TEST(SharedPrefixTest, LifecycleGuards) {
   StatefulLlmServer server(TinyConfig(model));
   EXPECT_EQ(server.RegisterSharedPrefix({}).status().code(),
             StatusCode::kInvalidArgument);
-  auto prefix = server.RegisterSharedPrefix(MakePrompt(90, 0, 8, 128));
+  const std::vector<int32_t> system_prompt = MakePrompt(90, 0, 8, 128);
+  auto prefix = server.RegisterSharedPrefix(system_prompt);
   ASSERT_TRUE(prefix.ok());
   EXPECT_EQ(server.StartConversationWithPrefix(1, 999).code(),
             StatusCode::kNotFound);
@@ -492,14 +515,20 @@ TEST(SharedPrefixTest, LifecycleGuards) {
   // Attaching twice, or to a conversation with history, is rejected.
   EXPECT_EQ(server.StartConversationWithPrefix(1, *prefix).code(),
             StatusCode::kFailedPrecondition);
-  // Unregister is blocked while attached...
-  EXPECT_EQ(server.UnregisterSharedPrefix(*prefix).code(),
-            StatusCode::kFailedPrecondition);
-  server.EndConversation(1);
-  // ...and succeeds (freeing the pinned blocks) once detached.
+  // Unregistering forgets the id; the conversation started from it keeps
+  // its history and still matches the monolithic computation.
   EXPECT_TRUE(server.UnregisterSharedPrefix(*prefix).ok());
-  EXPECT_EQ(server.cache().gpu_allocator().num_allocated(), 0);
   EXPECT_EQ(server.UnregisterSharedPrefix(*prefix).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.StartConversationWithPrefix(2, *prefix).code(),
+            StatusCode::kNotFound);
+  const std::vector<int32_t> user = MakePrompt(91, 0, 5, 128);
+  auto got = server.Chat(1, user, 4);
+  ASSERT_TRUE(got.ok()) << got.status();
+  StatefulLlmServer mono(TinyConfig(model));
+  EXPECT_EQ(got.value(), MonolithicTurn(&mono, 1, system_prompt, user, 4));
+  EXPECT_TRUE(SameKv(ContextKv(server, 1), ContextKv(mono, 1)));
+  server.EndConversation(1);
+  EXPECT_EQ(server.cache().gpu_allocator().num_allocated(), 0);
 }
 
 TEST(SharedPrefixTest, SubChunkPrefixIsFullyRecomputed) {
@@ -517,12 +546,111 @@ TEST(SharedPrefixTest, SubChunkPrefixIsFullyRecomputed) {
   ASSERT_TRUE(got.ok());
 
   StatefulLlmServer mono(TinyConfig(model));
-  std::vector<int32_t> full = tiny_prefix;
-  full.insert(full.end(), user.begin(), user.end());
-  auto expected = mono.Chat(1, full, 4);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(got.value(), expected.value());
+  EXPECT_EQ(got.value(), MonolithicTurn(&mono, 1, tiny_prefix, user, 4));
   EXPECT_TRUE(SameKv(ContextKv(shared, 1), ContextKv(mono, 1)));
+}
+
+// A publisher and two readers of a 16-token (two-block) prefix, each after
+// its first turn, mirrored on a monolithic server as conversations 101-103.
+struct SharedReaders {
+  static constexpr int64_t kOutput = 4;
+  std::vector<int32_t> prefix = MakePrompt(200, 0, 16, 128);
+  StatefulLlmServer shared;
+  StatefulLlmServer mono;
+
+  SharedReaders(const ModelConfig& model, bool kv_quant)
+      : shared(QuantConfig(model, kv_quant)), mono(QuantConfig(model, kv_quant)) {
+    auto id = shared.RegisterSharedPrefix(prefix);
+    EXPECT_TRUE(id.ok());
+    for (int64_t conv = 1; conv <= 3; ++conv) {
+      EXPECT_TRUE(shared.StartConversationWithPrefix(conv, *id).ok());
+      auto got = shared.Chat(conv, UserTurn(conv, 0), kOutput);
+      EXPECT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value(), MonolithicTurn(&mono, 100 + conv, prefix, UserTurn(conv, 0), kOutput));
+    }
+  }
+
+  static StatefulServerConfig QuantConfig(const ModelConfig& model, bool kv_quant) {
+    StatefulServerConfig config = TinyConfig(model, /*gpu_blocks=*/24, /*cpu_blocks=*/32);
+    config.kv_quant = kv_quant;
+    return config;
+  }
+  static std::vector<int32_t> UserTurn(int64_t conv, int64_t turn) {
+    return MakePrompt(210 + conv, 100 * turn, 6 + conv, 128);
+  }
+
+  // Runs turn `turn` of `conv` on both servers and compares tokens and KV.
+  ::testing::AssertionResult NextTurnMatches(int64_t conv, int64_t turn) {
+    auto got = shared.Chat(conv, UserTurn(conv, turn), kOutput);
+    auto want = mono.Chat(100 + conv, UserTurn(conv, turn), kOutput);
+    if (!got.ok() || !want.ok()) {
+      return ::testing::AssertionFailure() << "turn failed: " << got.status() << " / "
+                                           << want.status();
+    }
+    if (got.value() != want.value()) {
+      return ::testing::AssertionFailure() << "tokens differ, conversation " << conv;
+    }
+    return SameKv(ContextKv(shared, conv), ContextKv(mono, 100 + conv));
+  }
+
+  BlockId PrefixBlock(int64_t conv, int64_t i) const {
+    return shared.cache().Find(conv)->chunk(i).gpu_block;
+  }
+};
+
+TEST(SharedPrefixTest, ReadersOutliveThePublisher) {
+  SharedReaders s(TinyLlamaConfig(), /*kv_quant=*/false);
+  const BlockId first = s.PrefixBlock(1, 0);
+  ASSERT_EQ(s.PrefixBlock(2, 0), first);
+  ASSERT_EQ(s.PrefixBlock(3, 0), first);
+  s.shared.EndConversation(1);
+  EXPECT_EQ(s.shared.cache().gpu_allocator().refcount(first), 2);
+  // A fresh conversation takes the blocks the publisher freed; the readers'
+  // prefix blocks must not be among them.
+  ASSERT_TRUE(s.shared.Chat(9, MakePrompt(9, 0, 40, 128), 2).ok());
+  EXPECT_TRUE(s.NextTurnMatches(2, 1));
+  EXPECT_TRUE(s.NextTurnMatches(3, 1));
+  s.shared.cache().CheckInvariants();
+}
+
+class SharedViewSwapTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SharedViewSwapTest, SwappedOutViewComesBackBitwise) {
+  SharedReaders s(TinyOptConfig(), /*kv_quant=*/GetParam());
+  const BlockId first = s.PrefixBlock(1, 0);
+  // The reader's views go to the CPU tier; the publisher keeps the blocks.
+  ASSERT_TRUE(s.shared.SwapOutConversation(2).ok());
+  ASSERT_TRUE(s.mono.SwapOutConversation(102).ok());
+  EXPECT_EQ(s.shared.cache().Find(2)->TokensOnGpu(), 0);
+  EXPECT_EQ(s.shared.cache().gpu_allocator().refcount(first), 2);
+  // Swapping back in lands the prefix in private blocks.
+  EXPECT_TRUE(s.NextTurnMatches(2, 1));
+  EXPECT_NE(s.PrefixBlock(2, 0), first);
+  // The publisher and the other reader still read the untouched blocks.
+  EXPECT_TRUE(s.NextTurnMatches(1, 1));
+  EXPECT_TRUE(s.NextTurnMatches(3, 1));
+  s.shared.cache().CheckInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(KvQuant, SharedViewSwapTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Int8") : std::string("Fp32");
+                         });
+
+TEST(SharedPrefixTest, DroppedViewIsRecomputed) {
+  SharedReaders s(TinyLlamaConfig(), /*kv_quant=*/false);
+  const BlockId first = s.PrefixBlock(1, 0);
+  // Dropping the reader's two views frees nothing: the others hold them.
+  const int64_t allocated = s.shared.cache().gpu_allocator().num_allocated();
+  ASSERT_TRUE(s.shared.DropLeadingChunks(2, 2).ok());
+  EXPECT_EQ(s.shared.cache().Find(2)->LeadingDroppedTokens(), 16);
+  EXPECT_EQ(s.shared.cache().gpu_allocator().num_allocated(), allocated);
+  EXPECT_EQ(s.shared.cache().gpu_allocator().refcount(first), 2);
+  // Turn 2 recomputes the prefix into private blocks from the raw history.
+  EXPECT_TRUE(s.NextTurnMatches(2, 1));
+  EXPECT_NE(s.PrefixBlock(2, 0), first);
+  EXPECT_TRUE(s.NextTurnMatches(1, 1));
+  s.shared.cache().CheckInvariants();
 }
 
 }  // namespace
