@@ -574,6 +574,13 @@ class ClusterSim {
   }
 
   RoutingDecision Route(const Request& req) {
+    if (replicas_.size() == 1) {
+      // One slot leaves every router one answer; skip the load snapshot,
+      // which walks the engine's whole queue on every arrival.
+      PENSIEVE_CHECK(replicas_[0].alive())
+          << "routed request " << req.request_id << " to dead replica 0";
+      return RoutingDecision{};
+    }
     SnapshotViews();
     const RoutingDecision decision = router_->Route(req, views_);
     PENSIEVE_CHECK_GE(decision.target, 0);
