@@ -149,13 +149,18 @@ class PeerSpillBroker {
     Replica& holder = (*replicas_)[seg.peer];
     Engine& dst = (*replicas_)[target].engine();
     // A dead holder is a stale entry (invalidation raced its crash).
-    if (!delivery->migrated.Empty() || !holder.alive() ||
-        !dst.AcceptsPeerPrefix(conv, seg.first_token, seg.last_token,
-                               delivery->request.history_len)) {
+    if (!delivery->migrated.Empty() || !holder.alive()) {
       Invalidate(seg);
       return;
     }
+    // Released before the target's room test: when the target holds the
+    // stash itself, these are the blocks the segment lands in.
     holder.engine().ReleaseForeignCpuTokens(seg.len());
+    if (!dst.AcceptsPeerPrefix(conv, seg.first_token, seg.last_token,
+                               delivery->request.history_len)) {
+      stats_.invalidated_tokens += seg.len();
+      return;
+    }
     if (seg.peer != target) {
       const LinkTransferOutcome out =
           nic_->Ship(seg.peer, target, now, seg.bytes);

@@ -353,10 +353,11 @@ class Engine {
   virtual int64_t ReserveForeignCpuTokens(int64_t tokens) { return 0; }
   virtual void ReleaseForeignCpuTokens(int64_t tokens) {}
 
-  // Whether AcceptPeerPrefix would take the stash segment
-  // [first_token, last_token) at all: the placement rules, without the CPU
-  // room check. The cluster driver asks before it ships a segment back, so
-  // a segment that would be refused never crosses the NIC.
+  // Whether AcceptPeerPrefix would adopt any of the stash segment
+  // [first_token, last_token): the placement rules, plus one free CPU-tier
+  // block. The cluster driver asks before it ships a segment back (after
+  // releasing the stash's own reservation), so a segment that would adopt
+  // nothing never crosses the NIC.
   virtual bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token,
                                  int64_t last_token,
                                  int64_t kv_len_hint) const {

@@ -1062,6 +1062,11 @@ bool PensieveEngine::AcceptsPeerPrefix(int64_t conversation_id,
   if (last_token <= first_token) {
     return false;
   }
+  // Adopting anything takes one free CPU block: for the frontier chunk, or
+  // for the import's newest chunk when there is no local state.
+  if (cache_.cpu_allocator().num_free() == 0) {
+    return false;
+  }
   const ContextState* conv = cache_.Find(conversation_id);
   if (conv == nullptr) {
     // No local bookkeeping: the segment is adoptable only as the trailing

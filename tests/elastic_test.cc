@@ -474,11 +474,14 @@ struct RefusalCounts {
 };
 
 // Forwards every call to a Pensieve engine, but refuses every fetched-back
-// stash segment.
+// stash segment: outright, or, with `fill_cpu_tier`, by reserving every free
+// CPU-tier block of the engine first and letting the engine's own room test
+// refuse it.
 class RefusingPeerEngine : public Engine {
  public:
-  RefusingPeerEngine(std::unique_ptr<Engine> inner, RefusalCounts* counts)
-      : inner_(std::move(inner)), counts_(counts) {}
+  RefusingPeerEngine(std::unique_ptr<Engine> inner, RefusalCounts* counts,
+                     bool fill_cpu_tier = false)
+      : inner_(std::move(inner)), counts_(counts), fill_cpu_tier_(fill_cpu_tier) {}
 
   const std::string& name() const override { return inner_->name(); }
   void Enqueue(const Request& request, double now) override {
@@ -522,9 +525,15 @@ class RefusingPeerEngine : public Engine {
   void ReleaseForeignCpuTokens(int64_t tokens) override {
     inner_->ReleaseForeignCpuTokens(tokens);
   }
-  bool AcceptsPeerPrefix(int64_t, int64_t, int64_t, int64_t) const override {
-    ++counts_->refusals;
-    return false;
+  bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token, int64_t last_token,
+                         int64_t kv_len_hint) const override {
+    bool accepts = false;
+    if (fill_cpu_tier_) {
+      inner_->ReserveForeignCpuTokens(inner_->IdleCpuCacheTokens());
+      accepts = inner_->AcceptsPeerPrefix(conversation_id, first_token, last_token, kv_len_hint);
+    }
+    counts_->refusals += accepts ? 0 : 1;
+    return accepts;
   }
   int64_t AcceptPeerPrefix(int64_t conversation_id, int64_t first_token,
                            int64_t last_token, int64_t kv_len_hint,
@@ -540,12 +549,17 @@ class RefusingPeerEngine : public Engine {
  private:
   std::unique_ptr<Engine> inner_;
   RefusalCounts* counts_;
+  bool fill_cpu_tier_;
   double step_end_ = -1.0;
 };
 
 // A segment the target refuses is invalidated where it lies: nothing crosses
-// the NIC for it, and its request is not held back for a transfer.
-TEST(ElasticClusterTest, RefusedFetchBackShipsNothingAndDelaysNothing) {
+// the NIC for it, and its request is not held back for a transfer. The
+// target refuses by rule (`fill_cpu_tier` off) or because its CPU tier has
+// no block to adopt the segment into (on).
+class RefusedFetchBackTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RefusedFetchBackTest, ShipsNothingAndDelaysNothing) {
   const GpuCostModel model = Opt13BModel();
   const WorkloadTrace trace =
       SmallTrace(/*conversations=*/40, /*rate=*/4.0, /*think=*/2.0, /*seed=*/21);
@@ -561,7 +575,7 @@ TEST(ElasticClusterTest, RefusedFetchBackShipsNothingAndDelaysNothing) {
         overrides.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
         overrides.peer_spill = true;
         return std::make_unique<RefusingPeerEngine>(
-            MakeEngine(SystemKind::kPensieve, model, overrides), &counts);
+            MakeEngine(SystemKind::kPensieve, model, overrides), &counts, GetParam());
       },
       trace, options);
 
@@ -578,6 +592,12 @@ TEST(ElasticClusterTest, RefusedFetchBackShipsNothingAndDelaysNothing) {
   // The NIC carried the spills and nothing else.
   EXPECT_EQ(s.nic_link_faults.transfers, p.spills + p.failed_transfers);
 }
+
+INSTANTIATE_TEST_SUITE_P(ElasticClusterTest, RefusedFetchBackTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("TargetCpuTierFull")
+                                             : std::string("RefusedByRule");
+                         });
 
 TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   const GpuCostModel model = Opt13BModel();
