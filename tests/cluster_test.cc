@@ -6,10 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_driver.h"
 #include "src/cluster/router.h"
+#include "src/common/logging.h"
 #include "src/core/experiment.h"
 #include "src/model/model_config.h"
 #include "src/serving/driver.h"
@@ -511,6 +514,109 @@ TEST(ClusterDriverTest, CrashWithoutRecoveryTerminates) {
   EXPECT_LT(summary.cluster.completed_requests, trace.TotalRequests());
   EXPECT_GT(summary.faults.orphaned_requests, 0);
   EXPECT_EQ(summary.faults.recoveries, 0);
+}
+
+// What a crashed stateless replica held, and where its work went: every
+// engine of a run appends to one log (the engines die with the run).
+struct CrashLog {
+  // Replica 0 at its crash: queue shape, tokens generated by requests that
+  // finished there, and what DrainUnfinished returned.
+  EngineLoad load_at_crash;
+  int64_t generated_at_crash = 0;
+  int64_t finished_generated = 0;
+  DrainedWork drained;
+  // Request ids replica 1 received after the crash, in delivery order.
+  std::vector<int64_t> enqueued_after_crash;
+  bool crashed = false;
+};
+
+// Forwards every call to a stateless engine and records it in a CrashLog.
+class CrashObservedEngine : public Engine {
+ public:
+  CrashObservedEngine(int32_t replica_id, std::unique_ptr<Engine> inner, CrashLog* log)
+      : replica_id_(replica_id), inner_(std::move(inner)), log_(log) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  void Enqueue(const Request& request, double now) override {
+    if (replica_id_ == 1 && log_->crashed) {
+      log_->enqueued_after_crash.push_back(request.request_id);
+    }
+    inner_->Enqueue(request, now);
+  }
+  bool HasWork() const override { return inner_->HasWork(); }
+  StepResult Step(double now) override {
+    StepResult result = inner_->Step(now);
+    if (replica_id_ == 0 && !log_->crashed) {
+      for (const RequestOutcome& outcome : result.finished) {
+        log_->finished_generated += outcome.generated_tokens;
+      }
+    }
+    return result;
+  }
+  const EngineStats& stats() const override { return inner_->stats(); }
+  EngineLoad Load() const override { return inner_->Load(); }
+  DrainedWork DrainUnfinished() override {
+    PENSIEVE_CHECK_EQ(replica_id_, 0);
+    log_->crashed = true;
+    log_->load_at_crash = inner_->Load();
+    log_->generated_at_crash = inner_->stats().generated_tokens;
+    log_->drained = inner_->DrainUnfinished();
+    return log_->drained;
+  }
+
+ private:
+  int32_t replica_id_;
+  std::unique_ptr<Engine> inner_;
+  CrashLog* log_;
+};
+
+TEST(ClusterDriverTest, StatelessReplicaCrashReroutesQueuedAndRunningWork) {
+  GpuCostModel model = Opt13BModel();
+  WorkloadTrace trace = SmallTrace(/*conversations=*/30, /*rate=*/4.0,
+                                   /*think=*/2.0, /*seed=*/19);
+  ClusterOptions options;
+  options.num_replicas = 2;
+  options.router.policy = RouterPolicy::kRoundRobin;
+  options.faults.push_back(
+      ReplicaFault{0.5 * ArrivalSpan(trace), /*replica_id=*/0, /*recover=*/false});
+  CrashLog log;
+  EngineOverrides overrides;
+  overrides.max_running = 4;  // a short batch keeps requests queued
+  const ClusterSummary s = RunClusterExperiment(
+      [&](int32_t replica_id) {
+        return std::make_unique<CrashObservedEngine>(
+            replica_id, MakeEngine(SystemKind::kVllm, model, overrides), &log);
+      },
+      trace, options);
+
+  ASSERT_TRUE(log.crashed);
+  EXPECT_GT(log.load_at_crash.running_requests, 0);
+  EXPECT_GT(log.load_at_crash.waiting_requests, 0);
+  const std::vector<Request>& drained = log.drained.requests;
+  EXPECT_EQ(static_cast<int64_t>(drained.size()), log.load_at_crash.TotalRequests());
+  // Drained work restarts on the survivor in arrival (request id) order.
+  EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end(),
+                             [](const Request& a, const Request& b) {
+                               return a.request_id < b.request_id;
+                             }));
+  std::vector<int64_t> rerouted;
+  for (int64_t id : log.enqueued_after_crash) {
+    if (std::any_of(drained.begin(), drained.end(),
+                    [id](const Request& r) { return r.request_id == id; })) {
+      rerouted.push_back(id);
+    }
+  }
+  EXPECT_EQ(rerouted.size(), drained.size());
+  EXPECT_TRUE(std::is_sorted(rerouted.begin(), rerouted.end()));
+  // The decode progress thrown away: tokens replica 0 generated for requests
+  // that never finished there.
+  const int64_t unfinished_progress = log.generated_at_crash - log.finished_generated;
+  EXPECT_GT(unfinished_progress, 0);
+  EXPECT_EQ(log.drained.lost_generated_tokens, unfinished_progress);
+  EXPECT_EQ(s.faults.lost_generated_tokens, unfinished_progress);
+  EXPECT_GE(s.faults.rerouted_requests, static_cast<int64_t>(drained.size()));
+  EXPECT_EQ(s.faults.orphaned_requests, 0);
+  EXPECT_EQ(s.cluster.completed_requests, trace.TotalRequests());
 }
 
 TEST(ClusterDriverTest, StepTraceTagsReplicas) {
