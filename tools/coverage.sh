@@ -1,17 +1,28 @@
 #!/bin/sh
 # Line and function coverage of src/*.cc under the Tier-1 tests.
 #
-# Usage: tools/coverage.sh [BUILD_DIR]
+# Usage: tools/coverage.sh [--diff BASE] [BUILD_DIR]
 #
 # Configures the repository with --coverage -O1 in BUILD_DIR (default:
 # build-coverage at the repository root), builds it, runs the whole ctest
 # suite there, and reads the counters back with the toolchain's gcov. For
 # every src/ .cc file with a line no test ran, it prints the never-run line
-# numbers and functions; the last line is the total. A failing test does not
-# stop the report: it covers whatever ran. Needs gcc, gcov and python3.
+# numbers and functions; the last line is the total. With --diff BASE it
+# lists only the never-run lines (and functions starting on them) that
+# `git diff BASE` adds to src/*.cc in the working tree. A failing test does
+# not stop the report: it covers whatever ran. Needs gcc, gcov, git and
+# python3.
 
 set -e
 root=$(cd "$(dirname "$0")/.." && pwd)
+base=
+if [ "$1" = "--diff" ]; then
+  base=$2
+  shift 2
+  # Fail before the long build on a base git cannot resolve.
+  git -C "$root" rev-parse --verify --quiet "$base^{commit}" > /dev/null ||
+    { echo "coverage: unknown git revision '$base'" >&2; exit 2; }
+fi
 build=${1:-$root/build-coverage}
 jobs=$(nproc 2>/dev/null || echo 2)
 
@@ -25,14 +36,40 @@ if ! ctest --test-dir "$build" -j "$jobs" --timeout 900 > "$build/coverage_ctest
     "the report covers what ran" >&2
 fi
 
-python3 - "$root" "$build" <<'EOF'
+python3 - "$root" "$build" "$base" <<'EOF'
 import json
 import os
+import re
 import subprocess
 import sys
 
-root, build = sys.argv[1], sys.argv[2]
+root, build, base = sys.argv[1], sys.argv[2], sys.argv[3]
 src = os.path.join(root, "src") + os.sep
+
+
+def added_lines(base):
+    """Maps each src/*.cc path to the line numbers `git diff base` adds."""
+    diff = subprocess.run(
+        ["git", "-C", root, "diff", "--unified=0", "--no-color",
+         "--src-prefix=a/", "--dst-prefix=b/", base, "--", "src"],
+        capture_output=True, text=True, check=True).stdout
+    added, path, line, pending = {}, None, 0, 0
+    for text in diff.splitlines():
+        if pending > 0:
+            # Hunk body: count the added lines the header announced.
+            if text.startswith("+"):
+                if path is not None:
+                    added.setdefault(path, set()).add(line)
+                line += 1
+                pending -= 1
+        elif text.startswith("+++ "):
+            name = text[4:]
+            path = (os.path.join(root, name[2:])
+                    if name.startswith("b/") and name.endswith(".cc") else None)
+        elif text.startswith("@@"):
+            start, count = re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))?", text).groups()
+            line, pending = int(start), int(count or 1)
+    return added
 
 
 def ranges(numbers):
@@ -68,6 +105,13 @@ for dirpath, _, names in os.walk(os.path.join(build, "src")):
                 key = (fn["start_line"], fn["demangled_name"])
                 funcs[key] = max(funcs.get(key, 0), fn["execution_count"])
 
+if base:
+    # Keep only the executable lines the change adds.
+    added = added_lines(base)
+    files = {path: ({n: c for n, c in lines.items() if n in added[path]},
+                    {k: c for k, c in funcs.items() if k[0] in added[path]})
+             for path, (lines, funcs) in files.items() if path in added}
+
 total = never = 0
 for path in sorted(files):
     lines, funcs = files[path]
@@ -82,7 +126,8 @@ for path in sorted(files):
     for (start, name), count in sorted(funcs.items()):
         if count == 0:
             print(f"  function (line {start}): {name}")
-share = 100.0 * (total - never) / total if total else 0.0
-print(f"total: {never} of {total} executable lines in src/*.cc never run "
-      f"({share:.1f}% run)")
+share = 100.0 * (total - never) / total if total else 100.0
+scope = f"added since {base} " if base else ""
+print(f"total: {never} of {total} executable lines {scope}in src/*.cc never "
+      f"run ({share:.1f}% run)")
 EOF
