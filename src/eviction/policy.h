@@ -14,22 +14,9 @@
 #include <string>
 
 #include "src/eviction/cost_estimator.h"
+#include "src/kvcache/block.h"
 
 namespace pensieve {
-
-struct ChunkCandidate {
-  int64_t conversation_id = 0;
-  int64_t chunk_index = 0;
-  // Context length of the chunk's last token (tokens it attends to).
-  int64_t context_len = 0;
-  // When the owning conversation was last active (virtual seconds).
-  double last_active = 0.0;
-  // The chunk is a view over a GPU block other conversations also hold.
-  // Detaching it loses nothing another reader hasn't already paid for — a
-  // later restore is a trie re-attach, not a recompute — so cost-aware
-  // policies treat it as the cheapest possible victim.
-  bool shared = false;
-};
 
 class EvictionPolicy {
  public:

@@ -35,6 +35,7 @@ void BlockAllocator::Share(BlockId block) {
   PENSIEVE_CHECK_GT(rc, 0) << "share of unallocated block " << block;
   if (++rc == 2) {
     ++num_shared_;
+    ++share_crossings_;
   }
   ++total_acquires_;
 }
@@ -47,6 +48,7 @@ bool BlockAllocator::Free(BlockId block) {
   ++total_releases_;
   if (--rc == 1) {
     --num_shared_;
+    ++share_crossings_;
   }
   if (rc > 0) {
     return false;

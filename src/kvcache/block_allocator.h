@@ -54,6 +54,9 @@ class BlockAllocator {
 
   // Physical blocks currently held by more than one reference.
   int64_t num_shared() const { return num_shared_; }
+  // Times any block went from one reference to two or from two to one,
+  // i.e. changes of num_shared(); monotone.
+  int64_t share_crossings() const { return share_crossings_; }
   // High-water mark of physically allocated blocks over the allocator's
   // lifetime (capacity actually consumed).
   int64_t peak_allocated() const { return peak_allocated_; }
@@ -69,6 +72,7 @@ class BlockAllocator {
   int64_t total_acquires_ = 0;
   int64_t total_releases_ = 0;
   int64_t num_shared_ = 0;
+  int64_t share_crossings_ = 0;
   int64_t peak_allocated_ = 0;
 };
 

@@ -14,6 +14,7 @@ bool DroppedOrSsd(const Chunk& c) { return c.Dropped() || c.OnSsd(); }
 
 void ContextState::SetLocation(int64_t i, ChunkLocation location) {
   PENSIEVE_CHECK(i >= 0 && i < num_chunks());
+  MarkStale();
   --count_at_[static_cast<size_t>(chunk(i).location)];
   ++count_at_[static_cast<size_t>(location)];
   chunks_[static_cast<size_t>(i)].location = location;
@@ -92,16 +93,6 @@ int64_t ContextState::TokensCpuOnly() const {
   return t;
 }
 
-int64_t ContextState::TokensOnSsd() const {
-  int64_t t = 0;
-  for (const Chunk& c : chunks_) {
-    if (c.OnSsd()) {
-      t += c.num_tokens;
-    }
-  }
-  return t;
-}
-
 int64_t ContextState::TokensDropped() const {
   int64_t t = 0;
   for (const Chunk& c : chunks_) {
@@ -141,19 +132,6 @@ bool ContextState::FullyOnGpu() const {
   return true;
 }
 
-int64_t ContextState::NumNewChunksForAppend(int64_t n) const {
-  PENSIEVE_CHECK_GE(n, 0);
-  int64_t room = 0;
-  if (!chunks_.empty()) {
-    room = block_size_ - chunks_.back().num_tokens;
-  }
-  const int64_t overflow = n - room;
-  if (overflow <= 0) {
-    return 0;
-  }
-  return (overflow + block_size_ - 1) / block_size_;
-}
-
 void ContextState::AppendTokens(int64_t n, const std::vector<BlockId>& new_gpu_blocks,
                                 std::vector<SlotRef>* slots) {
   PENSIEVE_CHECK_EQ(static_cast<int64_t>(new_gpu_blocks.size()), NumNewChunksForAppend(n));
@@ -188,6 +166,9 @@ void ContextState::AppendTokens(int64_t n, const std::vector<BlockId>& new_gpu_b
     remaining -= take;
   }
   PENSIEVE_CHECK_EQ(next_new_block, new_gpu_blocks.size());
+  if (n > 0) {
+    MarkStale();
+  }
 }
 
 void ContextState::AttachSharedChunk(BlockId block, int64_t tokens) {
@@ -203,6 +184,7 @@ void ContextState::AttachSharedChunk(BlockId block, int64_t tokens) {
   chunks_.push_back(c);
   ++count_at_[static_cast<size_t>(ChunkLocation::kGpu)];
   kv_len_ += tokens;
+  MarkStale();
 }
 
 void ContextState::InitializeImported(int64_t kv_len) {
@@ -221,6 +203,7 @@ void ContextState::InitializeImported(int64_t kv_len) {
   count_at_[static_cast<size_t>(ChunkLocation::kDropped)] = num_chunks();
   leading_dropped_ = num_chunks();
   leading_dropped_or_ssd_ = num_chunks();
+  MarkStale();
 }
 
 }  // namespace pensieve

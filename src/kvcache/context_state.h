@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/kvcache/block.h"
 
 namespace pensieve {
@@ -83,7 +84,6 @@ class ContextState {
   // Token counts by residency.
   int64_t TokensOnGpu() const;
   int64_t TokensCpuOnly() const;
-  int64_t TokensOnSsd() const;
   int64_t TokensDropped() const;
 
   // Chunk indices (ascending) that are CPU-only: these must be swapped in
@@ -106,7 +106,12 @@ class ContextState {
     BlockId block;
     int64_t slot;
   };
-  int64_t NumNewChunksForAppend(int64_t n) const;
+  int64_t NumNewChunksForAppend(int64_t n) const {
+    PENSIEVE_CHECK_GE(n, 0);
+    const int64_t room = chunks_.empty() ? 0 : block_size_ - chunks_.back().num_tokens;
+    const int64_t overflow = n - room;
+    return overflow <= 0 ? 0 : (overflow + block_size_ - 1) / block_size_;
+  }
   void AppendTokens(int64_t n, const std::vector<BlockId>& new_gpu_blocks,
                     std::vector<SlotRef>* slots);
 
@@ -124,15 +129,40 @@ class ContextState {
 
   // Last-activity timestamp (seconds); drives the eviction policy's T.
   double last_active() const { return last_active_; }
-  void set_last_active(double t) { last_active_ = t; }
+  void set_last_active(double t) {
+    if (t != last_active_) {
+      last_active_ = t;
+      MarkStale();
+    }
+  }
 
   // Pins prevent eviction while a request is actively using the context.
-  void Pin() { ++pin_count_; }
-  void Unpin() { --pin_count_; }
+  void Pin() {
+    if (pin_count_++ == 0) {
+      MarkStale();
+    }
+  }
+  void Unpin() {
+    if (--pin_count_ == 0) {
+      MarkStale();
+    }
+  }
   bool pinned() const { return pin_count_ > 0; }
 
  private:
-  friend class TwoTierKvCache;  // maintains holder_slot_
+  friend class TwoTierKvCache;  // maintains holder_slot_ and the stale list
+
+  // Every change that can alter an eviction candidate (location, tokens,
+  // pin, last_active) lands here. A state owned by a TwoTierKvCache joins
+  // the cache's stale list once, so the cache re-scans this conversation's
+  // holder entries before the next eviction pass reads them; a standalone
+  // state has no list.
+  void MarkStale() {
+    if (stale_list_ != nullptr && stale_slot_ < 0) {
+      stale_slot_ = static_cast<int64_t>(stale_list_->size());
+      stale_list_->push_back(this);
+    }
+  }
 
   int64_t block_size_;
   std::vector<Chunk> chunks_;
@@ -145,6 +175,9 @@ class ContextState {
   // This conversation's index in TwoTierKvCache's holder list of each
   // location it holds a chunk in, or -1.
   std::array<int64_t, kNumChunkLocations> holder_slot_ = {-1, -1, -1, -1, -1};
+  // The owning cache's stale list and this state's index in it, or -1.
+  std::vector<ContextState*>* stale_list_ = nullptr;
+  int64_t stale_slot_ = -1;
   double last_active_ = 0.0;
   int pin_count_ = 0;
 };

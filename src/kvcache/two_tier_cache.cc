@@ -67,27 +67,24 @@ TwoTierKvCache::~TwoTierKvCache() {
 }
 
 ContextState& TwoTierKvCache::GetOrCreate(ConversationId id) {
-  auto it = conversations_.find(id);
-  if (it == conversations_.end()) {
-    it = conversations_.emplace(id, ContextState(config_.block_size)).first;
+  if (ContextState* state = Find(id)) {
+    return *state;
   }
+  auto it = conversations_.emplace(id, ContextState(config_.block_size)).first;
+  it->second.stale_list_ = &stale_;
+  found_[FoundSlot(id)] = {id, &it->second};
   return it->second;
 }
 
-ContextState* TwoTierKvCache::Find(ConversationId id) {
+ContextState* TwoTierKvCache::FindSlow(ConversationId id) const {
   auto it = conversations_.find(id);
-  return it == conversations_.end() ? nullptr : &it->second;
-}
-
-const ContextState* TwoTierKvCache::Find(ConversationId id) const {
-  auto it = conversations_.find(id);
-  return it == conversations_.end() ? nullptr : &it->second;
-}
-
-ContextState& TwoTierKvCache::MustFind(ConversationId id) {
-  ContextState* state = Find(id);
-  PENSIEVE_CHECK(state != nullptr) << "unknown conversation " << id;
-  return *state;
+  if (it == conversations_.end()) {
+    return nullptr;
+  }
+  // Map nodes stay put until erased, so the pointer is good until Release.
+  FoundState& found = found_[FoundSlot(id)];
+  found = {id, const_cast<ContextState*>(&it->second)};
+  return found.state;
 }
 
 Status TwoTierKvCache::FindChunk(ConversationId id, int64_t chunk_index,
@@ -146,6 +143,15 @@ void TwoTierKvCache::Release(ConversationId id) {
   state->count_at_.fill(0);
   for (size_t k = 0; k < kNumHeldLocations; ++k) {
     SyncHolder(id, *state, static_cast<ChunkLocation>(k));
+  }
+  if (found_[FoundSlot(id)].state == state) {
+    found_[FoundSlot(id)] = {};
+  }
+  if (const int64_t slot = state->stale_slot_; slot >= 0) {
+    stale_[static_cast<size_t>(slot)] = stale_.back();
+    stale_[static_cast<size_t>(slot)]->stale_slot_ = slot;
+    stale_.pop_back();
+    ++holder_stats_.released_stale;
   }
   conversations_.erase(id);
 }
@@ -207,7 +213,9 @@ Status TwoTierKvCache::AppendTokenSlots(ConversationId id, int64_t n,
     blocks.push_back(*b);
   }
   state.AppendTokens(n, blocks, slots);
-  SyncHolder(id, state, ChunkLocation::kGpu);
+  if (new_chunks > 0) {
+    SyncHolder(id, state, ChunkLocation::kGpu);  // the only kGpu count change
+  }
   return Status::Ok();
 }
 
@@ -739,12 +747,114 @@ void TwoTierKvCache::SyncHolder(ConversationId id, ContextState& state,
   const bool holds = state.ChunksAt(location) > 0;
   if (holds && slot < 0) {
     slot = static_cast<int64_t>(list.size());
-    list.push_back(Holder{id, &state});
+    list.emplace_back(id, &state);
   } else if (!holds && slot >= 0) {
     list[static_cast<size_t>(slot)] = list.back();
     list[static_cast<size_t>(slot)].state->holder_slot_[k] = slot;
     list.pop_back();
     slot = -1;
+  }
+}
+
+void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& state,
+                                Holder* holder) const {
+  holder->pinned = state.pinned();
+  holder->views.clear();
+  holder->cursor.reset();
+  holder->frontier.reset();
+  holder->droppable = false;
+  holder->in_window = false;
+  if (holder->pinned) {
+    return;
+  }
+  const auto candidate = [&](int64_t i) {
+    ChunkCandidate c;
+    c.conversation_id = holder->id;
+    c.chunk_index = i;
+    c.context_len = state.ChunkContextLen(i);
+    c.last_active = state.last_active();
+    const Chunk& chunk = state.chunk(i);
+    c.shared = chunk.OnGpu() && SharedGpuBlock(chunk.gpu_block);
+    return c;
+  };
+  const int64_t n = state.num_chunks();
+  if (location == ChunkLocation::kCpu) {
+    const int64_t i = state.LeadingDroppedOrSsdChunks();
+    if (i < n && state.chunk(i).location == ChunkLocation::kCpu) {
+      holder->frontier = candidate(i);
+    }
+    return;  // a CPU-only chunk is never shared
+  }
+  // Views sit inside the window; one cursor covers the unshared chunks.
+  const int64_t window = shared_prefix_window_;
+  const int64_t first = state.FirstChunkAt(location);
+  const int64_t end = std::min(window, n);
+  int64_t cursor = n;
+  for (int64_t i = first; i < end; ++i) {
+    const Chunk& chunk = state.chunk(i);
+    if (chunk.location != location) {
+      continue;
+    }
+    if (SharedGpuBlock(chunk.gpu_block)) {
+      holder->views.push_back(candidate(i));
+    } else if (cursor == n) {
+      cursor = i;
+    }
+  }
+  if (cursor == n) {
+    cursor = state.NextChunkAt(location, end - 1);  // none unshared inside the window
+  }
+  if (cursor < n) {
+    holder->cursor = candidate(cursor);
+  }
+  holder->in_window = first < window;
+  // The frontier queries visit a conversation once: through the kGpu list,
+  // or through the kGpuAndCpu list when it holds no kGpu chunk.
+  if (location == ChunkLocation::kGpu || state.ChunksAt(ChunkLocation::kGpu) == 0) {
+    const int64_t i = std::min(state.FirstChunkAt(ChunkLocation::kGpu),
+                               state.FirstChunkAt(ChunkLocation::kGpuAndCpu));
+    holder->frontier = candidate(i);
+    holder->droppable = i == state.LeadingDroppedChunks();
+    holder->in_window = holder->in_window || i < window;
+  }
+}
+
+void TwoTierKvCache::RefreshHolders() {
+  const int64_t pass = ++holder_stats_.refresh_passes;
+  for (ContextState* state : stale_) {
+    state->stale_slot_ = -1;
+    for (size_t k = 0; k < kNumHeldLocations; ++k) {
+      if (const int64_t slot = state->holder_slot_[k]; slot >= 0) {
+        Holder& holder = holders_[k][static_cast<size_t>(slot)];
+        ScanHolder(static_cast<ChunkLocation>(k), *state, &holder);
+        holder.scanned_at = pass;
+        ++holder_stats_.scans;
+      }
+    }
+  }
+  stale_.clear();
+  if (holder_stats_.scanned_epoch == share_epoch()) {
+    return;
+  }
+  // A window that grew can take in chunks an entry scanned as outside it.
+  const bool window_grew = scanned_window_ != shared_prefix_window_;
+  for (ChunkLocation location : {ChunkLocation::kGpu, ChunkLocation::kGpuAndCpu}) {
+    for (Holder& holder : holders_[static_cast<size_t>(location)]) {
+      if (holder.scanned_at != pass && (holder.in_window || window_grew)) {
+        ScanHolder(location, *holder.state, &holder);
+        holder.scanned_at = pass;
+        ++holder_stats_.window_rescans;
+      }
+    }
+  }
+  holder_stats_.scanned_epoch = share_epoch();
+  scanned_window_ = shared_prefix_window_;
+}
+
+void TwoTierKvCache::GrowSharedPrefixWindow(int64_t chunks) {
+  if (chunks > shared_prefix_window_) {
+    shared_prefix_window_ = chunks;
+    ++window_growths_;
   }
 }
 
@@ -771,7 +881,10 @@ int64_t TwoTierKvCache::AppendBlockDemand(ConversationId id, int64_t n) const {
 }
 
 bool TwoTierKvCache::SharedGpuBlock(BlockId block) const {
-  return block != kInvalidBlock && gpu_allocator_.refcount(block) > 1;
+  // num_shared() is exact, so with no shared block (sharing off) no
+  // refcount is read.
+  return block != kInvalidBlock && gpu_allocator_.num_shared() > 0 &&
+         gpu_allocator_.refcount(block) > 1;
 }
 
 int64_t TwoTierKvCache::LookupSharedPrefix(const std::vector<uint64_t>& chain,
@@ -785,8 +898,7 @@ int64_t TwoTierKvCache::PublishSharedPrefix(const std::vector<uint64_t>& chain,
     PENSIEVE_CHECK(gpu_allocator_.IsAllocated(b))
         << "publishing unallocated block " << b;
   }
-  shared_prefix_window_ =
-      std::max(shared_prefix_window_, static_cast<int64_t>(blocks.size()));
+  GrowSharedPrefixWindow(static_cast<int64_t>(blocks.size()));
   return trie_.Publish(chain, blocks);
 }
 
@@ -818,8 +930,7 @@ int64_t TwoTierKvCache::AttachSharedPrefix(ConversationId id,
   ContextState& state = GetOrCreate(id);
   PENSIEVE_CHECK_EQ(state.kv_len(), 0)
       << "shared prefix attach requires a fresh conversation";
-  shared_prefix_window_ =
-      std::max(shared_prefix_window_, static_cast<int64_t>(blocks.size()));
+  GrowSharedPrefixWindow(static_cast<int64_t>(blocks.size()));
   int64_t remaining = tokens;
   for (BlockId b : blocks) {
     const int64_t take = std::min(remaining, config_.block_size);
@@ -853,7 +964,7 @@ Status TwoTierKvCache::ReattachDroppedShared(ConversationId id, int64_t chunk_in
     return Status::FailedPrecondition("shared block no longer allocated");
   }
   gpu_allocator_.Share(block);
-  shared_prefix_window_ = std::max(shared_prefix_window_, chunk_index + 1);
+  GrowSharedPrefixWindow(chunk_index + 1);
   c.gpu_block = block;
   SetLocation(id, *state, chunk_index, ChunkLocation::kGpu);
   ++counters_.shared_attached_chunks;
@@ -893,16 +1004,39 @@ void TwoTierKvCache::CheckInvariants() const {
   int64_t ssd_chunks = 0;
   std::unordered_map<BlockId, int64_t> gpu_views;
   int64_t holders = 0;
+  int64_t stale = 0;
+  // Entries are checked unless a refresh is already owed to them.
+  const bool epoch_moved = holder_stats_.scanned_epoch != share_epoch();
+  const bool window_grew = scanned_window_ != shared_prefix_window_;
   for (const auto& [id, state] : conversations_) {
     state.CheckFrontiers();
+    if (state.stale_slot_ >= 0) {
+      PENSIEVE_CHECK(stale_.at(static_cast<size_t>(state.stale_slot_)) == &state);
+      ++stale;
+    }
     for (size_t k = 0; k < kNumHeldLocations; ++k) {
       const int64_t slot = state.holder_slot_[k];
       PENSIEVE_CHECK_EQ(slot >= 0, state.ChunksAt(static_cast<ChunkLocation>(k)) > 0)
           << "conversation " << id << ": holder list out of date";
-      if (slot >= 0) {
-        PENSIEVE_CHECK(holders_[k][static_cast<size_t>(slot)].state == &state);
-        ++holders;
+      if (slot < 0) {
+        continue;
       }
+      const Holder& holder = holders_[k][static_cast<size_t>(slot)];
+      PENSIEVE_CHECK(holder.state == &state);
+      PENSIEVE_CHECK_EQ(holder.id, id);
+      ++holders;
+      if (state.stale_slot_ >= 0 || (epoch_moved && (holder.in_window || window_grew))) {
+        continue;
+      }
+      Holder fresh(id, nullptr);
+      ScanHolder(static_cast<ChunkLocation>(k), state, &fresh);
+      PENSIEVE_CHECK(fresh.pinned == holder.pinned && fresh.views == holder.views &&
+                     fresh.cursor == holder.cursor && fresh.frontier == holder.frontier &&
+                     fresh.droppable == holder.droppable &&
+                     fresh.in_window == holder.in_window)
+          << "conversation " << id << ": cached "
+          << ChunkLocationName(static_cast<ChunkLocation>(k))
+          << " candidates differ from its state (a change missed the stale list)";
     }
     bool seen_non_dropped = false;
     bool seen_past_flash_run = false;
@@ -975,6 +1109,7 @@ void TwoTierKvCache::CheckInvariants() const {
   PENSIEVE_CHECK_EQ(reclaimable, reclaimable_gpu_blocks_);
   PENSIEVE_CHECK_EQ(holders, static_cast<int64_t>(holders_[0].size() + holders_[1].size() +
                                                   holders_[2].size()));
+  PENSIEVE_CHECK_EQ(stale, static_cast<int64_t>(stale_.size()));
   if (flash_ != nullptr) {
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->live_blocks());
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->resident_keys());

@@ -33,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -83,6 +84,9 @@ class TwoTierKvCache {
   // chunk view. Aborts with a diagnostic on leaked blocks, which previously
   // died silently with the pool.
   ~TwoTierKvCache();
+  // Owned states point at the cache's stale list, so the cache stays put.
+  TwoTierKvCache(const TwoTierKvCache&) = delete;
+  TwoTierKvCache& operator=(const TwoTierKvCache&) = delete;
 
   int64_t block_size() const { return config_.block_size; }
 
@@ -102,8 +106,17 @@ class TwoTierKvCache {
   const FlashTier* flash_tier() const { return flash_.get(); }
 
   ContextState& GetOrCreate(ConversationId id);
-  ContextState* Find(ConversationId id);
-  const ContextState* Find(ConversationId id) const;
+  // Found conversations are remembered in a small direct-mapped table in
+  // front of the map: an engine step looks up the same running
+  // conversations again and again. (So even a const lookup writes; like the
+  // rest of the cache, it is for one thread at a time.)
+  ContextState* Find(ConversationId id) {
+    const FoundState& found = found_[FoundSlot(id)];
+    return found.state != nullptr && found.id == id ? found.state : FindSlow(id);
+  }
+  const ContextState* Find(ConversationId id) const {
+    return const_cast<TwoTierKvCache*>(this)->Find(id);
+  }
   // Frees every block owned by the conversation and forgets it.
   void Release(ConversationId id);
 
@@ -113,14 +126,60 @@ class TwoTierKvCache {
   }
 
   // The conversations holding at least one chunk in `location` (kGpu,
-  // kGpuAndCpu or kCpu), in no particular order. Kept current on every
-  // location change, so an eviction pass visits only conversations that
-  // can offer a candidate (DESIGN.md §15).
+  // kGpuAndCpu or kCpu), in no particular order. Membership is kept current
+  // on every location change, so an eviction pass visits only conversations
+  // that can offer a candidate. Each entry also carries the conversation's
+  // candidates for the queries that read its list, ready to score, so a
+  // pass seeds its heap without touching the state (DESIGN.md §15).
   struct Holder {
+    Holder(ConversationId id, ContextState* state) : id(id), state(state) {}
+
     ConversationId id;
     ContextState* state;
+    // A pinned entry carries no candidates.
+    bool pinned = false;
+    // kGpu and kGpuAndCpu lists, for a location pass: the chunks in this
+    // location whose GPU block is shared (views; all inside the
+    // shared-prefix window), and the first one whose block is not (the
+    // cursor).
+    std::vector<ChunkCandidate> views;
+    std::optional<ChunkCandidate> cursor;
+    // The list's frontier candidate. kCpu: the first chunk past the
+    // dropped/SSD prefix, if CPU-only. kGpu, and kGpuAndCpu while the
+    // conversation holds no kGpu chunk: the first GPU-resident chunk, which
+    // is also the drop frontier when `droppable` (every chunk before it is
+    // dropped).
+    std::optional<ChunkCandidate> frontier;
+    bool droppable = false;
+    // Some candidate chunk lies inside the shared-prefix window, so its
+    // shared flag can change without this conversation changing: the entry
+    // is re-scanned when the share epoch moves.
+    bool in_window = false;
+    // The RefreshHolders pass that last scanned this entry.
+    int64_t scanned_at = 0;
   };
+  // Entries are current after RefreshHolders and until the next change to
+  // a conversation or the next share crossing; read them only after it.
   const std::vector<Holder>& Holders(ChunkLocation location) const;
+  // Re-scans the entries of every conversation changed since the last call
+  // (the stale list) and, when the share epoch moved, every in-window entry
+  // (every GPU-list entry when the window grew). Nothing else is touched.
+  void RefreshHolders();
+  // Bookkeeping of the holder entries, for tests.
+  struct HolderStats {
+    int64_t refresh_passes = 0;  // RefreshHolders calls (entries' scanned_at)
+    int64_t scans = 0;           // entries re-scanned off the stale list
+    int64_t window_rescans = 0;  // in-window entries re-scanned for an epoch move
+    int64_t released_stale = 0;  // released conversations taken off the stale list
+    int64_t scanned_epoch = 0;   // share_epoch() as of the last RefreshHolders
+  };
+  const HolderStats& holder_stats() const { return holder_stats_; }
+  // Moves whenever a GPU block crosses between one holder and two, or the
+  // shared-prefix window grows: the only changes that alter a candidate's
+  // shared flag without changing its own conversation.
+  int64_t share_epoch() const {
+    return gpu_allocator_.share_crossings() + window_growths_;
+  }
 
   // GPU blocks that could be reclaimed instantly because a clean CPU copy
   // exists (kGpuAndCpu chunks).
@@ -341,7 +400,7 @@ class TwoTierKvCache {
   void VerifyNoLeaks() const;
 
  private:
-  ContextState& MustFind(ConversationId id);
+  ContextState* FindSlow(ConversationId id) const;
   // Status-returning lookup used by the swap/drop mechanisms so bad ids or
   // chunk indices report instead of aborting (fault paths must compose).
   Status FindChunk(ConversationId id, int64_t chunk_index, ContextState** state);
@@ -365,6 +424,12 @@ class TwoTierKvCache {
   // Adds or removes the conversation from `location`'s holder list to match
   // its chunk count there (no-op for untracked locations).
   void SyncHolder(ConversationId id, ContextState& state, ChunkLocation location);
+  // Fills an entry's candidates, pinned and in_window flags from `state`
+  // (not id, state or scanned_at).
+  void ScanHolder(ChunkLocation location, const ContextState& state, Holder* holder) const;
+  // Raises shared_prefix_window_ to at least `chunks`; growth moves the
+  // share epoch.
+  void GrowSharedPrefixWindow(int64_t chunks);
   void LogEvent(EvictOp op, ConversationId id, int64_t chunk_index) {
     if (event_log_ != nullptr) {
       event_log_->push_back(EvictEvent{op, id, chunk_index});
@@ -395,6 +460,23 @@ class TwoTierKvCache {
   // Holder lists for kGpu, kGpuAndCpu and kCpu (indexed by ChunkLocation).
   static constexpr size_t kNumHeldLocations = 3;
   std::array<std::vector<Holder>, kNumHeldLocations> holders_;
+  // Conversations whose holder entries await a re-scan (ContextState::MarkStale).
+  std::vector<ContextState*> stale_;
+  HolderStats holder_stats_;
+  // shared_prefix_window_ as of the last RefreshHolders.
+  int64_t scanned_window_ = 0;
+  int64_t window_growths_ = 0;
+  // Find's table of found conversations, slot by the id's low bits (state
+  // null when empty).
+  struct FoundState {
+    ConversationId id = 0;
+    ContextState* state = nullptr;
+  };
+  static constexpr size_t kFoundSlots = 64;
+  static size_t FoundSlot(ConversationId id) {
+    return static_cast<size_t>(static_cast<uint64_t>(id) % kFoundSlots);
+  }
+  mutable std::array<FoundState, kFoundSlots> found_{};
   std::vector<EvictEvent>* event_log_ = nullptr;
   // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
   // on release or at destruction).

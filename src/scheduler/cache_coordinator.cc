@@ -43,46 +43,28 @@ double CacheCoordinator::Score(ConversationId id, const ContextState& state,
 
 CacheCoordinator::LocationPass CacheCoordinator::SeedLocation(ChunkLocation location,
                                                               double now) const {
-  const int64_t window = cache_->shared_prefix_window();
+  cache_->RefreshHolders();
+  const std::vector<TwoTierKvCache::Holder>& holders = cache_->Holders(location);
   LocationPass pass;
   std::vector<Victim> seed;
-  seed.reserve(cache_->Holders(location).size());
-  for (const auto& [id, holder] : cache_->Holders(location)) {
-    const ContextState& state = *holder;
-    if (state.pinned()) {
-      continue;
+  seed.reserve(holders.size());
+  for (const TwoTierKvCache::Holder& holder : holders) {
+    for (const ChunkCandidate& view : holder.views) {
+      pass.views.emplace_back(holder.id, view.chunk_index);
+      seed.push_back(Victim{holder.id, view.chunk_index, policy_->Score(view, now)});
     }
-    const int64_t n = state.num_chunks();
-    const int64_t end = std::min(window, n);
-    int64_t cursor = n;  // the first unshared chunk in `location`
-    for (int64_t i = state.FirstChunkAt(location); i < end; ++i) {
-      const Chunk& chunk = state.chunk(i);
-      if (chunk.location != location) {
-        continue;
-      }
-      if (cache_->SharedGpuBlock(chunk.gpu_block)) {
-        pass.views.emplace_back(id, i);
-        seed.push_back(Victim{id, i, Score(id, state, i, now)});
-      } else if (cursor == n) {
-        cursor = i;
-      }
-    }
-    if (cursor == n) {
-      cursor = state.NextChunkAt(location, end - 1);  // none unshared inside the window
-    }
-    if (cursor < n) {
-      seed.push_back(Victim{id, cursor, Score(id, state, cursor, now)});
+    if (const std::optional<ChunkCandidate>& cursor = holder.cursor) {
+      seed.push_back(Victim{holder.id, cursor->chunk_index, policy_->Score(*cursor, now)});
     }
   }
   std::sort(pass.views.begin(), pass.views.end());
-  pass.heap = VictimHeap(VictimAfter{}, std::move(seed));
+  pass.heap = VictimHeap(std::move(seed));
   return pass;
 }
 
 CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, double now,
                                                        LocationPass* pass) const {
-  const Victim top = pass->heap.top();
-  pass->heap.pop();
+  const Victim top = pass->heap.pop();
   const ContextState* state = cache_->Find(top.conversation);
   if (state == nullptr || pass->SeededView(top.conversation, top.chunk_index)) {
     return top;  // forgotten, or a view (the cursor is elsewhere)
@@ -132,36 +114,29 @@ std::optional<int64_t> CacheCoordinator::FrontierChunk(Frontier kind,
 
 CacheCoordinator::VictimHeap CacheCoordinator::SeedFrontier(Frontier kind,
                                                             double now) const {
+  cache_->RefreshHolders();
   std::vector<Victim> seed;
-  seed.reserve(kind == Frontier::kCpuEvict
-                   ? cache_->Holders(ChunkLocation::kCpu).size()
-                   : cache_->Holders(ChunkLocation::kGpu).size() +
-                         cache_->Holders(ChunkLocation::kGpuAndCpu).size());
-  const auto visit = [&](ConversationId id, const ContextState& state) {
-    if (state.pinned()) {
-      return;
-    }
-    if (const std::optional<int64_t> chunk = FrontierChunk(kind, state)) {
-      seed.push_back(Victim{id, *chunk, Score(id, state, *chunk, now)});
-    }
-  };
   // Only conversations holding a chunk the query can return are visited,
-  // each once.
-  if (kind == Frontier::kCpuEvict) {
-    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kCpu)) {
-      visit(id, *state);
-    }
-  } else {
-    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kGpu)) {
-      visit(id, *state);
-    }
-    for (const auto& [id, state] : cache_->Holders(ChunkLocation::kGpuAndCpu)) {
-      if (state->ChunksAt(ChunkLocation::kGpu) == 0) {
-        visit(id, *state);
+  // each once: an entry carries the frontier candidate of the list that
+  // visits it.
+  const auto visit = [&](ChunkLocation location) {
+    for (const TwoTierKvCache::Holder& holder : cache_->Holders(location)) {
+      if (const std::optional<ChunkCandidate>& chunk = holder.frontier;
+          chunk.has_value() && (kind != Frontier::kGpuDrop || holder.droppable)) {
+        seed.push_back(Victim{holder.id, chunk->chunk_index, policy_->Score(*chunk, now)});
       }
     }
+  };
+  if (kind == Frontier::kCpuEvict) {
+    seed.reserve(cache_->Holders(ChunkLocation::kCpu).size());
+    visit(ChunkLocation::kCpu);
+  } else {
+    seed.reserve(cache_->Holders(ChunkLocation::kGpu).size() +
+                 cache_->Holders(ChunkLocation::kGpuAndCpu).size());
+    visit(ChunkLocation::kGpu);
+    visit(ChunkLocation::kGpuAndCpu);
   }
-  return VictimHeap(VictimAfter{}, std::move(seed));
+  return VictimHeap(std::move(seed));
 }
 
 void CacheCoordinator::PushFrontier(Frontier kind, ConversationId id, double now,
@@ -178,8 +153,7 @@ void CacheCoordinator::PushFrontier(Frontier kind, ConversationId id, double now
 std::optional<CacheCoordinator::Victim> CacheCoordinator::PopFrontier(
     Frontier kind, double now, VictimHeap* heap) const {
   while (!heap->empty()) {
-    const Victim top = heap->top();
-    heap->pop();
+    const Victim top = heap->pop();
     const ContextState* state = cache_->Find(top.conversation);
     if (state == nullptr || state->pinned() ||
         FrontierChunk(kind, *state) != top.chunk_index) {

@@ -25,9 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -137,15 +135,61 @@ class CacheCoordinator {
   };
   // The single victim order: ascending score, ties broken by conversation id
   // and then chunk index, so no choice depends on hash-map iteration order.
+  // (Spelled out rather than as a std::tie comparison, which compiles to a
+  // slower three-way compare; scores are never NaN.)
   static bool VictimBefore(const Victim& a, const Victim& b) {
-    return std::tie(a.score, a.conversation, a.chunk_index) <
-           std::tie(b.score, b.conversation, b.chunk_index);
+    if (a.score != b.score) {
+      return a.score < b.score;
+    }
+    if (a.conversation != b.conversation) {
+      return a.conversation < b.conversation;
+    }
+    return a.chunk_index < b.chunk_index;
   }
   struct VictimAfter {
     bool operator()(const Victim& a, const Victim& b) const { return VictimBefore(b, a); }
   };
-  // Min-heap in victim order: the victim index (DESIGN.md §15).
-  using VictimHeap = std::priority_queue<Victim, std::vector<Victim>, VictimAfter>;
+  // Min-queue in victim order: the victim index (DESIGN.md §15). A seed
+  // stays unordered until its second pop: most passes take one victim, and
+  // one scan for it costs less than heapifying every candidate. Any correct
+  // min-queue pops the same sequence, since the order is total.
+  class VictimHeap {
+   public:
+    VictimHeap() = default;
+    explicit VictimHeap(std::vector<Victim> seed) : items_(std::move(seed)) {}
+
+    bool empty() const { return items_.empty(); }
+    void push(const Victim& victim) {
+      items_.push_back(victim);
+      if (heap_) {
+        std::push_heap(items_.begin(), items_.end(), VictimAfter{});
+      }
+    }
+    // Removes and returns the first victim; the queue must not be empty.
+    Victim pop() {
+      if (!heap_ && popped_) {
+        std::make_heap(items_.begin(), items_.end(), VictimAfter{});
+        heap_ = true;
+      }
+      Victim first;
+      if (heap_) {
+        std::pop_heap(items_.begin(), items_.end(), VictimAfter{});
+        first = items_.back();
+      } else {
+        const auto it = std::min_element(items_.begin(), items_.end(), VictimBefore);
+        first = *it;
+        *it = items_.back();
+        popped_ = true;
+      }
+      items_.pop_back();
+      return first;
+    }
+
+   private:
+    std::vector<Victim> items_;
+    bool popped_ = false;
+    bool heap_ = false;
+  };
 
   // A snapshot pass over every chunk in one location (kGpu or kGpuAndCpu).
   // Within a conversation, unshared chunks score in index order, so the heap

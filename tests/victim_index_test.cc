@@ -4,19 +4,25 @@
 // in front of a shared chunk 1, and views that lose their other reader
 // mid-pass), every CacheCoordinator entry point must act on exactly the
 // (conversation, chunk) sequence of a brute-force oracle that rescans and
-// sorts every chunk, with the same tie-break.
+// sorts every chunk, with the same tie-break. CheckInvariants runs between
+// calls and recomputes the cache's holder entries, so each change Mutate
+// makes straight through ContextState (pins, last_active, appends) must
+// reach the cache's stale list.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/eviction/cost_estimator.h"
@@ -47,6 +53,15 @@ struct Coverage {
   // in front of it in the same conversation was still pending (so the
   // index's cursor had yet to step over the view's index).
   int64_t views_unshared_mid_pass = 0;
+  // The index's cached holder entries (DESIGN.md §15), counted on the
+  // index's transcripts only. An entry an entry point's refresh kept as an
+  // earlier call had scanned it (reused, not re-walked):
+  int64_t entries_reused_across_calls = 0;
+  // An in-window entry re-scanned in a call because a share crossing after
+  // the previous call's last refresh moved the share epoch:
+  int64_t window_rescans_after_crossing = 0;
+  // A conversation released while on the stale list, taken off it:
+  int64_t released_stale_entries = 0;
 };
 Coverage coverage;
 
@@ -597,6 +612,47 @@ std::vector<Variant> Variants() {
   return variants;
 }
 
+constexpr ChunkLocation kHeldLocations[] = {ChunkLocation::kGpu, ChunkLocation::kGpuAndCpu,
+                                           ChunkLocation::kCpu};
+
+// Watches one entry-point call for the holder-entry coverage counters.
+class HolderWatch {
+ public:
+  explicit HolderWatch(const TwoTierKvCache& cache)
+      : cache_(cache),
+        before_(cache.holder_stats()),
+        crossed_(cache.share_epoch() != before_.scanned_epoch) {
+    for (ChunkLocation location : kHeldLocations) {
+      for (const TwoTierKvCache::Holder& holder : cache.Holders(location)) {
+        scanned_at_[{location, holder.id}] = holder.scanned_at;
+      }
+    }
+  }
+
+  // Called after the entry point returns.
+  void Count() const {
+    const TwoTierKvCache::HolderStats& after = cache_.holder_stats();
+    if (after.refresh_passes > before_.refresh_passes) {
+      for (ChunkLocation location : kHeldLocations) {
+        for (const TwoTierKvCache::Holder& holder : cache_.Holders(location)) {
+          const auto it = scanned_at_.find({location, holder.id});
+          coverage.entries_reused_across_calls +=
+              it != scanned_at_.end() && it->second > 0 && it->second == holder.scanned_at;
+        }
+      }
+    }
+    coverage.window_rescans_after_crossing +=
+        crossed_ && after.window_rescans > before_.window_rescans;
+    coverage.released_stale_entries += after.released_stale - before_.released_stale;
+  }
+
+ private:
+  const TwoTierKvCache& cache_;
+  const TwoTierKvCache::HolderStats before_;
+  const bool crossed_;
+  std::map<std::pair<ChunkLocation, ConversationId>, int64_t> scanned_at_;
+};
+
 std::string Describe(const std::vector<TwoTierKvCache::EvictEvent>& log) {
   std::ostringstream out;
   for (const auto& e : log) {
@@ -625,6 +681,10 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
   std::vector<std::string> transcript;
   for (int round = 0; round < 12; ++round) {
     const double now = 4.0 + round;
+    std::optional<HolderWatch> watch;
+    if constexpr (std::is_same_v<Coordinator, CacheCoordinator>) {
+      watch.emplace(cache);
+    }
     std::ostringstream line;
     switch (rng() % 3) {
       case 0: {
@@ -644,6 +704,9 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
         line << "cpu " << n << " " << coordinator.EnsureFreeCpuBlocks(n, now);
         break;
       }
+    }
+    if (watch.has_value()) {
+      watch->Count();
     }
     const auto spill = coordinator.TakeSpill();
     line << " spill " << spill.demoted_tokens << " " << spill.failed_demotes;
@@ -687,6 +750,9 @@ TEST(VictimIndexTest, MatchesBruteForceOracleOnRandomLayouts) {
   EXPECT_GT(coverage.stale_skips_with_cpu_full, 0);
   EXPECT_GT(coverage.deep_drops_after_frontier_drop, 0);
   EXPECT_GT(coverage.views_unshared_mid_pass, 0);
+  EXPECT_GT(coverage.entries_reused_across_calls, 0);
+  EXPECT_GT(coverage.window_rescans_after_crossing, 0);
+  EXPECT_GT(coverage.released_stale_entries, 0);
 }
 
 // The case the shared-prefix window exists for: with the reader detached
@@ -718,6 +784,50 @@ TEST(VictimIndexTest, SharedChunkBehindUnsharedChunkGoesFirst) {
   ASSERT_EQ(outcome.swapped.size(), 2u);
   EXPECT_EQ(outcome.swapped[0], std::make_pair(publisher, int64_t{1}));
   EXPECT_EQ(outcome.swapped[1], std::make_pair(publisher, int64_t{0}));
+}
+
+// An entry scanned while the shared-prefix window was smaller than its
+// chunks: publishing grows the window and an attach then shares the
+// publisher's blocks, so the next refresh must re-scan the entry although
+// it was not marked in-window. Its two shared chunks become views, scored 0,
+// and go before its unshared chunks.
+TEST(VictimIndexTest, WindowGrowthRescansEntriesScannedOutsideIt) {
+  TwoTierKvCache cache(LayoutConfig(40, /*flash=*/false));
+  const ConversationId publisher = 1;
+  const ConversationId reader = 2;
+  ASSERT_TRUE(cache.AppendTokenSlots(publisher, 4 * kBlock, nullptr).ok());
+  cache.RefreshHolders();  // scanned with the window at 0
+  ASSERT_EQ(cache.Holders(ChunkLocation::kGpu).size(), 1u);
+  EXPECT_FALSE(cache.Holders(ChunkLocation::kGpu)[0].in_window);
+  std::vector<BlockId> prefix = cache.GpuBlockTable(publisher, 0);
+  prefix.resize(2);
+  cache.PublishSharedPrefix({1, 2}, prefix);
+  std::vector<BlockId> blocks;
+  ASSERT_EQ(cache.LookupSharedPrefix({1, 2}, &blocks), 2);
+  cache.AttachSharedPrefix(reader, blocks, 2 * kBlock);
+  cache.GetOrCreate(reader).Pin();
+  cache.RefreshHolders();
+  cache.CheckInvariants();
+  for (const TwoTierKvCache::Holder& holder : cache.Holders(ChunkLocation::kGpu)) {
+    if (holder.id == publisher) {
+      ASSERT_EQ(holder.views.size(), 2u);
+      EXPECT_TRUE(holder.views[0].shared && holder.views[1].shared);
+      ASSERT_TRUE(holder.cursor.has_value());
+      EXPECT_EQ(holder.cursor->chunk_index, 2);
+    }
+  }
+
+  const RetentionValuePolicy policy(ChunkCostEstimator::ProfileFromCostModel(
+      GpuCostModel(Opt13BConfig(), A100Spec(1)), kBlock, 4096));
+  CacheCoordinator::Options options;
+  options.swap_out_target = (cache.gpu_allocator().num_free() + 3.0) /
+                            static_cast<double>(cache.gpu_allocator().capacity());
+  CacheCoordinator coordinator(&cache, &policy, options);
+  const CacheCoordinator::EvictOutcome outcome = coordinator.AheadOfTimeEvict(10.0);
+  ASSERT_EQ(outcome.swapped.size(), 3u);
+  EXPECT_EQ(outcome.swapped[0], std::make_pair(publisher, int64_t{0}));
+  EXPECT_EQ(outcome.swapped[1], std::make_pair(publisher, int64_t{1}));
+  EXPECT_EQ(outcome.swapped[2], std::make_pair(publisher, int64_t{2}));
 }
 
 // Step 3b (drop the prefix through the first GPU chunk) runs, its victim's
