@@ -766,8 +766,11 @@ StepResult PensieveEngine::Step(double now) {
   }
 
   // Append each computing request's pending tokens, suspending
-  // latest-arrived requests under memory pressure (§4.3.5).
+  // latest-arrived requests under memory pressure (§4.3.5). Each appended
+  // request's state is recorded in step_states_, in running_ order: it is
+  // pinned, so the pointer holds for the rest of the step.
   const auto append_pending_range = [&](size_t begin) {
+    step_states_.clear();
     size_t i = begin;
     while (i < running_.size()) {
       Running& r = running_[i];
@@ -795,6 +798,7 @@ StepResult PensieveEngine::Step(double now) {
         continue;  // indices at/above `victim` shifted; retry position i
       }
       PENSIEVE_CHECK_OK(cache_.AppendTokenSlots(conv_id, r.pending_new_tokens, nullptr));
+      step_states_.push_back(cache_.Find(conv_id));
       ++i;
     }
   };
@@ -815,11 +819,13 @@ StepResult PensieveEngine::Step(double now) {
   }
 
   // Build the unified batch (prefill sub-requests + decode tokens).
-  std::vector<GpuCostModel::BatchItem> items;
+  PENSIEVE_CHECK_EQ(step_states_.size(), running_.size() - compute_begin);
+  std::vector<GpuCostModel::BatchItem>& items = step_items_;
+  items.clear();
   double max_restore_overhang = 0.0;
   for (size_t idx = compute_begin; idx < running_.size(); ++idx) {
-    Running& r = running_[idx];
-    const ContextState* conv = cache_.Find(r.request.conversation_id);
+    const Running& r = running_[idx];
+    const ContextState* conv = step_states_[idx - compute_begin];
     if (r.pending_recompute > 0) {
       // Dropped-prefix recomputation: the prefix attends only to itself
       // (Figure 8 step d, first sub-request).
@@ -844,14 +850,12 @@ StepResult PensieveEngine::Step(double now) {
   stats_.busy_seconds += duration;
 
   const double finish_time = now + duration;
-  std::vector<Running> keep;
-  keep.reserve(running_.size());
-  for (size_t idx = 0; idx < compute_begin; ++idx) {
-    keep.push_back(std::move(running_[idx]));  // decode requests paused by a
-                                               // split-phase prefill step
-  }
+  // Finished requests leave running_; the rest keep their order, behind the
+  // decode requests a split-phase prefill step paused ([0, compute_begin)).
+  size_t kept = compute_begin;
   for (size_t idx = compute_begin; idx < running_.size(); ++idx) {
     Running& r = running_[idx];
+    ContextState* conv = step_states_[idx - compute_begin];
     if (!r.prefilled) {
       stats_.prefill_tokens += r.pending_recompute + r.pending_new_tokens;
       r.prefilled = true;
@@ -878,10 +882,9 @@ StepResult PensieveEngine::Step(double now) {
     // histories that pure CPU-pressure drops used to truncate), so the cap
     // is gated on it: with the tier off, behavior stays bit-identical to
     // the two-tier build.
-    ContextState* capped_conv = cache_.Find(r.request.conversation_id);
     const bool context_capped =
         cache_.flash_enabled() &&
-        capped_conv->num_chunks() + capped_conv->NumNewChunksForAppend(1) >
+        conv->num_chunks() + conv->NumNewChunksForAppend(1) >
         cache_.gpu_allocator().capacity();
     if (context_capped && r.generated < r.request.target_output_len) {
       ++stats_.context_capped_requests;
@@ -892,7 +895,6 @@ StepResult PensieveEngine::Step(double now) {
     const bool prefill_done = r.request.prefill_only && r.prefilled;
     if (r.generated >= r.request.target_output_len || context_capped ||
         prefill_done) {
-      ContextState* conv = cache_.Find(r.request.conversation_id);
       conv->Unpin();
       conv->set_last_active(finish_time);
       auto inflight_it = inflight_.find(r.request.conversation_id);
@@ -916,10 +918,13 @@ StepResult PensieveEngine::Step(double now) {
       outcome.prefill_compute_start = r.prefill_compute_start;
       result.finished.push_back(std::move(outcome));
     } else {
-      keep.push_back(std::move(r));
+      if (kept != idx) {
+        running_[kept] = std::move(r);
+      }
+      ++kept;
     }
   }
-  running_ = std::move(keep);
+  running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(kept), running_.end());
   SyncCacheStats();
   return result;
 }
