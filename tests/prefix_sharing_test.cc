@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -200,6 +201,91 @@ TEST(PrefixSharingCacheTest, CowCopiesBytesInNumericMode) {
   EXPECT_FLOAT_EQ(cache.gpu_pool()->TokenData(published[0], 0, 0, 3)[0], 3.0f);
   cache.Release(1);
   cache.Release(2);
+}
+
+// Copy-on-write end to end on numeric pools: a reader attaches a partial
+// view of the publisher's second block and appends into it. Its KV rows must
+// equal, bit for bit, those of a conversation that computed the same tokens
+// into private blocks, and the publisher's block must not change.
+TEST(PrefixSharingCacheTest, CowAppendMatchesPrivateCopyBitwise) {
+  KvCacheConfig config = SharedConfig(/*gpu_blocks=*/12);
+  config.numeric = true;
+  config.num_layers = 2;
+  config.num_kv_heads = 2;
+  config.head_dim = 3;
+  TwoTierKvCache cache(config);
+  KvPool& pool = *cache.gpu_pool();
+  const int64_t width = config.num_kv_heads * config.head_dim;
+  // Token t's K and V rows in layer l: distinct, non-trivial values.
+  const auto write = [&](const std::vector<ContextState::SlotRef>& slots, int64_t first) {
+    for (size_t s = 0; s < slots.size(); ++s) {
+      const int64_t t = first + static_cast<int64_t>(s);
+      for (int64_t layer = 0; layer < config.num_layers; ++layer) {
+        std::vector<float> k(static_cast<size_t>(width));
+        std::vector<float> v(static_cast<size_t>(width));
+        for (int64_t j = 0; j < width; ++j) {
+          k[static_cast<size_t>(j)] = 0.37f * static_cast<float>(t) - 0.11f * static_cast<float>(j) +
+                                      static_cast<float>(layer);
+          v[static_cast<size_t>(j)] = 1.0f / (1.0f + static_cast<float>(t + j + 3 * layer));
+        }
+        pool.WriteToken(slots[s].block, layer, slots[s].slot, k.data(), v.data());
+      }
+    }
+  };
+  const ConversationId publisher = 1;
+  const ConversationId reader = 2;
+  const ConversationId private_copy = 3;
+  constexpr int64_t kShared = 6;   // one full block plus half of the next
+  constexpr int64_t kAppended = 3;  // two fill the view's block, one spills over
+
+  std::vector<ContextState::SlotRef> slots;
+  ASSERT_TRUE(cache.AppendTokenSlots(publisher, 8, &slots).ok());
+  write(slots, 0);
+  std::vector<BlockId> published = cache.GpuBlockTable(publisher);
+  cache.PublishSharedPrefix({11, 22}, published);
+  const std::vector<float> source_before(pool.TokenData(published[1], 0, 0, 0),
+                                         pool.TokenData(published[1], 0, 0, 0) +
+                                             pool.BlockBytes() / sizeof(float));
+
+  // The private copy computes tokens [0, kShared + kAppended) itself.
+  slots.clear();
+  ASSERT_TRUE(cache.AppendTokenSlots(private_copy, kShared + kAppended, &slots).ok());
+  write(slots, 0);
+
+  // The reader attaches [0, kShared) as views and computes only the rest;
+  // its first write lands in a copy of the partially viewed block.
+  ASSERT_EQ(cache.AttachSharedPrefix(reader, published, kShared), kShared);
+  slots.clear();
+  ASSERT_TRUE(cache.AppendTokenSlots(reader, kAppended, &slots).ok());
+  write(slots, kShared);
+  EXPECT_EQ(cache.counters().cow_copies, 1);
+  EXPECT_EQ(cache.Find(reader)->chunk(0).gpu_block, published[0]);
+  EXPECT_NE(cache.Find(reader)->chunk(1).gpu_block, published[1]);
+
+  const std::vector<BlockId> reader_table = cache.GpuBlockTable(reader);
+  const std::vector<BlockId> private_table = cache.GpuBlockTable(private_copy);
+  ASSERT_EQ(reader_table.size(), private_table.size());
+  for (int64_t t = 0; t < kShared + kAppended; ++t) {
+    const size_t chunk = static_cast<size_t>(t / config.block_size);
+    const int64_t slot = t % config.block_size;
+    for (int64_t layer = 0; layer < config.num_layers; ++layer) {
+      for (int kv = 0; kv < 2; ++kv) {
+        EXPECT_EQ(std::memcmp(pool.TokenData(reader_table[chunk], layer, kv, slot),
+                              pool.TokenData(private_table[chunk], layer, kv, slot),
+                              static_cast<size_t>(width) * sizeof(float)),
+                  0)
+            << "token " << t << " layer " << layer << " kv " << kv;
+      }
+    }
+  }
+  // The publisher's block, all layers and slots, is untouched.
+  EXPECT_EQ(std::memcmp(pool.TokenData(published[1], 0, 0, 0), source_before.data(),
+                        static_cast<size_t>(pool.BlockBytes())),
+            0);
+  cache.CheckInvariants();
+  cache.Release(publisher);
+  cache.Release(reader);
+  cache.Release(private_copy);
 }
 
 TEST(PrefixSharingCacheTest, ReattachDroppedChunkToLivePublishedBlock) {
