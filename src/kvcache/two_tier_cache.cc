@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -749,7 +750,8 @@ void TwoTierKvCache::SyncHolder(ConversationId id, ContextState& state,
     slot = static_cast<int64_t>(list.size());
     list.emplace_back(id, &state);
   } else if (!holds && slot >= 0) {
-    list[static_cast<size_t>(slot)] = list.back();
+    // Move the last entry (and its cached candidates) into the hole.
+    std::swap(list[static_cast<size_t>(slot)], list.back());
     list[static_cast<size_t>(slot)].state->holder_slot_[k] = slot;
     list.pop_back();
     slot = -1;
