@@ -289,8 +289,8 @@ class PensieveEngine final : public Engine {
   TemplateChains template_chains_;
   std::deque<Running> waiting_;
   std::vector<Running> running_;
-  // Step's scratch, reused so a step allocates nothing: the batch's
-  // cost-model items and each computing request's state.
+  // Step's scratch, kept across steps rather than allocated per step: the
+  // batch's cost-model items and each computing request's state.
   std::vector<GpuCostModel::BatchItem> step_items_;
   std::vector<ContextState*> step_states_;
   // Conversations with a queued or running request; their (possibly fully
