@@ -9,6 +9,7 @@
 #ifndef PENSIEVE_SRC_KVCACHE_CONTEXT_STATE_H_
 #define PENSIEVE_SRC_KVCACHE_CONTEXT_STATE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +19,14 @@
 #include "src/kvcache/block.h"
 
 namespace pensieve {
+
+// The eviction queries with at most one candidate chunk per conversation:
+// chunks that can only leave a conversation front first.
+enum class Frontier {
+  kGpuDrop,   // first non-dropped chunk, if it is on the GPU (DropChunk target)
+  kCpuEvict,  // first chunk past the dropped/SSD prefix, if CPU-only
+  kFirstGpu,  // first GPU-resident chunk (drop the prefix through it)
+};
 
 class ContextState {
  public:
@@ -76,6 +85,24 @@ class ContextState {
   }
   // Index of the first chunk past `after` in `location`, or num_chunks().
   int64_t NextChunkAt(ChunkLocation location, int64_t after) const;
+  // This conversation's candidate for a frontier query, or num_chunks()
+  // when it has none.
+  int64_t FrontierChunk(Frontier kind) const {
+    const int64_t n = num_chunks();
+    switch (kind) {
+      case Frontier::kGpuDrop:
+        return leading_dropped_ < n && chunk(leading_dropped_).OnGpu() ? leading_dropped_ : n;
+      case Frontier::kCpuEvict:
+        return leading_dropped_or_ssd_ < n &&
+                       chunk(leading_dropped_or_ssd_).location == ChunkLocation::kCpu
+                   ? leading_dropped_or_ssd_
+                   : n;
+      case Frontier::kFirstGpu:
+        return std::min(FirstChunkAt(ChunkLocation::kGpu),
+                        FirstChunkAt(ChunkLocation::kGpuAndCpu));
+    }
+    return n;
+  }
 
   // Recomputes the frontier offsets, counts and hints from the chunks and
   // aborts on disagreement (a location changed behind SetLocation's back).
@@ -148,6 +175,8 @@ class ContextState {
     }
   }
   bool pinned() const { return pin_count_ > 0; }
+  // Changed since the owning cache last re-scanned its holder entries.
+  bool stale() const { return stale_slot_ >= 0; }
 
  private:
   friend class TwoTierKvCache;  // maintains holder_slot_ and the stale list

@@ -68,24 +68,22 @@ TwoTierKvCache::~TwoTierKvCache() {
 }
 
 ContextState& TwoTierKvCache::GetOrCreate(ConversationId id) {
-  if (ContextState* state = Find(id)) {
-    return *state;
+  auto it = conversations_.find(id);
+  if (it == conversations_.end()) {
+    it = conversations_.emplace(id, ContextState(config_.block_size)).first;
+    it->second.stale_list_ = &stale_;
   }
-  auto it = conversations_.emplace(id, ContextState(config_.block_size)).first;
-  it->second.stale_list_ = &stale_;
-  found_[FoundSlot(id)] = {id, &it->second};
   return it->second;
 }
 
-ContextState* TwoTierKvCache::FindSlow(ConversationId id) const {
+ContextState* TwoTierKvCache::Find(ConversationId id) {
   auto it = conversations_.find(id);
-  if (it == conversations_.end()) {
-    return nullptr;
-  }
-  // Map nodes stay put until erased, so the pointer is good until Release.
-  FoundState& found = found_[FoundSlot(id)];
-  found = {id, const_cast<ContextState*>(&it->second)};
-  return found.state;
+  return it == conversations_.end() ? nullptr : &it->second;
+}
+
+const ContextState* TwoTierKvCache::Find(ConversationId id) const {
+  auto it = conversations_.find(id);
+  return it == conversations_.end() ? nullptr : &it->second;
 }
 
 Status TwoTierKvCache::FindChunk(ConversationId id, int64_t chunk_index,
@@ -145,14 +143,10 @@ void TwoTierKvCache::Release(ConversationId id) {
   for (size_t k = 0; k < kNumHeldLocations; ++k) {
     SyncHolder(id, *state, static_cast<ChunkLocation>(k));
   }
-  if (found_[FoundSlot(id)].state == state) {
-    found_[FoundSlot(id)] = {};
-  }
   if (const int64_t slot = state->stale_slot_; slot >= 0) {
     stale_[static_cast<size_t>(slot)] = stale_.back();
     stale_[static_cast<size_t>(slot)]->stale_slot_ = slot;
     stale_.pop_back();
-    ++holder_stats_.released_stale;
   }
   conversations_.erase(id);
 }
@@ -769,21 +763,11 @@ void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& stat
   if (holder->pinned) {
     return;
   }
-  const auto candidate = [&](int64_t i) {
-    ChunkCandidate c;
-    c.conversation_id = holder->id;
-    c.chunk_index = i;
-    c.context_len = state.ChunkContextLen(i);
-    c.last_active = state.last_active();
-    const Chunk& chunk = state.chunk(i);
-    c.shared = chunk.OnGpu() && SharedGpuBlock(chunk.gpu_block);
-    return c;
-  };
+  const ConversationId id = holder->id;
   const int64_t n = state.num_chunks();
   if (location == ChunkLocation::kCpu) {
-    const int64_t i = state.LeadingDroppedOrSsdChunks();
-    if (i < n && state.chunk(i).location == ChunkLocation::kCpu) {
-      holder->frontier = candidate(i);
+    if (const int64_t i = state.FrontierChunk(Frontier::kCpuEvict); i < n) {
+      holder->frontier = Candidate(id, state, i);
     }
     return;  // a CPU-only chunk is never shared
   }
@@ -793,12 +777,11 @@ void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& stat
   const int64_t end = std::min(window, n);
   int64_t cursor = n;
   for (int64_t i = first; i < end; ++i) {
-    const Chunk& chunk = state.chunk(i);
-    if (chunk.location != location) {
+    if (state.chunk(i).location != location) {
       continue;
     }
-    if (SharedGpuBlock(chunk.gpu_block)) {
-      holder->views.push_back(candidate(i));
+    if (const ChunkCandidate c = Candidate(id, state, i); c.shared) {
+      holder->views.push_back(c);
     } else if (cursor == n) {
       cursor = i;
     }
@@ -807,22 +790,21 @@ void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& stat
     cursor = state.NextChunkAt(location, end - 1);  // none unshared inside the window
   }
   if (cursor < n) {
-    holder->cursor = candidate(cursor);
+    holder->cursor = Candidate(id, state, cursor);
   }
   holder->in_window = first < window;
   // The frontier queries visit a conversation once: through the kGpu list,
   // or through the kGpuAndCpu list when it holds no kGpu chunk.
   if (location == ChunkLocation::kGpu || state.ChunksAt(ChunkLocation::kGpu) == 0) {
-    const int64_t i = std::min(state.FirstChunkAt(ChunkLocation::kGpu),
-                               state.FirstChunkAt(ChunkLocation::kGpuAndCpu));
-    holder->frontier = candidate(i);
-    holder->droppable = i == state.LeadingDroppedChunks();
+    const int64_t i = state.FrontierChunk(Frontier::kFirstGpu);
+    holder->frontier = Candidate(id, state, i);
+    holder->droppable = state.FrontierChunk(Frontier::kGpuDrop) == i;
     holder->in_window = holder->in_window || i < window;
   }
 }
 
 void TwoTierKvCache::RefreshHolders() {
-  const int64_t pass = ++holder_stats_.refresh_passes;
+  const int64_t pass = ++refresh_passes_;
   for (ContextState* state : stale_) {
     state->stale_slot_ = -1;
     for (size_t k = 0; k < kNumHeldLocations; ++k) {
@@ -830,12 +812,11 @@ void TwoTierKvCache::RefreshHolders() {
         Holder& holder = holders_[k][static_cast<size_t>(slot)];
         ScanHolder(static_cast<ChunkLocation>(k), *state, &holder);
         holder.scanned_at = pass;
-        ++holder_stats_.scans;
       }
     }
   }
   stale_.clear();
-  if (holder_stats_.scanned_epoch == share_epoch()) {
+  if (scanned_epoch_ == share_epoch()) {
     return;
   }
   // A window that grew can take in chunks an entry scanned as outside it.
@@ -845,11 +826,10 @@ void TwoTierKvCache::RefreshHolders() {
       if (holder.scanned_at != pass && (holder.in_window || window_grew)) {
         ScanHolder(location, *holder.state, &holder);
         holder.scanned_at = pass;
-        ++holder_stats_.window_rescans;
       }
     }
   }
-  holder_stats_.scanned_epoch = share_epoch();
+  scanned_epoch_ = share_epoch();
   scanned_window_ = shared_prefix_window_;
 }
 
@@ -887,6 +867,18 @@ bool TwoTierKvCache::SharedGpuBlock(BlockId block) const {
   // refcount is read.
   return block != kInvalidBlock && gpu_allocator_.num_shared() > 0 &&
          gpu_allocator_.refcount(block) > 1;
+}
+
+ChunkCandidate TwoTierKvCache::Candidate(ConversationId id, const ContextState& state,
+                                         int64_t i) const {
+  ChunkCandidate c;
+  c.conversation_id = id;
+  c.chunk_index = i;
+  c.context_len = state.ChunkContextLen(i);
+  c.last_active = state.last_active();
+  const Chunk& chunk = state.chunk(i);
+  c.shared = chunk.OnGpu() && SharedGpuBlock(chunk.gpu_block);
+  return c;
 }
 
 int64_t TwoTierKvCache::LookupSharedPrefix(const std::vector<uint64_t>& chain,
@@ -1008,7 +1000,7 @@ void TwoTierKvCache::CheckInvariants() const {
   int64_t holders = 0;
   int64_t stale = 0;
   // Entries are checked unless a refresh is already owed to them.
-  const bool epoch_moved = holder_stats_.scanned_epoch != share_epoch();
+  const bool epoch_moved = scanned_epoch_ != share_epoch();
   const bool window_grew = scanned_window_ != shared_prefix_window_;
   for (const auto& [id, state] : conversations_) {
     state.CheckFrontiers();

@@ -106,17 +106,8 @@ class TwoTierKvCache {
   const FlashTier* flash_tier() const { return flash_.get(); }
 
   ContextState& GetOrCreate(ConversationId id);
-  // Found conversations are remembered in a small direct-mapped table in
-  // front of the map: an engine step looks up the same running
-  // conversations again and again. (So even a const lookup writes; like the
-  // rest of the cache, it is for one thread at a time.)
-  ContextState* Find(ConversationId id) {
-    const FoundState& found = found_[FoundSlot(id)];
-    return found.state != nullptr && found.id == id ? found.state : FindSlow(id);
-  }
-  const ContextState* Find(ConversationId id) const {
-    return const_cast<TwoTierKvCache*>(this)->Find(id);
-  }
+  ContextState* Find(ConversationId id);
+  const ContextState* Find(ConversationId id) const;
   // Frees every block owned by the conversation and forgets it.
   void Release(ConversationId id);
 
@@ -165,15 +156,10 @@ class TwoTierKvCache {
   // (the stale list) and, when the share epoch moved, every in-window entry
   // (every GPU-list entry when the window grew). Nothing else is touched.
   void RefreshHolders();
-  // Bookkeeping of the holder entries, for tests.
-  struct HolderStats {
-    int64_t refresh_passes = 0;  // RefreshHolders calls (entries' scanned_at)
-    int64_t scans = 0;           // entries re-scanned off the stale list
-    int64_t window_rescans = 0;  // in-window entries re-scanned for an epoch move
-    int64_t released_stale = 0;  // released conversations taken off the stale list
-    int64_t scanned_epoch = 0;   // share_epoch() as of the last RefreshHolders
-  };
-  const HolderStats& holder_stats() const { return holder_stats_; }
+  // RefreshHolders calls so far (the value entries' scanned_at count in).
+  int64_t refresh_passes() const { return refresh_passes_; }
+  // share_epoch() as of the last RefreshHolders.
+  int64_t scanned_epoch() const { return scanned_epoch_; }
   // Moves whenever a GPU block crosses between one holder and two, or the
   // shared-prefix window grows: the only changes that alter a candidate's
   // shared flag without changing its own conversation.
@@ -233,6 +219,10 @@ class TwoTierKvCache {
   // True when more than one view holds the block (detaching one reader
   // frees no physical memory, and a later restore is a re-attach).
   bool SharedGpuBlock(BlockId block) const;
+  // What an eviction policy scores about chunk i of conversation id: the
+  // one definition both a holder entry's cached candidates and a pass's
+  // re-scoring use, so the two agree bit for bit.
+  ChunkCandidate Candidate(ConversationId id, const ContextState& state, int64_t i) const;
   // Chunk indices a shared view can occupy: [0, window). A published block
   // holds one block of a content-hash chain that starts at token 0, so every
   // view of it sits at the same chunk index, below the longest chain ever
@@ -400,7 +390,6 @@ class TwoTierKvCache {
   void VerifyNoLeaks() const;
 
  private:
-  ContextState* FindSlow(ConversationId id) const;
   // Status-returning lookup used by the swap/drop mechanisms so bad ids or
   // chunk indices report instead of aborting (fault paths must compose).
   Status FindChunk(ConversationId id, int64_t chunk_index, ContextState** state);
@@ -462,21 +451,11 @@ class TwoTierKvCache {
   std::array<std::vector<Holder>, kNumHeldLocations> holders_;
   // Conversations whose holder entries await a re-scan (ContextState::MarkStale).
   std::vector<ContextState*> stale_;
-  HolderStats holder_stats_;
+  int64_t refresh_passes_ = 0;
+  int64_t scanned_epoch_ = 0;
   // shared_prefix_window_ as of the last RefreshHolders.
   int64_t scanned_window_ = 0;
   int64_t window_growths_ = 0;
-  // Find's table of found conversations, slot by the id's low bits (state
-  // null when empty).
-  struct FoundState {
-    ConversationId id = 0;
-    ContextState* state = nullptr;
-  };
-  static constexpr size_t kFoundSlots = 64;
-  static size_t FoundSlot(ConversationId id) {
-    return static_cast<size_t>(static_cast<uint64_t>(id) % kFoundSlots);
-  }
-  mutable std::array<FoundState, kFoundSlots> found_{};
   std::vector<EvictEvent>* event_log_ = nullptr;
   // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
   // on release or at destruction).

@@ -31,14 +31,7 @@ void CacheCoordinator::MaybeForget(ConversationId id) {
 
 double CacheCoordinator::Score(ConversationId id, const ContextState& state,
                                int64_t chunk_index, double now) const {
-  ChunkCandidate candidate;
-  candidate.conversation_id = id;
-  candidate.chunk_index = chunk_index;
-  candidate.context_len = state.ChunkContextLen(chunk_index);
-  candidate.last_active = state.last_active();
-  const Chunk& chunk = state.chunk(chunk_index);
-  candidate.shared = chunk.OnGpu() && cache_->SharedGpuBlock(chunk.gpu_block);
-  return policy_->Score(candidate, now);
+  return policy_->Score(cache_->Candidate(id, state, chunk_index), now);
 }
 
 CacheCoordinator::LocationPass CacheCoordinator::SeedLocation(ChunkLocation location,
@@ -82,36 +75,6 @@ CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, d
   return top;
 }
 
-std::optional<int64_t> CacheCoordinator::FrontierChunk(Frontier kind,
-                                                       const ContextState& state) const {
-  const int64_t n = state.num_chunks();
-  switch (kind) {
-    case Frontier::kGpuDrop: {
-      const int64_t i = state.LeadingDroppedChunks();
-      if (i < n && state.chunk(i).OnGpu()) {
-        return i;
-      }
-      break;
-    }
-    case Frontier::kCpuEvict: {
-      const int64_t i = state.LeadingDroppedOrSsdChunks();
-      if (i < n && state.chunk(i).location == ChunkLocation::kCpu) {
-        return i;
-      }
-      break;
-    }
-    case Frontier::kFirstGpu: {
-      const int64_t i = std::min(state.FirstChunkAt(ChunkLocation::kGpu),
-                                 state.FirstChunkAt(ChunkLocation::kGpuAndCpu));
-      if (i < n) {
-        return i;
-      }
-      break;
-    }
-  }
-  return std::nullopt;
-}
-
 CacheCoordinator::VictimHeap CacheCoordinator::SeedFrontier(Frontier kind,
                                                             double now) const {
   cache_->RefreshHolders();
@@ -145,8 +108,8 @@ void CacheCoordinator::PushFrontier(Frontier kind, ConversationId id, double now
   if (state == nullptr || state->pinned()) {
     return;
   }
-  if (const std::optional<int64_t> chunk = FrontierChunk(kind, *state)) {
-    heap->push(Victim{id, *chunk, Score(id, *state, *chunk, now)});
+  if (const int64_t chunk = state->FrontierChunk(kind); chunk < state->num_chunks()) {
+    heap->push(Victim{id, chunk, Score(id, *state, chunk, now)});
   }
 }
 
@@ -156,7 +119,7 @@ std::optional<CacheCoordinator::Victim> CacheCoordinator::PopFrontier(
     const Victim top = heap->pop();
     const ContextState* state = cache_->Find(top.conversation);
     if (state == nullptr || state->pinned() ||
-        FrontierChunk(kind, *state) != top.chunk_index) {
+        state->FrontierChunk(kind) != top.chunk_index) {
       continue;
     }
     const double score = Score(top.conversation, *state, top.chunk_index, now);

@@ -213,13 +213,8 @@ class CacheCoordinator {
   // views and chunks a nested DropCpuCopy moved there after the pass started.
   Victim PopLocation(ChunkLocation location, double now, LocationPass* pass) const;
 
-  // Queries with at most one candidate per conversation.
-  enum class Frontier {
-    kGpuDrop,   // first non-dropped chunk, if it is on the GPU (DropChunk target)
-    kCpuEvict,  // first chunk past the dropped/SSD prefix, if CPU-only
-    kFirstGpu,  // first GPU-resident chunk (step 3b: drop the prefix through it)
-  };
-  std::optional<int64_t> FrontierChunk(Frontier kind, const ContextState& state) const;
+  // Queries with at most one candidate per conversation
+  // (ContextState::FrontierChunk); kFirstGpu serves step 3b.
   VictimHeap SeedFrontier(Frontier kind, double now) const;
   // (Re-)enters a conversation whose candidate this coordinator just changed.
   void PushFrontier(Frontier kind, ConversationId id, double now, VictimHeap* heap) const;

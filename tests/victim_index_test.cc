@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -60,7 +61,8 @@ struct Coverage {
   // An in-window entry re-scanned in a call because a share crossing after
   // the previous call's last refresh moved the share epoch:
   int64_t window_rescans_after_crossing = 0;
-  // A conversation released while on the stale list, taken off it:
+  // A conversation with holder entries released in a call (its emptying
+  // drop put it on the stale list; CheckInvariants shows it taken off):
   int64_t released_stale_entries = 0;
 };
 Coverage coverage;
@@ -615,42 +617,68 @@ std::vector<Variant> Variants() {
 constexpr ChunkLocation kHeldLocations[] = {ChunkLocation::kGpu, ChunkLocation::kGpuAndCpu,
                                            ChunkLocation::kCpu};
 
-// Watches one entry-point call for the holder-entry coverage counters.
+// Watches one entry-point call for the holder-entry coverage counters,
+// reading only the entries and the cache's refresh and epoch counts.
 class HolderWatch {
  public:
   explicit HolderWatch(const TwoTierKvCache& cache)
       : cache_(cache),
-        before_(cache.holder_stats()),
-        crossed_(cache.share_epoch() != before_.scanned_epoch) {
+        passes_before_(cache.refresh_passes()),
+        crossed_(cache.share_epoch() != cache.scanned_epoch()) {
     for (ChunkLocation location : kHeldLocations) {
       for (const TwoTierKvCache::Holder& holder : cache.Holders(location)) {
-        scanned_at_[{location, holder.id}] = holder.scanned_at;
+        // Only a crossing can make the first refresh re-scan an in-window
+        // entry whose conversation is not stale.
+        entries_[{location, holder.id}] = {
+            holder.scanned_at, crossed_ && holder.in_window && !holder.state->stale()};
       }
     }
   }
 
   // Called after the entry point returns.
   void Count() const {
-    const TwoTierKvCache::HolderStats& after = cache_.holder_stats();
-    if (after.refresh_passes > before_.refresh_passes) {
-      for (ChunkLocation location : kHeldLocations) {
-        for (const TwoTierKvCache::Holder& holder : cache_.Holders(location)) {
-          const auto it = scanned_at_.find({location, holder.id});
-          coverage.entries_reused_across_calls +=
-              it != scanned_at_.end() && it->second > 0 && it->second == holder.scanned_at;
+    if (cache_.refresh_passes() == passes_before_) {
+      return;
+    }
+    // Every entry point refreshes before it changes any conversation, so an
+    // entry scanned by the call's first refresh was scanned for what it was
+    // when the call began.
+    const int64_t first_pass = passes_before_ + 1;
+    bool window_rescan = false;
+    for (ChunkLocation location : kHeldLocations) {
+      for (const TwoTierKvCache::Holder& holder : cache_.Holders(location)) {
+        const auto it = entries_.find({location, holder.id});
+        if (it == entries_.end()) {
+          continue;
         }
+        coverage.entries_reused_across_calls +=
+            it->second.scanned_at > 0 && it->second.scanned_at == holder.scanned_at;
+        window_rescan = window_rescan ||
+                        (it->second.rescan_owed_to_crossing && holder.scanned_at == first_pass);
       }
     }
-    coverage.window_rescans_after_crossing +=
-        crossed_ && after.window_rescans > before_.window_rescans;
-    coverage.released_stale_entries += after.released_stale - before_.released_stale;
+    coverage.window_rescans_after_crossing += window_rescan;
+    // The drop that empties a conversation marks it stale right before the
+    // release, and CheckInvariants matches the stale list to the states
+    // after every call.
+    std::set<ConversationId> released;
+    for (const auto& [key, entry] : entries_) {
+      if (cache_.Find(key.second) == nullptr) {
+        released.insert(key.second);
+      }
+    }
+    coverage.released_stale_entries += static_cast<int64_t>(released.size());
   }
 
  private:
+  struct Entry {
+    int64_t scanned_at;
+    bool rescan_owed_to_crossing;
+  };
   const TwoTierKvCache& cache_;
-  const TwoTierKvCache::HolderStats before_;
+  const int64_t passes_before_;
   const bool crossed_;
-  std::map<std::pair<ChunkLocation, ConversationId>, int64_t> scanned_at_;
+  std::map<std::pair<ChunkLocation, ConversationId>, Entry> entries_;
 };
 
 std::string Describe(const std::vector<TwoTierKvCache::EvictEvent>& log) {
