@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/kernels/attention.h"
@@ -57,14 +58,16 @@ ChunkCostEstimator ChunkCostEstimator::ProfileFromKernels(const ModelConfig& con
     sub.query_len = chunk_size;
     sub.context_len = ctx;
     sub.block_table = &block_table;
-    const auto start = std::chrono::steady_clock::now();
+    // The fastest of the timed repetitions: a preempted one only ever reads
+    // slow, so a mean would let one descheduled sample flatten the curve.
     constexpr int kReps = 3;
+    double seconds = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
       MultiTokenPagedAttention(pool, /*layer=*/0, query, {sub}, /*scale=*/0.125f, &out);
+      const auto end = std::chrono::steady_clock::now();
+      seconds = std::min(seconds, std::chrono::duration<double>(end - start).count());
     }
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds =
-        std::chrono::duration<double>(end - start).count() / kReps;
     points.emplace_back(ctx, seconds);
   }
   return FromMeasurements(chunk_size, points);
