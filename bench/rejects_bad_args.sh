@@ -49,6 +49,7 @@ for bin in "$@"; do
     expect_usage_error "$bin" --disagg=on
     expect_usage_error "$bin" --replicas=3 --disagg=on --prefill-replicas=3
     expect_usage_error "$bin" --replicas=3 --disagg=on --autoscale=on
+    # A removed switch (cross-replica peer spill) is an unknown flag now.
     expect_usage_error "$bin" --peer-spill=on
     expect_usage_error "$bin" --replicas=2 --fail-replica=5@10
     expect_usage_error "$bin" --replicas=2 --sick-replica=4@1:2

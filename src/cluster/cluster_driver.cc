@@ -81,182 +81,6 @@ struct Nic {
   }
 };
 
-// Owner of the peer-spill stash (DESIGN.md §14): per conversation, the
-// contiguous token segment [first_token, last_token) parked in `peer`'s CPU
-// tier. Every spilled token leaves the stash exactly once — fetched back,
-// degraded by a NIC fault, invalidated, or still remaining at run end — and
-// the hole rule lives here: a segment that would not line up with the
-// conversation's frontier is invalidated rather than risk a gapped prefix.
-class PeerSpillBroker {
- public:
-  PeerSpillBroker(ReplicaSet* replicas, Nic* nic)
-      : replicas_(replicas), nic_(nic) {}
-
-  // A CPU-tier eviction replica `src` offered out: extend the conversation's
-  // segment on its peer, or park a fresh one on the dispatchable peer with
-  // the most idle CPU budget. The chunk was dropped locally either way, so a
-  // declined or failed offer costs nothing beyond the recompute the drop
-  // already implied.
-  void Offer(int32_t src, const PeerSpillOffer& o, double now) {
-    ++stats_.offers;
-    auto it = stash_.find(o.conversation_id);
-    if (it != stash_.end() && o.first_token != it->second.last_token) {
-      // Non-contiguous with the existing stash (the frontier moved past it
-      // some other way): invalidate before stashing afresh.
-      Invalidate(Take(it));
-      it = stash_.end();
-    }
-    const bool extend = it != stash_.end();
-    const int32_t peer =
-        extend ? it->second.peer : RoomiestPeer(src, o.num_tokens);
-    if (peer < 0 || !replicas_->Dispatchable(peer) ||
-        (*replicas_)[peer].engine().ReserveForeignCpuTokens(o.num_tokens) ==
-            0) {
-      ++stats_.declined_offers;
-      return;
-    }
-    if (!nic_->Ship(src, peer, now, o.bytes).delivered) {
-      (*replicas_)[peer].engine().ReleaseForeignCpuTokens(o.num_tokens);
-      ++stats_.failed_transfers;
-      return;
-    }
-    Segment& seg = extend ? it->second : stash_[o.conversation_id];
-    if (!extend) {
-      seg = Segment{peer, o.first_token, o.first_token, 0.0};
-    }
-    seg.last_token += o.num_tokens;
-    seg.bytes += o.bytes;
-    ++stats_.spills;
-    stats_.spilled_tokens += o.num_tokens;
-    stats_.spilled_bytes += o.bytes;
-    stash_tokens_ += o.num_tokens;
-    stats_.stash_peak_tokens = std::max(stats_.stash_peak_tokens, stash_tokens_);
-  }
-
-  // Applied at route time: if the routed conversation has a segment parked
-  // on a peer, pull it back over the NIC (or adopt it in place when the
-  // request landed on the stash-holding peer) so it rejoins the dropped
-  // prefix before admission. A delivery carrying migrated KV invalidates the
-  // segment instead: the import's frontier won't line up with it. So does a
-  // target that would refuse the segment, before anything is shipped.
-  void FetchBack(Replica::Delivery* delivery, int32_t target, double now) {
-    const int64_t conv = delivery->request.conversation_id;
-    auto it = stash_.find(conv);
-    if (it == stash_.end()) {
-      return;
-    }
-    const Segment seg = Take(it);
-    Replica& holder = (*replicas_)[seg.peer];
-    Engine& dst = (*replicas_)[target].engine();
-    // A dead holder is a stale entry (invalidation raced its crash).
-    if (!delivery->migrated.Empty() || !holder.alive()) {
-      Invalidate(seg);
-      return;
-    }
-    // Released before the target's room test: when the target holds the
-    // stash itself, these are the blocks the segment lands in.
-    holder.engine().ReleaseForeignCpuTokens(seg.len());
-    if (!dst.AcceptsPeerPrefix(conv, seg.first_token, seg.last_token,
-                               delivery->request.history_len)) {
-      stats_.invalidated_tokens += seg.len();
-      return;
-    }
-    if (seg.peer != target) {
-      const LinkTransferOutcome out =
-          nic_->Ship(seg.peer, target, now, seg.bytes);
-      if (!out.delivered) {
-        ++stats_.failed_transfers;
-        stats_.degraded_tokens += seg.len();  // recomputes at the target
-        return;
-      }
-      // The request waits for its stash like it would for a migration.
-      delivery->time = std::max(delivery->time, out.done);
-      stats_.fetched_bytes += seg.bytes;
-    }
-    const int64_t adopted = dst.AcceptPeerPrefix(
-        conv, seg.first_token, seg.last_token, delivery->request.history_len,
-        now);
-    ++stats_.fetchbacks;
-    stats_.fetched_tokens += adopted;
-    stats_.invalidated_tokens += seg.len() - adopted;
-  }
-
-  // Segments parked on `peer` die with its CPU tier (crash) or retire with
-  // its engine (scale-down); either way there is nothing left to release.
-  void DropPeer(int32_t peer) {
-    for (auto it = stash_.begin(); it != stash_.end();) {
-      if (it->second.peer == peer) {
-        stats_.invalidated_tokens += it->second.len();
-        stash_tokens_ -= it->second.len();
-        it = stash_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  // Segments never fetched back close the identity:
-  // spilled == fetched + degraded + invalidated + remaining.
-  PeerSpillStats Finish() const {
-    PeerSpillStats stats = stats_;
-    for (const auto& [conv, seg] : stash_) {
-      stats.remaining_tokens += seg.len();
-    }
-    return stats;
-  }
-
- private:
-  struct Segment {
-    int32_t peer = -1;
-    int64_t first_token = 0;
-    int64_t last_token = 0;
-    double bytes = 0.0;
-    int64_t len() const { return last_token - first_token; }
-  };
-  using Stash = std::unordered_map<int64_t, Segment>;
-
-  Segment Take(Stash::iterator it) {
-    const Segment seg = it->second;
-    stash_tokens_ -= seg.len();
-    stash_.erase(it);
-    return seg;
-  }
-
-  // Hole rule: the segment is given up, and its holder (if alive) gets the
-  // reserved CPU budget back.
-  void Invalidate(const Segment& seg) {
-    stats_.invalidated_tokens += seg.len();
-    Replica& holder = (*replicas_)[seg.peer];
-    if (holder.alive()) {
-      holder.engine().ReleaseForeignCpuTokens(seg.len());
-    }
-  }
-
-  // The dispatchable peer other than `src` with the most idle CPU budget,
-  // or -1 when none has room for `tokens`.
-  int32_t RoomiestPeer(int32_t src, int64_t tokens) const {
-    int32_t best = -1;
-    int64_t best_idle = 0;
-    for (int32_t j = 0; j < replicas_->size(); ++j) {
-      if (j == src || !replicas_->Dispatchable(j)) {
-        continue;
-      }
-      const int64_t idle = (*replicas_)[j].engine().IdleCpuCacheTokens();
-      if (idle > best_idle) {
-        best_idle = idle;
-        best = j;
-      }
-    }
-    return best_idle < tokens ? -1 : best;
-  }
-
-  ReplicaSet* replicas_;
-  Nic* nic_;
-  Stash stash_;
-  int64_t stash_tokens_ = 0;
-  PeerSpillStats stats_;
-};
-
 // One prefill->decode KV stream on the NIC (DESIGN.md §13). Indexed by its
 // kHandoffArrival event id; the entry outlives the stream so a replica
 // failure between launch and arrival can void the payload in place.
@@ -448,7 +272,6 @@ class ClusterSim {
         scaler_(elastic_.autoscale),
         probe_faults_(MakeProbeInjector(options)),
         arrivals_(trace, &events_),
-        spill_(&replicas_, &nic_),
         handoff_(&faults_),
         views_(static_cast<size_t>(options.num_replicas)) {
     if (elastic_.autoscale.enabled) {
@@ -620,11 +443,6 @@ class ClusterSim {
     return false;
   }
 
-  void DeliverRouted(int32_t target, Replica::Delivery delivery, double now) {
-    spill_.FetchBack(&delivery, target, now);
-    replicas_[target].Deliver(std::move(delivery));
-  }
-
   void Orphan(const Request& req) {
     orphans_.push_back(req);
     ++faults_.orphaned_requests;
@@ -659,7 +477,7 @@ class ClusterSim {
       }
       delivery.migrated = state;
     }
-    DeliverRouted(decision.target, std::move(delivery), now);
+    replicas_[decision.target].Deliver(std::move(delivery));
   }
 
   // Re-routes one delivery drained off a still-alive replica `src`
@@ -705,7 +523,7 @@ class ClusterSim {
       *drained_kv_tokens += state.resident_tokens;
     }
     out.migrated = state;
-    DeliverRouted(decision.target, std::move(out), base);
+    replicas_[decision.target].Deliver(std::move(out));
   }
 
   void OnFail(const SimEvent& event) {
@@ -721,7 +539,6 @@ class ClusterSim {
     // restarts healthy on recovery.
     router_->NotifyReplicaDown(id);
     health_.Reset(id);
-    spill_.DropPeer(id);
     Replica::FailureDrain drain = victim.Fail(event.time);
     ++faults_.failures;
     faults_.lost_kv_tokens += drain.lost_kv_tokens;
@@ -905,7 +722,6 @@ class ClusterSim {
     for (const Replica::Delivery& d : drain.deliveries) {
       RerouteDrained(d, victim, now, &autoscale_.drained_kv_tokens);
     }
-    spill_.DropPeer(victim);
     autoscale_.released_kv_tokens += r.Retire(now);
     health_.Reset(victim);
     NoteScaled(now, victim, /*up=*/false, signal_tokens, p99);
@@ -967,12 +783,6 @@ class ClusterSim {
       } else {
         Finished(outcome);
       }
-    }
-    // CPU-pressure drops this step recorded as peer offers (only engines
-    // built with peer spill record any): place each on a peer with idle CPU
-    // budget, or let it stay the plain drop it was.
-    for (const PeerSpillOffer& o : stepped.engine().TakePeerSpillOffers()) {
-      spill_.Offer(id, o, stepped.now());
     }
     ++total_steps_;
   }
@@ -1145,7 +955,6 @@ class ClusterSim {
     summary.handoff = handoff_.stats();
     summary.elastic.health = health_.stats();
     summary.elastic.autoscale = autoscale_;
-    summary.elastic.peer_spill = spill_.Finish();
     if (options_.disagg.enabled) {
       summary.prefill_replicas = options_.disagg.prefill_replicas;
     }
@@ -1167,7 +976,6 @@ class ClusterSim {
   ArrivalProcess arrivals_;
   MigrationStats migration_;
   FaultStats faults_;
-  PeerSpillBroker spill_;
   HandoffTracker handoff_;
   // Requests with no alive replica to run on; flushed at the next bring-up.
   std::vector<Request> orphans_;

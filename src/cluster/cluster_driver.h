@@ -17,11 +17,10 @@
 // experiment core (src/sim/event_loop.h + src/serving/experiment_core.h):
 // one typed event queue interleaves arrivals, scheduled replica faults,
 // handoff-stream arrivals and the health/autoscale timers with replica
-// steps, and each event kind has one handler method. Two owners keep their
-// state apart from the loop: PeerSpillBroker (the peer-spill stash, its
-// hole rule and PeerSpillStats) and HandoffTracker (disaggregated merge
-// chains, in-flight KV streams and HandoffStats). RunClusterExperiment
-// builds a ClusterSim, runs it and returns its summary.
+// steps, and each event kind has one handler method. HandoffTracker keeps
+// the disaggregated merge chains, in-flight KV streams and HandoffStats
+// apart from the loop. RunClusterExperiment builds a ClusterSim, runs it
+// and returns its summary.
 
 #ifndef PENSIEVE_SRC_CLUSTER_CLUSTER_DRIVER_H_
 #define PENSIEVE_SRC_CLUSTER_CLUSTER_DRIVER_H_
@@ -91,9 +90,7 @@ struct ClusterOptions {
   // quarantine and queue/latency-driven autoscaling. Both off by default,
   // leaving the run bit-identical to the inelastic driver. With autoscaling,
   // num_replicas is the slot count (= max_replicas); only
-  // autoscale.min_replicas slots start active. Cross-replica CPU-tier spill
-  // has no cluster switch: it runs whenever the engines were built with
-  // EngineOverrides::peer_spill, since only those offer anything to spill.
+  // autoscale.min_replicas slots start active.
   ElasticOptions elastic;
   // Safety valve on total scheduler iterations across all replicas
   // (0 = unlimited).

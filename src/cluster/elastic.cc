@@ -202,29 +202,6 @@ std::string FormatElasticSummary(const ElasticStats& stats) {
                   static_cast<long long>(a.released_kv_tokens));
     out += buf;
   }
-  const PeerSpillStats& p = stats.peer_spill;
-  if (p.offers > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "peer-spill-bytes:  %.1f MB out (%lld spills of %lld "
-                  "offers, %lld declined, %lld failed), %.1f MB fetched\n",
-                  p.spilled_bytes / 1e6, static_cast<long long>(p.spills),
-                  static_cast<long long>(p.offers),
-                  static_cast<long long>(p.declined_offers),
-                  static_cast<long long>(p.failed_transfers),
-                  p.fetched_bytes / 1e6);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "peer-spill-tokens: %lld spilled = %lld fetched + %lld "
-                  "degraded + %lld invalidated + %lld remaining (peak stash "
-                  "%lld)\n",
-                  static_cast<long long>(p.spilled_tokens),
-                  static_cast<long long>(p.fetched_tokens),
-                  static_cast<long long>(p.degraded_tokens),
-                  static_cast<long long>(p.invalidated_tokens),
-                  static_cast<long long>(p.remaining_tokens),
-                  static_cast<long long>(p.stash_peak_tokens));
-    out += buf;
-  }
   return out;
 }
 

@@ -74,9 +74,6 @@ struct EngineOverrides {
   // CPU/SSD tiers hold ~2x the conversations and off-GPU transfers move the
   // compressed bytes; GPU-resident KV stays fp32.
   bool kv_quant = false;
-  // Cross-replica CPU-tier spill (cluster runs only, DESIGN.md §14): record
-  // CPU-pressure drops as peer offers for the cluster driver to place.
-  bool peer_spill = false;
 
   // The one home of the engine option rules: flash geometry, a flash tier
   // only on kPensieve, int8 KV only on the Pensieve variants.

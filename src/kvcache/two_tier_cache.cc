@@ -60,12 +60,7 @@ TwoTierKvCache::TwoTierKvCache(const KvCacheConfig& config)
   }
 }
 
-TwoTierKvCache::~TwoTierKvCache() {
-  // Peer-spill reservations the cluster never fetched back die with the
-  // replica; return them before the leak audit.
-  ReleaseForeignCpuBlocks(static_cast<int64_t>(foreign_cpu_blocks_.size()));
-  VerifyNoLeaks();
-}
+TwoTierKvCache::~TwoTierKvCache() { VerifyNoLeaks(); }
 
 ContextState& TwoTierKvCache::GetOrCreate(ConversationId id) {
   auto it = conversations_.find(id);
@@ -583,14 +578,15 @@ Status TwoTierKvCache::RestoreDropped(ConversationId id, int64_t chunk_index) {
   return Status::Ok();
 }
 
-int64_t TwoTierKvCache::ImportCpuResident(ConversationId id, int64_t kv_len,
-                                          int64_t resident_tokens) {
+int64_t TwoTierKvCache::ImportResident(ConversationId id, int64_t kv_len,
+                                       int64_t resident_tokens,
+                                       bool gpu_direct) {
   PENSIEVE_CHECK(Find(id) == nullptr) << "import over live conversation " << id;
   PENSIEVE_CHECK_LE(resident_tokens, kv_len);
   ContextState& state = GetOrCreate(id);
   state.InitializeImported(kv_len);
-  // Materialize CPU copies for the trailing resident region, newest first,
-  // keeping the dropped region a prefix (the cache-wide invariant).
+  // Materialize the trailing resident region newest first, keeping the
+  // dropped region a prefix (the cache-wide invariant).
   int64_t budget = resident_tokens;
   int64_t imported = 0;
   for (int64_t i = state.num_chunks() - 1; i >= 0; --i) {
@@ -598,39 +594,14 @@ int64_t TwoTierKvCache::ImportCpuResident(ConversationId id, int64_t kv_len,
     if (budget < c.num_tokens) {
       break;
     }
-    auto cpu_block = cpu_allocator_.Allocate();
-    if (!cpu_block.has_value()) {
-      break;
-    }
-    c.cpu_block = *cpu_block;
-    SetLocation(id, state, i, ChunkLocation::kCpu);
-    c.cpu_checksum = ComputeCpuChecksum(id, i, c);
-    c.cpu_corrupt = false;
-    budget -= c.num_tokens;
-    imported += c.num_tokens;
-  }
-  return imported;
-}
-
-int64_t TwoTierKvCache::ImportGpuResident(ConversationId id, int64_t kv_len,
-                                          int64_t resident_tokens) {
-  PENSIEVE_CHECK(Find(id) == nullptr) << "import over live conversation " << id;
-  PENSIEVE_CHECK_LE(resident_tokens, kv_len);
-  ContextState& state = GetOrCreate(id);
-  state.InitializeImported(kv_len);
-  int64_t budget = resident_tokens;
-  int64_t imported = 0;
-  for (int64_t i = state.num_chunks() - 1; i >= 0; --i) {
-    Chunk& c = state.mutable_chunk(i);
-    if (budget < c.num_tokens) {
-      break;
-    }
-    if (auto gpu_block = gpu_allocator_.Allocate(); gpu_block.has_value()) {
+    if (auto gpu_block =
+            gpu_direct ? gpu_allocator_.Allocate() : std::nullopt;
+        gpu_block.has_value()) {
       c.gpu_block = *gpu_block;
       SetLocation(id, state, i, ChunkLocation::kGpu);
     } else if (auto cpu_block = cpu_allocator_.Allocate(); cpu_block.has_value()) {
-      // GPU pool full: bounce this chunk through host memory like an
-      // ordinary migration; the swap-in path restores it on first use.
+      // Host-memory landing (or a full GPU pool under gpu_direct): the
+      // swap-in path restores the chunk on first use.
       c.cpu_block = *cpu_block;
       SetLocation(id, state, i, ChunkLocation::kCpu);
       c.cpu_checksum = ComputeCpuChecksum(id, i, c);
@@ -642,63 +613,6 @@ int64_t TwoTierKvCache::ImportGpuResident(ConversationId id, int64_t kv_len,
     imported += c.num_tokens;
   }
   return imported;
-}
-
-int64_t TwoTierKvCache::ReserveForeignCpuBlocks(int64_t blocks) {
-  PENSIEVE_CHECK_GE(blocks, 0);
-  if (blocks == 0 || cpu_allocator_.num_free() < blocks) {
-    return 0;
-  }
-  for (int64_t i = 0; i < blocks; ++i) {
-    auto block = cpu_allocator_.Allocate();
-    PENSIEVE_CHECK(block.has_value());
-    foreign_cpu_blocks_.push_back(*block);
-  }
-  return blocks;
-}
-
-void TwoTierKvCache::ReleaseForeignCpuBlocks(int64_t blocks) {
-  PENSIEVE_CHECK_LE(blocks, static_cast<int64_t>(foreign_cpu_blocks_.size()));
-  for (int64_t i = 0; i < blocks; ++i) {
-    cpu_allocator_.Free(foreign_cpu_blocks_.back());
-    foreign_cpu_blocks_.pop_back();
-  }
-}
-
-Status TwoTierKvCache::RestoreDroppedToCpu(ConversationId id,
-                                           int64_t chunk_index) {
-  ContextState* state_ptr = nullptr;
-  Status found = FindChunk(id, chunk_index, &state_ptr);
-  if (!found.ok()) {
-    return found;
-  }
-  ContextState& state = *state_ptr;
-  Chunk& c = state.mutable_chunk(chunk_index);
-  if (!c.Dropped()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu requires a dropped chunk");
-  }
-  // Keep the dropped region a prefix: only the trailing edge may come back.
-  if (chunk_index + 1 != state.LeadingDroppedChunks()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu only legal at the dropped-prefix frontier");
-  }
-  // A flash run must remain a contiguous extension of the dropped prefix; a
-  // CPU copy below an SSD chunk would break it.
-  if (chunk_index + 1 < state.num_chunks() &&
-      state.chunk(chunk_index + 1).OnSsd()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu would split the conversation's flash run");
-  }
-  auto cpu_block = cpu_allocator_.Allocate();
-  if (!cpu_block.has_value()) {
-    return Status::ResourceExhausted("CPU tier full during peer-prefix adopt");
-  }
-  c.cpu_block = *cpu_block;
-  SetLocation(id, state, chunk_index, ChunkLocation::kCpu);
-  c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
-  c.cpu_corrupt = false;
-  return Status::Ok();
 }
 
 std::vector<BlockId> TwoTierKvCache::GpuBlockTable(ConversationId id,
@@ -984,11 +898,9 @@ void TwoTierKvCache::VerifyNoLeaks() const {
   PENSIEVE_CHECK_EQ(gpu_refs, gpu_allocator_.live_refs())
       << "GPU KV block leak: " << gpu_allocator_.live_refs()
       << " live references but only " << gpu_refs << " chunk views";
-  cpu_refs += static_cast<int64_t>(foreign_cpu_blocks_.size());
   PENSIEVE_CHECK_EQ(cpu_refs, cpu_allocator_.live_refs())
       << "CPU KV block leak: " << cpu_allocator_.live_refs()
-      << " live references but only " << cpu_refs
-      << " chunk views + foreign reservations";
+      << " live references but only " << cpu_refs << " chunk views";
 }
 
 void TwoTierKvCache::CheckInvariants() const {
@@ -1089,11 +1001,9 @@ void TwoTierKvCache::CheckInvariants() const {
         << "block " << block << " refcount disagrees with its view count";
   }
   // The CPU tier is never shared: views, live references, and physical
-  // blocks all coincide — plus whatever is reserved for peer spill, which
-  // holds references without views.
-  const int64_t foreign = static_cast<int64_t>(foreign_cpu_blocks_.size());
-  PENSIEVE_CHECK_EQ(cpu_in_use + foreign, cpu_allocator_.num_allocated());
-  PENSIEVE_CHECK_EQ(cpu_in_use + foreign, cpu_allocator_.live_refs());
+  // blocks all coincide.
+  PENSIEVE_CHECK_EQ(cpu_in_use, cpu_allocator_.num_allocated());
+  PENSIEVE_CHECK_EQ(cpu_in_use, cpu_allocator_.live_refs());
   // Trie references are weak but must never dangle: invalidation happens
   // when the last view releases the block.
   for (BlockId b : trie_.ReferencedBlocks()) {

@@ -275,7 +275,7 @@ class TwoTierKvCache {
 
   // --- Checksums / fault handling ----------------------------------------
   // Every CPU copy carries a checksum recorded when the copy was created
-  // (SwapOut / ImportCpuResident) and re-verified before it is trusted
+  // (SwapOut / ImportResident) and re-verified before it is trusted
   // again. SwapIn verifies internally and fails with DATA_LOSS — leaving
   // the chunk untouched — so a corrupted copy can only ever degrade to
   // recomputation, never flow back to the GPU.
@@ -291,49 +291,17 @@ class TwoTierKvCache {
 
   // --- Cluster migration --------------------------------------------------
   // Adopts a conversation migrated from another replica: `kv_len` tokens of
-  // chunk bookkeeping whose trailing `resident_tokens` arrive as CPU-tier
-  // copies (migrated KV lands in host memory); the leading remainder is
-  // dropped. When the CPU tier lacks blocks the resident region shrinks
-  // from the front (oldest KV is the cheapest to lose). The conversation
-  // must not already be tracked. Returns the tokens actually materialized
-  // in the CPU tier.
-  int64_t ImportCpuResident(ConversationId id, int64_t kv_len,
-                            int64_t resident_tokens);
-
-  // Same adoption, but the resident region lands directly in the GPU tier
-  // (a layer-pipelined handoff stream writes into the decode replica's KV
-  // pool, so no swap-in is owed before first use). Chunks that cannot get a
-  // GPU block degrade to CPU-tier copies; when both tiers are exhausted the
-  // remaining leading region stays dropped. Returns the tokens materialized
-  // in either tier.
-  int64_t ImportGpuResident(ConversationId id, int64_t kv_len,
-                            int64_t resident_tokens);
-
-  // Frees exactly one GPU block by downgrading some kGpuAndCpu chunk chosen
-  // by the caller. Convenience for the coordinator: equivalent to
-  // ReclaimGpu.
-  // (No extra method needed; coordinator calls ReclaimGpu directly.)
-
-  // --- Cross-replica CPU-tier spill (DESIGN.md §14) -----------------------
-  // Reserves real CPU-tier blocks to hold a peer replica's spilled KV.
-  // All-or-nothing: returns `blocks` when the reservation succeeded, 0 when
-  // the tier is short. Reserved blocks hold allocator references without a
-  // chunk view; the leak audit accounts them separately.
-  int64_t ReserveForeignCpuBlocks(int64_t blocks);
-  // Returns `blocks` previously reserved blocks to the free list (the stash
-  // was fetched back or invalidated).
-  void ReleaseForeignCpuBlocks(int64_t blocks);
-  int64_t foreign_cpu_blocks() const {
-    return static_cast<int64_t>(foreign_cpu_blocks_.size());
-  }
-
-  // kDropped -> kCpu: re-adopts one chunk of a fetched-back spill segment as
-  // a fresh CPU copy (checksummed like any SwapOut product). Only legal at
-  // the trailing edge of the dropped prefix — the chunk right before the
-  // first resident chunk — and only when that resident chunk is not on SSD
-  // (a flash run must stay a contiguous extension of the dropped prefix).
-  // Walk backward from the frontier to adopt a multi-chunk segment.
-  Status RestoreDroppedToCpu(ConversationId id, int64_t chunk_index);
+  // chunk bookkeeping whose trailing `resident_tokens` arrive resident; the
+  // leading remainder is dropped. The resident region lands as CPU-tier
+  // copies (migrated KV arrives in host memory), or with `gpu_direct`
+  // straight in the GPU tier (a layer-pipelined handoff stream writes into
+  // the decode replica's KV pool, so no swap-in is owed before first use);
+  // a chunk that cannot get a GPU block degrades to a CPU copy. When the
+  // tiers run out the resident region shrinks from the front (oldest KV is
+  // the cheapest to lose). The conversation must not already be tracked.
+  // Returns the tokens materialized in either tier.
+  int64_t ImportResident(ConversationId id, int64_t kv_len,
+                         int64_t resident_tokens, bool gpu_direct);
 
   // Builds the GPU block table covering the conversation's chunks
   // [first_chunk, num_chunks); every such chunk must be GPU-resident.
@@ -457,9 +425,6 @@ class TwoTierKvCache {
   int64_t scanned_window_ = 0;
   int64_t window_growths_ = 0;
   std::vector<EvictEvent>* event_log_ = nullptr;
-  // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
-  // on release or at destruction).
-  std::vector<BlockId> foreign_cpu_blocks_;
   Counters counters_;
 };
 

@@ -255,25 +255,9 @@ bool CacheCoordinator::EvictCpuFrontierChunk(const Victim& victim) {
     // Flash full of pinned chunks, or the CPU copy failed its checksum:
     // fall through to dropping.
   }
-  // Cross-replica spill: the chunk is a clean CPU frontier copy and is about
-  // to be dropped either way; offering it to a peer is pure upside (a failed
-  // transfer degrades to exactly this drop).
-  const bool offerable = options_.peer_spill && !chunk.cpu_corrupt;
-  const int64_t offer_tokens = chunk.num_tokens;
   // DropThroughPrefix also takes down any SSD chunks of this conversation
   // when flash admission stalls mid-conversation.
-  if (!cache_->DropThroughPrefix(victim.conversation, victim.chunk_index).ok()) {
-    return false;
-  }
-  if (offerable) {
-    PeerOffer offer;
-    offer.conversation = victim.conversation;
-    offer.chunk_index = victim.chunk_index;
-    offer.first_token = victim.chunk_index * cache_->block_size();
-    offer.num_tokens = offer_tokens;
-    pending_peer_offers_.push_back(offer);
-  }
-  return true;
+  return cache_->DropThroughPrefix(victim.conversation, victim.chunk_index).ok();
 }
 
 bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
@@ -331,12 +315,6 @@ CacheCoordinator::SpillOutcome CacheCoordinator::TakeSpill() {
   SpillOutcome spill = std::move(pending_spill_);
   pending_spill_ = SpillOutcome{};
   return spill;
-}
-
-std::vector<CacheCoordinator::PeerOffer> CacheCoordinator::TakePeerOffers() {
-  std::vector<PeerOffer> offers = std::move(pending_peer_offers_);
-  pending_peer_offers_.clear();
-  return offers;
 }
 
 CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,

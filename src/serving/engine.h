@@ -89,12 +89,6 @@ struct EngineStats {
   int64_t cow_copies = 0;
   // High-water mark of physical GPU blocks held by more than one view.
   int64_t peak_shared_blocks = 0;
-  // --- Cross-replica CPU-tier spill accounting (DESIGN.md §14). All zero
-  // when --peer-spill is off. Tokens this engine's CPU-tier evictions
-  // offered out to peers, and foreign tokens re-adopted into the local
-  // dropped prefix from a peer's stash.
-  int64_t peer_spill_out_tokens = 0;
-  int64_t peer_spill_in_tokens = 0;
   // --- KV-quantization accounting. All zero when kv_quant is off. ---
   // Blocks int8-quantized crossing the GPU->CPU tier boundary, and the
   // cumulative bytes compression kept off the CPU/SSD tiers.
@@ -148,8 +142,6 @@ struct EngineStats {
     ssd_gc_runs += other.ssd_gc_runs;
     ssd_failed_demotes += other.ssd_failed_demotes;
     ssd_planned_recompute_tokens += other.ssd_planned_recompute_tokens;
-    peer_spill_out_tokens += other.peer_spill_out_tokens;
-    peer_spill_in_tokens += other.peer_spill_in_tokens;
     dedup_hit_requests += other.dedup_hit_requests;
     reused_shared_tokens += other.reused_shared_tokens;
     shared_attached_chunks += other.shared_attached_chunks;
@@ -262,16 +254,15 @@ struct DrainedWork {
   int64_t lost_generated_tokens = 0;
 };
 
-// One CPU-tier eviction offered to a peer replica instead of being dropped
-// (cross-replica spill, DESIGN.md §14). Token offsets are absolute within
-// the conversation's history; the chunk was at the leading edge of the
-// dropped/SSD prefix, so successive offers of one conversation are
-// contiguous and stack into a single peer-side segment.
+// Kept only for the benchmark's TracedEngine decorator (perfbench/driver/),
+// which overrides the five peer-spill virtuals at the end of Engine: the
+// cross-replica spill feature is gone and nothing in the library calls them.
+// Delete this block and those virtuals together with the overrides.
 struct PeerSpillOffer {
   int64_t conversation_id = 0;
   int64_t first_token = 0;
   int64_t num_tokens = 0;
-  double bytes = 0.0;  // wire size across all tensor-parallel slices
+  double bytes = 0.0;
 };
 
 class Engine {
@@ -337,39 +328,11 @@ class Engine {
   // exportable over the migration path.
   virtual DrainedWork DrainForRehome() { return DrainUnfinished(); }
 
-  // --- Cross-replica CPU-tier spill (DESIGN.md §14) ------------------------
-  // Drains the CPU-tier evictions this engine offered to peers since the
-  // last call. The chunks were dropped locally either way; a successful peer
-  // transfer is pure upside and a failed one degrades to exactly the
-  // recompute path the drop already implied.
+  // Uncalled; see PeerSpillOffer above.
   virtual std::vector<PeerSpillOffer> TakePeerSpillOffers() { return {}; }
-
-  // Idle CPU-tier capacity (tokens) a peer's spill could occupy.
   virtual int64_t IdleCpuCacheTokens() const { return 0; }
-
-  // Reserves CPU-tier capacity for a peer's spilled KV (all-or-nothing;
-  // returns the tokens actually reserved, 0 when the tier is short), and
-  // releases it again when the stash is fetched back or invalidated.
   virtual int64_t ReserveForeignCpuTokens(int64_t tokens) { return 0; }
   virtual void ReleaseForeignCpuTokens(int64_t tokens) {}
-
-  // Whether AcceptPeerPrefix would adopt any of the stash segment
-  // [first_token, last_token): the placement rules, plus one free CPU-tier
-  // block. The cluster driver asks before it ships a segment back (after
-  // releasing the stash's own reservation), so a segment that would adopt
-  // nothing never crosses the NIC.
-  virtual bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token,
-                                 int64_t last_token,
-                                 int64_t kv_len_hint) const {
-    return false;
-  }
-
-  // Re-adopts a fetched-back stash segment [first_token, last_token) into
-  // the conversation's dropped prefix ahead of its next request.
-  // `kv_len_hint` is the conversation's history length per the incoming
-  // request, used when this engine has no bookkeeping for it. Returns the
-  // tokens actually adopted: 0 when AcceptsPeerPrefix refuses the segment,
-  // fewer than offered when the CPU tier runs out of room.
   virtual int64_t AcceptPeerPrefix(int64_t conversation_id,
                                    int64_t first_token, int64_t last_token,
                                    int64_t kv_len_hint, double now) {

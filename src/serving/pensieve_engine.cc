@@ -40,9 +40,6 @@ CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& op
   coord.swap_out_target = options.swap_out_threshold;
   coord.conversation_granularity =
       options.policy == EvictionPolicyKind::kConversationLru;
-  // Peer spill only ever targets chunk-granularity CPU evictions.
-  coord.peer_spill = options.peer_spill && options.use_cpu_cache &&
-                     !coord.conversation_granularity;
   return coord;
 }
 
@@ -1024,101 +1021,6 @@ DrainedWork PensieveEngine::DrainForRehome() {
   return DrainUnfinished();
 }
 
-std::vector<PeerSpillOffer> PensieveEngine::TakePeerSpillOffers() {
-  std::vector<PeerSpillOffer> offers;
-  for (const CacheCoordinator::PeerOffer& o : coordinator_.TakePeerOffers()) {
-    PeerSpillOffer out;
-    out.conversation_id = o.conversation;
-    out.first_token = o.first_token;
-    out.num_tokens = o.num_tokens;
-    out.bytes = static_cast<double>(o.num_tokens) *
-                static_cast<double>(kv_wire_bytes_per_token_) *
-                static_cast<double>(cost_model_.hardware().num_gpus);
-    stats_.peer_spill_out_tokens += o.num_tokens;
-    offers.push_back(out);
-  }
-  return offers;
-}
-
-int64_t PensieveEngine::IdleCpuCacheTokens() const {
-  return cache_.cpu_allocator().num_free() * options_.block_size;
-}
-
-int64_t PensieveEngine::ReserveForeignCpuTokens(int64_t tokens) {
-  PENSIEVE_CHECK_GE(tokens, 0);
-  if (tokens == 0) {
-    return 0;
-  }
-  const int64_t blocks =
-      (tokens + options_.block_size - 1) / options_.block_size;
-  return cache_.ReserveForeignCpuBlocks(blocks) == blocks ? tokens : 0;
-}
-
-void PensieveEngine::ReleaseForeignCpuTokens(int64_t tokens) {
-  PENSIEVE_CHECK_GE(tokens, 0);
-  const int64_t blocks =
-      (tokens + options_.block_size - 1) / options_.block_size;
-  cache_.ReleaseForeignCpuBlocks(blocks);
-}
-
-bool PensieveEngine::AcceptsPeerPrefix(int64_t conversation_id,
-                                       int64_t first_token, int64_t last_token,
-                                       int64_t kv_len_hint) const {
-  if (last_token <= first_token) {
-    return false;
-  }
-  // Adopting anything takes one free CPU block: for the frontier chunk, or
-  // for the import's newest chunk when there is no local state.
-  if (cache_.cpu_allocator().num_free() == 0) {
-    return false;
-  }
-  const ContextState* conv = cache_.Find(conversation_id);
-  if (conv == nullptr) {
-    // No local bookkeeping: the segment is adoptable only as the trailing
-    // end of the conversation's full history (everything after it would
-    // otherwise be silently forgotten).
-    return kv_len_hint > 0 && last_token == kv_len_hint;
-  }
-  // A racing request is already recomputing locally; never clobber it. The
-  // stash must also still line up with the dropped frontier (the local copy
-  // may have been dropped deeper or restored past it; adopting would leave
-  // a hole in the prefix), and hold at least the frontier's last chunk.
-  const int64_t dropped_chunks = conv->LeadingDroppedChunks();
-  return inflight_.find(conversation_id) == inflight_.end() &&
-         conv->LeadingDroppedTokens() == last_token &&
-         conv->ChunkStartToken(dropped_chunks - 1) >= first_token;
-}
-
-int64_t PensieveEngine::AcceptPeerPrefix(int64_t conversation_id,
-                                         int64_t first_token,
-                                         int64_t last_token,
-                                         int64_t kv_len_hint, double now) {
-  if (!AcceptsPeerPrefix(conversation_id, first_token, last_token,
-                         kv_len_hint)) {
-    return 0;
-  }
-  ContextState* conv = cache_.Find(conversation_id);
-  int64_t adopted = 0;
-  if (conv == nullptr) {
-    adopted = cache_.ImportCpuResident(conversation_id, kv_len_hint,
-                                       last_token - first_token);
-    conv = cache_.Find(conversation_id);
-  } else {
-    for (int64_t chunk = conv->LeadingDroppedChunks() - 1;
-         chunk >= 0 && conv->ChunkStartToken(chunk) >= first_token; --chunk) {
-      if (!cache_.RestoreDroppedToCpu(conversation_id, chunk).ok()) {
-        break;  // CPU tier full (or flash run below): keep what landed
-      }
-      adopted += conv->chunk(chunk).num_tokens;
-    }
-  }
-  if (adopted > 0) {
-    conv->set_last_active(now);
-    stats_.peer_spill_in_tokens += adopted;
-  }
-  return adopted;
-}
-
 int64_t PensieveEngine::TotalCachedTokens() const {
   int64_t total = 0;
   for (const auto& [id, conv] : cache_.conversations()) {
@@ -1151,11 +1053,8 @@ int64_t PensieveEngine::ImportConversationState(int64_t conversation_id,
     cache_.Release(conversation_id);
   }
   const int64_t adopted =
-      state.gpu_direct
-          ? cache_.ImportGpuResident(conversation_id, state.kv_len,
-                                     state.resident_tokens)
-          : cache_.ImportCpuResident(conversation_id, state.kv_len,
-                                     state.resident_tokens);
+      cache_.ImportResident(conversation_id, state.kv_len,
+                            state.resident_tokens, state.gpu_direct);
   cache_.Find(conversation_id)->set_last_active(now);
   stats_.migrated_in_tokens += adopted;
   return adopted;

@@ -78,10 +78,6 @@ struct PensieveEngineOptions {
   // promote, migration — is priced at the compressed size. Read only at
   // construction (cache codec and wire size). Off by default.
   bool kv_quant = false;
-  // Cross-replica CPU-tier spill (DESIGN.md §14): record CPU-pressure drops
-  // as peer offers instead of discarding them silently. Off by default; the
-  // local eviction sequence is identical either way.
-  bool peer_spill = false;
 };
 
 class PensieveEngine final : public Engine {
@@ -112,17 +108,6 @@ class PensieveEngine final : public Engine {
   // running requests' conversations and re-drops their restored chunks so
   // every drained conversation is immediately exportable.
   DrainedWork DrainForRehome() override;
-
-  // Cross-replica CPU-tier spill (DESIGN.md §14).
-  std::vector<PeerSpillOffer> TakePeerSpillOffers() override;
-  int64_t IdleCpuCacheTokens() const override;
-  int64_t ReserveForeignCpuTokens(int64_t tokens) override;
-  void ReleaseForeignCpuTokens(int64_t tokens) override;
-  bool AcceptsPeerPrefix(int64_t conversation_id, int64_t first_token,
-                         int64_t last_token, int64_t kv_len_hint) const override;
-  int64_t AcceptPeerPrefix(int64_t conversation_id, int64_t first_token,
-                           int64_t last_token, int64_t kv_len_hint,
-                           double now) override;
 
   // Introspection for tests.
   const TwoTierKvCache& cache() const { return cache_; }

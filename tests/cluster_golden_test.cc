@@ -65,9 +65,9 @@ ClusterSummary RunDisaggFlashScenario() {
 }
 
 // Scenario (ii): an autoscaled 1..3 replica set whose replica 0 has a starved
-// CPU tier and spills to its peers, with probes (one sick window), one crash
-// + recovery and NIC faults.
-ClusterSummary RunElasticSpillScenario() {
+// CPU tier, with probes (one sick window), one crash + recovery and NIC
+// faults.
+ClusterSummary RunElasticScenario() {
   const GpuCostModel model = Opt13BModel();
   TraceOptions t;
   t.num_conversations = 60;
@@ -98,7 +98,6 @@ ClusterSummary RunElasticSpillScenario() {
         EngineOverrides o;
         o.cache_scale = 0.15;
         o.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
-        o.peer_spill = true;
         return MakeEngine(SystemKind::kPensieve, model, o);
       },
       trace, options);
@@ -136,8 +135,6 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   EXPECT_EQ(s.cluster.engine_stats.kv_quant_blocks, 2099);
   EXPECT_EQ(s.cluster.engine_stats.dedup_hit_requests, 16);
   EXPECT_EQ(s.cluster.engine_stats.reused_shared_tokens, 3360);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_out_tokens, 0);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_in_tokens, 0);
   ExpectNearRel(349.60768962327529, s.cluster.engine_stats.busy_seconds);
   ExpectNearRel(14.640717818165243, s.cluster.engine_stats.recompute_seconds);
   ExpectNearRel(1.8371414052594344, s.load_imbalance);
@@ -183,17 +180,6 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   EXPECT_EQ(s.elastic.autoscale.released_kv_tokens, 0);
   EXPECT_EQ(s.elastic.autoscale.peak_active_replicas, 4);
   EXPECT_EQ(s.elastic.autoscale.min_active_replicas, 4);
-  EXPECT_EQ(s.elastic.peer_spill.offers, 0);
-  EXPECT_EQ(s.elastic.peer_spill.declined_offers, 0);
-  EXPECT_EQ(s.elastic.peer_spill.spills, 0);
-  EXPECT_EQ(s.elastic.peer_spill.spilled_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.fetchbacks, 0);
-  EXPECT_EQ(s.elastic.peer_spill.fetched_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.failed_transfers, 0);
-  EXPECT_EQ(s.elastic.peer_spill.degraded_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.invalidated_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.remaining_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.stash_peak_tokens, 0);
   EXPECT_EQ(s.replicas[0].completed_requests, 0);
   ExpectNearRel(15.572643183498577, s.replicas[0].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[1].completed_requests, 101);
@@ -204,26 +190,26 @@ TEST(ClusterGoldenTest, DisaggFlashQuantTemplatesProbesCrashNicFaults) {
   ExpectNearRel(124.46636786015702, s.replicas[3].engine_stats.busy_seconds);
 }
 
-TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
-  const ClusterSummary s = RunElasticSpillScenario();
+TEST(ClusterGoldenTest, AutoscaleStarvedCpuProbesCrashNicFaults) {
+  const ClusterSummary s = RunElasticScenario();
   ASSERT_EQ(s.replicas.size(), 3u);
   EXPECT_EQ(s.cluster.completed_requests, 329);
-  ExpectNearRel(501.87730121815304, s.cluster.makespan);
+  ExpectNearRel(505.70225209142023, s.cluster.makespan);
   ExpectNearRel(1.1430196885061252, s.cluster.window_begin);
   ExpectNearRel(11.430196885061251, s.cluster.window_end);
   EXPECT_EQ(s.cluster.window_completions, 57);
   ExpectNearRel(5.540878601671956, s.cluster.throughput_rps);
   ExpectNearRel(702.33066486105054, s.cluster.token_throughput);
-  ExpectNearRel(0.020029171111825297, s.cluster.mean_normalized_latency);
+  ExpectNearRel(0.020029171111825294, s.cluster.mean_normalized_latency);
   ExpectNearRel(0.020344084970187633, s.cluster.p50_normalized_latency);
   ExpectNearRel(0.023562973418416299, s.cluster.p90_normalized_latency);
   ExpectNearRel(0.028889300002214763, s.cluster.p99_normalized_latency);
   ExpectNearRel(0.19152742037791631, s.cluster.mean_ttft);
   ExpectNearRel(2.3258960614162305, s.cluster.p99_ttft);
-  ExpectNearRel(0.022193754277381586, s.cluster.p99_itl);
-  EXPECT_EQ(s.cluster.engine_stats.steps, 28498);
+  ExpectNearRel(0.022193754277381576, s.cluster.p99_itl);
+  EXPECT_EQ(s.cluster.engine_stats.steps, 28743);
   EXPECT_EQ(s.cluster.engine_stats.generated_tokens, 66686);
-  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 268868);
+  EXPECT_EQ(s.cluster.engine_stats.prefill_tokens, 268356);
   EXPECT_EQ(s.cluster.engine_stats.reused_gpu_tokens, 60816);
   EXPECT_EQ(s.cluster.engine_stats.reused_cpu_tokens, 31996);
   EXPECT_EQ(s.cluster.engine_stats.reused_ssd_tokens, 0);
@@ -236,11 +222,9 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.cluster.engine_stats.kv_quant_blocks, 0);
   EXPECT_EQ(s.cluster.engine_stats.dedup_hit_requests, 0);
   EXPECT_EQ(s.cluster.engine_stats.reused_shared_tokens, 0);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_out_tokens, 300695);
-  EXPECT_EQ(s.cluster.engine_stats.peer_spill_in_tokens, 3648);
-  ExpectNearRel(569.76148735079312, s.cluster.engine_stats.busy_seconds);
-  ExpectNearRel(48.313730064045593, s.cluster.engine_stats.recompute_seconds);
-  ExpectNearRel(2.628483005868373, s.load_imbalance);
+  ExpectNearRel(573.5864382240604, s.cluster.engine_stats.busy_seconds);
+  ExpectNearRel(48.30440228175498, s.cluster.engine_stats.recompute_seconds);
+  ExpectNearRel(2.6309604602787973, s.load_imbalance);
   EXPECT_EQ(s.migration.migrations, 3);
   EXPECT_EQ(s.migration.rehomes, 0);
   EXPECT_EQ(s.migration.migrated_tokens, 870);
@@ -254,10 +238,10 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.faults.orphaned_requests, 0);
   EXPECT_EQ(s.faults.lost_kv_tokens, 316);
   EXPECT_EQ(s.faults.lost_generated_tokens, 116);
-  EXPECT_EQ(s.nic_link_faults.transfers, 9500);
-  EXPECT_EQ(s.nic_link_faults.faulted_transfers, 2935);
-  EXPECT_EQ(s.nic_link_faults.retries, 4121);
-  EXPECT_EQ(s.nic_link_faults.exhausted_transfers, 88);
+  EXPECT_EQ(s.nic_link_faults.transfers, 3);
+  EXPECT_EQ(s.nic_link_faults.faulted_transfers, 1);
+  EXPECT_EQ(s.nic_link_faults.retries, 1);
+  EXPECT_EQ(s.nic_link_faults.exhausted_transfers, 0);
   EXPECT_EQ(s.handoff.handoff_requests, 0);
   EXPECT_EQ(s.handoff.colocated_requests, 0);
   EXPECT_EQ(s.handoff.streams, 0);
@@ -269,33 +253,22 @@ TEST(ClusterGoldenTest, AutoscalePeerSpillProbesCrashNicFaults) {
   EXPECT_EQ(s.handoff.local_handoffs, 0);
   ExpectNearRel(0, s.handoff.overlap_saved_seconds);
   ExpectNearRel(0, s.handoff.stream_wait_seconds);
-  EXPECT_EQ(s.elastic.health.probes_sent, 2878);
+  EXPECT_EQ(s.elastic.health.probes_sent, 2904);
   EXPECT_EQ(s.elastic.health.probes_failed, 10);
   EXPECT_EQ(s.elastic.health.quarantines, 1);
   EXPECT_EQ(s.elastic.health.reinstatements, 1);
   EXPECT_EQ(s.elastic.health.drained_requests, 8);
   EXPECT_EQ(s.elastic.health.drained_kv_tokens, 870);
   EXPECT_EQ(s.elastic.health.voided_streams, 0);
-  EXPECT_EQ(s.elastic.autoscale.scale_ups, 2);
-  EXPECT_EQ(s.elastic.autoscale.scale_downs, 2);
+  EXPECT_EQ(s.elastic.autoscale.scale_ups, 3);
+  EXPECT_EQ(s.elastic.autoscale.scale_downs, 3);
   EXPECT_EQ(s.elastic.autoscale.drained_requests, 0);
   EXPECT_EQ(s.elastic.autoscale.drained_kv_tokens, 0);
   EXPECT_EQ(s.elastic.autoscale.released_kv_tokens, 17310);
   EXPECT_EQ(s.elastic.autoscale.peak_active_replicas, 3);
   EXPECT_EQ(s.elastic.autoscale.min_active_replicas, 2);
-  EXPECT_EQ(s.elastic.peer_spill.offers, 9490);
-  EXPECT_EQ(s.elastic.peer_spill.declined_offers, 0);
-  EXPECT_EQ(s.elastic.peer_spill.spills, 9402);
-  EXPECT_EQ(s.elastic.peer_spill.spilled_tokens, 297879);
-  EXPECT_EQ(s.elastic.peer_spill.fetchbacks, 7);
-  EXPECT_EQ(s.elastic.peer_spill.fetched_tokens, 3648);
-  EXPECT_EQ(s.elastic.peer_spill.failed_transfers, 88);
-  EXPECT_EQ(s.elastic.peer_spill.degraded_tokens, 0);
-  EXPECT_EQ(s.elastic.peer_spill.invalidated_tokens, 274849);
-  EXPECT_EQ(s.elastic.peer_spill.remaining_tokens, 19382);
-  EXPECT_EQ(s.elastic.peer_spill.stash_peak_tokens, 37670);
   EXPECT_EQ(s.replicas[0].completed_requests, 250);
-  ExpectNearRel(499.20279563328262, s.replicas[0].engine_stats.busy_seconds);
+  ExpectNearRel(503.02774650654993, s.replicas[0].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[1].completed_requests, 5);
   ExpectNearRel(5.1232901491145304, s.replicas[1].engine_stats.busy_seconds);
   EXPECT_EQ(s.replicas[2].completed_requests, 74);

@@ -208,8 +208,9 @@ KvCacheConfig SmallCacheConfig(int64_t gpu_blocks, int64_t cpu_blocks) {
 
 TEST(ImportGpuResidentTest, ResidentRegionLandsOnGpu) {
   TwoTierKvCache cache(SmallCacheConfig(/*gpu_blocks=*/8, /*cpu_blocks=*/8));
-  const int64_t imported = cache.ImportGpuResident(1, /*kv_len=*/20,
-                                                   /*resident_tokens=*/20);
+  const int64_t imported = cache.ImportResident(1, /*kv_len=*/20,
+                                                /*resident_tokens=*/20,
+                                                /*gpu_direct=*/true);
   EXPECT_EQ(imported, 20);
   const ContextState* state = cache.Find(1);
   ASSERT_NE(state, nullptr);
@@ -221,7 +222,7 @@ TEST(ImportGpuResidentTest, ResidentRegionLandsOnGpu) {
 
 TEST(ImportGpuResidentTest, FallsBackToCpuWhenGpuIsFull) {
   TwoTierKvCache cache(SmallCacheConfig(/*gpu_blocks=*/2, /*cpu_blocks=*/8));
-  const int64_t imported = cache.ImportGpuResident(1, 20, 20);
+  const int64_t imported = cache.ImportResident(1, 20, 20, /*gpu_direct=*/true);
   EXPECT_EQ(imported, 20);
   const ContextState* state = cache.Find(1);
   ASSERT_NE(state, nullptr);
@@ -241,14 +242,14 @@ TEST(ImportGpuResidentTest, FallsBackToCpuWhenGpuIsFull) {
 
 TEST(ImportGpuResidentTest, ExhaustedTiersLeaveLeadingPrefixDropped) {
   TwoTierKvCache cache(SmallCacheConfig(/*gpu_blocks=*/2, /*cpu_blocks=*/1));
-  const int64_t imported = cache.ImportGpuResident(1, 20, 20);
+  const int64_t imported = cache.ImportResident(1, 20, 20, /*gpu_direct=*/true);
   EXPECT_EQ(imported, 12);  // 2 GPU blocks + 1 CPU block of 4 tokens each
   cache.CheckInvariants();
 }
 
 TEST(ImportGpuResidentTest, ReleaseLeavesNoOrphanedBlocks) {
   TwoTierKvCache cache(SmallCacheConfig(/*gpu_blocks=*/4, /*cpu_blocks=*/4));
-  cache.ImportGpuResident(1, 24, 24);
+  cache.ImportResident(1, 24, 24, /*gpu_direct=*/true);
   cache.Release(1);
   cache.gpu_allocator().CheckAllFree();
   cache.cpu_allocator().CheckAllFree();

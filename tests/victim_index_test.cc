@@ -270,9 +270,6 @@ class BruteForceCoordinator {
   }
 
   CacheCoordinator::SpillOutcome TakeSpill() { return std::exchange(spill_, {}); }
-  std::vector<CacheCoordinator::PeerOffer> TakePeerOffers() {
-    return std::exchange(offers_, {});
-  }
 
  private:
   struct Victim {
@@ -411,14 +408,7 @@ class BruteForceCoordinator {
       }
       ++spill_.failed_demotes;
     }
-    const bool offerable = options_.peer_spill && !chunk.cpu_corrupt;
-    if (!cache_->DropThroughPrefix(v.conversation, v.chunk_index).ok()) {
-      return false;
-    }
-    if (offerable) {
-      offers_.push_back({v.conversation, v.chunk_index, v.chunk_index * kBlock, tokens});
-    }
-    return true;
+    return cache_->DropThroughPrefix(v.conversation, v.chunk_index).ok();
   }
 
   void DropWhole(ConversationId id) {
@@ -450,7 +440,6 @@ class BruteForceCoordinator {
   Options options_;
   std::function<bool(ConversationId)> may_forget_;
   CacheCoordinator::SpillOutcome spill_;
-  std::vector<CacheCoordinator::PeerOffer> offers_;
   double failed_at_ = -1.0;
   int64_t failed_available_ = -1;
   bool in_swap_pass_ = false;
@@ -600,13 +589,11 @@ std::vector<Variant> Variants() {
   for (EvictionPolicyKind kind : {EvictionPolicyKind::kRetentionValue, EvictionPolicyKind::kLru,
                                   EvictionPolicyKind::kCostOnly,
                                   EvictionPolicyKind::kConversationLru}) {
-    // Modes: GPU cache only (drops), CPU tier, CPU + flash demotion, CPU +
-    // peer-spill offers.
-    for (int mode = 0; mode < 4; ++mode) {
+    // Modes: GPU cache only (drops), CPU tier, CPU + flash demotion.
+    for (int mode = 0; mode < 3; ++mode) {
       CacheCoordinator::Options o;
       o.swap_out_target = 0.6;
       o.use_cpu_cache = mode != 0;
-      o.peer_spill = mode == 3;
       o.conversation_granularity = kind == EvictionPolicyKind::kConversationLru;
       variants.push_back({kind, o, /*flash=*/mode == 2});
     }
@@ -738,10 +725,6 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
     }
     const auto spill = coordinator.TakeSpill();
     line << " spill " << spill.demoted_tokens << " " << spill.failed_demotes;
-    for (const auto& offer : coordinator.TakePeerOffers()) {
-      line << " offer " << offer.conversation << "/" << offer.chunk_index << "+"
-           << offer.num_tokens;
-    }
     line << " | " << Describe(log);
     log.clear();
     transcript.push_back(line.str());

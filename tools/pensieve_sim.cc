@@ -171,7 +171,7 @@ void PrintClusterSummary(const ClusterSummary& cs, const ModelConfig& model,
   // Empty unless the run actually handed off, so colocated output is
   // bit-identical to pre-disaggregation builds.
   std::printf("%s", FormatHandoffSummary(cs.handoff).c_str());
-  // Likewise empty when no probing, scaling, or spill happened.
+  // Likewise empty when no probing or scaling happened.
   std::printf("%s", FormatElasticSummary(cs.elastic).c_str());
   PrintCacheFeatureLines(s.engine_stats);
   for (size_t i = 0; i < cs.replicas.size(); ++i) {
@@ -286,11 +286,6 @@ int Run(int argc, char** argv) {
                   "also grow when the p99 normalized latency (ms/token) of "
                   "recently finished requests exceeds this (0 = queue-depth "
                   "signal only)");
-  flags.AddBool("peer-spill", false,
-                "cross-replica CPU-tier spill (DESIGN.md §14): on offers "
-                "an overloaded replica's CPU-tier evictions to a peer with "
-                "idle CPU budget over the NIC instead of dropping them; "
-                "off is bit-identical to the unshared tiers");
   flags.AddString("fail-replica", "",
                   "kill replica ID at virtual time T: ID@T[,ID@T...]; its KV "
                   "is lost and its requests re-route to surviving replicas");
@@ -355,7 +350,6 @@ int Run(int argc, char** argv) {
   overrides.ssd_segment_blocks = flags.GetInt("ssd-segment-blocks");
   overrides.ssd_fault_profile = fault_config.ssd;
   overrides.kv_quant = flags.GetBool("kv-quant");
-  overrides.peer_spill = flags.GetBool("peer-spill");
   QuantMode weight_quant = QuantMode::kFp32;
   if (!QuantModeByName(flags.GetString("weight-quant"), &weight_quant)) {
     ExitWithUsage(flags, "unknown weight-quant '" +
@@ -422,10 +416,6 @@ int Run(int argc, char** argv) {
     if (!status.ok()) {
       ExitWithUsage(flags, status.ToString());
     }
-  }
-  // One replica has no peer: its spill offers would all be declined.
-  if (overrides.peer_spill && replicas < 2) {
-    ExitWithUsage(flags, "--peer-spill=on needs --replicas >= 2");
   }
 
   const GpuCostModel cost_model(model, A100Spec(model.num_gpus), weight_quant);
