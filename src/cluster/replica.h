@@ -78,7 +78,6 @@ class Replica {
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
   const std::string& engine_name() const { return engine_name_; }
-  double now() const { return clock_.now(); }
 
   // Combined engine stats across every incarnation of this replica: retired
   // stats from engines destroyed by failures plus the current engine's.

@@ -594,9 +594,9 @@ int64_t TwoTierKvCache::ImportResident(ConversationId id, int64_t kv_len,
     if (budget < c.num_tokens) {
       break;
     }
-    if (auto gpu_block =
-            gpu_direct ? gpu_allocator_.Allocate() : std::nullopt;
-        gpu_block.has_value()) {
+    const std::optional<BlockId> gpu_block =
+        gpu_direct ? gpu_allocator_.Allocate() : std::nullopt;
+    if (gpu_block.has_value()) {
       c.gpu_block = *gpu_block;
       SetLocation(id, state, i, ChunkLocation::kGpu);
     } else if (auto cpu_block = cpu_allocator_.Allocate(); cpu_block.has_value()) {
