@@ -255,9 +255,9 @@ struct DrainedWork {
 };
 
 // Kept only for the benchmark's TracedEngine decorator (perfbench/driver/),
-// which overrides the five peer-spill virtuals at the end of Engine: the
+// which overrides the five peer-spill virtuals of Engine below: the
 // cross-replica spill feature is gone and nothing in the library calls them.
-// Delete this block and those virtuals together with the overrides.
+// Delete this struct and those virtuals together with the overrides.
 struct PeerSpillOffer {
   int64_t conversation_id = 0;
   int64_t first_token = 0;
