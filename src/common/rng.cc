@@ -23,15 +23,6 @@ double Rng::Exponential(double mean) {
   return dist(engine_);
 }
 
-int64_t Rng::Poisson(double mean) {
-  PENSIEVE_CHECK_GE(mean, 0.0);
-  if (mean == 0.0) {
-    return 0;
-  }
-  std::poisson_distribution<int64_t> dist(mean);
-  return dist(engine_);
-}
-
 double Rng::LogNormalWithMean(double mean, double stddev) {
   PENSIEVE_CHECK_GT(mean, 0.0);
   PENSIEVE_CHECK_GT(stddev, 0.0);

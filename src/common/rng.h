@@ -24,9 +24,6 @@ class Rng {
   // Exponential with the given mean (mean = 1 / rate).
   double Exponential(double mean);
 
-  // Poisson-distributed count with the given mean.
-  int64_t Poisson(double mean);
-
   // Log-normal parameterized by the *target* mean and standard deviation of
   // the resulting distribution (not of the underlying normal).
   double LogNormalWithMean(double mean, double stddev);

@@ -9,10 +9,6 @@ namespace pensieve {
 
 void SampleStats::Add(double value) { samples_.push_back(value); }
 
-void SampleStats::Merge(const SampleStats& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-}
-
 double SampleStats::Sum() const {
   double sum = 0.0;
   for (double s : samples_) {
@@ -24,26 +20,6 @@ double SampleStats::Sum() const {
 double SampleStats::Mean() const {
   PENSIEVE_CHECK(!samples_.empty());
   return Sum() / static_cast<double>(samples_.size());
-}
-
-double SampleStats::Min() const {
-  PENSIEVE_CHECK(!samples_.empty());
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleStats::Max() const {
-  PENSIEVE_CHECK(!samples_.empty());
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double SampleStats::Stddev() const {
-  PENSIEVE_CHECK(!samples_.empty());
-  const double mean = Mean();
-  double acc = 0.0;
-  for (double s : samples_) {
-    acc += (s - mean) * (s - mean);
-  }
-  return std::sqrt(acc / static_cast<double>(samples_.size()));
 }
 
 double SampleStats::Percentile(double q) const {
@@ -60,26 +36,6 @@ double SampleStats::Percentile(double q) const {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t num_buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(num_buckets)),
-      counts_(num_buckets, 0) {
-  PENSIEVE_CHECK_GT(hi, lo);
-  PENSIEVE_CHECK_GT(num_buckets, 0u);
-}
-
-void Histogram::Add(double value) {
-  double idx = (value - lo_) / width_;
-  long bucket = static_cast<long>(idx);
-  bucket = std::clamp<long>(bucket, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(bucket)];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  PENSIEVE_CHECK_LT(i, counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace pensieve

@@ -8,21 +8,17 @@
 
 namespace pensieve {
 
-// Accumulates samples and answers mean / percentile / min / max queries.
+// Accumulates samples and answers sum / mean / percentile queries.
 // Percentile queries sort a copy lazily; fine for offline metrics.
 class SampleStats {
  public:
   void Add(double value);
-  void Merge(const SampleStats& other);
 
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
   double Sum() const;
   double Mean() const;
-  double Min() const;
-  double Max() const;
-  double Stddev() const;
   // q in [0, 1]; linear interpolation between closest ranks.
   double Percentile(double q) const;
 
@@ -30,27 +26,6 @@ class SampleStats {
 
  private:
   std::vector<double> samples_;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bucket. Used for quick distribution sanity checks in tests.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t num_buckets);
-
-  void Add(double value);
-
-  size_t bucket_count() const { return counts_.size(); }
-  size_t BucketCount(size_t i) const { return counts_[i]; }
-  double BucketLow(size_t i) const;
-  size_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
 };
 
 }  // namespace pensieve

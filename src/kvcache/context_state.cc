@@ -123,15 +123,6 @@ std::vector<int64_t> ContextState::SsdChunks() const {
   return idx;
 }
 
-bool ContextState::FullyOnGpu() const {
-  for (const Chunk& c : chunks_) {
-    if (!c.OnGpu()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void ContextState::AppendTokens(int64_t n, const std::vector<BlockId>& new_gpu_blocks,
                                 std::vector<SlotRef>* slots) {
   PENSIEVE_CHECK_EQ(static_cast<int64_t>(new_gpu_blocks.size()), NumNewChunksForAppend(n));

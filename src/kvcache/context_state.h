@@ -121,9 +121,6 @@ class ContextState {
   // conversation's next request can run.
   std::vector<int64_t> SsdChunks() const;
 
-  // True when every non-dropped chunk is GPU-resident.
-  bool FullyOnGpu() const;
-
   // Appends bookkeeping for `n` more tokens; newly needed chunks are created
   // with the provided GPU blocks. The caller supplies exactly
   // NumNewChunksForAppend(n) block ids. Returns per-token (block, slot)

@@ -27,7 +27,7 @@ Transformer::Transformer(const ModelConfig& config, uint64_t seed,
   // handed out here, serially and in a fixed order (embedding, learned
   // positions, then per layer wqkv, bqkv, wo, up, gate, down); the draws
   // then run concurrently, so each weight is the same at any thread count.
-  // A projection is drawn straight into its packed panels: Forward only
+  // A projection is drawn straight into its packed panels: ForwardInto only
   // multiplies against panels, so no fp32 copy of it is ever kept.
   // weight_quant selects the payload type for every projection including
   // the tied LM head.
@@ -259,12 +259,6 @@ void Transformer::ForwardInto(KvPool* pool, const ForwardBatch& batch,
     *logits = Tensor(logits_shape);
   }
   MatMulPackedInto(selected_normed, lm_head_packed_, logits);
-}
-
-Tensor Transformer::Forward(KvPool* pool, const ForwardBatch& batch) const {
-  Tensor logits;
-  ForwardInto(pool, batch, &logits);
-  return logits;
 }
 
 int32_t Transformer::Greedy(const Tensor& logits, int64_t row) {

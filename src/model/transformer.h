@@ -46,7 +46,7 @@ struct ForwardBatch {
   };
   std::vector<KvSlot> kv_slots;
   // Attention work items; query_start indexes rows of `tokens`. Block tables
-  // referenced here must outlive the Forward call.
+  // referenced here must outlive the ForwardInto call.
   std::vector<AttentionSubRequest> subs;
   // Rows whose logits the caller wants (one per generating request).
   std::vector<int64_t> logit_rows;
@@ -68,13 +68,9 @@ class Transformer {
   // that shape its buffer is reused (the steady-state decode path: no
   // allocation at all); otherwise it is replaced with a freshly allocated
   // tensor. Intermediate activations come from the internal workspace, so
-  // the call is NOT reentrant: one Forward/ForwardInto at a time per model
+  // the call is NOT reentrant: one ForwardInto at a time per model
   // instance.
   void ForwardInto(KvPool* pool, const ForwardBatch& batch, Tensor* logits) const;
-
-  // Allocating convenience wrapper around ForwardInto. The returned tensor
-  // owns its buffer (it never aliases the workspace).
-  Tensor Forward(KvPool* pool, const ForwardBatch& batch) const;
 
   // Argmax over one logits row.
   static int32_t Greedy(const Tensor& logits, int64_t row);
@@ -113,7 +109,7 @@ class Transformer {
   std::vector<LayerWeights> layers_;
   PackedMatrix lm_head_packed_;  // packed embedding_ (tied LM head)
   // Activation arena, rewound per pass. Mutable: arena reuse is invisible in
-  // the numeric results, so Forward stays logically const.
+  // the numeric results, so ForwardInto stays logically const.
   mutable Workspace workspace_;
 };
 

@@ -27,7 +27,7 @@ struct Request {
   double arrival_time = 0.0;
   // Shared-prefix template metadata: the conversation's first
   // `template_prefix_len` raw tokens are the deterministic token stream of
-  // template `template_id` (TemplatePrefixToken), identical across every
+  // template `template_id` (TemplatePrefixMix), identical across every
   // conversation carrying the same id. -1 = no template.
   int32_t template_id = -1;
   int64_t template_prefix_len = 0;

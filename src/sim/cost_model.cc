@@ -84,15 +84,6 @@ double GpuCostModel::StepTime(const std::vector<BatchItem>& items) const {
   return dense_time + attention_time + overhead;
 }
 
-double GpuCostModel::SwapTime(int64_t num_tokens) const {
-  // Each tensor-parallel worker moves its own KV partition over its own
-  // PCIe link concurrently, so per-token transfer time uses the per-GPU
-  // share of the KV bytes.
-  const double bytes =
-      static_cast<double>(KvBytesPerToken()) * static_cast<double>(num_tokens);
-  return bytes / hw_.pcie_bandwidth;
-}
-
 double GpuCostModel::ChunkRecomputeCost(int64_t chunk_size, int64_t context_len) const {
   const double attn = AttentionTime(chunk_size, context_len);
   // Recomputation rides inside a unified batch, so its dense cost is the

@@ -64,9 +64,6 @@ class GpuCostModel {
   // KV bytes per token per GPU (fp16), for swap sizing.
   int64_t KvBytesPerToken() const { return model_.KvBytesPerTokenPerGpu(); }
 
-  // Transfer time of `num_tokens` KV over PCIe at full one-direction speed.
-  double SwapTime(int64_t num_tokens) const;
-
   // --- Eviction-policy profiling hooks (paper §4.3.1) --------------------
   // Cost of recomputing a chunk of `chunk_size` tokens whose last token has
   // context `context_len`: Cost_attention(chunk, l) + Cost_other(chunk).

@@ -32,118 +32,4 @@ double TpLinkGroup::ScheduleDeviceToHost(double now, double bytes_per_worker) {
   return done;
 }
 
-TpWorkerGroup::TpWorkerGroup(int num_workers, int64_t num_gpu_blocks,
-                             int64_t num_cpu_blocks) {
-  PENSIEVE_CHECK_GT(num_workers, 0);
-  workers_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(num_gpu_blocks, num_cpu_blocks));
-  }
-}
-
-Status TpWorkerGroup::Validate(const CachePlan& plan) const {
-  const Worker& w = *workers_.front();
-  // Simulate the plan against a copy of the occupancy to catch intra-plan
-  // conflicts (free-then-free, allocate-beyond-capacity).
-  int64_t gpu_free = w.gpu.num_free();
-  int64_t cpu_free = w.cpu.num_free();
-  std::vector<int8_t> gpu_delta(static_cast<size_t>(w.gpu.capacity()), 0);
-  std::vector<int8_t> cpu_delta(static_cast<size_t>(w.cpu.capacity()), 0);
-  for (const CachePlan::Op& op : plan.ops) {
-    switch (op.kind) {
-      case CachePlan::OpKind::kAllocateGpu:
-        if (gpu_free == 0) {
-          return Status::ResourceExhausted("plan over-allocates GPU blocks");
-        }
-        --gpu_free;
-        break;
-      case CachePlan::OpKind::kAllocateCpu:
-        if (cpu_free == 0) {
-          return Status::ResourceExhausted("plan over-allocates CPU blocks");
-        }
-        --cpu_free;
-        break;
-      case CachePlan::OpKind::kFreeGpu: {
-        if (op.block < 0 || op.block >= w.gpu.capacity()) {
-          return Status::InvalidArgument("plan frees an out-of-range GPU block");
-        }
-        int8_t& d = gpu_delta[static_cast<size_t>(op.block)];
-        if (!w.gpu.IsAllocated(op.block) || d != 0) {
-          return Status::FailedPrecondition("plan frees a non-allocated GPU block");
-        }
-        d = 1;
-        ++gpu_free;
-        break;
-      }
-      case CachePlan::OpKind::kFreeCpu: {
-        if (op.block < 0 || op.block >= w.cpu.capacity()) {
-          return Status::InvalidArgument("plan frees an out-of-range CPU block");
-        }
-        int8_t& d = cpu_delta[static_cast<size_t>(op.block)];
-        if (!w.cpu.IsAllocated(op.block) || d != 0) {
-          return Status::FailedPrecondition("plan frees a non-allocated CPU block");
-        }
-        d = 1;
-        ++cpu_free;
-        break;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status TpWorkerGroup::ApplyToAll(const CachePlan& plan) {
-  Status status = Validate(plan);
-  if (!status.ok()) {
-    return status;
-  }
-  for (auto& worker : workers_) {
-    PENSIEVE_CHECK_GT(plan.step_id, worker->last_step)
-        << "cache plans must be applied in order";
-    for (const CachePlan::Op& op : plan.ops) {
-      switch (op.kind) {
-        case CachePlan::OpKind::kAllocateGpu:
-          PENSIEVE_CHECK(worker->gpu.Allocate().has_value());
-          break;
-        case CachePlan::OpKind::kAllocateCpu:
-          PENSIEVE_CHECK(worker->cpu.Allocate().has_value());
-          break;
-        case CachePlan::OpKind::kFreeGpu:
-          worker->gpu.Free(op.block);
-          break;
-        case CachePlan::OpKind::kFreeCpu:
-          worker->cpu.Free(op.block);
-          break;
-      }
-    }
-    worker->last_step = plan.step_id;
-  }
-  PENSIEVE_CHECK(ReplicasConsistent())
-      << "tensor-parallel replicas diverged after plan " << plan.step_id;
-  return Status::Ok();
-}
-
-bool TpWorkerGroup::ReplicasConsistent() const {
-  const Worker& first = *workers_.front();
-  for (size_t i = 1; i < workers_.size(); ++i) {
-    const Worker& w = *workers_[i];
-    if (w.gpu.num_free() != first.gpu.num_free() ||
-        w.cpu.num_free() != first.cpu.num_free() ||
-        w.last_step != first.last_step) {
-      return false;
-    }
-    for (BlockId b = 0; b < first.gpu.capacity(); ++b) {
-      if (w.gpu.IsAllocated(b) != first.gpu.IsAllocated(b)) {
-        return false;
-      }
-    }
-    for (BlockId b = 0; b < first.cpu.capacity(); ++b) {
-      if (w.cpu.IsAllocated(b) != first.cpu.IsAllocated(b)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace pensieve

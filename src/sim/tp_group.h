@@ -1,29 +1,21 @@
-// Tensor-parallel worker group (paper §4.4.2).
+// Per-worker PCIe links of a tensor-parallel engine (paper §4.4.2).
 //
 // For multi-GPU models, Pensieve partitions the model — and therefore the
 // KV cache — along the feature dimension across N workers, one per GPU.
 // Cache decisions are made once by the scheduler; because partitioning is
 // feature-wise, the *same* migration plan applies to every worker, each of
 // which moves its own 1/N slice of every chunk over its own PCIe link.
-//
-// Two pieces:
-//  * TpLinkGroup  — N per-worker PCIe links; a transfer of per-worker
-//    `bytes` is scheduled on every link, and the group completion is the
-//    slowest worker's completion (links can be skewed).
-//  * TpWorkerGroup — N mirrored block-allocator replicas that all apply the
-//    scheduler's CachePlan; a consistency audit verifies the replicas never
-//    diverge (the property §4.4.2 relies on).
+// TpLinkGroup holds those N links: a transfer of per-worker `bytes` is
+// scheduled on every link, and the group completion is the slowest
+// worker's completion (links can be skewed). The simulator models the rest
+// of tensor parallelism in GpuCostModel.
 
 #ifndef PENSIEVE_SRC_SIM_TP_GROUP_H_
 #define PENSIEVE_SRC_SIM_TP_GROUP_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "src/common/status.h"
-#include "src/kvcache/block.h"
-#include "src/kvcache/block_allocator.h"
 #include "src/sim/pcie_link.h"
 
 namespace pensieve {
@@ -43,70 +35,6 @@ class TpLinkGroup {
 
  private:
   std::vector<std::unique_ptr<PcieLink>> links_;
-};
-
-// One step's cache migrations, as broadcast by the scheduler (§4.1: "the
-// worker performs the actual data movements ... based on the batch's cache
-// plan as determined by the scheduler").
-struct CachePlan {
-  enum class OpKind : uint8_t { kAllocateGpu, kFreeGpu, kAllocateCpu, kFreeCpu };
-  struct Op {
-    OpKind kind;
-    // Block id in the scheduler's (mirrored) id space.
-    BlockId block;
-  };
-  int64_t step_id = 0;
-  std::vector<Op> ops;
-};
-
-// N mirrored replicas of the scheduler's allocator state. Every worker
-// applies every plan; ApplyToAll aborts the process if any replica would
-// diverge (double-free / double-allocate), which would mean the feature
-// partitions no longer describe the same tokens.
-class TpWorkerGroup {
- public:
-  TpWorkerGroup(int num_workers, int64_t num_gpu_blocks, int64_t num_cpu_blocks);
-
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  // Applies the plan to every worker replica. Returns an error (with no
-  // partial application across workers — the plan is validated against the
-  // first replica before any replica mutates) if the plan is inconsistent
-  // with the mirrored state.
-  Status ApplyToAll(const CachePlan& plan);
-
-  // True when every worker's allocator state is byte-identical.
-  bool ReplicasConsistent() const;
-
-  int64_t gpu_free(int worker) const {
-    return workers_[static_cast<size_t>(worker)]->gpu.num_free();
-  }
-  int64_t cpu_free(int worker) const {
-    return workers_[static_cast<size_t>(worker)]->cpu.num_free();
-  }
-  int64_t last_applied_step(int worker) const {
-    return workers_[static_cast<size_t>(worker)]->last_step;
-  }
-  bool IsGpuAllocated(int worker, BlockId block) const {
-    return workers_[static_cast<size_t>(worker)]->gpu.IsAllocated(block);
-  }
-  bool IsCpuAllocated(int worker, BlockId block) const {
-    return workers_[static_cast<size_t>(worker)]->cpu.IsAllocated(block);
-  }
-
- private:
-  struct Worker {
-    Worker(int64_t gpu_blocks, int64_t cpu_blocks) : gpu(gpu_blocks), cpu(cpu_blocks) {}
-    BlockAllocator gpu;
-    BlockAllocator cpu;
-    int64_t last_step = -1;
-  };
-
-  // Validates that the plan's frees target allocated blocks and allocations
-  // target free blocks, against one replica (they are all identical).
-  Status Validate(const CachePlan& plan) const;
-
-  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace pensieve

@@ -206,12 +206,6 @@ void LayerNormInto(const Tensor& x, const Tensor& gain, const Tensor& bias,
       GrainForItemCost(n));
 }
 
-Tensor LayerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias, float eps) {
-  Tensor out(x.shape());
-  LayerNormInto(x, gain, bias, eps, &out);
-  return out;
-}
-
 void RmsNormInto(const Tensor& x, const Tensor& gain, float eps, Tensor* out) {
   PENSIEVE_CHECK_EQ(x.rank(), 2u);
   const int64_t m = x.dim(0);
@@ -239,12 +233,6 @@ void RmsNormInto(const Tensor& x, const Tensor& gain, float eps, Tensor* out) {
         }
       },
       GrainForItemCost(n));
-}
-
-Tensor RmsNorm(const Tensor& x, const Tensor& gain, float eps) {
-  Tensor out(x.shape());
-  RmsNormInto(x, gain, eps, &out);
-  return out;
 }
 
 void SiluInPlace(Tensor& x) {

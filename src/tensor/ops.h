@@ -32,15 +32,9 @@ void AddInPlace(Tensor& x, const Tensor& y);
 // tensor.
 void SoftmaxRowsInPlace(Tensor& x);
 
-// Standard LayerNorm over the last dimension with learned gain/bias.
-Tensor LayerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias, float eps);
-
-// RMSNorm (Zhang & Sennrich) over the last dimension with learned gain.
-Tensor RmsNorm(const Tensor& x, const Tensor& gain, float eps);
-
-// Out-parameter norm variants for the allocation-free forward pass; *out
-// must already have x's shape (typically a workspace-borrowed tensor) and
-// may not alias x.
+// Standard LayerNorm over the last dimension with learned gain/bias, and
+// RMSNorm (Zhang & Sennrich) with learned gain. *out must already have x's
+// shape (typically a workspace-borrowed tensor) and may not alias x.
 void LayerNormInto(const Tensor& x, const Tensor& gain, const Tensor& bias,
                    float eps, Tensor* out);
 void RmsNormInto(const Tensor& x, const Tensor& gain, float eps, Tensor* out);

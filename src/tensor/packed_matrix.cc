@@ -554,10 +554,4 @@ void MatMulPackedPortableInto(const Tensor& a, const PackedMatrix& w,
 
 }  // namespace internal
 
-Tensor MatMulPacked(const Tensor& a, const PackedMatrix& w) {
-  Tensor c({a.dim(0), w.out_dim()});
-  MatMulPackedInto(a, w, &c);
-  return c;
-}
-
 }  // namespace pensieve

@@ -155,9 +155,6 @@ class PackedMatrix {
 // panels so single-token steps still use every thread.
 void MatMulPackedInto(const Tensor& a, const PackedMatrix& w, Tensor* c);
 
-// Allocating wrapper around MatMulPackedInto.
-Tensor MatMulPacked(const Tensor& a, const PackedMatrix& w);
-
 namespace internal {
 
 // MatMulPackedInto on the portable range kernels, whatever the dispatcher

@@ -74,19 +74,6 @@ Tensor Tensor::Reshaped(Shape new_shape) const {
   return Tensor(new_shape, data_);
 }
 
-Tensor Tensor::SliceRows(int64_t begin, int64_t end) const {
-  PENSIEVE_CHECK_GE(rank(), 1u);
-  PENSIEVE_CHECK_GE(begin, 0);
-  PENSIEVE_CHECK_LE(begin, end);
-  PENSIEVE_CHECK_LE(end, shape_[0]);
-  int64_t row_size = shape_[0] > 0 ? numel_ / shape_[0] : 0;
-  Shape new_shape = shape_;
-  new_shape[0] = end - begin;
-  const float* base = data();
-  std::vector<float> new_data(base + begin * row_size, base + end * row_size);
-  return Tensor(new_shape, std::move(new_data));
-}
-
 std::string Tensor::ShapeString() const {
   std::ostringstream os;
   os << "[";

@@ -119,10 +119,6 @@ class Tensor {
   // data is copied.
   Tensor Reshaped(Shape new_shape) const;
 
-  // Contiguous row slice of a rank >= 1 tensor: rows [begin, end) along
-  // dimension 0. Always returns an owned copy.
-  Tensor SliceRows(int64_t begin, int64_t end) const;
-
   std::string ShapeString() const;
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }

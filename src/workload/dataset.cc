@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace pensieve {
@@ -105,14 +104,6 @@ int32_t SyntheticToken(int64_t conversation_id, int64_t position, int32_t vocab_
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   z = z ^ (z >> 31);
   return static_cast<int32_t>(z % static_cast<uint64_t>(vocab_size));
-}
-
-int32_t TemplatePrefixToken(int32_t template_id, int64_t position,
-                            int32_t vocab_size) {
-  PENSIEVE_CHECK_GE(template_id, 0);
-  PENSIEVE_CHECK_GT(vocab_size, 0);
-  return static_cast<int32_t>(TemplatePrefixMix(template_id, position) %
-                              static_cast<uint64_t>(vocab_size));
 }
 
 }  // namespace pensieve

@@ -48,7 +48,7 @@ struct ConversationSpec {
   int64_t conversation_id = 0;
   // Shared-prefix template: when >= 0, the conversation opens with
   // `template_prefix_len` tokens of template `template_id`'s deterministic
-  // token stream (TemplatePrefixToken), prepended to the first turn's prompt
+  // token stream (TemplatePrefixMix), prepended to the first turn's prompt
   // (turns[0].input_len includes them). Conversations sharing a template id
   // share that prefix token-for-token.
   int32_t template_id = -1;
@@ -80,12 +80,6 @@ class ConversationGenerator {
 // can rematerialize a conversation's raw tokens at any time, which is how
 // dropped-context recomputation fetches its inputs (paper §4.3.4).
 int32_t SyntheticToken(int64_t conversation_id, int64_t position, int32_t vocab_size);
-
-// Deterministic token id for position `position` of shared-prefix template
-// `template_id`: identical across every conversation carrying that template,
-// and salted differently from SyntheticToken so templates never collide with
-// conversation bodies.
-int32_t TemplatePrefixToken(int32_t template_id, int64_t position, int32_t vocab_size);
 
 }  // namespace pensieve
 

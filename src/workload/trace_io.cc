@@ -26,26 +26,6 @@ bool ParseInt(const std::string& field, int64_t* out) {
 
 }  // namespace
 
-Status WriteConversationsCsv(const std::string& path,
-                             const std::vector<ConversationSpec>& conversations) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::Internal("cannot open " + path);
-  }
-  out << kHeader << '\n';
-  for (const ConversationSpec& conv : conversations) {
-    for (size_t t = 0; t < conv.turns.size(); ++t) {
-      out << conv.conversation_id << ',' << t << ',' << conv.turns[t].input_len << ','
-          << conv.turns[t].output_len << '\n';
-    }
-  }
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("write failed for " + path);
-  }
-  return Status::Ok();
-}
-
 StatusOr<std::vector<ConversationSpec>> LoadConversationsCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {

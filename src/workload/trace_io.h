@@ -1,9 +1,9 @@
-// Conversation-trace persistence.
+// Conversation-trace import.
 //
 // The paper evaluates on real datasets (ShareGPT, UltraChat). Users who hold
 // such data can tokenize it offline into a simple CSV of per-turn lengths
-// and replay it here instead of the statistical generator; conversely,
-// synthesized traces can be exported for inspection or external tooling.
+// and replay it here (pensieve_sim --trace_csv) instead of the statistical
+// generator.
 //
 // Format (header required):
 //   conversation_id,turn,input_len,output_len
@@ -19,9 +19,6 @@
 #include "src/workload/dataset.h"
 
 namespace pensieve {
-
-Status WriteConversationsCsv(const std::string& path,
-                             const std::vector<ConversationSpec>& conversations);
 
 StatusOr<std::vector<ConversationSpec>> LoadConversationsCsv(const std::string& path);
 

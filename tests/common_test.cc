@@ -131,16 +131,6 @@ TEST(RngTest, GeometricAtLeastOneHasCorrectMean) {
   EXPECT_NEAR(sum / n, 5.56, 0.15);
 }
 
-TEST(RngTest, PoissonMean) {
-  Rng rng(5);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(rng.Poisson(3.5));
-  }
-  EXPECT_NEAR(sum / n, 3.5, 0.1);
-}
-
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(6);
   int hits = 0;
@@ -174,8 +164,6 @@ TEST(SampleStatsTest, BasicMoments) {
   EXPECT_EQ(s.count(), 4u);
   EXPECT_DOUBLE_EQ(s.Sum(), 10.0);
   EXPECT_DOUBLE_EQ(s.Mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 4.0);
 }
 
 TEST(SampleStatsTest, PercentileInterpolates) {
@@ -193,39 +181,6 @@ TEST(SampleStatsTest, SingleSamplePercentile) {
   SampleStats s;
   s.Add(7.0);
   EXPECT_DOUBLE_EQ(s.Percentile(0.9), 7.0);
-  EXPECT_DOUBLE_EQ(s.Stddev(), 0.0);
-}
-
-TEST(SampleStatsTest, MergeCombines) {
-  SampleStats a;
-  SampleStats b;
-  a.Add(1.0);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-}
-
-TEST(SampleStatsTest, StddevOfConstantIsZero) {
-  SampleStats s;
-  for (int i = 0; i < 10; ++i) {
-    s.Add(5.0);
-  }
-  EXPECT_DOUBLE_EQ(s.Stddev(), 0.0);
-}
-
-// --- Histogram ---------------------------------------------------------------
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bucket 0
-  h.Add(9.5);   // bucket 4
-  h.Add(-3.0);  // clamps to bucket 0
-  h.Add(42.0);  // clamps to bucket 4
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
 }
 
 // --- InterpTable -------------------------------------------------------------

@@ -112,13 +112,6 @@ TEST(CostModelTest, MultiGpuSpeedsUpCompute) {
   EXPECT_EQ(four.KvBytesPerToken(), one.KvBytesPerToken() / 4);
 }
 
-TEST(CostModelTest, SwapTimeProportionalToTokens) {
-  GpuCostModel m = Opt13BModel();
-  EXPECT_NEAR(m.SwapTime(64) / m.SwapTime(32), 2.0, 1e-9);
-  // 32 OPT-13B tokens = 32 * 0.78 MiB ~ 25 MB over 25 GB/s ~ 1 ms.
-  EXPECT_NEAR(m.SwapTime(32), 1.0e-3, 0.3e-3);
-}
-
 TEST(CostModelTest, ChunkRecomputeCostMonotoneInContext) {
   GpuCostModel m = Opt13BModel();
   double prev = 0.0;

@@ -27,7 +27,8 @@ while read -r line_group name args; do
   mkdir -p "$out"
   # Word splitting of $args is intended: the manifest holds plain flags.
   # shellcheck disable=SC2086
-  "$sim" $(printf '%s' "$args" | sed "s#@OUT@#$out#g") > "$out.stdout" 2>/dev/null
+  "$sim" $(printf '%s' "$args" | sed "s#@OUT@#$out#g; s#@GOLDEN@#$here#g") \
+    > "$out.stdout" 2>/dev/null
   echo "exit $?" >> "$out.stdout"
   sed -i "s#$out#@OUT@#g" "$out.stdout"
   rm -f "$out"/unpinned.*

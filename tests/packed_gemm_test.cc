@@ -17,6 +17,7 @@
 
 #include "src/tensor/ops.h"
 #include "src/tensor/packed_matrix.h"
+#include "tests/numeric_test_util.h"
 
 namespace pensieve {
 namespace {
@@ -40,7 +41,7 @@ TEST(PackedGemmTest, MatchesNaiveAcrossOddShapes) {
         EXPECT_EQ(packed.out_dim(), n);
         EXPECT_EQ(packed.in_dim(), k);
         const Tensor expected = MatMulTransposedB(a, w);
-        const Tensor got = MatMulPacked(a, packed);
+        const Tensor got = PackedProduct(a, packed);
         ASSERT_TRUE(expected.SameShape(got));
         EXPECT_LE(MaxAbsDiff(expected, got), TolForK(k))
             << "m=" << m << " k=" << k << " n=" << n;
@@ -58,7 +59,7 @@ TEST(PackedGemmTest, KcBlockingBoundary) {
     FillNormal(a, static_cast<uint64_t>(k), 1.0f);
     FillNormal(w, static_cast<uint64_t>(k + 1), 1.0f);
     const Tensor expected = MatMulTransposedB(a, w);
-    const Tensor got = MatMulPacked(a, PackedMatrix(w));
+    const Tensor got = PackedProduct(a, PackedMatrix(w));
     EXPECT_LE(MaxAbsDiff(expected, got), TolForK(k)) << "k=" << k;
   }
 }
@@ -69,7 +70,7 @@ TEST(PackedGemmTest, IntoOverwritesExistingContents) {
   FillNormal(a, 1, 1.0f);
   FillNormal(w, 2, 1.0f);
   const PackedMatrix packed(w);
-  const Tensor expected = MatMulPacked(a, packed);
+  const Tensor expected = PackedProduct(a, packed);
   // MatMulPackedInto must fully overwrite c, including poison values —
   // workspace arenas hand back dirty memory.
   Tensor c = Tensor::Full({3, 11}, 1e30f);
@@ -89,9 +90,9 @@ TEST(PackedGemmTest, RowsAreBatchSizeInvariant) {
   FillNormal(a, 3, 1.0f);
   FillNormal(w, 4, 1.0f);
   const PackedMatrix packed(w);
-  const Tensor batch = MatMulPacked(a, packed);
+  const Tensor batch = PackedProduct(a, packed);
   for (int64_t i = 0; i < a.dim(0); ++i) {
-    const Tensor row = MatMulPacked(a.SliceRows(i, i + 1), packed);
+    const Tensor row = PackedProduct(RowSlice(a, i, i + 1), packed);
     EXPECT_EQ(0, std::memcmp(batch.data() + i * n, row.data(),
                              static_cast<size_t>(n) * sizeof(float)))
         << "row " << i;
@@ -103,7 +104,7 @@ TEST(PackedGemmTest, ZeroSizedDims) {
   FillNormal(w, 5, 1.0f);
   const PackedMatrix packed(w);
   Tensor a({0, 16});
-  const Tensor empty = MatMulPacked(a, packed);
+  const Tensor empty = PackedProduct(a, packed);
   EXPECT_EQ(empty.dim(0), 0);
   // k == 0 must yield zeros, not dirty memory.
   Tensor wk0({4, 0});

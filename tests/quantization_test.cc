@@ -17,6 +17,7 @@
 #include "src/model/transformer.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/packed_matrix.h"
+#include "tests/numeric_test_util.h"
 
 namespace pensieve {
 namespace {
@@ -72,7 +73,7 @@ TEST(Int8PackedGemmTest, MatchesDequantizedReferenceAcrossOddShapes) {
         // into every product, so the comparison is reassociation-tight, not
         // bit-exact.
         const Tensor expected = MatMulTransposedB(a, wdq);
-        const Tensor got = MatMulPacked(a, qpacked);
+        const Tensor got = PackedProduct(a, qpacked);
         ASSERT_TRUE(expected.SameShape(got));
         EXPECT_LE(MaxAbsDiff(expected, got),
                   5e-3f)
@@ -92,9 +93,9 @@ TEST(Int8PackedGemmTest, RowsAreBatchSizeInvariant) {
   FillNormal(a, 13, 1.0f);
   FillNormal(w, 14, 1.0f);
   const PackedMatrix qpacked(w, QuantMode::kInt8);
-  const Tensor batch = MatMulPacked(a, qpacked);
+  const Tensor batch = PackedProduct(a, qpacked);
   for (int64_t i = 0; i < a.dim(0); ++i) {
-    const Tensor row = MatMulPacked(a.SliceRows(i, i + 1), qpacked);
+    const Tensor row = PackedProduct(RowSlice(a, i, i + 1), qpacked);
     EXPECT_EQ(0, std::memcmp(batch.data() + i * n, row.data(),
                              static_cast<size_t>(n) * sizeof(float)))
         << "row " << i;
@@ -111,12 +112,12 @@ TEST(Int8PackedGemmTest, BitIdenticalAcrossThreadCounts) {
   FillNormal(w, 23, 1.0f);
   const PackedMatrix qpacked(w, QuantMode::kInt8);
   ThreadPool::SetGlobalThreads(1);
-  const Tensor ref1 = MatMulPacked(a1, qpacked);
-  const Tensor ref17 = MatMulPacked(a17, qpacked);
+  const Tensor ref1 = PackedProduct(a1, qpacked);
+  const Tensor ref17 = PackedProduct(a17, qpacked);
   for (int threads : {2, 8}) {
     ThreadPool::SetGlobalThreads(threads);
-    const Tensor got1 = MatMulPacked(a1, qpacked);
-    const Tensor got17 = MatMulPacked(a17, qpacked);
+    const Tensor got1 = PackedProduct(a1, qpacked);
+    const Tensor got17 = PackedProduct(a17, qpacked);
     EXPECT_EQ(0, std::memcmp(ref1.data(), got1.data(),
                              static_cast<size_t>(ref1.numel()) * sizeof(float)))
         << "m=1 threads=" << threads;
@@ -150,7 +151,7 @@ TEST(Int8PackedGemmTest, AllZeroColumnStaysExactlyZero) {
   const PackedMatrix qpacked(w, QuantMode::kInt8);
   Tensor a({2, k});
   FillNormal(a, 42, 1.0f);
-  const Tensor got = MatMulPacked(a, qpacked);
+  const Tensor got = PackedProduct(a, qpacked);
   EXPECT_EQ(got.at({0, 3}), 0.0f);
   EXPECT_EQ(got.at({1, 3}), 0.0f);
 }
@@ -171,11 +172,11 @@ TEST(Int8PackedGemmTest, AmaxEndpointsSurviveQuantization) {
     a.data()[kk] = 0.0f;
   }
   a.data()[2] = 1.0f;
-  Tensor hit_pos = MatMulPacked(a, qpacked);
+  Tensor hit_pos = PackedProduct(a, qpacked);
   EXPECT_NEAR(hit_pos.at({0, 0}), amax, amax * 1e-5f);
   a.data()[2] = 0.0f;
   a.data()[7] = 1.0f;
-  Tensor hit_neg = MatMulPacked(a, qpacked);
+  Tensor hit_neg = PackedProduct(a, qpacked);
   EXPECT_NEAR(hit_neg.at({0, 0}), -amax, amax * 1e-5f);
 }
 
@@ -191,7 +192,7 @@ TEST(Int8PackedGemmTest, DenormalWeightsStayFinite) {
   const PackedMatrix qpacked(w, QuantMode::kInt8);
   Tensor a({1, k});
   FillNormal(a, 61, 1.0f);
-  const Tensor got = MatMulPacked(a, qpacked);
+  const Tensor got = PackedProduct(a, qpacked);
   for (int64_t j = 0; j < n; ++j) {
     EXPECT_TRUE(std::isfinite(got.at({0, j}))) << "col " << j;
     EXPECT_LE(std::fabs(got.at({0, j})), 1e-38f) << "col " << j;
@@ -222,8 +223,8 @@ TEST(Int8TransformerTest, LogitsStayNearFp32Reference) {
     }
     batch.subs.push_back({0, n, n, &table});
     batch.logit_rows.push_back(n - 1);
-    const Tensor ref = fp32.Forward(&pool_a, batch);
-    const Tensor got = int8.Forward(&pool_b, batch);
+    const Tensor ref = ForwardLogits(fp32, &pool_a, batch);
+    const Tensor got = ForwardLogits(int8, &pool_b, batch);
     ASSERT_TRUE(ref.SameShape(got));
     float max_abs = 0.0f;
     for (int64_t i = 0; i < ref.numel(); ++i) {

@@ -160,7 +160,8 @@ TEST_P(CoordinatorFuzzTest, EvictionUnderRandomLoadKeepsInvariants) {
     }
     state.Pin();
     const int64_t needed = state.NumNewChunksForAppend(n);
-    if (coordinator.EnsureFreeGpuBlocks(needed, now).ok && state.FullyOnGpu()) {
+    if (coordinator.EnsureFreeGpuBlocks(needed, now).ok &&
+        state.TokensOnGpu() == state.kv_len()) {
       ASSERT_TRUE(cache.AppendTokenSlots(conv, n, nullptr).ok());
     }
     state.Unpin();

@@ -29,6 +29,7 @@
 #include "src/tensor/ops.h"
 #include "src/tensor/packed_matrix.h"
 #include "src/workload/dataset.h"
+#include "tests/numeric_test_util.h"
 
 namespace pensieve {
 namespace {
@@ -194,10 +195,20 @@ TEST_F(ThreadDeterminismTest, DenseOps) {
   FillNormal(a1, 12, 1.0f);
   ExpectIdenticalAcrossThreadCounts([&] { return MatMulTransposedB(a1, bt); },
                                     "MatMulTransposedB(m=1)");
-  ExpectIdenticalAcrossThreadCounts([&] { return LayerNorm(a, gain, bias, 1e-5f); },
-                                    "LayerNorm");
-  ExpectIdenticalAcrossThreadCounts([&] { return RmsNorm(a, gain, 1e-5f); },
-                                    "RmsNorm");
+  ExpectIdenticalAcrossThreadCounts(
+      [&] {
+        Tensor out(a.shape());
+        LayerNormInto(a, gain, bias, 1e-5f, &out);
+        return out;
+      },
+      "LayerNormInto");
+  ExpectIdenticalAcrossThreadCounts(
+      [&] {
+        Tensor out(a.shape());
+        RmsNormInto(a, gain, 1e-5f, &out);
+        return out;
+      },
+      "RmsNormInto");
   ExpectIdenticalAcrossThreadCounts(
       [&] {
         Tensor x = a;
@@ -235,27 +246,27 @@ TEST_F(ThreadDeterminismTest, PackedGemm) {
   const PackedMatrix packed(w);
   Tensor big({37, 515});
   FillNormal(big, 22, 1.0f);
-  ExpectIdenticalAcrossThreadCounts([&] { return MatMulPacked(big, packed); },
-                                    "MatMulPacked(row path)");
+  ExpectIdenticalAcrossThreadCounts([&] { return PackedProduct(big, packed); },
+                                    "MatMulPackedInto(row path)");
   Tensor one({1, 515});
   FillNormal(one, 23, 1.0f);
-  ExpectIdenticalAcrossThreadCounts([&] { return MatMulPacked(one, packed); },
-                                    "MatMulPacked(GEMV path)");
+  ExpectIdenticalAcrossThreadCounts([&] { return PackedProduct(one, packed); },
+                                    "MatMulPackedInto(GEMV path)");
   // Cross-path: a single row computed by the GEMV path must equal the same
   // row inside a batch computed by the row path, at every thread count.
   for (int threads : kThreadCounts) {
     ThreadPool::SetGlobalThreads(threads);
-    const Tensor batch = MatMulPacked(big, packed);
-    const Tensor row = MatMulPacked(big.SliceRows(7, 8), packed);
+    const Tensor batch = PackedProduct(big, packed);
+    const Tensor row = PackedProduct(RowSlice(big, 7, 8), packed);
     EXPECT_EQ(0, std::memcmp(batch.data() + 7 * w.dim(0), row.data(),
                              static_cast<size_t>(w.dim(0)) * sizeof(float)))
         << "GEMV path diverges from row path at " << threads << " threads";
   }
 }
 
-// A workspace-backed ForwardInto (the allocation-free serving path) must be
-// as thread-stable as the allocating wrapper, including on a second pass
-// that reuses the model's arena.
+// A ForwardInto that reuses its logits tensor and the model's arena (the
+// allocation-free serving path) must be as thread-stable as a first pass,
+// including on a second pass.
 TEST_F(ThreadDeterminismTest, WorkspaceForwardInto) {
   ModelConfig config;
   config.name = "tiny";
@@ -343,9 +354,9 @@ TEST_F(ThreadDeterminismTest, TransformerForward) {
     batch.subs.push_back({0, 6, 6, &table_a});
     batch.subs.push_back({6, 1, 4, &table_b});
     batch.logit_rows = {5, 6};
-    return model.Forward(&pool, batch);
+    return ForwardLogits(model, &pool, batch);
   };
-  ExpectIdenticalAcrossThreadCounts(run, "Transformer::Forward");
+  ExpectIdenticalAcrossThreadCounts(run, "Transformer::ForwardInto (fresh logits)");
 }
 
 // RateSweep runs its points on the pool; the printed table must not depend

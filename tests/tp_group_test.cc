@@ -1,14 +1,11 @@
-// Tests for the tensor-parallel worker group (paper Â§4.4.2).
+// Tests for the tensor-parallel per-worker link group (paper §4.4.2).
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/sim/tp_group.h"
 
 namespace pensieve {
 namespace {
-
-// --- TpLinkGroup ---------------------------------------------------------------
 
 TEST(TpLinkGroupTest, IdenticalLinksFinishTogether) {
   TpLinkGroup group(4, 10e9, 0.8, true);
@@ -46,119 +43,6 @@ TEST(TpLinkGroupTest, PerWorkerBytesNotTotal) {
   const double t4 = four.ScheduleHostToDevice(0.0, total_bytes / 4);
   EXPECT_NEAR(t1, 0.8, 1e-9);
   EXPECT_NEAR(t4, 0.2, 1e-9);
-}
-
-// --- TpWorkerGroup ---------------------------------------------------------------
-
-CachePlan MakePlan(int64_t step, std::vector<CachePlan::Op> ops) {
-  CachePlan plan;
-  plan.step_id = step;
-  plan.ops = std::move(ops);
-  return plan;
-}
-
-TEST(TpWorkerGroupTest, MirroredAllocationStaysConsistent) {
-  TpWorkerGroup group(4, 8, 8);
-  ASSERT_TRUE(group
-                  .ApplyToAll(MakePlan(0, {{CachePlan::OpKind::kAllocateGpu, 0},
-                                           {CachePlan::OpKind::kAllocateGpu, 0},
-                                           {CachePlan::OpKind::kAllocateCpu, 0}}))
-                  .ok());
-  EXPECT_TRUE(group.ReplicasConsistent());
-  for (int w = 0; w < 4; ++w) {
-    EXPECT_EQ(group.gpu_free(w), 6);
-    EXPECT_EQ(group.cpu_free(w), 7);
-    EXPECT_EQ(group.last_applied_step(w), 0);
-  }
-}
-
-TEST(TpWorkerGroupTest, FreeOfAllocatedBlockSucceedsEverywhere) {
-  TpWorkerGroup group(2, 4, 4);
-  ASSERT_TRUE(
-      group.ApplyToAll(MakePlan(0, {{CachePlan::OpKind::kAllocateGpu, 0}})).ok());
-  // The deterministic LIFO allocator hands out block 0 first, on every
-  // replica alike.
-  ASSERT_TRUE(group.IsGpuAllocated(0, 0));
-  ASSERT_TRUE(group.IsGpuAllocated(1, 0));
-  ASSERT_TRUE(group.ApplyToAll(MakePlan(1, {{CachePlan::OpKind::kFreeGpu, 0}})).ok());
-  EXPECT_EQ(group.gpu_free(0), 4);
-  EXPECT_TRUE(group.ReplicasConsistent());
-}
-
-TEST(TpWorkerGroupTest, RejectsOverAllocation) {
-  TpWorkerGroup group(2, 2, 2);
-  CachePlan plan = MakePlan(0, {{CachePlan::OpKind::kAllocateGpu, 0},
-                                {CachePlan::OpKind::kAllocateGpu, 0},
-                                {CachePlan::OpKind::kAllocateGpu, 0}});
-  Status status = group.ApplyToAll(plan);
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  // Rejection is atomic: no replica applied anything.
-  EXPECT_EQ(group.gpu_free(0), 2);
-  EXPECT_EQ(group.gpu_free(1), 2);
-}
-
-TEST(TpWorkerGroupTest, RejectsBadFrees) {
-  TpWorkerGroup group(2, 4, 4);
-  EXPECT_EQ(group.ApplyToAll(MakePlan(0, {{CachePlan::OpKind::kFreeGpu, 1}})).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(group.ApplyToAll(MakePlan(0, {{CachePlan::OpKind::kFreeGpu, 99}})).code(),
-            StatusCode::kInvalidArgument);
-  // Double-free within one plan.
-  ASSERT_TRUE(
-      group.ApplyToAll(MakePlan(0, {{CachePlan::OpKind::kAllocateGpu, 0}})).ok());
-  EXPECT_EQ(group
-                .ApplyToAll(MakePlan(1, {{CachePlan::OpKind::kFreeGpu, 0},
-                                         {CachePlan::OpKind::kFreeGpu, 0}}))
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(TpWorkerGroupTest, PlansMustApplyInOrder) {
-  TpWorkerGroup group(2, 4, 4);
-  ASSERT_TRUE(
-      group.ApplyToAll(MakePlan(5, {{CachePlan::OpKind::kAllocateGpu, 0}})).ok());
-  EXPECT_DEATH(
-      (void)group.ApplyToAll(MakePlan(5, {{CachePlan::OpKind::kAllocateGpu, 0}})),
-      "plans must be applied in order");
-}
-
-TEST(TpWorkerGroupTest, RandomPlansNeverDiverge) {
-  Rng rng(99);
-  constexpr int64_t kBlocks = 16;
-  TpWorkerGroup group(4, kBlocks, kBlocks);
-  for (int64_t step = 0; step < 500; ++step) {
-    CachePlan plan;
-    plan.step_id = step;
-    int64_t gpu_free = group.gpu_free(0);
-    int64_t cpu_free = group.cpu_free(0);
-    // Blocks currently allocated on (mirrored) replica 0, minus frees
-    // already queued in this plan.
-    std::vector<BlockId> gpu_freeable;
-    for (BlockId b = 0; b < kBlocks; ++b) {
-      if (group.IsGpuAllocated(0, b)) {
-        gpu_freeable.push_back(b);
-      }
-    }
-    const int n_ops = static_cast<int>(rng.UniformInt(1, 5));
-    for (int i = 0; i < n_ops; ++i) {
-      const int choice = static_cast<int>(rng.UniformInt(0, 2));
-      if (choice == 0 && gpu_free > 0) {
-        plan.ops.push_back({CachePlan::OpKind::kAllocateGpu, 0});
-        --gpu_free;
-      } else if (choice == 1 && !gpu_freeable.empty()) {
-        const size_t idx = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(gpu_freeable.size()) - 1));
-        plan.ops.push_back({CachePlan::OpKind::kFreeGpu, gpu_freeable[idx]});
-        gpu_freeable.erase(gpu_freeable.begin() + static_cast<int64_t>(idx));
-      } else if (cpu_free > 0) {
-        plan.ops.push_back({CachePlan::OpKind::kAllocateCpu, 0});
-        --cpu_free;
-      }
-    }
-    Status status = group.ApplyToAll(plan);
-    ASSERT_TRUE(status.ok()) << status << " at step " << step;
-    ASSERT_TRUE(group.ReplicasConsistent()) << "step " << step;
-  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "src/model/model_config.h"
 #include "src/model/transformer.h"
 #include "src/tensor/tensor.h"
+#include "tests/numeric_test_util.h"
 
 namespace pensieve {
 namespace {
@@ -108,7 +109,7 @@ Tensor FullPrefillLogits(const Transformer& model, KvPool* pool,
   }
   batch.subs.push_back({0, n, n, &table});
   batch.logit_rows.push_back(n - 1);
-  return model.Forward(pool, batch);
+  return ForwardLogits(model, pool, batch);
 }
 
 TEST_P(TransformerForwardTest, DeterministicAcrossInstances) {
@@ -167,7 +168,7 @@ TEST_P(TransformerForwardTest, IncrementalDecodeMatchesFullPrefill) {
     }
     prefill.subs.push_back({0, n - 1, n - 1, &table});
     prefill.logit_rows.push_back(n - 2);
-    model.Forward(&pool_inc, prefill);
+    ForwardLogits(model, &pool_inc, prefill);
   }
   ForwardBatch decode;
   decode.tokens.push_back(tokens[static_cast<size_t>(n - 1)]);
@@ -176,7 +177,7 @@ TEST_P(TransformerForwardTest, IncrementalDecodeMatchesFullPrefill) {
                              (n - 1) % block_size});
   decode.subs.push_back({0, 1, n, &table});
   decode.logit_rows.push_back(0);
-  Tensor incremental = model.Forward(&pool_inc, decode);
+  Tensor incremental = ForwardLogits(model, &pool_inc, decode);
 
   EXPECT_LT(MaxAbsDiff(full, incremental), 2e-3f);
   EXPECT_EQ(Transformer::Greedy(full, 0), Transformer::Greedy(incremental, 0));
@@ -210,7 +211,7 @@ TEST_P(TransformerForwardTest, UnifiedBatchMatchesSeparateExecution) {
       }
       warm.subs.push_back({0, 3, 3, &table_b});
       warm.logit_rows.push_back(2);
-      model.Forward(&pool, warm);
+      ForwardLogits(model, &pool, warm);
     }
     if (unified) {
       ForwardBatch batch;
@@ -227,7 +228,7 @@ TEST_P(TransformerForwardTest, UnifiedBatchMatchesSeparateExecution) {
       batch.subs.push_back({5, 1, 4, &table_b});
       batch.logit_rows.push_back(4);  // A's last token
       batch.logit_rows.push_back(5);  // B's decode token
-      return model.Forward(&pool, batch);
+      return ForwardLogits(model, &pool, batch);
     }
     // Separate: A prefill, then B decode; stitch the logits together.
     ForwardBatch a;
@@ -239,7 +240,7 @@ TEST_P(TransformerForwardTest, UnifiedBatchMatchesSeparateExecution) {
     }
     a.subs.push_back({0, 5, 5, &table_a});
     a.logit_rows.push_back(4);
-    Tensor la = model.Forward(&pool, a);
+    Tensor la = ForwardLogits(model, &pool, a);
 
     ForwardBatch b;
     b.tokens.push_back(b_next);
@@ -247,7 +248,7 @@ TEST_P(TransformerForwardTest, UnifiedBatchMatchesSeparateExecution) {
     b.kv_slots.push_back({table_b[0], 3});
     b.subs.push_back({0, 1, 4, &table_b});
     b.logit_rows.push_back(0);
-    Tensor lb = model.Forward(&pool, b);
+    Tensor lb = ForwardLogits(model, &pool, b);
 
     Tensor stitched({2, la.dim(1)});
     for (int64_t j = 0; j < la.dim(1); ++j) {
@@ -282,7 +283,7 @@ TEST(TransformerDeathTest, RejectsOutOfVocabToken) {
   batch.kv_slots.push_back({0, 0});
   batch.subs.push_back({0, 1, 1, &table});
   batch.logit_rows.push_back(0);
-  EXPECT_DEATH(model.Forward(&pool, batch), "Check failed");
+  EXPECT_DEATH(ForwardLogits(model, &pool, batch), "Check failed");
 }
 
 }  // namespace

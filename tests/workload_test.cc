@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include "src/workload/dataset.h"
 #include "src/workload/trace.h"
@@ -184,26 +185,6 @@ TEST(WorkloadTraceTest, DeterministicForSeed) {
   }
 }
 
-TEST(TemplatePrefixTokenTest, DeterministicInRangeAndTemplateSensitive) {
-  std::set<int32_t> values;
-  for (int64_t pos = 0; pos < 500; ++pos) {
-    const int32_t t = TemplatePrefixToken(3, pos, 128);
-    EXPECT_GE(t, 0);
-    EXPECT_LT(t, 128);
-    EXPECT_EQ(t, TemplatePrefixToken(3, pos, 128));
-    values.insert(t);
-  }
-  EXPECT_GT(values.size(), 100u);
-  // Different templates produce different streams.
-  int differences = 0;
-  for (int64_t pos = 0; pos < 100; ++pos) {
-    if (TemplatePrefixToken(1, pos, 1 << 20) != TemplatePrefixToken(2, pos, 1 << 20)) {
-      ++differences;
-    }
-  }
-  EXPECT_GT(differences, 95);
-}
-
 TEST(WorkloadTraceTest, PrefixTemplateKnobsAssignRoundRobin) {
   TraceOptions base;
   base.num_conversations = 60;
@@ -286,24 +267,35 @@ std::string TraceTempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+// tests/golden/sharegpt_trace.csv: 20 ShareGPT-profile conversations, 71
+// turns, one row per turn in conversation order. pensieve_sim's golden
+// trace_csv line replays the same file.
+const std::string kTraceFixture = PENSIEVE_TRACE_FIXTURE;
+
 TEST(TraceIoTest, RoundTripPreservesConversations) {
-  ConversationGenerator gen(ShareGptProfile(), 5);
-  std::vector<ConversationSpec> original;
-  for (int i = 0; i < 20; ++i) {
-    original.push_back(gen.Next());
-  }
-  const std::string path = TraceTempPath("trace_roundtrip.csv");
-  ASSERT_TRUE(WriteConversationsCsv(path, original).ok());
-  auto loaded = LoadConversationsCsv(path);
+  auto loaded = LoadConversationsCsv(kTraceFixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), original.size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    ASSERT_EQ((*loaded)[i].turns.size(), original[i].turns.size());
-    for (size_t t = 0; t < original[i].turns.size(); ++t) {
-      EXPECT_EQ((*loaded)[i].turns[t].input_len, original[i].turns[t].input_len);
-      EXPECT_EQ((*loaded)[i].turns[t].output_len, original[i].turns[t].output_len);
+  ASSERT_EQ(loaded->size(), 20u);
+  const ConversationSpec& first = (*loaded)[0];
+  EXPECT_EQ(first.conversation_id, 0);
+  ASSERT_EQ(first.turns.size(), 6u);
+  EXPECT_EQ(first.turns[0].input_len, 11);
+  EXPECT_EQ(first.turns[0].output_len, 331);
+  EXPECT_EQ(first.turns[5].input_len, 52);
+  EXPECT_EQ(first.turns[5].output_len, 92);
+  // Printing the loaded turns back in the file's format reproduces the file.
+  std::ostringstream printed;
+  printed << "conversation_id,turn,input_len,output_len\n";
+  for (const ConversationSpec& conv : *loaded) {
+    for (size_t t = 0; t < conv.turns.size(); ++t) {
+      printed << conv.conversation_id << ',' << t << ',' << conv.turns[t].input_len
+              << ',' << conv.turns[t].output_len << '\n';
     }
   }
+  std::ifstream in(kTraceFixture);
+  std::ostringstream file;
+  file << in.rdbuf();
+  EXPECT_EQ(printed.str(), file.str());
 }
 
 TEST(TraceIoTest, RejectsMalformedFiles) {
@@ -343,13 +335,15 @@ TEST(TraceIoTest, InterleavedConversationsSupported) {
 }
 
 TEST(TraceIoTest, LoadedConversationsBuildAReplayableTrace) {
-  ConversationGenerator gen(UltraChatProfile(), 11);
-  std::vector<ConversationSpec> specs;
-  for (int i = 0; i < 10; ++i) {
-    specs.push_back(gen.Next());
-  }
+  // Ten two-turn conversations with sparse ids 10, 20, ..., 100.
   const std::string path = TraceTempPath("trace_replay.csv");
-  ASSERT_TRUE(WriteConversationsCsv(path, specs).ok());
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "conversation_id,turn,input_len,output_len\n";
+    for (int id = 10; id <= 100; id += 10) {
+      out << id << ",0," << id << ",20\n" << id << ",1,5," << id << "\n";
+    }
+  }
   auto loaded = LoadConversationsCsv(path);
   ASSERT_TRUE(loaded.ok());
 
