@@ -183,47 +183,12 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
       outcome.dropped_tokens += *dropped;
       PushFrontier(Frontier::kGpuDrop, drop->conversation, now, &frontier);
     }
-    if (cache_->AvailableGpuBlocks() < target_blocks) {
-      aot_last_failed_available_ = cache_->AvailableGpuBlocks();
-      aot_failed_at_ = now;
-    }
-    return outcome;
+  } else {
+    // Swap out GPU-only chunks of unpinned conversations in ascending
+    // retention order until the target is met.
+    outcome.swapped_out_tokens =
+        SwapOutPass(target_blocks, /*reclaim=*/false, now, &outcome.swapped);
   }
-  // Swap out GPU-only chunks of unpinned conversations in ascending
-  // retention order until the target is met. The candidates are the kGpu
-  // chunks at pass start.
-  swap_pass_.emplace();
-  LocationPass candidates = SeedLocation(ChunkLocation::kGpu, now);
-  // Reserve CPU space for the whole deficit in one pass; fall back to
-  // per-chunk frees only if that could not be satisfied.
-  const int64_t deficit = target_blocks - cache_->AvailableGpuBlocks();
-  (void)EnsureFreeCpuBlocks(std::min<int64_t>(deficit,
-                                              cache_->cpu_allocator().capacity()),
-                            now);
-  while (!candidates.empty() && cache_->AvailableGpuBlocks() < target_blocks) {
-    const Victim victim = PopLocation(ChunkLocation::kGpu, now, &candidates);
-    // Skip candidates a CPU-pressure drop during this loop changed (or
-    // forgot) before reserving CPU space for them.
-    const ContextState* state = cache_->Find(victim.conversation);
-    if (state == nullptr ||
-        state->chunk(victim.chunk_index).location != ChunkLocation::kGpu) {
-      continue;
-    }
-    if (cache_->cpu_allocator().num_free() == 0 && !EnsureFreeCpuBlocks(1, now)) {
-      break;
-    }
-    state = cache_->Find(victim.conversation);
-    if (state == nullptr) {
-      continue;
-    }
-    const int64_t chunk_tokens = state->chunk(victim.chunk_index).num_tokens;
-    if (!cache_->SwapOut(victim.conversation, victim.chunk_index).ok()) {
-      continue;
-    }
-    outcome.swapped_out_tokens += chunk_tokens;
-    outcome.swapped.emplace_back(victim.conversation, victim.chunk_index);
-  }
-  swap_pass_.reset();
   if (cache_->AvailableGpuBlocks() < target_blocks) {
     aot_last_failed_available_ = cache_->AvailableGpuBlocks();
     aot_failed_at_ = now;
@@ -231,14 +196,65 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
   return outcome;
 }
 
-void CacheCoordinator::DropWholeConversation(ConversationId id) {
-  ContextState* state = cache_->Find(id);
-  PENSIEVE_CHECK(state != nullptr);
-  for (int64_t i = state->LeadingDroppedChunks(); i < state->num_chunks(); ++i) {
-    if (!state->chunk(i).Dropped() && !cache_->DropChunk(id, i).ok()) {
-      break;  // later chunks would violate the drop-prefix invariant anyway
+int64_t CacheCoordinator::SwapOutPass(
+    int64_t target, bool reclaim, double now,
+    std::vector<std::pair<ConversationId, int64_t>>* chunks) {
+  // A reclaiming pass frees each block it copies; an ahead-of-time one only
+  // makes it reclaimable.
+  const auto available = [&] {
+    return reclaim ? cache_->gpu_allocator().num_free() : cache_->AvailableGpuBlocks();
+  };
+  // The candidates are the kGpu chunks at pass start.
+  swap_pass_.emplace();
+  LocationPass candidates = SeedLocation(ChunkLocation::kGpu, now);
+  // Reserve CPU space for the whole deficit in one pass; fall back to
+  // per-chunk frees only if that could not be satisfied.
+  (void)EnsureFreeCpuBlocks(
+      std::min<int64_t>(target - available(), cache_->cpu_allocator().capacity()), now);
+  int64_t tokens = 0;
+  while (!candidates.empty() && available() < target) {
+    const Victim v = PopLocation(ChunkLocation::kGpu, now, &candidates);
+    // A CPU-pressure drop in this pass (a whole conversation, under
+    // conversation granularity) may have changed or forgotten the candidate:
+    // skip it rather than reserve CPU space for it. Null when skipped.
+    const auto still_on_gpu = [&]() -> const ContextState* {
+      const ContextState* state = cache_->Find(v.conversation);
+      if (state == nullptr || state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
+        return nullptr;
+      }
+      return state;
+    };
+    if (still_on_gpu() == nullptr) {
+      continue;
     }
+    if (cache_->cpu_allocator().num_free() == 0 && !EnsureFreeCpuBlocks(1, now)) {
+      break;
+    }
+    const ContextState* state = still_on_gpu();
+    if (state == nullptr) {
+      continue;
+    }
+    // A kGpu chunk with a free CPU block swaps out, and its fresh copy is
+    // clean, so neither step can fail.
+    tokens += state->chunk(v.chunk_index).num_tokens;
+    PENSIEVE_CHECK_OK(cache_->SwapOut(v.conversation, v.chunk_index));
+    if (reclaim) {
+      PENSIEVE_CHECK_OK(cache_->ReclaimGpu(v.conversation, v.chunk_index));
+      if (swap_pass_->cpu_frontier.has_value()) {
+        // The now CPU-only chunk may be its conversation's CPU frontier.
+        PushFrontier(Frontier::kCpuEvict, v.conversation, now, &*swap_pass_->cpu_frontier);
+      }
+    }
+    chunks->emplace_back(v.conversation, v.chunk_index);
   }
+  swap_pass_.reset();
+  return tokens;
+}
+
+void CacheCoordinator::DropWholeConversation(ConversationId id) {
+  const ContextState* state = cache_->Find(id);
+  PENSIEVE_CHECK(state != nullptr);
+  (void)cache_->DropThroughPrefix(id, state->num_chunks() - 1);
 }
 
 bool CacheCoordinator::EvictCpuFrontierChunk(const Victim& victim) {
@@ -332,46 +348,10 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
     }
   }
   // 2. Forced swap-out (ahead-of-time swapping fell behind): pays a
-  // synchronous PCIe stall, charged by the engine. The candidates are the
-  // kGpu chunks at this point.
+  // synchronous PCIe stall, charged by the engine.
   if (options_.use_cpu_cache && cache_->gpu_allocator().num_free() < n) {
-    swap_pass_.emplace();
-    LocationPass swappable = SeedLocation(ChunkLocation::kGpu, now);
-    const int64_t swap_deficit = n - cache_->gpu_allocator().num_free();
-    (void)EnsureFreeCpuBlocks(
-        std::min<int64_t>(swap_deficit, cache_->cpu_allocator().capacity()), now);
-    while (!swappable.empty() && cache_->gpu_allocator().num_free() < n) {
-      const Victim v = PopLocation(ChunkLocation::kGpu, now, &swappable);
-      // Skip candidates CPU-pressure drops changed before reserving CPU
-      // space for them.
-      const ContextState* state = cache_->Find(v.conversation);
-      if (state == nullptr ||
-          state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
-        continue;
-      }
-      if (cache_->cpu_allocator().num_free() == 0 && !EnsureFreeCpuBlocks(1, now)) {
-        break;
-      }
-      state = cache_->Find(v.conversation);
-      if (state == nullptr ||
-          state->chunk(v.chunk_index).location != ChunkLocation::kGpu) {
-        continue;
-      }
-      const int64_t tokens = state->chunk(v.chunk_index).num_tokens;
-      if (!cache_->SwapOut(v.conversation, v.chunk_index).ok()) {
-        continue;
-      }
-      if (!cache_->ReclaimGpu(v.conversation, v.chunk_index).ok()) {
-        continue;  // chunk stays kGpuAndCpu; no block freed, no stall charged
-      }
-      if (swap_pass_->cpu_frontier.has_value()) {
-        // The now CPU-only chunk may be its conversation's CPU frontier.
-        PushFrontier(Frontier::kCpuEvict, v.conversation, now, &*swap_pass_->cpu_frontier);
-      }
-      outcome.forced_swap_out_tokens += tokens;
-      outcome.forced_swapped.emplace_back(v.conversation, v.chunk_index);
-    }
-    swap_pass_.reset();
+    outcome.forced_swap_out_tokens =
+        SwapOutPass(n, /*reclaim=*/true, now, &outcome.forced_swapped);
   }
   if (cache_->gpu_allocator().num_free() >= n) {
     outcome.ok = true;

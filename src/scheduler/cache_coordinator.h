@@ -215,6 +215,15 @@ class CacheCoordinator {
   // victim, recording the spill. False when the drop failed.
   bool EvictCpuFrontierChunk(const Victim& victim);
 
+  // The one swap-out loop (ahead-of-time and forced): copies kGpu chunks to
+  // the CPU in victim order until `target` blocks are available. With
+  // `reclaim` it measures the free list and frees each copied chunk's GPU
+  // block (the forced path); otherwise it measures AvailableGpuBlocks() and
+  // leaves the copies kGpuAndCpu (lazy reclamation). Appends the chunks to
+  // `*chunks` and returns their tokens.
+  int64_t SwapOutPass(int64_t target, bool reclaim, double now,
+                      std::vector<std::pair<ConversationId, int64_t>>* chunks);
+
   // Drops every cached chunk of a conversation (classic-LRU granularity).
   void DropWholeConversation(ConversationId id);
 
@@ -228,8 +237,8 @@ class CacheCoordinator {
   Options options_;
   std::function<bool(ConversationId)> may_forget_;
   SpillOutcome pending_spill_;
-  // State of the ahead-of-time or forced swap-out pass in progress, shared
-  // with the EnsureFreeCpuBlocks calls nested in it.
+  // State of the SwapOutPass in progress, shared with the
+  // EnsureFreeCpuBlocks calls nested in it.
   struct SwapPass {
     // Chunks the nested CPU-pressure fallback turned back into kGpu: they
     // were no candidates when the pass started.

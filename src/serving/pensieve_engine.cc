@@ -87,42 +87,26 @@ PensieveEngine::PensieveEngine(const GpuCostModel& cost_model,
   PENSIEVE_CHECK_GT(options_.num_gpu_blocks, 0);
 }
 
-double PensieveEngine::TransferDeviceToHost(double now, double bytes,
-                                            bool* delivered) {
-  const LinkTransferOutcome out = pcie_faults_.Transfer(
-      now, bytes,
-      [this](double start, double b) { return link_.ScheduleDeviceToHost(start, b); });
-  stats_.link_faults = pcie_faults_.stats();
-  *delivered = out.delivered;
-  return out.done;
-}
-
-double PensieveEngine::TransferHostToDevice(double now, double bytes,
-                                            bool* delivered) {
-  const LinkTransferOutcome out = pcie_faults_.Transfer(
-      now, bytes,
-      [this](double start, double b) { return link_.ScheduleHostToDevice(start, b); });
-  stats_.link_faults = pcie_faults_.stats();
-  *delivered = out.delivered;
-  return out.done;
-}
-
-double PensieveEngine::TransferSsdRead(double now, double bytes, bool* delivered) {
-  const LinkTransferOutcome out = ssd_faults_.Transfer(
-      now, bytes,
-      [this](double start, double b) { return ssd_link_.ScheduleRead(start, b); });
-  stats_.ssd_link_faults = ssd_faults_.stats();
-  *delivered = out.delivered;
-  return out.done;
-}
-
-double PensieveEngine::TransferSsdWrite(double now, double bytes, bool* delivered) {
-  const LinkTransferOutcome out = ssd_faults_.Transfer(
-      now, bytes,
-      [this](double start, double b) { return ssd_link_.ScheduleWrite(start, b); });
-  stats_.ssd_link_faults = ssd_faults_.stats();
-  *delivered = out.delivered;
-  return out.done;
+LinkTransferOutcome PensieveEngine::Move(KvLink link, double start, int64_t tokens) {
+  const double bytes =
+      static_cast<double>(tokens) * static_cast<double>(kv_wire_bytes_per_token_);
+  switch (link) {
+    case KvLink::kDeviceToHost:
+      return pcie_faults_.Transfer(start, bytes, [this](double s, double b) {
+        return link_.ScheduleDeviceToHost(s, b);
+      });
+    case KvLink::kHostToDevice:
+      return pcie_faults_.Transfer(start, bytes, [this](double s, double b) {
+        return link_.ScheduleHostToDevice(s, b);
+      });
+    case KvLink::kSsdRead:
+      return ssd_faults_.Transfer(
+          start, bytes, [this](double s, double b) { return ssd_link_.ScheduleRead(s, b); });
+    case KvLink::kSsdWrite:
+      break;
+  }
+  return ssd_faults_.Transfer(
+      start, bytes, [this](double s, double b) { return ssd_link_.ScheduleWrite(s, b); });
 }
 
 void PensieveEngine::ChargeFlashSpill(double now) {
@@ -132,11 +116,7 @@ void PensieveEngine::ChargeFlashSpill(double now) {
     return;
   }
   stats_.ssd_demoted_tokens += spill.demoted_tokens;
-  const double bytes = static_cast<double>(spill.demoted_tokens) *
-                       static_cast<double>(kv_wire_bytes_per_token_);
-  bool delivered = false;
-  TransferSsdWrite(now, bytes, &delivered);
-  if (!delivered) {
+  if (!Move(KvLink::kSsdWrite, now, spill.demoted_tokens).delivered) {
     // The state transitions already happened; poison the flash copies that
     // never landed so promotion detects the loss and degrades to
     // recomputation instead of restoring garbage.
@@ -179,6 +159,8 @@ void PensieveEngine::PlanSsdRecompute(int64_t conversation_id) {
 }
 
 void PensieveEngine::SyncCacheStats() {
+  stats_.link_faults = pcie_faults_.stats();
+  stats_.ssd_link_faults = ssd_faults_.stats();
   const TwoTierKvCache::Counters& counters = cache_.counters();
   stats_.ssd_demoted_chunks = counters.demoted_to_flash_chunks;
   stats_.ssd_promoted_chunks = counters.promoted_from_flash_chunks;
@@ -264,10 +246,10 @@ PensieveEngine::TemplateAttachOutcome PensieveEngine::AttachTemplatePrefix(
   for (int64_t i = 0; i < dropped_prefix; ++i) {
     if (!cache_.ReattachDroppedShared(conv_id, i, blocks[static_cast<size_t>(i)])
              .ok()) {
-      // Re-drop the rescued run (front to back) so the invariant holds, and
-      // fall back to the ordinary restore + recompute path.
-      for (int64_t j = 0; j < i; ++j) {
-        PENSIEVE_CHECK_OK(cache_.DropChunk(conv_id, j));
+      // Re-drop the rescued run so the invariant holds, and fall back to the
+      // ordinary restore + recompute path.
+      if (i > 0) {
+        PENSIEVE_CHECK_OK(cache_.DropThroughPrefix(conv_id, i - 1));
       }
       return attach;
     }
@@ -294,8 +276,8 @@ void PensieveEngine::UndoTemplateAttach(Running* r,
     r->pending_new_tokens += attach.fresh_tokens;
     r->shared_prompt_skipped = 0;
   }
-  for (int64_t j = 0; j < attach.reattached_chunks; ++j) {
-    PENSIEVE_CHECK_OK(cache_.DropChunk(conv_id, j));
+  if (attach.reattached_chunks > 0) {
+    PENSIEVE_CHECK_OK(cache_.DropThroughPrefix(conv_id, attach.reattached_chunks - 1));
   }
   if (attach.counted_hit) {
     const int64_t tokens = attach.fresh_tokens + attach.reattached_tokens;
@@ -314,27 +296,31 @@ void PensieveEngine::PublishTemplatePrefix(const Running& r) {
                               template_chains_.Get(r.request.template_id, template_blocks));
 }
 
-void PensieveEngine::ChargeForcedSwapOut(const CacheCoordinator::FreeOutcome& freed,
-                                         double now) {
-  if (freed.forced_swap_out_tokens == 0) {
-    return;
-  }
-  const double bytes = static_cast<double>(freed.forced_swap_out_tokens) *
-                       static_cast<double>(kv_wire_bytes_per_token_);
-  bool delivered = false;
-  const double done = TransferDeviceToHost(now, bytes, &delivered);
-  pending_forced_stall_ += std::max(0.0, done - now);
-  stats_.forced_swap_out_tokens += freed.forced_swap_out_tokens;
-  if (!delivered) {
+double PensieveEngine::ChargeSwapOut(
+    int64_t tokens, const std::vector<std::pair<ConversationId, int64_t>>& chunks,
+    double now) {
+  const LinkTransferOutcome out = Move(KvLink::kDeviceToHost, now, tokens);
+  if (!out.delivered) {
     // The GPU slots are already reassigned; the copies that never landed
     // are poisoned so the next swap-in attempt detects the loss and
     // degrades to recomputation.
-    for (const auto& [conv, chunk] : freed.forced_swapped) {
+    for (const auto& [conv, chunk] : chunks) {
       (void)cache_.MarkCpuCorrupt(conv, chunk);
     }
-    stats_.fault_failed_swap_outs +=
-        static_cast<int64_t>(freed.forced_swapped.size());
+    stats_.fault_failed_swap_outs += static_cast<int64_t>(chunks.size());
   }
+  return out.done;
+}
+
+bool PensieveEngine::FreeGpuBlocks(int64_t n, double now) {
+  const CacheCoordinator::FreeOutcome freed = coordinator_.EnsureFreeGpuBlocks(n, now);
+  if (freed.forced_swap_out_tokens > 0) {
+    const double done = ChargeSwapOut(freed.forced_swap_out_tokens, freed.forced_swapped, now);
+    pending_forced_stall_ += std::max(0.0, done - now);
+    stats_.forced_swap_out_tokens += freed.forced_swap_out_tokens;
+  }
+  ChargeFlashSpill(now);
+  return freed.ok;
 }
 
 void PensieveEngine::DegradePrefixThrough(int64_t conversation_id,
@@ -343,16 +329,12 @@ void PensieveEngine::DegradePrefixThrough(int64_t conversation_id,
   if (conv == nullptr) {
     return;
   }
-  int64_t degraded_tokens = 0;
-  for (int64_t i = conv->LeadingDroppedChunks(); i <= deepest_chunk; ++i) {
-    const int64_t tokens = conv->chunk(i).num_tokens;
-    if (!cache_.DropChunk(conversation_id, i).ok()) {
-      break;
-    }
-    degraded_tokens += tokens;
-    ++stats_.fault_dropped_chunks;
-  }
-  stats_.fault_recompute_tokens += degraded_tokens;
+  // The leading-dropped count grows by exactly the chunks dropped here (none
+  // when `deepest_chunk` is already dropped).
+  const int64_t dropped_before = conv->LeadingDroppedChunks();
+  (void)cache_.DropThroughPrefix(conversation_id, deepest_chunk,
+                                 &stats_.fault_recompute_tokens);
+  stats_.fault_dropped_chunks += conv->LeadingDroppedChunks() - dropped_before;
   ++stats_.fault_degraded_admissions;
 }
 
@@ -471,21 +453,27 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
   }
 
   conv.Pin();
-  const CacheCoordinator::FreeOutcome freed =
-      coordinator_.EnsureFreeGpuBlocks(blocks_needed, now);
-  ChargeForcedSwapOut(freed, now);
-  ChargeFlashSpill(now);
-  if (!freed.ok) {
+  if (!FreeGpuBlocks(blocks_needed, now)) {
     conv.Unpin();
     UndoTemplateAttach(r, attach);
     return false;
   }
 
+  // A restore that cannot complete drops the prefix through `deepest_chunk`
+  // and re-admits inline on the recompute path (§4.3.4). The degraded prefix
+  // is kDropped, so the retry cannot take the same branch again — without
+  // the inline retry a lone request would leave the step idle and strand
+  // the experiment. The failed attempts' link time is already charged.
+  const auto degrade_and_retry = [&](int64_t deepest_chunk) {
+    DegradePrefixThrough(conv_id, deepest_chunk);
+    conv.Unpin();
+    return TryAdmit(r, now, batch_input_tokens);
+  };
+
   // Flash promotion phase: stage the conversation's SSD run back into the
   // CPU tier so the normal swap-in path below restores it. The flash read is
   // charged on the SSD link; the host-to-device transfer then starts when
-  // that read completes. Any failure degrades the run to recomputation and
-  // retries admission inline (same pattern as the PCIe path below).
+  // that read completes.
   double restore_start = now;
   int64_t promoted_tokens = 0;
   if (!ssd_chunks.empty()) {
@@ -494,35 +482,25 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
       ssd_tokens += conv.chunk(idx).num_tokens;
     }
     const int64_t staging = static_cast<int64_t>(ssd_chunks.size());
-    if (cache_.cpu_allocator().num_free() < staging &&
-        !coordinator_.EnsureFreeCpuBlocks(staging, now)) {
-      ChargeFlashSpill(now);
-      DegradePrefixThrough(conv_id, ssd_chunks.back());
-      conv.Unpin();
-      return TryAdmit(r, now, batch_input_tokens);
-    }
+    const bool staged = cache_.cpu_allocator().num_free() >= staging ||
+                        coordinator_.EnsureFreeCpuBlocks(staging, now);
     ChargeFlashSpill(now);
-    const double bytes = static_cast<double>(ssd_tokens) *
-                         static_cast<double>(kv_wire_bytes_per_token_);
-    bool delivered = false;
-    const double ssd_done = TransferSsdRead(now, bytes, &delivered);
-    if (!delivered) {
-      DegradePrefixThrough(conv_id, ssd_chunks.back());
-      conv.Unpin();
-      return TryAdmit(r, now, batch_input_tokens);
+    if (!staged) {
+      return degrade_and_retry(ssd_chunks.back());
     }
-    restore_start = std::max(restore_start, ssd_done);
+    const LinkTransferOutcome read = Move(KvLink::kSsdRead, now, ssd_tokens);
+    if (!read.delivered) {
+      return degrade_and_retry(ssd_chunks.back());
+    }
+    restore_start = std::max(restore_start, read.done);
     // Promote back to front so the remaining flash run stays a contiguous
     // extension of the dropped prefix.
     for (auto it = ssd_chunks.rbegin(); it != ssd_chunks.rend(); ++it) {
       const int64_t chunk_tokens = conv.chunk(*it).num_tokens;
       if (!cache_.PromoteFromFlash(conv_id, *it).ok()) {
-        // Corrupt flash copy (or staging raced away): drop the prefix
-        // through this chunk — deeper chunks already promoted stay — and
-        // re-admit on the recompute path.
-        DegradePrefixThrough(conv_id, *it);
-        conv.Unpin();
-        return TryAdmit(r, now, batch_input_tokens);
+        // Corrupt flash copy (or staging raced away): deeper chunks already
+        // promoted stay.
+        return degrade_and_retry(*it);
       }
       promoted_tokens += chunk_tokens;
     }
@@ -538,25 +516,14 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
   // Restore transfer for the CPU-resident chunks; it overlaps the upcoming
   // step's compute layer by layer (§4.3.3), with any overhang charged as
   // stall. Runs before the accounting snapshot so a transfer that exhausts
-  // its retries can degrade cleanly: the prefix through the deepest CPU
-  // chunk is dropped and admission retries inline on the recompute path
-  // (the failed attempts' link time is already charged).
+  // its retries can degrade cleanly through the deepest CPU chunk.
   double restore_transfer_s = 0.0;
   if (cpu_tokens > 0) {
-    const double bytes = static_cast<double>(cpu_tokens) *
-                         static_cast<double>(kv_wire_bytes_per_token_);
-    bool delivered = false;
-    const double done = TransferHostToDevice(restore_start, bytes, &delivered);
-    if (!delivered) {
-      DegradePrefixThrough(conv_id, cpu_chunks.back());
-      conv.Unpin();
-      // Re-admit immediately on the recompute path. The degraded prefix is
-      // now kDropped, so the retry has no CPU chunks to restore and cannot
-      // take this branch again — without the inline retry a lone request
-      // would leave the step idle and strand the experiment.
-      return TryAdmit(r, now, batch_input_tokens);
+    const LinkTransferOutcome restore = Move(KvLink::kHostToDevice, restore_start, cpu_tokens);
+    if (!restore.delivered) {
+      return degrade_and_retry(cpu_chunks.back());
     }
-    restore_transfer_s = std::max(0.0, done - now);
+    restore_transfer_s = std::max(0.0, restore.done - now);
   }
 
   // Reuse accounting snapshot (Figure 14 analysis), first admission only.
@@ -639,16 +606,15 @@ void PensieveEngine::EvictConversationFromGpu(int64_t conversation_id, double no
   ContextState* conv = cache_.Find(conversation_id);
   PENSIEVE_CHECK(conv != nullptr);
   int64_t swapped_tokens = 0;
-  std::vector<int64_t> swapped_chunks;
+  std::vector<std::pair<ConversationId, int64_t>> swapped;
   for (int64_t i = 0; i < conv->num_chunks(); ++i) {
     if (conv->chunk(i).location == ChunkLocation::kGpuAndCpu) {
-      if (!cache_.ReclaimGpu(conversation_id, i).ok()) {
-        // The CPU copy is corrupt; discard it and re-evict the GPU copy
-        // through the paths below.
-        (void)cache_.DropCpuCopy(conversation_id, i);
-      } else {
+      if (cache_.ReclaimGpu(conversation_id, i).ok()) {
         continue;
       }
+      // The CPU copy is corrupt; discard it and re-evict the GPU copy
+      // through the paths below.
+      (void)cache_.DropCpuCopy(conversation_id, i);
     }
     if (conv->chunk(i).location != ChunkLocation::kGpu) {
       continue;
@@ -661,58 +627,40 @@ void PensieveEngine::EvictConversationFromGpu(int64_t conversation_id, double no
       if (cache_.SwapOut(conversation_id, i).ok() &&
           cache_.ReclaimGpu(conversation_id, i).ok()) {
         swapped_tokens += chunk_tokens;
-        swapped_chunks.push_back(i);
+        swapped.emplace_back(conversation_id, i);
         continue;
       }
     }
     // No CPU space (or the swap failed): drop this chunk, which requires
     // dropping the prefix before it first.
-    for (int64_t j = 0; j <= i; ++j) {
-      if (!conv->chunk(j).Dropped()) {
-        if (!cache_.DropChunk(conversation_id, j).ok()) {
-          break;
-        }
-      }
-    }
+    (void)cache_.DropThroughPrefix(conversation_id, i);
   }
   if (swapped_tokens > 0) {
-    const double bytes = static_cast<double>(swapped_tokens) *
-                         static_cast<double>(kv_wire_bytes_per_token_);
-    bool delivered = false;
-    TransferDeviceToHost(now, bytes, &delivered);
-    if (!delivered) {
-      // The evicted copies never landed; poison them so the conversation's
-      // next admission degrades to recomputation instead of restoring
-      // garbage.
-      for (int64_t chunk : swapped_chunks) {
-        (void)cache_.MarkCpuCorrupt(conversation_id, chunk);
-      }
-      stats_.fault_failed_swap_outs +=
-          static_cast<int64_t>(swapped_chunks.size());
-    }
+    ChargeSwapOut(swapped_tokens, swapped, now);
   }
   // The per-chunk EnsureFreeCpuBlocks calls above may have spilled to flash.
   ChargeFlashSpill(now);
+}
+
+void PensieveEngine::UnwindAdmission(Running* r) {
+  const int64_t conv_id = r->request.conversation_id;
+  ContextState* conv = cache_.Find(conv_id);
+  PENSIEVE_CHECK(conv != nullptr);
+  conv->Unpin();
+  // Chunks restored for a prefill that never ran hold garbage; re-drop them.
+  if (r->restored_chunks > 0) {
+    (void)cache_.DropThroughPrefix(conv_id, r->restored_chunks - 1);
+  }
+  r->restored_chunks = 0;
+  r->restore_transfer_s = 0.0;
 }
 
 void PensieveEngine::SuspendRequest(size_t index, double now) {
   PENSIEVE_CHECK_LT(index, running_.size());
   Running r = std::move(running_[index]);
   running_.erase(running_.begin() + static_cast<int64_t>(index));
-  const int64_t conv_id = r.request.conversation_id;
-  ContextState* conv = cache_.Find(conv_id);
-  PENSIEVE_CHECK(conv != nullptr);
-  conv->Unpin();
-  // Chunks restored for a prefill that never ran hold garbage; re-drop them
-  // (front to back, satisfying the prefix invariant).
-  for (int64_t i = 0; i < r.restored_chunks; ++i) {
-    if (!cache_.DropChunk(conv_id, i).ok()) {
-      break;
-    }
-  }
-  r.restored_chunks = 0;
-  r.restore_transfer_s = 0.0;
-  EvictConversationFromGpu(conv_id, now);
+  UnwindAdmission(&r);
+  EvictConversationFromGpu(r.request.conversation_id, now);
   ++r.suspensions;
   ++stats_.suspensions;
   waiting_.push_front(std::move(r));
@@ -726,11 +674,7 @@ StepResult PensieveEngine::Step(double now) {
   // traffic only occupies the device-to-host link.
   const CacheCoordinator::EvictOutcome aot = coordinator_.AheadOfTimeEvict(now);
   if (aot.swapped_out_tokens > 0) {
-    const double bytes = static_cast<double>(aot.swapped_out_tokens) *
-                         static_cast<double>(kv_wire_bytes_per_token_);
-    bool delivered = false;
-    TransferDeviceToHost(now, bytes, &delivered);
-    if (delivered) {
+    if (Move(KvLink::kDeviceToHost, now, aot.swapped_out_tokens).delivered) {
       stats_.aot_swap_out_tokens += aot.swapped_out_tokens;
     } else {
       // The ahead-of-time copies never landed: roll them back. The chunks
@@ -773,15 +717,7 @@ StepResult PensieveEngine::Step(double now) {
       Running& r = running_[i];
       const int64_t conv_id = r.request.conversation_id;
       const int64_t need = cache_.AppendBlockDemand(conv_id, r.pending_new_tokens);
-      bool ok = need <= cache_.gpu_allocator().num_free();
-      if (!ok) {
-        const CacheCoordinator::FreeOutcome freed =
-            coordinator_.EnsureFreeGpuBlocks(need, now);
-        ChargeForcedSwapOut(freed, now);
-        ChargeFlashSpill(now);
-        ok = freed.ok;
-      }
-      if (!ok) {
+      if (need > cache_.gpu_allocator().num_free() && !FreeGpuBlocks(need, now)) {
         // Suspend the most recently arrived request that has not yet been
         // processed this step; fall back to suspending this one.
         size_t victim = i;
@@ -1002,21 +938,10 @@ DrainedWork PensieveEngine::DrainUnfinished() {
 
 DrainedWork PensieveEngine::DrainForRehome() {
   // Running requests hold admission state a crash simply discards but a live
-  // drain must unwind: their conversations are pinned (TryAdmit) and may
-  // hold restored-but-unprefilled chunks whose KV is garbage until the
-  // prefill runs. Mirror SuspendRequest: unpin and re-drop those chunks so
-  // ExportConversationState sees a clean, unpinned conversation.
+  // drain must unwind, as SuspendRequest does, so ExportConversationState
+  // sees a clean, unpinned conversation.
   for (Running& r : running_) {
-    const int64_t conv_id = r.request.conversation_id;
-    ContextState* conv = cache_.Find(conv_id);
-    PENSIEVE_CHECK(conv != nullptr);
-    conv->Unpin();
-    for (int64_t i = 0; i < r.restored_chunks; ++i) {
-      if (!cache_.DropChunk(conv_id, i).ok()) {
-        break;
-      }
-    }
-    r.restored_chunks = 0;
+    UnwindAdmission(&r);
   }
   return DrainUnfinished();
 }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/eviction/policy.h"
@@ -111,8 +112,6 @@ class PensieveEngine final : public Engine {
 
   // Introspection for tests.
   const TwoTierKvCache& cache() const { return cache_; }
-  const LinkFaultInjector& pcie_faults() const { return pcie_faults_; }
-  const LinkFaultInjector& ssd_faults() const { return ssd_faults_; }
   int64_t num_waiting() const { return static_cast<int64_t>(waiting_.size()); }
   int64_t num_running() const { return static_cast<int64_t>(running_.size()); }
 
@@ -163,27 +162,38 @@ class PensieveEngine final : public Engine {
   // and re-queues it (§4.3.5).
   void SuspendRequest(size_t index, double now);
 
+  // Undoes what admission left on a running request's conversation: unpins
+  // it and re-drops the chunks restored for a prefill that never ran.
+  void UnwindAdmission(Running* r);
+
   // Evicts every GPU-resident chunk of a conversation (suspension path).
   void EvictConversationFromGpu(int64_t conversation_id, double now);
 
-  // --- KV-fault handling ---------------------------------------------------
-  // Device-to-host / host-to-device transfers routed through the fault
-  // injector. Return the completion (or abandonment) time; `delivered` is
-  // false when the transfer exhausted its retries.
-  double TransferDeviceToHost(double now, double bytes, bool* delivered);
-  double TransferHostToDevice(double now, double bytes, bool* delivered);
+  // --- KV transfers and fault handling ------------------------------------
+  // The links a KV move can take: the PCIe link in either direction, and
+  // the SSD link (reads promote flash data toward the CPU, writes carry
+  // demotions the other way).
+  enum class KvLink { kDeviceToHost, kHostToDevice, kSsdRead, kSsdWrite };
+  // Moves `tokens` KV tokens (at the wire size) on `link` from `start`,
+  // through that link's fault injector. The outcome's `done` is the
+  // completion (or abandonment) time; `delivered` is false when the
+  // transfer exhausted its retries.
+  LinkTransferOutcome Move(KvLink link, double start, int64_t tokens);
 
-  // Charges a FreeOutcome's forced swap-out traffic to the link; when the
-  // transfer fails, the landed CPU copies are poisoned so a later swap-in
-  // degrades to recomputation instead of restoring garbage.
-  void ChargeForcedSwapOut(const CacheCoordinator::FreeOutcome& freed, double now);
+  // Charges the device-to-host copy of chunks that are already kCpu; when
+  // the transfer fails, their CPU copies are poisoned so a later swap-in
+  // degrades to recomputation instead of restoring garbage. Returns the
+  // transfer's completion time.
+  double ChargeSwapOut(int64_t tokens,
+                       const std::vector<std::pair<ConversationId, int64_t>>& chunks,
+                       double now);
+
+  // Makes `n` GPU blocks free through the coordinator, charging any forced
+  // swap-out as a synchronous stall and any flash spill. False when the
+  // blocks could not be freed.
+  bool FreeGpuBlocks(int64_t n, double now);
 
   // --- Flash (SSD) tier ----------------------------------------------------
-  // SSD-link transfers routed through the SSD fault injector (reads promote
-  // flash data toward the CPU, writes carry demotions the other way).
-  double TransferSsdRead(double now, double bytes, bool* delivered);
-  double TransferSsdWrite(double now, double bytes, bool* delivered);
-
   // Drains the coordinator's pending CPU->flash demotions and charges their
   // bytes on the SSD write link as background traffic (like ahead-of-time
   // swap-out, demotion is off the critical path). A failed transfer poisons
@@ -198,10 +208,11 @@ class PensieveEngine final : public Engine {
   // wins and the drop stays a legal prefix.
   void PlanSsdRecompute(int64_t conversation_id);
 
-  // Mirrors the cache's monotone flash, sharing and quantization counters,
-  // the flash log's stats and the GPU allocator's refcount ledger into
-  // stats_ (assignment, not accumulation — same idiom as the link-fault
-  // stats snapshots). A feature that is off leaves its counters at zero.
+  // Mirrors the link fault injectors' stats, the cache's monotone flash,
+  // sharing and quantization counters, the flash log's stats and the GPU
+  // allocator's refcount ledger into stats_ (assignment, not accumulation).
+  // A feature that is off leaves its counters at zero. Every Step exit
+  // calls it, and every KV transfer runs inside Step.
   void SyncCacheStats();
 
   // --- Shared-prefix dedup -------------------------------------------------
@@ -259,7 +270,7 @@ class PensieveEngine final : public Engine {
   std::unique_ptr<EvictionPolicy> policy_;
   CacheCoordinator coordinator_;
   // One PCIe link per tensor-parallel worker; each worker moves its own
-  // feature slice of every chunk (Â§4.4.2).
+  // feature slice of every chunk (§4.4.2).
   TpLinkGroup link_;
   // Every KV transfer on link_ goes through this injector; with all rates
   // zero it is a draw-free pass-through.

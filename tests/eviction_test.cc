@@ -320,5 +320,61 @@ TEST(CoordinatorTest, DropRespectsPrefixOrderAcrossMixedStates) {
   }
 }
 
+// Classic-LRU granularity drops a whole conversation to free one CPU block,
+// so a swap-out pass can lose candidates it seeded: both passes must skip
+// them instead of swapping out a chunk that is gone.
+CacheCoordinator::Options ConversationGranularity(double target) {
+  CacheCoordinator::Options o = CoordinatorFixture::MakeOptions(/*use_cpu=*/true, target);
+  o.conversation_granularity = true;
+  return o;
+}
+
+TEST(CoordinatorTest, AotSkipsCandidatesTheCpuReservationForgot) {
+  TwoTierKvCache cache(CoordinatorFixture::MakeConfig(/*gpu_blocks=*/4, /*cpu_blocks=*/1));
+  ChunkCostEstimator estimator = Estimator();
+  RetentionValuePolicy policy(estimator);
+  CacheCoordinator coordinator(&cache, &policy, ConversationGranularity(/*target=*/0.75));
+  // Conversation 1: chunk 0 holds the only CPU block, chunk 1 is on the GPU
+  // and, idle longest, is the first swap-out candidate. Conversation 2 fills
+  // the other three GPU blocks.
+  ASSERT_TRUE(cache.AppendTokenSlots(1, 8, nullptr).ok());
+  ASSERT_TRUE(cache.SwapOut(1, 0).ok());
+  ASSERT_TRUE(cache.ReclaimGpu(1, 0).ok());
+  ASSERT_TRUE(cache.AppendTokenSlots(2, 12, nullptr).ok());
+  cache.Find(1)->set_last_active(0.0);
+  cache.Find(2)->set_last_active(9.0);
+  // Reserving CPU space drops (and forgets) conversation 1, so its seeded
+  // chunk 1 is skipped; conversation 2's chunks are swapped out instead.
+  const CacheCoordinator::EvictOutcome evicted = coordinator.AheadOfTimeEvict(10.0);
+  EXPECT_EQ(cache.Find(1), nullptr);
+  EXPECT_EQ(evicted.dropped_tokens, 0);
+  ASSERT_FALSE(evicted.swapped.empty());
+  for (const auto& [conv, chunk] : evicted.swapped) {
+    EXPECT_EQ(conv, 2);
+  }
+  EXPECT_EQ(evicted.swapped_out_tokens, 4 * static_cast<int64_t>(evicted.swapped.size()));
+  cache.CheckInvariants();
+}
+
+TEST(CoordinatorTest, ForcedSwapSkipsAVictimItsOwnCpuReservationDropped) {
+  TwoTierKvCache cache(CoordinatorFixture::MakeConfig(/*gpu_blocks=*/2, /*cpu_blocks=*/1));
+  ChunkCostEstimator estimator = Estimator();
+  RetentionValuePolicy policy(estimator);
+  CacheCoordinator coordinator(&cache, &policy, ConversationGranularity(/*target=*/0.25));
+  ASSERT_TRUE(cache.AppendTokenSlots(1, 8, nullptr).ok());
+  // Chunk 0 swaps out and takes the only CPU block. Reserving one for chunk
+  // 1 then evicts chunk 0, now the CPU frontier, and with it the whole
+  // conversation, chunk 1 included: the pass skips chunk 1 and ends with
+  // both blocks free.
+  const CacheCoordinator::FreeOutcome freed = coordinator.EnsureFreeGpuBlocks(2, 1.0);
+  EXPECT_TRUE(freed.ok);
+  EXPECT_EQ(cache.Find(1), nullptr);
+  EXPECT_EQ(freed.forced_swap_out_tokens, 4);
+  ASSERT_EQ(freed.forced_swapped.size(), 1u);
+  EXPECT_EQ(freed.forced_swapped[0].second, 0);
+  EXPECT_EQ(cache.gpu_allocator().num_free(), 2);
+  cache.CheckInvariants();
+}
+
 }  // namespace
 }  // namespace pensieve

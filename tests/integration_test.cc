@@ -92,7 +92,7 @@ TEST(IntegrationTest, GqaModelRaisesPensieveAdvantage) {
 }
 
 TEST(IntegrationTest, RetentionPolicyRecomputesNoMoreThanLru) {
-  // Paper Figure 14 / Â§6.6: the retention-value policy beats classic
+  // Paper Figure 14 / §6.6: the retention-value policy beats classic
   // (conversation-granularity) LRU under cache pressure. The effect is
   // modest in the paper (up to 14.6% fewer recomputed tokens, only beyond
   // ~3 req/s on a 48K-conversation trace) and smaller still at this test's

@@ -188,5 +188,109 @@ TEST(PensieveEngineEdgeTest, StatsAccumulateAcrossManyTurns) {
   EXPECT_DOUBLE_EQ(stats.CacheHitRate(), 1.0);
 }
 
+TEST(PensieveEngineEdgeTest, SuspensionRedropsOnlyTheRestoredPrefix) {
+  GpuCostModel model = Opt13BModel();
+  // Six GPU blocks, one CPU block, no ahead-of-time swap-out and no decode
+  // reserve. Conversation 2's long prompt waits while 0 and 1 run, and
+  // conversation 0's second turn queues behind it. The step after 1
+  // finishes admits 2, whose blocks push conversation 0 out (three chunks
+  // dropped, the fourth to the CPU), then admits 0's turn, which restores
+  // the three for recompute; the batch outgrows the GPU and 0's turn, the
+  // latest arrival, is suspended in that same step.
+  PensieveEngineOptions options = SmallOptions(/*gpu_blocks=*/6, /*cpu_blocks=*/1);
+  options.swap_out_threshold = 0.0;
+  options.decode_reserve = 0.0;
+  PensieveEngine engine(model, options);
+  engine.Enqueue(MakeRequest(0, 0, 0, 71, 0, 34, 2.5), 2.5);
+  double now = 2.5;
+  bool others_queued = false;
+  for (int i = 0; i < 1000 && engine.stats().suspensions == 0; ++i) {
+    if (!others_queued && now >= 3.0) {
+      engine.Enqueue(MakeRequest(1, 1, 0, 14, 0, 12, now), now);
+      engine.Enqueue(MakeRequest(2, 2, 0, 145, 0, 20, now), now);
+      others_queued = true;
+    }
+    const StepResult r = engine.Step(now);
+    ASSERT_FALSE(r.idle);
+    now += r.duration;
+    for (const RequestOutcome& o : r.finished) {
+      if (o.request.request_id == 0) {
+        engine.Enqueue(MakeRequest(3, 0, 1, 30, 105, 36, now), now);
+      }
+    }
+  }
+  ASSERT_EQ(engine.stats().suspensions, 1);
+  // Only the restored chunks were re-dropped: the chunk behind them went
+  // back to the CPU rather than being dropped with them.
+  const ContextState* conv = engine.cache().Find(0);
+  ASSERT_NE(conv, nullptr);
+  ASSERT_EQ(conv->num_chunks(), 4);
+  EXPECT_EQ(conv->LeadingDroppedChunks(), 3);
+  EXPECT_EQ(conv->chunk(3).location, ChunkLocation::kCpu);
+  engine.cache().CheckInvariants();
+
+  const std::vector<RequestOutcome> outcomes = Drain(&engine, now);
+  EXPECT_EQ(outcomes.size(), 2u);  // conversation 2's turn and the suspended one
+  engine.cache().CheckInvariants();
+}
+
+TEST(PensieveEngineEdgeTest, RejectedReattachRedropsOnlyTheRescuedRun) {
+  GpuCostModel model = Opt13BModel();
+  // GPU-only, six blocks, a 64-token step budget. Conversation 0 publishes
+  // a three-block template; conversation 1 attaches it and keeps running
+  // while the cache fills, so the eviction that follows drops conversation
+  // 0's three shared views (score 0) and then conversation 2's lone chunk,
+  // and conversation 0's private fourth chunk stays on the GPU.
+  PensieveEngineOptions options = SmallOptions(/*gpu_blocks=*/6, /*cpu_blocks=*/0);
+  options.use_cpu_cache = false;
+  options.decode_reserve = 0.0;
+  options.max_batch_tokens = 64;
+  PensieveEngine engine(model, options);
+  engine.Enqueue(MakeRequest(0, 2, 0, 20, 0, 1), 0.0);
+  Drain(&engine);
+  Request publisher = MakeRequest(1, 0, 0, 100, 0, 2, 1.0);
+  publisher.template_id = 9;
+  publisher.template_prefix_len = 96;
+  engine.Enqueue(publisher, 1.0);
+  Drain(&engine, 1.0);
+  Request reader = MakeRequest(2, 1, 0, 100, 0, 60, 2.0);
+  reader.template_id = 9;
+  reader.template_prefix_len = 96;
+  engine.Enqueue(reader, 2.0);
+  double now = 2.0;
+  const ContextState* conv = nullptr;
+  for (int i = 0; i < 10; ++i) {
+    now += engine.Step(now).duration;
+    conv = engine.cache().Find(0);
+    ASSERT_NE(conv, nullptr);
+    if (conv->LeadingDroppedChunks() > 0) {
+      break;
+    }
+  }
+  ASSERT_EQ(conv->LeadingDroppedChunks(), 3);
+  ASSERT_EQ(conv->num_chunks(), 4);
+  ASSERT_EQ(conv->chunk(3).location, ChunkLocation::kGpu);
+  ASSERT_EQ(engine.cache().Find(2), nullptr);  // dropped whole and forgotten
+
+  // Conversation 0's next turn re-attaches its dropped run as views over
+  // conversation 1's blocks, then misses the step budget behind the running
+  // decode: the undo re-drops exactly the three rescued chunks.
+  Request next = MakeRequest(3, 0, 1, 63, 102, 2, now);
+  next.template_id = 9;
+  next.template_prefix_len = 96;
+  engine.Enqueue(next, now);
+  now += engine.Step(now).duration;
+  EXPECT_EQ(engine.num_waiting(), 1);
+  EXPECT_EQ(conv->LeadingDroppedChunks(), 3);
+  EXPECT_EQ(conv->chunk(3).location, ChunkLocation::kGpu);
+  EXPECT_EQ(engine.stats().dedup_hit_requests, 1);  // the reader's; the undo took its own back
+  engine.cache().CheckInvariants();
+
+  const std::vector<RequestOutcome> outcomes = Drain(&engine, now);
+  EXPECT_EQ(outcomes.size(), 2u);
+  engine.cache().CheckInvariants();
+  engine.cache().VerifyNoLeaks();
+}
+
 }  // namespace
 }  // namespace pensieve
