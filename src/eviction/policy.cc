@@ -19,6 +19,16 @@ double RetentionValuePolicy::Score(const ChunkCandidate& candidate, double now) 
   return estimator_.Cost(candidate.context_len) / inactive;
 }
 
+double RetentionValuePolicy::ScoreFloor(double last_active, double now) const {
+  // The same denominator as Score, so IEEE division keeps the bound. An
+  // extrapolated negative Cost(1) would fall as T shrinks; its value at the
+  // smallest T bounds it instead.
+  if (min_cost_ < 0.0) {
+    return min_cost_ / kMinInactiveSeconds;
+  }
+  return min_cost_ / std::max(kMinInactiveSeconds, now - last_active);
+}
+
 double LruPolicy::Score(const ChunkCandidate& candidate, double now) const {
   // Older last_active => smaller score => evicted first. Chunk index breaks
   // ties toward the leading end so the drop-prefix invariant is satisfiable.

@@ -26,6 +26,11 @@ class EvictionPolicy {
   // chunk index: the coordinator's victim index merges conversations by
   // their first eligible chunk (DESIGN.md §15).
   virtual double Score(const ChunkCandidate& candidate, double now) const = 0;
+  // A lower bound on Score of every unshared candidate of a conversation
+  // last active at `last_active`, non-decreasing in `last_active`. The
+  // victim index enters conversations in last_active order and stops while
+  // the next one's floor exceeds the best score it holds (DESIGN.md §15).
+  virtual double ScoreFloor(double last_active, double now) const = 0;
   virtual const char* name() const = 0;
 };
 
@@ -33,12 +38,16 @@ class EvictionPolicy {
 class RetentionValuePolicy final : public EvictionPolicy {
  public:
   explicit RetentionValuePolicy(ChunkCostEstimator estimator)
-      : estimator_(std::move(estimator)) {}
+      : estimator_(std::move(estimator)), min_cost_(estimator_.Cost(1)) {}
   double Score(const ChunkCandidate& candidate, double now) const override;
+  // Cost(1)/T: every chunk's context holds at least one token, Cost is
+  // non-decreasing in it, and T shrinks as last_active grows.
+  double ScoreFloor(double last_active, double now) const override;
   const char* name() const override { return "retention-value"; }
 
  private:
   ChunkCostEstimator estimator_;
+  double min_cost_;
 };
 
 // Conversation-granularity LRU: least recently active conversation first;
@@ -47,6 +56,7 @@ class RetentionValuePolicy final : public EvictionPolicy {
 class LruPolicy final : public EvictionPolicy {
  public:
   double Score(const ChunkCandidate& candidate, double now) const override;
+  double ScoreFloor(double last_active, double now) const override { return last_active; }
   const char* name() const override { return "lru"; }
 };
 
@@ -54,12 +64,15 @@ class LruPolicy final : public EvictionPolicy {
 class CostOnlyPolicy final : public EvictionPolicy {
  public:
   explicit CostOnlyPolicy(ChunkCostEstimator estimator)
-      : estimator_(std::move(estimator)) {}
+      : estimator_(std::move(estimator)), min_cost_(estimator_.Cost(1)) {}
   double Score(const ChunkCandidate& candidate, double now) const override;
+  // A constant, so a pass enters every conversation before its first pop.
+  double ScoreFloor(double last_active, double now) const override { return min_cost_; }
   const char* name() const override { return "cost-only"; }
 
  private:
   ChunkCostEstimator estimator_;
+  double min_cost_;
 };
 
 // kRetentionValue — Pensieve's V = Cost/T, chunk granularity.

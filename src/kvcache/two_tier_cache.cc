@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -63,22 +64,18 @@ TwoTierKvCache::TwoTierKvCache(const KvCacheConfig& config)
 TwoTierKvCache::~TwoTierKvCache() { VerifyNoLeaks(); }
 
 ContextState& TwoTierKvCache::GetOrCreate(ConversationId id) {
-  auto it = conversations_.find(id);
-  if (it == conversations_.end()) {
-    it = conversations_.emplace(id, ContextState(config_.block_size)).first;
-    it->second.stale_list_ = &stale_;
+  PENSIEVE_CHECK_GE(id, 0) << "conversation ids index the cache's table and must be "
+                              "non-negative";
+  const size_t slot = static_cast<size_t>(id);
+  if (slot >= states_.size()) {
+    states_.resize(slot + 1);
   }
-  return it->second;
-}
-
-ContextState* TwoTierKvCache::Find(ConversationId id) {
-  auto it = conversations_.find(id);
-  return it == conversations_.end() ? nullptr : &it->second;
-}
-
-const ContextState* TwoTierKvCache::Find(ConversationId id) const {
-  auto it = conversations_.find(id);
-  return it == conversations_.end() ? nullptr : &it->second;
+  std::unique_ptr<ContextState>& state = states_[slot];
+  if (state == nullptr) {
+    state = std::make_unique<ContextState>(config_.block_size);
+    state->stale_list_ = &stale_;
+  }
+  return *state;
 }
 
 Status TwoTierKvCache::FindChunk(ConversationId id, int64_t chunk_index,
@@ -143,7 +140,7 @@ void TwoTierKvCache::Release(ConversationId id) {
     stale_[static_cast<size_t>(slot)]->stale_slot_ = slot;
     stale_.pop_back();
   }
-  conversations_.erase(id);
+  states_[static_cast<size_t>(id)].reset();
 }
 
 Status TwoTierKvCache::AppendTokenSlots(ConversationId id, int64_t n,
@@ -655,14 +652,79 @@ void TwoTierKvCache::SyncHolder(ConversationId id, ContextState& state,
   int64_t& slot = state.holder_slot_[k];
   const bool holds = state.ChunksAt(location) > 0;
   if (holds && slot < 0) {
+    // Scanned (and indexed) by the next refresh: the state is stale.
     slot = static_cast<int64_t>(list.size());
     list.emplace_back(id, &state);
   } else if (!holds && slot >= 0) {
+    Holder& leaving = list[static_cast<size_t>(slot)];
+    ForgetFlags(k, leaving);
+    Unindex(k, &leaving);
     // Move the last entry (and its cached candidates) into the hole.
-    std::swap(list[static_cast<size_t>(slot)], list.back());
+    std::swap(leaving, list.back());
     list[static_cast<size_t>(slot)].state->holder_slot_[k] = slot;
     list.pop_back();
     slot = -1;
+  }
+}
+
+size_t TwoTierKvCache::RecencyLowerBound(size_t k, double last_active,
+                                         ConversationId id) const {
+  const std::vector<RecencyEntry>& index = recency_[k];
+  return static_cast<size_t>(
+      std::partition_point(index.begin(), index.end(),
+                           [&](const RecencyEntry& e) {
+                             return e.last_active != last_active ? e.last_active < last_active
+                                                                 : e.id < id;
+                           }) -
+      index.begin());
+}
+
+size_t TwoTierKvCache::RecencyPositionAfter(ChunkLocation location, double last_active,
+                                            ConversationId id) const {
+  // Ids are integers, so nothing sits between (last_active, id) and
+  // (last_active, id + 1).
+  return RecencyLowerBound(static_cast<size_t>(location), last_active, id + 1);
+}
+
+void TwoTierKvCache::ForgetFlags(size_t k, const Holder& holder) {
+  shared_entries_[k] -= holder.has_shared;
+  droppable_entries_ -= holder.droppable;
+}
+
+void TwoTierKvCache::Unindex(size_t k, Holder* holder) {
+  if (!holder->indexed) {
+    return;
+  }
+  std::vector<RecencyEntry>& index = recency_[k];
+  const size_t at = RecencyLowerBound(k, holder->indexed_last_active, holder->id);
+  PENSIEVE_CHECK(at < index.size() && index[at].id == holder->id)
+      << "conversation " << holder->id << " missing from its recency index";
+  index.erase(index.begin() + static_cast<std::ptrdiff_t>(at));
+  ++recency_version_[k];
+  holder->indexed = false;
+}
+
+void TwoTierKvCache::RescanHolder(size_t k, Holder* holder, int64_t pass) {
+  ForgetFlags(k, *holder);
+  ScanHolder(static_cast<ChunkLocation>(k), *holder->state, holder);
+  holder->scanned_at = pass;
+  shared_entries_[k] += holder->has_shared;
+  droppable_entries_ += holder->droppable;
+  // Pinned entries stay out: they offer no candidate, and a running
+  // conversation is pinned for most of its life.
+  const double last_active = holder->state->last_active();
+  if (holder->indexed && (holder->pinned || holder->indexed_last_active != last_active)) {
+    Unindex(k, holder);
+  }
+  if (!holder->pinned && !holder->indexed) {
+    // A conversation that just ran is the most recent: usually an append.
+    std::vector<RecencyEntry>& index = recency_[k];
+    index.insert(index.begin() + static_cast<std::ptrdiff_t>(
+                                     RecencyLowerBound(k, last_active, holder->id)),
+                 RecencyEntry{last_active, holder->id, holder->state});
+    ++recency_version_[k];
+    holder->indexed = true;
+    holder->indexed_last_active = last_active;
   }
 }
 
@@ -674,6 +736,7 @@ void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& stat
   holder->frontier.reset();
   holder->droppable = false;
   holder->in_window = false;
+  holder->has_shared = false;
   if (holder->pinned) {
     return;
   }
@@ -715,6 +778,8 @@ void TwoTierKvCache::ScanHolder(ChunkLocation location, const ContextState& stat
     holder->droppable = state.FrontierChunk(Frontier::kGpuDrop) == i;
     holder->in_window = holder->in_window || i < window;
   }
+  holder->has_shared =
+      !holder->views.empty() || (holder->frontier.has_value() && holder->frontier->shared);
 }
 
 void TwoTierKvCache::RefreshHolders() {
@@ -723,9 +788,7 @@ void TwoTierKvCache::RefreshHolders() {
     state->stale_slot_ = -1;
     for (size_t k = 0; k < kNumHeldLocations; ++k) {
       if (const int64_t slot = state->holder_slot_[k]; slot >= 0) {
-        Holder& holder = holders_[k][static_cast<size_t>(slot)];
-        ScanHolder(static_cast<ChunkLocation>(k), *state, &holder);
-        holder.scanned_at = pass;
+        RescanHolder(k, &holders_[k][static_cast<size_t>(slot)], pass);
       }
     }
   }
@@ -736,10 +799,10 @@ void TwoTierKvCache::RefreshHolders() {
   // A window that grew can take in chunks an entry scanned as outside it.
   const bool window_grew = scanned_window_ != shared_prefix_window_;
   for (ChunkLocation location : {ChunkLocation::kGpu, ChunkLocation::kGpuAndCpu}) {
-    for (Holder& holder : holders_[static_cast<size_t>(location)]) {
+    const size_t k = static_cast<size_t>(location);
+    for (Holder& holder : holders_[k]) {
       if (holder.scanned_at != pass && (holder.in_window || window_grew)) {
-        ScanHolder(location, *holder.state, &holder);
-        holder.scanned_at = pass;
+        RescanHolder(k, &holder, pass);
       }
     }
   }
@@ -885,7 +948,7 @@ Status TwoTierKvCache::ReattachDroppedShared(ConversationId id, int64_t chunk_in
 void TwoTierKvCache::VerifyNoLeaks() const {
   int64_t gpu_refs = 0;
   int64_t cpu_refs = 0;
-  for (const auto& [id, state] : conversations_) {
+  for (const auto& [id, state] : conversations()) {
     for (const Chunk& c : state.chunks()) {
       if (c.OnGpu()) {
         ++gpu_refs;
@@ -911,10 +974,13 @@ void TwoTierKvCache::CheckInvariants() const {
   std::unordered_map<BlockId, int64_t> gpu_views;
   int64_t holders = 0;
   int64_t stale = 0;
+  std::array<int64_t, kNumHeldLocations> shared_entries{};
+  std::array<int64_t, kNumHeldLocations> indexed{};
+  int64_t droppable = 0;
   // Entries are checked unless a refresh is already owed to them.
   const bool epoch_moved = scanned_epoch_ != share_epoch();
   const bool window_grew = scanned_window_ != shared_prefix_window_;
-  for (const auto& [id, state] : conversations_) {
+  for (const auto& [id, state] : conversations()) {
     state.CheckFrontiers();
     if (state.stale_slot_ >= 0) {
       PENSIEVE_CHECK(stale_.at(static_cast<size_t>(state.stale_slot_)) == &state);
@@ -931,7 +997,27 @@ void TwoTierKvCache::CheckInvariants() const {
       PENSIEVE_CHECK(holder.state == &state);
       PENSIEVE_CHECK_EQ(holder.id, id);
       ++holders;
-      if (state.stale_slot_ >= 0 || (epoch_moved && (holder.in_window || window_grew))) {
+      // The counts and the index follow the cached fields, stale or not.
+      PENSIEVE_CHECK_EQ(holder.has_shared,
+                        !holder.views.empty() ||
+                            (holder.frontier.has_value() && holder.frontier->shared));
+      shared_entries[k] += holder.has_shared;
+      droppable += holder.droppable;
+      if (holder.indexed) {
+        ++indexed[k];
+        const std::vector<RecencyEntry>& index = recency_[k];
+        const size_t at = RecencyLowerBound(k, holder.indexed_last_active, id);
+        PENSIEVE_CHECK(at < index.size() && index[at].id == id && index[at].state == &state &&
+                       index[at].last_active == holder.indexed_last_active)
+            << "conversation " << id << ": recency index entry out of date";
+      }
+      if (state.stale_slot_ >= 0) {
+        continue;
+      }
+      PENSIEVE_CHECK(holder.indexed == !holder.pinned &&
+                     (!holder.indexed || holder.indexed_last_active == state.last_active()))
+          << "conversation " << id << ": recency index missed a pin or activity change";
+      if (epoch_moved && (holder.in_window || window_grew)) {
         continue;
       }
       Holder fresh(id, nullptr);
@@ -939,7 +1025,8 @@ void TwoTierKvCache::CheckInvariants() const {
       PENSIEVE_CHECK(fresh.pinned == holder.pinned && fresh.views == holder.views &&
                      fresh.cursor == holder.cursor && fresh.frontier == holder.frontier &&
                      fresh.droppable == holder.droppable &&
-                     fresh.in_window == holder.in_window)
+                     fresh.in_window == holder.in_window &&
+                     fresh.has_shared == holder.has_shared)
           << "conversation " << id << ": cached "
           << ChunkLocationName(static_cast<ChunkLocation>(k))
           << " candidates differ from its state (a change missed the stale list)";
@@ -1014,6 +1101,20 @@ void TwoTierKvCache::CheckInvariants() const {
   PENSIEVE_CHECK_EQ(holders, static_cast<int64_t>(holders_[0].size() + holders_[1].size() +
                                                   holders_[2].size()));
   PENSIEVE_CHECK_EQ(stale, static_cast<int64_t>(stale_.size()));
+  PENSIEVE_CHECK_EQ(droppable, droppable_entries_) << "droppable entry count drifted";
+  for (size_t k = 0; k < kNumHeldLocations; ++k) {
+    PENSIEVE_CHECK_EQ(shared_entries[k], shared_entries_[k]) << "shared entry count drifted";
+    const std::vector<RecencyEntry>& index = recency_[k];
+    PENSIEVE_CHECK_EQ(indexed[k], static_cast<int64_t>(index.size()))
+        << "recency index holds entries no holder list does";
+    for (size_t i = 1; i < index.size(); ++i) {
+      const RecencyEntry& a = index[i - 1];
+      const RecencyEntry& b = index[i];
+      PENSIEVE_CHECK(a.last_active < b.last_active ||
+                     (a.last_active == b.last_active && a.id < b.id))
+          << "recency index out of (last_active, id) order";
+    }
+  }
   if (flash_ != nullptr) {
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->live_blocks());
     PENSIEVE_CHECK_EQ(ssd_chunks, flash_->resident_keys());

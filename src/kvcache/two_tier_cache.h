@@ -34,7 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -105,16 +105,56 @@ class TwoTierKvCache {
   bool flash_enabled() const { return flash_ != nullptr; }
   const FlashTier* flash_tier() const { return flash_.get(); }
 
+  // Conversation ids are dense and non-negative (trace loading checks it):
+  // states live in a table indexed by id, so a lookup hashes nothing. A
+  // negative id fails a CHECK.
   ContextState& GetOrCreate(ConversationId id);
-  ContextState* Find(ConversationId id);
-  const ContextState* Find(ConversationId id) const;
+  ContextState* Find(ConversationId id) {
+    return static_cast<uint64_t>(id) < states_.size() ? states_[static_cast<size_t>(id)].get()
+                                                      : nullptr;
+  }
+  const ContextState* Find(ConversationId id) const {
+    return const_cast<TwoTierKvCache*>(this)->Find(id);
+  }
   // Frees every block owned by the conversation and forgets it.
   void Release(ConversationId id);
 
-  // All conversations currently tracked (for eviction scans).
-  const std::unordered_map<ConversationId, ContextState>& conversations() const {
-    return conversations_;
-  }
+  // All conversations currently tracked, in ascending id order, as
+  // (id, state) pairs. Walks every slot up to the largest id seen: for
+  // audits and tests, not for eviction passes.
+  class ConversationRange {
+   public:
+    using Table = std::vector<std::unique_ptr<ContextState>>;
+    class Iterator {
+     public:
+      Iterator(const Table* table, size_t slot) : table_(table), slot_(slot) { Skip(); }
+      std::pair<ConversationId, const ContextState&> operator*() const {
+        return {static_cast<ConversationId>(slot_), *(*table_)[slot_]};
+      }
+      Iterator& operator++() {
+        ++slot_;
+        Skip();
+        return *this;
+      }
+      bool operator!=(const Iterator& other) const { return slot_ != other.slot_; }
+
+     private:
+      void Skip() {
+        while (slot_ < table_->size() && (*table_)[slot_] == nullptr) {
+          ++slot_;
+        }
+      }
+      const Table* table_;
+      size_t slot_;
+    };
+    explicit ConversationRange(const Table* table) : table_(table) {}
+    Iterator begin() const { return Iterator(table_, 0); }
+    Iterator end() const { return Iterator(table_, table_->size()); }
+
+   private:
+    const Table* table_;
+  };
+  ConversationRange conversations() const { return ConversationRange(&states_); }
 
   // The conversations holding at least one chunk in `location` (kGpu,
   // kGpuAndCpu or kCpu), in no particular order. Membership is kept current
@@ -146,8 +186,15 @@ class TwoTierKvCache {
     // shared flag can change without this conversation changing: the entry
     // is re-scanned when the share epoch moves.
     bool in_window = false;
+    // Some candidate is shared (a view, or a shared frontier chunk). It can
+    // score below the recency floor, so a pass enters it when it seeds.
+    bool has_shared = false;
     // The RefreshHolders pass that last scanned this entry.
     int64_t scanned_at = 0;
+    // Whether the entry sits in its list's recency index, and under which
+    // last_active. Set by the scan: every unpinned entry does.
+    bool indexed = false;
+    double indexed_last_active = 0.0;
   };
   // Entries are current after RefreshHolders and until the next change to
   // a conversation or the next share crossing; read them only after it.
@@ -158,6 +205,41 @@ class TwoTierKvCache {
   void RefreshHolders();
   // RefreshHolders calls so far (the value entries' scanned_at count in).
   int64_t refresh_passes() const { return refresh_passes_; }
+  // The entry of `state` in `location`'s list; the state must hold a chunk
+  // there.
+  const Holder& HolderOf(ChunkLocation location, const ContextState& state) const {
+    return holders_[static_cast<size_t>(location)]
+                   [static_cast<size_t>(state.holder_slot_[static_cast<size_t>(location)])];
+  }
+  // A list's unpinned entries in ascending (last_active, id) order, as of
+  // their last scan: a pass enters conversations in this order and stops
+  // where the policy's floor says no later one can win (DESIGN.md §15).
+  // Entries leave at once when they leave the list, and join or move when
+  // RefreshHolders scans them.
+  struct RecencyEntry {
+    double last_active;
+    ConversationId id;
+    const ContextState* state;
+  };
+  const std::vector<RecencyEntry>& Recency(ChunkLocation location) const {
+    return recency_[static_cast<size_t>(location)];
+  }
+  // Position in `location`'s index of the first entry after
+  // (last_active, id).
+  size_t RecencyPositionAfter(ChunkLocation location, double last_active,
+                              ConversationId id) const;
+  // Moves on every insertion into or removal from the list's index, so a
+  // walk knows when its position must be found again.
+  int64_t recency_version(ChunkLocation location) const {
+    return recency_version_[static_cast<size_t>(location)];
+  }
+  // Entries (in `location`'s list) with has_shared set, as of their scans.
+  int64_t shared_entries(ChunkLocation location) const {
+    return shared_entries_[static_cast<size_t>(location)];
+  }
+  // kGpu and kGpuAndCpu entries whose frontier is droppable, as of their
+  // scans: 0 means a drop-frontier pass can seed nothing.
+  int64_t droppable_entries() const { return droppable_entries_; }
   // share_epoch() as of the last RefreshHolders.
   int64_t scanned_epoch() const { return scanned_epoch_; }
   // Moves whenever a GPU block crosses between one holder and two, or the
@@ -381,9 +463,19 @@ class TwoTierKvCache {
   // Adds or removes the conversation from `location`'s holder list to match
   // its chunk count there (no-op for untracked locations).
   void SyncHolder(ConversationId id, ContextState& state, ChunkLocation location);
-  // Fills an entry's candidates, pinned and in_window flags from `state`
-  // (not id, state or scanned_at).
+  // Fills an entry's candidates, pinned, in_window and has_shared flags
+  // from `state` (not id, state, scanned_at or the index fields).
   void ScanHolder(ChunkLocation location, const ContextState& state, Holder* holder) const;
+  // ScanHolder on a listed entry, keeping the counts and the recency index
+  // in step with it.
+  void RescanHolder(size_t k, Holder* holder, int64_t pass);
+  // Takes an entry's flags out of the counts and the entry out of the
+  // recency index (the entry is leaving or about to be re-scanned).
+  void ForgetFlags(size_t k, const Holder& holder);
+  // Position in list k's recency index of the first entry not before
+  // (last_active, id).
+  size_t RecencyLowerBound(size_t k, double last_active, ConversationId id) const;
+  void Unindex(size_t k, Holder* holder);
   // Raises shared_prefix_window_ to at least `chunks`; growth moves the
   // share epoch.
   void GrowSharedPrefixWindow(int64_t chunks);
@@ -410,13 +502,18 @@ class TwoTierKvCache {
   std::unique_ptr<KvPool> gpu_pool_;
   std::unique_ptr<KvPool> cpu_pool_;
   std::unique_ptr<FlashTier> flash_;
-  std::unordered_map<ConversationId, ContextState> conversations_;
+  // Indexed by conversation id; null while the id is untracked.
+  std::vector<std::unique_ptr<ContextState>> states_;
   PrefixTrie trie_;
   int64_t reclaimable_gpu_blocks_ = 0;
   int64_t shared_prefix_window_ = 0;
   // Holder lists for kGpu, kGpuAndCpu and kCpu (indexed by ChunkLocation).
   static constexpr size_t kNumHeldLocations = 3;
   std::array<std::vector<Holder>, kNumHeldLocations> holders_;
+  std::array<std::vector<RecencyEntry>, kNumHeldLocations> recency_;
+  std::array<int64_t, kNumHeldLocations> recency_version_{};
+  std::array<int64_t, kNumHeldLocations> shared_entries_{};
+  int64_t droppable_entries_ = 0;
   // Conversations whose holder entries await a re-scan (ContextState::MarkStale).
   std::vector<ContextState*> stale_;
   int64_t refresh_passes_ = 0;

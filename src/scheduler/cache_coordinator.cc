@@ -34,103 +34,171 @@ double CacheCoordinator::Score(ConversationId id, const ContextState& state,
   return policy_->Score(cache_->Candidate(id, state, chunk_index), now);
 }
 
+const TwoTierKvCache::RecencyEntry* CacheCoordinator::TakeIfFloorAllows(
+    RecencyScan* scan, const VictimHeap& heap, double now) const {
+  const std::vector<TwoTierKvCache::RecencyEntry>& index = cache_->Recency(scan->location);
+  if (const int64_t version = cache_->recency_version(scan->location);
+      scan->version != version) {
+    // Entries came or went: resume after the last one taken.
+    scan->version = version;
+    scan->next = scan->took ? cache_->RecencyPositionAfter(scan->location, scan->last_active,
+                                                           scan->last_id)
+                            : 0;
+  }
+  if (scan->next == index.size()) {
+    return nullptr;
+  }
+  const TwoTierKvCache::RecencyEntry& entry = index[scan->next];
+  if (!heap.empty() && policy_->ScoreFloor(entry.last_active, now) > heap.top().score) {
+    return nullptr;
+  }
+  ++scan->next;
+  scan->took = true;
+  scan->last_active = entry.last_active;
+  scan->last_id = entry.id;
+  return &entry;
+}
+
 CacheCoordinator::LocationPass CacheCoordinator::SeedLocation(ChunkLocation location,
                                                               double now) const {
   cache_->RefreshHolders();
-  const std::vector<TwoTierKvCache::Holder>& holders = cache_->Holders(location);
   LocationPass pass;
-  std::vector<Victim> seed;
-  seed.reserve(holders.size());
-  for (const TwoTierKvCache::Holder& holder : holders) {
-    for (const ChunkCandidate& view : holder.views) {
-      pass.views.emplace_back(holder.id, view.chunk_index);
-      seed.push_back(Victim{holder.id, view.chunk_index, policy_->Score(view, now)});
+  pass.scan.location = location;
+  pass.seeded_at = cache_->refresh_passes();
+  if (cache_->shared_entries(location) > 0) {
+    for (const TwoTierKvCache::Holder& holder : cache_->Holders(location)) {
+      for (const ChunkCandidate& view : holder.views) {
+        pass.views.emplace_back(holder.id, view.chunk_index);
+        pass.heap.push(Victim{holder.id, view.chunk_index, policy_->Score(view, now)});
+      }
     }
-    if (const std::optional<ChunkCandidate>& cursor = holder.cursor) {
-      seed.push_back(Victim{holder.id, cursor->chunk_index, policy_->Score(*cursor, now)});
-    }
+    std::sort(pass.views.begin(), pass.views.end());
   }
-  std::sort(pass.views.begin(), pass.views.end());
-  pass.heap = VictimHeap(std::move(seed));
   return pass;
 }
 
-CacheCoordinator::Victim CacheCoordinator::PopLocation(ChunkLocation location, double now,
-                                                       LocationPass* pass) const {
+int64_t CacheCoordinator::NextCursor(ChunkLocation location, ConversationId id,
+                                     const ContextState& state, int64_t after,
+                                     const LocationPass& pass) const {
+  int64_t next = state.NextChunkAt(location, after);
+  while (next < state.num_chunks() &&
+         (pass.SeededView(id, next) ||
+          (swap_pass_.has_value() && swap_pass_->copies_dropped.count({id, next}) > 0))) {
+    next = state.NextChunkAt(location, next);
+  }
+  return next;
+}
+
+std::optional<CacheCoordinator::Victim> CacheCoordinator::PopLocation(
+    ChunkLocation location, double now, LocationPass* pass) const {
+  // Enter conversations while the next one could hold a better victim.
+  while (const TwoTierKvCache::RecencyEntry* entry =
+             TakeIfFloorAllows(&pass->scan, pass->heap, now)) {
+    const ContextState& state = *entry->state;
+    const TwoTierKvCache::Holder& holder = cache_->HolderOf(location, state);
+    if (!state.stale() && holder.scanned_at <= pass->seeded_at) {
+      if (const std::optional<ChunkCandidate>& cursor = holder.cursor) {
+        pass->heap.push(
+            Victim{entry->id, cursor->chunk_index, policy_->Score(*cursor, now)});
+      }
+    } else if (const int64_t cursor = NextCursor(location, entry->id, state, -1, *pass);
+               cursor < state.num_chunks()) {
+      // Changed since the seed: its seed-time cursor is the first chunk the
+      // pass did not add and did not seed as a view.
+      pass->heap.push(Victim{entry->id, cursor, Score(entry->id, state, cursor, now)});
+    }
+  }
+  if (pass->heap.empty()) {
+    return std::nullopt;
+  }
   const Victim top = pass->heap.pop();
   const ContextState* state = cache_->Find(top.conversation);
   if (state == nullptr || pass->SeededView(top.conversation, top.chunk_index)) {
     return top;  // forgotten, or a view (the cursor is elsewhere)
   }
-  int64_t next = state->NextChunkAt(location, top.chunk_index);
-  while (next < state->num_chunks() &&
-         (pass->SeededView(top.conversation, next) ||
-          (swap_pass_.has_value() &&
-           swap_pass_->copies_dropped.count({top.conversation, next}) > 0))) {
-    next = state->NextChunkAt(location, next);
-  }
+  const int64_t next = NextCursor(location, top.conversation, *state, top.chunk_index, *pass);
   if (next < state->num_chunks()) {
     pass->heap.push(Victim{top.conversation, next, Score(top.conversation, *state, next, now)});
   }
   return top;
 }
 
-CacheCoordinator::VictimHeap CacheCoordinator::SeedFrontier(Frontier kind,
-                                                            double now) const {
+CacheCoordinator::FrontierPass CacheCoordinator::SeedFrontier(Frontier kind,
+                                                              double now) const {
   cache_->RefreshHolders();
-  std::vector<Victim> seed;
+  FrontierPass pass;
+  pass.kind = kind;
+  if (kind == Frontier::kGpuDrop && cache_->droppable_entries() == 0) {
+    return pass;  // no entry can yield a candidate: nothing to walk
+  }
   // Only conversations holding a chunk the query can return are visited,
   // each once: an entry carries the frontier candidate of the list that
-  // visits it.
+  // visits it. Shared candidates go in now; the rest wait for the scans.
   const auto visit = [&](ChunkLocation location) {
+    pass.scans.push_back(RecencyScan{location});
+    if (cache_->shared_entries(location) == 0) {
+      return;
+    }
     for (const TwoTierKvCache::Holder& holder : cache_->Holders(location)) {
       if (const std::optional<ChunkCandidate>& chunk = holder.frontier;
-          chunk.has_value() && (kind != Frontier::kGpuDrop || holder.droppable)) {
-        seed.push_back(Victim{holder.id, chunk->chunk_index, policy_->Score(*chunk, now)});
+          chunk.has_value() && chunk->shared && (kind != Frontier::kGpuDrop || holder.droppable)) {
+        pass.heap.push(Victim{holder.id, chunk->chunk_index, policy_->Score(*chunk, now)});
       }
     }
   };
   if (kind == Frontier::kCpuEvict) {
-    seed.reserve(cache_->Holders(ChunkLocation::kCpu).size());
     visit(ChunkLocation::kCpu);
   } else {
-    seed.reserve(cache_->Holders(ChunkLocation::kGpu).size() +
-                 cache_->Holders(ChunkLocation::kGpuAndCpu).size());
     visit(ChunkLocation::kGpu);
     visit(ChunkLocation::kGpuAndCpu);
   }
-  return VictimHeap(std::move(seed));
+  return pass;
 }
 
-void CacheCoordinator::PushFrontier(Frontier kind, ConversationId id, double now,
-                                    VictimHeap* heap) const {
+void CacheCoordinator::PushFrontier(ConversationId id, double now, FrontierPass* pass) const {
   const ContextState* state = cache_->Find(id);
   if (state == nullptr || state->pinned()) {
     return;
   }
-  if (const int64_t chunk = state->FrontierChunk(kind); chunk < state->num_chunks()) {
-    heap->push(Victim{id, chunk, Score(id, *state, chunk, now)});
+  if (const int64_t chunk = state->FrontierChunk(pass->kind); chunk < state->num_chunks()) {
+    pass->heap.push(Victim{id, chunk, Score(id, *state, chunk, now)});
   }
 }
 
 std::optional<CacheCoordinator::Victim> CacheCoordinator::PopFrontier(
-    Frontier kind, double now, VictimHeap* heap) const {
-  while (!heap->empty()) {
-    const Victim top = heap->pop();
+    double now, FrontierPass* pass) const {
+  while (true) {
+    for (RecencyScan& scan : pass->scans) {
+      while (const TwoTierKvCache::RecencyEntry* entry =
+                 TakeIfFloorAllows(&scan, pass->heap, now)) {
+        // The entry's candidate as of its last scan: the seed's, or a later
+        // one's if the pass changed the conversation, which the pop re-checks
+        // like any other (a change that moves a candidate also pushes it).
+        const TwoTierKvCache::Holder& holder = cache_->HolderOf(scan.location, *entry->state);
+        if (const std::optional<ChunkCandidate>& chunk = holder.frontier;
+            chunk.has_value() && !chunk->shared &&
+            (pass->kind != Frontier::kGpuDrop || holder.droppable)) {
+          pass->heap.push(Victim{entry->id, chunk->chunk_index, policy_->Score(*chunk, now)});
+        }
+      }
+    }
+    if (pass->heap.empty()) {
+      return std::nullopt;
+    }
+    const Victim top = pass->heap.pop();
     const ContextState* state = cache_->Find(top.conversation);
     if (state == nullptr || state->pinned() ||
-        state->FrontierChunk(kind) != top.chunk_index) {
+        state->FrontierChunk(pass->kind) != top.chunk_index) {
       continue;
     }
     const double score = Score(top.conversation, *state, top.chunk_index, now);
     if (score != top.score) {
       PENSIEVE_CHECK_GT(score, top.score) << "a victim's score fell during a pass";
-      heap->push(Victim{top.conversation, top.chunk_index, score});
+      pass->heap.push(Victim{top.conversation, top.chunk_index, score});
       continue;
     }
     return top;
   }
-  return std::nullopt;
 }
 
 std::optional<int64_t> CacheCoordinator::DropFrontierVictim(const Victim& victim) {
@@ -170,9 +238,9 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
   if (!options_.use_cpu_cache) {
     // GPU-cache-only variant: evicted chunks are simply dropped, frontier
     // first (only frontier chunks are legal drop targets).
-    VictimHeap frontier = SeedFrontier(Frontier::kGpuDrop, now);
+    FrontierPass frontier = SeedFrontier(Frontier::kGpuDrop, now);
     while (cache_->AvailableGpuBlocks() < target_blocks) {
-      const std::optional<Victim> drop = PopFrontier(Frontier::kGpuDrop, now, &frontier);
+      const std::optional<Victim> drop = PopFrontier(now, &frontier);
       if (!drop.has_value()) {
         break;
       }
@@ -181,7 +249,7 @@ CacheCoordinator::EvictOutcome CacheCoordinator::AheadOfTimeEvict(double now) {
         break;  // would re-pick the same victim forever
       }
       outcome.dropped_tokens += *dropped;
-      PushFrontier(Frontier::kGpuDrop, drop->conversation, now, &frontier);
+      PushFrontier(drop->conversation, now, &frontier);
     }
   } else {
     // Swap out GPU-only chunks of unpinned conversations in ascending
@@ -212,8 +280,12 @@ int64_t CacheCoordinator::SwapOutPass(
   (void)EnsureFreeCpuBlocks(
       std::min<int64_t>(target - available(), cache_->cpu_allocator().capacity()), now);
   int64_t tokens = 0;
-  while (!candidates.empty() && available() < target) {
-    const Victim v = PopLocation(ChunkLocation::kGpu, now, &candidates);
+  while (available() < target) {
+    const std::optional<Victim> popped = PopLocation(ChunkLocation::kGpu, now, &candidates);
+    if (!popped.has_value()) {
+      break;
+    }
+    const Victim& v = *popped;
     // A CPU-pressure drop in this pass (a whole conversation, under
     // conversation granularity) may have changed or forgotten the candidate:
     // skip it rather than reserve CPU space for it. Null when skipped.
@@ -242,7 +314,7 @@ int64_t CacheCoordinator::SwapOutPass(
       PENSIEVE_CHECK_OK(cache_->ReclaimGpu(v.conversation, v.chunk_index));
       if (swap_pass_->cpu_frontier.has_value()) {
         // The now CPU-only chunk may be its conversation's CPU frontier.
-        PushFrontier(Frontier::kCpuEvict, v.conversation, now, &*swap_pass_->cpu_frontier);
+        PushFrontier(v.conversation, now, &*swap_pass_->cpu_frontier);
       }
     }
     chunks->emplace_back(v.conversation, v.chunk_index);
@@ -286,8 +358,8 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
   // frontier is the first chunk past the dropped/SSD prefix, so
   // conversations whose oldest resident data already sits on flash remain
   // eligible.
-  VictimHeap local;
-  VictimHeap* frontier = &local;
+  FrontierPass local;
+  FrontierPass* frontier = &local;
   if (!swap_pass_.has_value()) {
     local = SeedFrontier(Frontier::kCpuEvict, now);
   } else {
@@ -300,28 +372,25 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
   // on the GPU). Nothing it does creates a CPU-only frontier again.
   std::optional<LocationPass> copies;
   while (cache_->cpu_allocator().num_free() < n) {
-    if (const std::optional<Victim> best = PopFrontier(Frontier::kCpuEvict, now, frontier)) {
+    if (const std::optional<Victim> best = PopFrontier(now, frontier)) {
       if (options_.conversation_granularity) {
         DropWholeConversation(best->conversation);
       } else if (!EvictCpuFrontierChunk(*best)) {
         return false;  // would re-pick the same victim forever
       }
       MaybeForget(best->conversation);
-      PushFrontier(Frontier::kCpuEvict, best->conversation, now, frontier);
+      PushFrontier(best->conversation, now, frontier);
       continue;
     }
     if (!copies.has_value()) {
       copies = SeedLocation(ChunkLocation::kGpuAndCpu, now);
     }
-    if (copies->empty()) {
-      return false;
-    }
-    const Victim dual = PopLocation(ChunkLocation::kGpuAndCpu, now, &*copies);
-    if (!cache_->DropCpuCopy(dual.conversation, dual.chunk_index).ok()) {
+    const std::optional<Victim> dual = PopLocation(ChunkLocation::kGpuAndCpu, now, &*copies);
+    if (!dual.has_value() || !cache_->DropCpuCopy(dual->conversation, dual->chunk_index).ok()) {
       return false;
     }
     if (swap_pass_.has_value()) {
-      swap_pass_->copies_dropped.insert({dual.conversation, dual.chunk_index});
+      swap_pass_->copies_dropped.insert({dual->conversation, dual->chunk_index});
     }
   }
   return true;
@@ -339,9 +408,12 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
   // 1. Instant reclamation of clean copies, lowest retention first.
   if (cache_->gpu_allocator().num_free() < n) {
     LocationPass reclaimable = SeedLocation(ChunkLocation::kGpuAndCpu, now);
-    while (!reclaimable.empty() && cache_->gpu_allocator().num_free() < n) {
-      const Victim v = PopLocation(ChunkLocation::kGpuAndCpu, now, &reclaimable);
-      if (!cache_->ReclaimGpu(v.conversation, v.chunk_index).ok()) {
+    while (cache_->gpu_allocator().num_free() < n) {
+      const std::optional<Victim> v = PopLocation(ChunkLocation::kGpuAndCpu, now, &reclaimable);
+      if (!v.has_value()) {
+        break;
+      }
+      if (!cache_->ReclaimGpu(v->conversation, v->chunk_index).ok()) {
         continue;  // e.g. the CPU copy was corrupted by a faulted transfer
       }
       ++outcome.reclaimed_blocks;
@@ -359,25 +431,25 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
   }
   // 3. Last resort (and the only path in GPU-cache-only mode): drop the
   // lowest-retention frontier chunk that still occupies GPU memory.
-  VictimHeap frontier = SeedFrontier(Frontier::kGpuDrop, now);
+  FrontierPass frontier = SeedFrontier(Frontier::kGpuDrop, now);
   // 3b, seeded on first use (SSD tier only): a conversation whose oldest
   // resident chunks were demoted to flash holds its GPU blocks behind a
   // kSsd/kCpu prefix that the frontier-only DropChunk cannot reach — pre-
   // flash, CPU-pressure drops kept such prefixes kDropped and the
   // conversation visible. Pick the best conversation by its first
   // GPU-resident chunk and drop the whole prefix through it.
-  std::optional<VictimHeap> deep;
+  std::optional<FrontierPass> deep;
   while (cache_->gpu_allocator().num_free() < n) {
-    if (const std::optional<Victim> drop = PopFrontier(Frontier::kGpuDrop, now, &frontier)) {
+    if (const std::optional<Victim> drop = PopFrontier(now, &frontier)) {
       const std::optional<int64_t> dropped = DropFrontierVictim(*drop);
       if (!dropped.has_value()) {
         outcome.ok = false;  // would re-pick the same victim forever
         return outcome;
       }
       outcome.dropped_tokens += *dropped;
-      PushFrontier(Frontier::kGpuDrop, drop->conversation, now, &frontier);
+      PushFrontier(drop->conversation, now, &frontier);
       if (deep.has_value()) {
-        PushFrontier(Frontier::kFirstGpu, drop->conversation, now, &*deep);
+        PushFrontier(drop->conversation, now, &*deep);
       }
       continue;
     }
@@ -385,13 +457,13 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       if (!deep.has_value()) {
         deep = SeedFrontier(Frontier::kFirstGpu, now);
       }
-      if (const std::optional<Victim> d = PopFrontier(Frontier::kFirstGpu, now, &*deep)) {
+      if (const std::optional<Victim> d = PopFrontier(now, &*deep)) {
         int64_t dropped = 0;
         if (cache_->DropThroughPrefix(d->conversation, d->chunk_index, &dropped).ok()) {
           outcome.dropped_tokens += dropped;
           MaybeForget(d->conversation);
-          PushFrontier(Frontier::kGpuDrop, d->conversation, now, &frontier);
-          PushFrontier(Frontier::kFirstGpu, d->conversation, now, &*deep);
+          PushFrontier(d->conversation, now, &frontier);
+          PushFrontier(d->conversation, now, &*deep);
           continue;
         }
       }

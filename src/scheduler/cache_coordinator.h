@@ -16,7 +16,9 @@
 // Pinned conversations (those with a request in the running batch) are never
 // victimized. Every choice follows one order, ascending (score, conversation
 // id, chunk index), found by merging per-conversation frontiers through a
-// heap instead of rescanning every chunk (DESIGN.md §15).
+// heap instead of rescanning every chunk; conversations enter the heap in
+// last_active order, only while the policy's floor says one could still win
+// (DESIGN.md §15).
 
 #ifndef PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
 #define PENSIEVE_SRC_SCHEDULER_CACHE_COORDINATOR_H_
@@ -130,79 +132,96 @@ class CacheCoordinator {
   struct VictimAfter {
     bool operator()(const Victim& a, const Victim& b) const { return VictimBefore(b, a); }
   };
-  // Min-queue in victim order: the victim index (DESIGN.md §15). A seed
-  // stays unordered until its second pop: most passes take one victim, and
-  // one scan for it costs less than heapifying every candidate. Any correct
-  // min-queue pops the same sequence, since the order is total.
+  // Min-queue in victim order. Any correct min-queue pops the same
+  // sequence, since the order is total.
   class VictimHeap {
    public:
-    VictimHeap() = default;
-    explicit VictimHeap(std::vector<Victim> seed) : items_(std::move(seed)) {}
-
     bool empty() const { return items_.empty(); }
+    // The first victim; the queue must not be empty.
+    const Victim& top() const { return items_.front(); }
     void push(const Victim& victim) {
       items_.push_back(victim);
-      if (heap_) {
-        std::push_heap(items_.begin(), items_.end(), VictimAfter{});
-      }
+      std::push_heap(items_.begin(), items_.end(), VictimAfter{});
     }
     // Removes and returns the first victim; the queue must not be empty.
     Victim pop() {
-      if (!heap_ && popped_) {
-        std::make_heap(items_.begin(), items_.end(), VictimAfter{});
-        heap_ = true;
-      }
-      Victim first;
-      if (heap_) {
-        std::pop_heap(items_.begin(), items_.end(), VictimAfter{});
-        first = items_.back();
-      } else {
-        const auto it = std::min_element(items_.begin(), items_.end(), VictimBefore);
-        first = *it;
-        *it = items_.back();
-        popped_ = true;
-      }
+      std::pop_heap(items_.begin(), items_.end(), VictimAfter{});
+      const Victim first = items_.back();
       items_.pop_back();
       return first;
     }
 
    private:
     std::vector<Victim> items_;
-    bool popped_ = false;
-    bool heap_ = false;
   };
+
+  // A pass's walk over one holder list's recency index (the victim index,
+  // DESIGN.md §15): the entries it has not entered yet. It resumes after
+  // the last entry it took, so entries may come and go behind it.
+  struct RecencyScan {
+    ChunkLocation location = ChunkLocation::kGpu;
+    size_t next = 0;
+    int64_t version = -1;
+    bool took = false;
+    double last_active = 0.0;
+    ConversationId last_id = 0;
+  };
+  // The scan's next entry if its conversation can still score at most the
+  // best victim entered so far (ties go to the scan: its conversation may
+  // have the smaller id), and the scan moves past it; otherwise null.
+  const TwoTierKvCache::RecencyEntry* TakeIfFloorAllows(RecencyScan* scan,
+                                                        const VictimHeap& heap,
+                                                        double now) const;
 
   // A snapshot pass over every chunk in one location (kGpu or kGpuAndCpu).
   // Within a conversation, unshared chunks score in index order, so the heap
-  // holds one cursor per conversation over its unshared chunks plus each
-  // shared view (a view can score below the unshared chunks in front of it).
+  // holds one cursor per entered conversation over its unshared chunks plus
+  // each shared view (a view can score below the unshared chunks in front
+  // of it, and below the recency floor, so views are entered at seed time).
   struct LocationPass {
     VictimHeap heap;
+    RecencyScan scan;
+    // The RefreshHolders pass the seed ran: an entry not re-scanned or
+    // marked stale since still carries its seed-time cursor.
+    int64_t seeded_at = 0;
     // The views seeded at pass start, sorted. They keep their seed-time
     // entries and the cursor steps over them even after one loses its other
     // reader mid-pass (a view never gains one).
     std::vector<std::pair<ConversationId, int64_t>> views;
 
-    bool empty() const { return heap.empty(); }
     bool SeededView(ConversationId id, int64_t chunk_index) const {
       return std::binary_search(views.begin(), views.end(), std::pair{id, chunk_index});
     }
   };
   LocationPass SeedLocation(ChunkLocation location, double now) const;
-  // Pops the next candidate; a popped cursor is replaced by its
-  // conversation's next unshared chunk in `location`, skipping the pass's
-  // views and chunks a nested DropCpuCopy moved there after the pass started.
-  Victim PopLocation(ChunkLocation location, double now, LocationPass* pass) const;
+  // Pops the next candidate, or nullopt when the pass has none left. A
+  // popped cursor is replaced by its conversation's next unshared chunk in
+  // `location`, skipping the pass's views and chunks a nested DropCpuCopy
+  // moved there after the pass started.
+  std::optional<Victim> PopLocation(ChunkLocation location, double now,
+                                    LocationPass* pass) const;
+  // The first chunk of `state` in `location` past `after` (-1: from the
+  // start) that is the pass's: not a seeded view, not a dropped copy.
+  int64_t NextCursor(ChunkLocation location, ConversationId id, const ContextState& state,
+                     int64_t after, const LocationPass& pass) const;
 
-  // Queries with at most one candidate per conversation
-  // (ContextState::FrontierChunk); kFirstGpu serves step 3b.
-  VictimHeap SeedFrontier(Frontier kind, double now) const;
+  // A query with at most one candidate per conversation
+  // (ContextState::FrontierChunk); kFirstGpu serves step 3b. Entries are
+  // re-checked on pop, so the pass sees each conversation as it is then.
+  struct FrontierPass {
+    Frontier kind = Frontier::kCpuEvict;
+    VictimHeap heap;
+    // The lists that carry the query's candidates; none when no entry can
+    // yield one.
+    std::vector<RecencyScan> scans;
+  };
+  FrontierPass SeedFrontier(Frontier kind, double now) const;
   // (Re-)enters a conversation whose candidate this coordinator just changed.
-  void PushFrontier(Frontier kind, ConversationId id, double now, VictimHeap* heap) const;
+  void PushFrontier(ConversationId id, double now, FrontierPass* pass) const;
   // Pops until an entry is still its conversation's candidate at its
   // recorded score. Superseded entries are discarded; an entry whose shared
   // block lost its other readers (the score can only rise) is re-pushed.
-  std::optional<Victim> PopFrontier(Frontier kind, double now, VictimHeap* heap) const;
+  std::optional<Victim> PopFrontier(double now, FrontierPass* pass) const;
 
   double Score(ConversationId id, const ContextState& state, int64_t chunk_index,
                double now) const;
@@ -243,9 +262,9 @@ class CacheCoordinator {
     // Chunks the nested CPU-pressure fallback turned back into kGpu: they
     // were no candidates when the pass started.
     std::set<std::pair<ConversationId, int64_t>> copies_dropped;
-    // The CPU-frontier heap, seeded by the first nested call and kept up to
+    // The CPU-frontier pass, seeded by the first nested call and kept up to
     // date across the rest (virtual time does not move within a pass).
-    std::optional<VictimHeap> cpu_frontier;
+    std::optional<FrontierPass> cpu_frontier;
   };
   std::optional<SwapPass> swap_pass_;
   // Retry guard for ahead-of-time eviction: when a pass could not reach the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+
 #include "src/eviction/cost_estimator.h"
 #include "src/eviction/policy.h"
 #include "src/model/model_config.h"
@@ -132,6 +135,42 @@ TEST(PolicyTest, FactoryCreatesAllKinds) {
   EXPECT_STREQ(MakeEvictionPolicy(EvictionPolicyKind::kLru, est)->name(), "lru");
   EXPECT_STREQ(MakeEvictionPolicy(EvictionPolicyKind::kCostOnly, est)->name(),
                "cost-only");
+}
+
+// The victim index enters conversations in last_active order and stops at
+// the first whose floor exceeds the best entered score (DESIGN.md §15). That
+// is exact only if the floor never exceeds Score of an unshared candidate
+// and never falls as last_active grows. Checked on random candidates, with
+// short contexts and activity within 1 ms of now oversampled, and on an
+// estimator whose extrapolated Cost(1) is negative.
+TEST(PolicyTest, ScoreFloorBoundsUnsharedScoresAndNeverFalls) {
+  const ChunkCostEstimator steep = ChunkCostEstimator::FromMeasurements(
+      32, {{32, 1.0e-6}, {64, 1.0e-5}, {128, 2.0e-5}});
+  ASSERT_LT(steep.Cost(1), 0.0);
+  std::mt19937_64 rng(17);
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  for (const ChunkCostEstimator& est : {Estimator(), steep}) {
+    for (EvictionPolicyKind kind : {EvictionPolicyKind::kRetentionValue,
+                                    EvictionPolicyKind::kLru, EvictionPolicyKind::kCostOnly}) {
+      const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy(kind, est);
+      for (int i = 0; i < 20000; ++i) {
+        const double now = uniform(0.0, 1000.0);
+        const double idle = i % 3 == 0 ? uniform(0.0, 2e-3) : uniform(0.0, now);
+        const double last_active = i % 7 == 0 ? now : now - idle;
+        const int64_t ctx = i % 2 == 0 ? 1 + static_cast<int64_t>(rng() % 64)
+                                       : 1 + static_cast<int64_t>(rng() % 16384);
+        const ChunkCandidate c = MakeCandidate(1, (ctx - 1) / 32, ctx, last_active);
+        const double floor = policy->ScoreFloor(last_active, now);
+        ASSERT_LE(floor, policy->Score(c, now))
+            << policy->name() << " ctx=" << ctx << " idle=" << now - last_active;
+        const double later = last_active + (i % 5 == 0 ? 1e-12 : uniform(0.0, 10.0));
+        ASSERT_LE(floor, policy->ScoreFloor(later, now))
+            << policy->name() << " last_active " << last_active << " -> " << later;
+      }
+    }
+  }
 }
 
 // --- CacheCoordinator -------------------------------------------------------------

@@ -64,6 +64,22 @@ struct Coverage {
   // A conversation with holder entries released in a call (its emptying
   // drop put it on the stale list; CheckInvariants shows it taken off):
   int64_t released_stale_entries = 0;
+  // The recency scan (DESIGN.md §15), derived from the state before a call
+  // and the call's mechanism log. A call that took victims from a holder
+  // list of at least 64 unpinned entries with spread and tied last_active:
+  int64_t crowded_passes = 0;
+  // Two swap-outs at one score where the later one's conversation is
+  // entered first (older, or a view) and the earlier one's floor equals
+  // that score: only entering on a floor equal to the best score lets the
+  // smaller id go first.
+  int64_t tied_floor_entries = 0;
+  // A victim of a conversation active less than 1 ms before the call, under
+  // the retention value (its T is clamped, and so is its floor):
+  int64_t sub_ms_victims = 0;
+  // A swap pass's CPU reservation discarded a copy of a conversation the
+  // scan had not reached (its floor exceeds every score popped by then),
+  // and the pass later swapped that conversation out:
+  int64_t changed_before_reached = 0;
 };
 Coverage coverage;
 
@@ -576,6 +592,104 @@ void Mutate(std::mt19937_64* rng, TwoTierKvCache* cache) {
   }
 }
 
+// A crowded layout for the recency scan: 64 to 90 conversations, so one
+// holder list holds far more entries than a pass enters. last_active takes
+// tied values spread over time, three of them within 1 ms of the first
+// call's now (4.0); a quarter of the conversations hold one token, whose
+// chunk scores exactly the floor under cost-only, and under retention value
+// when idle for less than 1 ms. A template publisher and readers add views.
+void BuildCrowdedLayout(uint64_t seed, bool copies_only, TwoTierKvCache* cache) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  constexpr double kActive[] = {1.0, 2.0, 2.0, 3.0, 4.0 - 6e-4, 4.0 - 2e-4, 4.0};
+  const int64_t conversations = uniform(64, 90);
+  const std::vector<uint64_t> chain = {11, 22, 33};
+  bool published = false;
+  for (int64_t k = 0; k < conversations; ++k) {
+    const ConversationId id = (k * 53 + static_cast<int64_t>(seed) * 7) % 229;
+    if (cache->Find(id) != nullptr) {
+      continue;
+    }
+    std::vector<BlockId> blocks;
+    if (!published) {
+      if (!cache->AppendTokenSlots(id, 4 * kBlock, nullptr).ok()) {
+        continue;
+      }
+      std::vector<BlockId> prefix = cache->GpuBlockTable(id, 0);
+      prefix.resize(chain.size());
+      cache->PublishSharedPrefix(chain, prefix);
+      published = true;
+    } else if (uniform(0, 3) == 0 && cache->LookupSharedPrefix(chain, &blocks) > 0) {
+      cache->AttachSharedPrefix(id, blocks, static_cast<int64_t>(blocks.size()) * kBlock);
+    } else {
+      const int64_t tokens = uniform(0, 3) == 0 ? 1 : uniform(2, 3 * kBlock);
+      if (!cache->AppendTokenSlots(id, tokens, nullptr).ok()) {
+        continue;
+      }
+    }
+    ContextState& state = *cache->Find(id);
+    state.set_last_active(kActive[uniform(0, 6)]);
+    const int64_t n = state.num_chunks();
+    const int64_t dropped = uniform(0, 5) == 0 ? uniform(0, n / 2) : 0;
+    for (int64_t i = 0; i < n; ++i) {
+      ChunkLocation target = ChunkLocation::kGpu;
+      if (i < dropped) {
+        target = ChunkLocation::kDropped;
+      } else if (!copies_only && i == dropped && uniform(0, 5) == 0) {
+        target = ChunkLocation::kSsd;
+      } else {
+        switch (uniform(0, 3)) {
+          case 0: target = ChunkLocation::kGpuAndCpu; break;
+          case 1: target = copies_only ? ChunkLocation::kGpuAndCpu : ChunkLocation::kCpu; break;
+          default: break;
+        }
+      }
+      Place(cache, id, i, target);
+    }
+    if (uniform(0, 7) == 0) {
+      state.Pin();
+    }
+  }
+  cache->CheckInvariants();
+}
+
+// Mutate, then re-stamp about a quarter of the conversations as active
+// within 1 ms before the next call, at two tied instants.
+void MutateCrowded(std::mt19937_64* rng, TwoTierKvCache* cache, double next_now) {
+  Mutate(rng, cache);
+  std::vector<ConversationId> ids;
+  for (const auto& [id, state] : cache->conversations()) {
+    ids.push_back(id);
+  }
+  for (ConversationId id : ids) {
+    if ((*rng)() % 4 == 0) {
+      cache->Find(id)->set_last_active(next_now - ((*rng)() % 2 == 0 ? 3e-4 : 7e-4));
+    }
+  }
+}
+
+struct Scenario {
+  KvCacheConfig config;
+  // Every third seed gets a small CPU tier and no CPU-only chunks, so CPU
+  // pressure falls back to discarding clean copies mid-pass.
+  int64_t copies_only_cpu_blocks;
+  void (*build)(uint64_t seed, bool copies_only, TwoTierKvCache* cache);
+  void (*mutate)(std::mt19937_64* rng, TwoTierKvCache* cache, double next_now);
+};
+
+Scenario RandomScenario() {
+  return Scenario{LayoutConfig(), 8, &BuildLayout,
+                  [](std::mt19937_64* rng, TwoTierKvCache* cache, double) { Mutate(rng, cache); }};
+}
+
+Scenario CrowdedScenario() {
+  KvCacheConfig config = LayoutConfig(64);
+  config.num_gpu_blocks = 400;
+  return Scenario{config, 8, &BuildCrowdedLayout, &MutateCrowded};
+}
+
 struct Variant {
   EvictionPolicyKind policy;
   CacheCoordinator::Options options;
@@ -668,6 +782,113 @@ class HolderWatch {
   std::map<std::pair<ChunkLocation, ConversationId>, Entry> entries_;
 };
 
+// Watches one entry-point call for the recency-scan coverage counters,
+// from the state before the call and the call's mechanism log.
+class ScanWatch {
+ public:
+  ScanWatch(const TwoTierKvCache& cache, const EvictionPolicy& policy, double now)
+      : policy_(policy), now_(now) {
+    for (const auto& [id, state] : cache.conversations()) {
+      Conv& conv = convs_[id];
+      conv.last_active = state.last_active();
+      conv.pinned = state.pinned();
+      for (int64_t i = 0; i < state.num_chunks(); ++i) {
+        const ChunkCandidate c = cache.Candidate(id, state, i);
+        conv.chunks.push_back({state.chunk(i).location, c.shared, policy.Score(c, now)});
+      }
+    }
+    for (ChunkLocation location : kHeldLocations) {
+      std::vector<double> active;
+      for (const auto& [id, conv] : convs_) {
+        if (!conv.pinned && conv.Holds(location)) {
+          active.push_back(conv.last_active);
+        }
+      }
+      std::sort(active.begin(), active.end());
+      const auto distinct = std::unique(active.begin(), active.end()) - active.begin();
+      crowded_ = crowded_ || (active.size() >= 64 && distinct >= 2 &&
+                              distinct < static_cast<std::ptrdiff_t>(active.size()));
+    }
+  }
+
+  void Count(const std::vector<TwoTierKvCache::EvictEvent>& log) const {
+    using Op = TwoTierKvCache::EvictOp;
+    if (log.empty()) {
+      return;
+    }
+    coverage.crowded_passes += crowded_;
+    const bool retention = std::string(policy_.name()) == "retention-value";
+    std::vector<const TwoTierKvCache::EvictEvent*> swaps;
+    for (const auto& e : log) {
+      coverage.sub_ms_victims += retention && now_ - convs_.at(e.conversation).last_active < 1e-3;
+      if (e.op == Op::kSwapOut) {
+        swaps.push_back(&e);
+      }
+    }
+    for (size_t i = 0; i < swaps.size(); ++i) {
+      for (size_t j = i + 1; j < swaps.size(); ++j) {
+        const Conv& b = convs_.at(swaps[i]->conversation);
+        const Conv& c = convs_.at(swaps[j]->conversation);
+        const Chunk& bc = b.chunks[static_cast<size_t>(swaps[i]->chunk_index)];
+        const Chunk& cc = c.chunks[static_cast<size_t>(swaps[j]->chunk_index)];
+        coverage.tied_floor_entries +=
+            bc.score == cc.score && swaps[i]->conversation < swaps[j]->conversation &&
+            policy_.ScoreFloor(b.last_active, now_) == bc.score &&
+            (c.last_active < b.last_active || cc.shared);
+      }
+    }
+    // A copy discarded by a swap pass's CPU reservation is followed by the
+    // swap-out of the victim popped before it (or, if that one turned stale,
+    // of a later one, at a score no lower).
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (log[i].op != Op::kDropCpuCopy) {
+        continue;
+      }
+      size_t next = i + 1;
+      while (next < log.size() && log[next].op != Op::kSwapOut) {
+        ++next;
+      }
+      if (next == log.size()) {
+        continue;
+      }
+      const Conv& popped = convs_.at(log[next].conversation);
+      const Chunk& victim = popped.chunks[static_cast<size_t>(log[next].chunk_index)];
+      const Conv& changed = convs_.at(log[i].conversation);
+      if (victim.shared || changed.pinned || !changed.Holds(ChunkLocation::kGpu) ||
+          log[i].conversation == log[next].conversation ||
+          policy_.ScoreFloor(changed.last_active, now_) <= victim.score) {
+        continue;
+      }
+      for (size_t later = next + 1; later < log.size(); ++later) {
+        if (log[later].op == Op::kSwapOut && log[later].conversation == log[i].conversation) {
+          ++coverage.changed_before_reached;
+          break;
+        }
+      }
+    }
+  }
+
+ private:
+  struct Chunk {
+    ChunkLocation location;
+    bool shared;
+    double score;
+  };
+  struct Conv {
+    double last_active = 0.0;
+    bool pinned = false;
+    std::vector<Chunk> chunks;
+    bool Holds(ChunkLocation location) const {
+      return std::any_of(chunks.begin(), chunks.end(),
+                         [&](const Chunk& c) { return c.location == location; });
+    }
+  };
+  const EvictionPolicy& policy_;
+  const double now_;
+  std::map<ConversationId, Conv> convs_;
+  bool crowded_ = false;
+};
+
 std::string Describe(const std::vector<TwoTierKvCache::EvictEvent>& log) {
   std::ostringstream out;
   for (const auto& e : log) {
@@ -679,15 +900,21 @@ std::string Describe(const std::vector<TwoTierKvCache::EvictEvent>& log) {
 // Runs one seeded scenario against a coordinator type and returns its
 // transcript: the mechanism log plus every outcome field, one line per call.
 template <typename Coordinator>
-std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
+std::vector<std::string> Transcript(uint64_t seed, const Variant& variant,
+                                    const Scenario& scenario = RandomScenario()) {
   const ChunkCostEstimator estimator = ChunkCostEstimator::ProfileFromCostModel(
       GpuCostModel(Opt13BConfig(), A100Spec(1)), kBlock, 4096);
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy(variant.policy, estimator);
-  // Every third seed gets a small CPU tier and no CPU-only chunks, so CPU
-  // pressure falls back to discarding clean copies mid-pass.
   const bool copies_only = seed % 3 == 0;
-  TwoTierKvCache cache(LayoutConfig(copies_only ? 8 : 40, variant.flash));
-  BuildLayout(seed, copies_only, &cache);
+  KvCacheConfig config = scenario.config;
+  if (copies_only) {
+    config.num_cpu_blocks = scenario.copies_only_cpu_blocks;
+  }
+  if (!variant.flash) {
+    config.num_ssd_blocks = 0;
+  }
+  TwoTierKvCache cache(config);
+  scenario.build(seed, copies_only, &cache);
   std::vector<TwoTierKvCache::EvictEvent> log;
   cache.set_event_log(&log);
   Coordinator coordinator(&cache, policy.get(), variant.options,
@@ -697,8 +924,10 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
   for (int round = 0; round < 12; ++round) {
     const double now = 4.0 + round;
     std::optional<HolderWatch> watch;
+    std::optional<ScanWatch> scan_watch;
     if constexpr (std::is_same_v<Coordinator, CacheCoordinator>) {
       watch.emplace(cache);
+      scan_watch.emplace(cache, *policy, now);
     }
     std::ostringstream line;
     switch (rng() % 3) {
@@ -722,6 +951,7 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
     }
     if (watch.has_value()) {
       watch->Count();
+      scan_watch->Count(log);
     }
     const auto spill = coordinator.TakeSpill();
     line << " spill " << spill.demoted_tokens << " " << spill.failed_demotes;
@@ -729,7 +959,7 @@ std::vector<std::string> Transcript(uint64_t seed, const Variant& variant) {
     log.clear();
     transcript.push_back(line.str());
     cache.CheckInvariants();
-    Mutate(&rng, &cache);
+    scenario.mutate(&rng, &cache, now + 1.0);
     cache.CheckInvariants();
   }
   cache.set_event_log(nullptr);
@@ -764,6 +994,35 @@ TEST(VictimIndexTest, MatchesBruteForceOracleOnRandomLayouts) {
   EXPECT_GT(coverage.entries_reused_across_calls, 0);
   EXPECT_GT(coverage.window_rescans_after_crossing, 0);
   EXPECT_GT(coverage.released_stale_entries, 0);
+}
+
+// The same comparison on crowded layouts, where a pass enters only the
+// conversations whose recency floor can still win. Each case the scan's
+// stop rule and snapshot have to get right must occur.
+TEST(VictimIndexTest, RecencyScanMatchesBruteForceOracleOnCrowdedLayouts) {
+  const std::vector<Variant> variants = Variants();
+  int64_t compared_events = 0;
+  coverage = Coverage{};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (size_t v = 0; v < variants.size(); ++v) {
+      const std::vector<std::string> expected =
+          Transcript<BruteForceCoordinator>(seed, variants[v], CrowdedScenario());
+      const std::vector<std::string> actual =
+          Transcript<CacheCoordinator>(seed, variants[v], CrowdedScenario());
+      ASSERT_EQ(expected.size(), actual.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(expected[i], actual[i]) << "seed " << seed << ", variant " << v
+                                          << ", call " << i;
+        compared_events += static_cast<int64_t>(
+            std::count(expected[i].begin(), expected[i].end(), '/'));
+      }
+    }
+  }
+  EXPECT_GT(compared_events, 10000);
+  EXPECT_GT(coverage.crowded_passes, 0);
+  EXPECT_GT(coverage.tied_floor_entries, 0);
+  EXPECT_GT(coverage.sub_ms_victims, 0);
+  EXPECT_GT(coverage.changed_before_reached, 0);
 }
 
 // The case the shared-prefix window exists for: with the reader detached
