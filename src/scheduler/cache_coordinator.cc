@@ -274,6 +274,7 @@ int64_t CacheCoordinator::SwapOutPass(
   };
   // The candidates are the kGpu chunks at pass start.
   swap_pass_.emplace();
+  swap_pass_->reclaim = reclaim;
   LocationPass candidates = SeedLocation(ChunkLocation::kGpu, now);
   // Reserve CPU space for the whole deficit in one pass; fall back to
   // per-chunk frees only if that could not be satisfied.
@@ -369,7 +370,10 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
     frontier = &*swap_pass_->cpu_frontier;
   }
   // Fallback, seeded on first use: discard clean CPU copies (the chunks stay
-  // on the GPU). Nothing it does creates a CPU-only frontier again.
+  // on the GPU). Nothing it does creates a CPU-only frontier again. An
+  // ahead-of-time pass never takes it: each discard would undo a swap-out
+  // already paid for, and the pass would copy the chunk out again next step.
+  const bool discard_copies = !swap_pass_.has_value() || swap_pass_->reclaim;
   std::optional<LocationPass> copies;
   while (cache_->cpu_allocator().num_free() < n) {
     if (const std::optional<Victim> best = PopFrontier(now, frontier)) {
@@ -381,6 +385,9 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
       MaybeForget(best->conversation);
       PushFrontier(best->conversation, now, frontier);
       continue;
+    }
+    if (!discard_copies) {
+      return false;
     }
     if (!copies.has_value()) {
       copies = SeedLocation(ChunkLocation::kGpuAndCpu, now);

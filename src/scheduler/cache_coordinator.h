@@ -76,9 +76,10 @@ class CacheCoordinator {
 
   // Ahead-of-time eviction toward the target free fraction. With the CPU
   // tier enabled this swaps out lowest-retention GPU chunks (returning the
-  // tokens to schedule on the device-to-host link); in GPU-cache-only mode
-  // it drops lowest-retention frontier chunks instead (the paper's
-  // "Pensieve (GPU cache)" variant discards evicted tokens).
+  // tokens to schedule on the device-to-host link), making CPU room only by
+  // evicting CPU-only chunks: it stops rather than discard a clean copy; in
+  // GPU-cache-only mode it drops lowest-retention frontier chunks instead
+  // (the paper's "Pensieve (GPU cache)" variant discards evicted tokens).
   struct EvictOutcome {
     int64_t swapped_out_tokens = 0;
     int64_t dropped_tokens = 0;
@@ -91,7 +92,8 @@ class CacheCoordinator {
   EvictOutcome AheadOfTimeEvict(double now);
 
   // Frees at least `n` CPU blocks by dropping low-retention chunks — or,
-  // when the cache has a flash tier, demoting them to it instead.
+  // when the cache has a flash tier, demoting them to it instead — and then
+  // by discarding clean CPU copies (not inside an ahead-of-time pass).
   bool EnsureFreeCpuBlocks(int64_t n, double now);
 
   // Demotions performed since the last call (any coordinator entry point may
@@ -259,6 +261,8 @@ class CacheCoordinator {
   // State of the SwapOutPass in progress, shared with the
   // EnsureFreeCpuBlocks calls nested in it.
   struct SwapPass {
+    // A forced pass; only it lets CPU pressure discard clean copies.
+    bool reclaim = false;
     // Chunks the nested CPU-pressure fallback turned back into kGpu: they
     // were no candidates when the pass started.
     std::set<std::pair<ConversationId, int64_t>> copies_dropped;

@@ -13,7 +13,9 @@ namespace pensieve {
 namespace {
 
 // 4 GPU blocks, 1 CPU block, 4-token chunks: with a 0.5 free target the
-// CPU tier can never hold enough evicted chunks to satisfy a pass.
+// CPU tier can never hold enough evicted chunks to satisfy a pass. An
+// ahead-of-time pass discards no CPU copy to make room, so it swaps one
+// chunk out and stops.
 KvCacheConfig TinyConfig() {
   KvCacheConfig config;
   config.block_size = 4;
@@ -39,13 +41,12 @@ class AotRetryGuardTest : public ::testing::Test {
 };
 
 TEST_F(AotRetryGuardTest, FailedPassSkipsRescanWithinSameInstant) {
-  // First pass: the single CPU block forces a swap/discard tussle — each
-  // swap-out evicts the previous candidate's CPU copy — and the pass ends
+  // First pass: the single CPU block takes one swap-out, and the pass ends
   // below target, arming the guard.
   const CacheCoordinator::EvictOutcome first = coordinator_->AheadOfTimeEvict(1.0);
-  EXPECT_EQ(first.swapped_out_tokens, 16);
+  EXPECT_EQ(first.swapped_out_tokens, 4);
   const int64_t after_first = cache_.counters().swapped_out_chunks;
-  EXPECT_EQ(after_first, 4);
+  EXPECT_EQ(after_first, 1);
   EXPECT_LT(cache_.AvailableGpuBlocks(), 2);
 
   // Same instant, same availability: the guard suppresses the rescan.
@@ -76,6 +77,18 @@ TEST_F(AotRetryGuardTest, AvailabilityChangeRetriesWithinSameInstant) {
 TEST_F(AotRetryGuardTest, TimeAdvanceRetries) {
   (void)coordinator_->AheadOfTimeEvict(1.0);
   const int64_t after_first = cache_.counters().swapped_out_chunks;
+  // Forget the conversation holding the CPU copy: its reclaimable GPU block
+  // becomes a free one, so availability is unchanged, but the CPU block is
+  // free again and a pass could make progress.
+  const int64_t available = cache_.AvailableGpuBlocks();
+  for (const auto& [id, state] : cache_.conversations()) {
+    if (state.chunk(0).location == ChunkLocation::kGpuAndCpu) {
+      cache_.Release(id);
+      break;
+    }
+  }
+  ASSERT_EQ(cache_.AvailableGpuBlocks(), available);
+  ASSERT_EQ(cache_.cpu_allocator().num_free(), 1);
   (void)coordinator_->AheadOfTimeEvict(1.0);
   ASSERT_EQ(cache_.counters().swapped_out_chunks, after_first);
 

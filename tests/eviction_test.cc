@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <random>
+#include <vector>
 
 #include "src/eviction/cost_estimator.h"
 #include "src/eviction/policy.h"
@@ -393,6 +394,41 @@ TEST(CoordinatorTest, AotSkipsCandidatesTheCpuReservationForgot) {
   }
   EXPECT_EQ(evicted.swapped_out_tokens, 4 * static_cast<int64_t>(evicted.swapped.size()));
   cache.CheckInvariants();
+}
+
+// With the CPU tier full of clean copies and no CPU-only chunk to evict, an
+// ahead-of-time pass stops: discarding a copy would undo a swap-out already
+// paid for, and the next pass would copy the chunk out again. A forced pass
+// still discards one to make room.
+TEST(CoordinatorTest, AotDiscardsNoCopyWhenTheCpuTierIsFull) {
+  CoordinatorFixture fx(/*gpu_blocks=*/8, /*cpu_blocks=*/2, true, /*target=*/0.75);
+  ASSERT_TRUE(fx.cache.AppendTokenSlots(1, 16, nullptr).ok());
+  ASSERT_TRUE(fx.cache.AppendTokenSlots(2, 16, nullptr).ok());
+  for (int64_t chunk : {0, 1}) {
+    ASSERT_TRUE(fx.cache.SwapOut(1, chunk).ok());
+    // Corrupt copies outlast the forced pass's reclaim step below.
+    ASSERT_TRUE(fx.cache.MarkCpuCorrupt(1, chunk).ok());
+  }
+  fx.cache.Find(1)->set_last_active(0.0);
+  fx.cache.Find(2)->set_last_active(5.0);
+  ASSERT_EQ(fx.cache.cpu_allocator().num_free(), 0);
+  ASSERT_EQ(fx.cache.AvailableGpuBlocks(), 2);  // the target is 6
+  std::vector<TwoTierKvCache::EvictEvent> log;
+  fx.cache.set_event_log(&log);
+
+  const CacheCoordinator::EvictOutcome evicted = fx.coordinator.AheadOfTimeEvict(10.0);
+  EXPECT_EQ(evicted.swapped_out_tokens, 0);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(fx.cache.Find(1)->chunk(0).location, ChunkLocation::kGpuAndCpu);
+  EXPECT_EQ(fx.cache.Find(1)->chunk(1).location, ChunkLocation::kGpuAndCpu);
+
+  const CacheCoordinator::FreeOutcome freed = fx.coordinator.EnsureFreeGpuBlocks(1, 11.0);
+  EXPECT_TRUE(freed.ok);
+  EXPECT_EQ(freed.forced_swap_out_tokens, 4);
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.front().op, TwoTierKvCache::EvictOp::kDropCpuCopy);
+  fx.cache.set_event_log(nullptr);
+  fx.cache.CheckInvariants();
 }
 
 TEST(CoordinatorTest, ForcedSwapSkipsAVictimItsOwnCpuReservationDropped) {

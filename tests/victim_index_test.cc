@@ -124,6 +124,7 @@ class BruteForceCoordinator {
       }
     } else {
       in_swap_pass_ = true;
+      keep_copies_ = true;
       const std::vector<Victim> candidates = AllAt(ChunkLocation::kGpu, now);
       ViewWatch watch(cache_, candidates);
       const int64_t deficit = target - cache_->AvailableGpuBlocks();
@@ -152,6 +153,7 @@ class BruteForceCoordinator {
         }
       }
       in_swap_pass_ = false;
+      keep_copies_ = false;
     }
     if (cache_->AvailableGpuBlocks() < target) {
       failed_available_ = cache_->AvailableGpuBlocks();
@@ -184,6 +186,9 @@ class BruteForceCoordinator {
         }
         MaybeForget(best->conversation);
         continue;
+      }
+      if (keep_copies_) {
+        return false;  // ahead-of-time swap-out discards no copy
       }
       std::optional<Victim> dual;
       for (const Victim& v : AllAt(ChunkLocation::kGpuAndCpu, now)) {
@@ -459,6 +464,7 @@ class BruteForceCoordinator {
   double failed_at_ = -1.0;
   int64_t failed_available_ = -1;
   bool in_swap_pass_ = false;
+  bool keep_copies_ = false;
 };
 
 KvCacheConfig LayoutConfig(int64_t cpu_blocks = 40, bool flash = true) {
@@ -597,7 +603,8 @@ void Mutate(std::mt19937_64* rng, TwoTierKvCache* cache) {
 // tied values spread over time, three of them within 1 ms of the first
 // call's now (4.0); a quarter of the conversations hold one token, whose
 // chunk scores exactly the floor under cost-only, and under retention value
-// when idle for less than 1 ms. A template publisher and readers add views.
+// when idle for less than 1 ms. A template publisher and readers add views,
+// and corrupt CPU copies outlast a forced pass's reclaim step.
 void BuildCrowdedLayout(uint64_t seed, bool copies_only, TwoTierKvCache* cache) {
   std::mt19937_64 rng(seed);
   const auto uniform = [&rng](int64_t lo, int64_t hi) {
@@ -647,6 +654,11 @@ void BuildCrowdedLayout(uint64_t seed, bool copies_only, TwoTierKvCache* cache) 
         }
       }
       Place(cache, id, i, target);
+      // A corrupt copy survives a forced pass's reclaim step, so the pass's
+      // CPU reservation can discard it mid-pass.
+      if (state.chunk(i).HasCpuCopy() && uniform(0, 3) == 0) {
+        (void)cache->MarkCpuCorrupt(id, i);
+      }
     }
     if (uniform(0, 7) == 0) {
       state.Pin();
