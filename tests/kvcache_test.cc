@@ -224,6 +224,13 @@ TEST(TwoTierCacheTest, AppendAllocatesGpuBlocks) {
   cache.CheckInvariants();
 }
 
+// Conversation ids index the cache's state table.
+TEST(TwoTierCacheDeathTest, NegativeConversationIdFailsACheck) {
+  TwoTierKvCache cache(SmallConfig());
+  EXPECT_EQ(cache.Find(-1), nullptr);
+  EXPECT_DEATH(cache.GetOrCreate(-1), "non-negative");
+}
+
 TEST(TwoTierCacheTest, AppendFailsWhenGpuExhausted) {
   TwoTierKvCache cache(SmallConfig(/*gpu_blocks=*/2));
   EXPECT_TRUE(cache.AppendTokenSlots(1, 8, nullptr).ok());
